@@ -63,13 +63,11 @@ from .replica import (
 )
 from .trajectory import (
     RecordSet,
-    SignalRecord,
     SimConfig,
     TimestepWarning,
     ito_step,
     simulate_ensemble,
     simulate_range,
-    simulate_trajectory,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +92,6 @@ __all__ = [
     "ReplicaConfig",
     "RunSetup",
     "ScanRow",
-    "SignalRecord",
     "SimConfig",
     "SingularSpec",
     "SpecSizeError",
@@ -122,7 +119,6 @@ __all__ = [
     "replica_model",
     "simulate_ensemble",
     "simulate_range",
-    "simulate_trajectory",
     "singular_corrections",
     "three_time_scan",
     "trajectory_draws",

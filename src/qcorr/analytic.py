@@ -182,7 +182,22 @@ def _require_no_phase_backaction(channels):
         if ch.phase_k != 0.0:
             raise FactorizationInapplicableError(
                 f"channel {i} has phase backaction (phase_k={ch.phase_k}); "
-                "the factorized form does not apply, use chain_correlator"
+                "the factorized form does not apply, and no exact route covers "
+                "phase backaction yet"
+            )
+
+
+def _require_no_kick_before_last(channels, channel_indices):
+    """Refuse phase backaction at any event but the last.
+
+    The collapse picture drops the phase kick an event gives the state that
+    later events see; the last event's kick reaches none.
+    """
+    for ch in channel_indices[:-1]:
+        if channels[ch].phase_k != 0.0:
+            raise ValidationError(
+                f"channel {ch} has phase backaction (phase_k={channels[ch].phase_k}) "
+                "at an event before the last; the exact routes do not model it yet"
             )
 
 
@@ -201,7 +216,8 @@ def two_time_correlator(model: EnsembleModel, channels,
     """Two-time correlator n_k . P(t_i -> t_k) n_i of a unital model.
 
     Independent of the initial state. For non-unital models this closed form
-    does not hold; evaluate a two-event chain_correlator instead.
+    does not hold; evaluate a two-event chain_correlator instead. Phase
+    backaction on channel_i is refused.
     """
     if t_k < t_i:
         raise ValidationError(f"two_time_correlator requires t_i <= t_k, got {t_i} > {t_k}")
@@ -212,6 +228,7 @@ def two_time_correlator(model: EnsembleModel, channels,
         )
     n_i = _axis(channels, channel_i)
     n_k = _axis(channels, channel_k)
+    _require_no_kick_before_last(channels, (channel_i, channel_k))
     prop = ordered_propagator(model, t_i, t_k)
     return float(n_k @ (prop.matrix @ n_i))
 
@@ -226,7 +243,8 @@ def brute_force_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec)
     """Correlator by explicit summation over all 2^N projective outcomes.
 
     Exponential cost; retained permanently as the oracle that the O(N) chain
-    evaluation is checked against.
+    evaluation is checked against. Like the chain, it refuses phase
+    backaction at any event but the last.
     """
     n = spec.n_events
     if n > BRUTE_FORCE_MAX_EVENTS:
@@ -235,6 +253,7 @@ def brute_force_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec)
             f"(limit {BRUTE_FORCE_MAX_EVENTS} events); use chain_correlator"
         )
     axes = [_axis(channels, ch) for ch in spec.channel_indices]
+    _require_no_kick_before_last(channels, spec.channel_indices)
     props = _event_propagators(model, spec)
     r_first = props[0].apply(as_bloch(spec.r_in))
     total = 0.0
@@ -248,8 +267,12 @@ def brute_force_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec)
 
 
 def chain_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec) -> float:
-    """Correlator via the O(N) backward recursion; equals brute force exactly."""
+    """Correlator via the O(N) backward recursion; equals brute force exactly.
+
+    Raises ValidationError for phase backaction at any event but the last.
+    """
     axes = [_axis(channels, ch) for ch in spec.channel_indices]
+    _require_no_kick_before_last(channels, spec.channel_indices)
     props = _event_propagators(model, spec)
     alpha, beta = 1.0, 0.0
     for k in range(spec.n_events - 1, 0, -1):

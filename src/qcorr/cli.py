@@ -12,8 +12,6 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from .analytic import (
     BRUTE_FORCE_MAX_EVENTS,
     CorrelatorSpec,
@@ -21,9 +19,9 @@ from .analytic import (
     chain_correlator,
     factorized_correlator,
 )
-from .config import parse_config
-from .empirical import Window, estimate_correlator
-from .errors import FactorizationInapplicableError, QcorrError
+from .config import _integer, _number, _require_keys, _vector3, parse_config
+from .empirical import Window, estimate_correlator, resolve_events
+from .errors import ConfigError, FactorizationInapplicableError, QcorrError
 from .recordio import read_records, write_records
 from .replica import ReplicaConfig, four_time_scan, three_time_scan
 from .trajectory import simulate_ensemble
@@ -49,10 +47,55 @@ def _events_key(pairs) -> str:
     return ";".join(f"{ch}@{format(t, FLOAT_FMT)}" for ch, t in pairs)
 
 
-def _load_spec_entries(path):
+def _window_key(events, window_bins, dt) -> tuple:
+    """(events, window_start_us, window_len_us) columns of a snapped windowed spec."""
+    i0, i1 = window_bins
+    return _events_key((ch, g * dt) for ch, g in events), i0 * dt, (i1 - i0) * dt
+
+
+def _channel_times(items, path: str, time_key: str) -> list:
+    if not isinstance(items, list) or not items:
+        raise ConfigError(f"{path}: expected a non-empty array")
+    pairs = []
+    for i, item in enumerate(items):
+        _require_keys(item, f"{path}[{i}]", required=("channel", time_key))
+        pairs.append((_integer(item["channel"], f"{path}[{i}].channel"),
+                      _number(item[time_key], f"{path}[{i}].{time_key}")))
+    return pairs
+
+
+def _spec_entries(path, r_init) -> list:
+    """Validated entries of a spec file: each a CorrelatorSpec or (gaps, Window).
+
+    Explicit event lists are accepted only when r_init, their default initial
+    state, is not None; the windowed form needs no state.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return raw if isinstance(raw, list) else [raw]
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    entries = []
+    for i, entry in enumerate(raw if isinstance(raw, list) else [raw]):
+        where = f"spec[{i}]"
+        if r_init is not None and isinstance(entry, dict) and "events" in entry:
+            _require_keys(entry, where, required=("events",), optional=("initial",))
+            init = entry.get("initial", {})
+            _require_keys(init, f"{where}.initial", required=(), optional=("r", "t_us"))
+            r_in = tuple(_vector3(init["r"], f"{where}.initial.r")) if "r" in init else r_init
+            t_in = _number(init.get("t_us", 0.0), f"{where}.initial.t_us")
+            events = _channel_times(entry["events"], f"{where}.events", "t_us")
+            entries.append(CorrelatorSpec(events, r_in, t_in))
+        else:
+            _require_keys(entry, where, required=("window", "gaps"))
+            window = entry["window"]
+            _require_keys(window, f"{where}.window", required=("t_a_us", "T_us"))
+            entries.append((
+                _channel_times(entry["gaps"], f"{where}.gaps", "dt_us"),
+                Window(_number(window["t_a_us"], f"{where}.window.t_a_us"),
+                       _number(window["T_us"], f"{where}.window.T_us")),
+            ))
+    return entries
 
 
 def _parse_float_list(text):
@@ -91,65 +134,36 @@ def _do_simulate(args) -> int:
     return 0
 
 
-def _spec_from_entry(entry, setup):
-    """Split one spec-file entry into (absolute_events, windowed) forms."""
-    r_in = tuple(setup.sim.r_init)
-    t_in = 0.0
-    if "initial" in entry:
-        init = entry["initial"]
-        r_in = tuple(float(v) for v in init.get("r", r_in))
-        t_in = float(init.get("t_us", 0.0))
-    if "events" in entry:
-        events = tuple((int(e["channel"]), float(e["t_us"])) for e in entry["events"])
-        return CorrelatorSpec(events, r_in, t_in), None, None
-    window = Window(float(entry["window"]["t_a_us"]), float(entry["window"]["T_us"]))
-    gaps = [(int(g["channel"]), float(g["dt_us"])) for g in entry["gaps"]]
-    return None, gaps, window
-
-
-def _windowed_analytic(setup, gaps, window, kind):
-    """Window-averaged correlator on the estimator's snapped grid."""
-    dt = setup.sim.dt
-    i0 = round(window.t_a / dt)
-    i1 = round((window.t_a + window.length) / dt)
-    snapped = [(ch, round(g / dt)) for ch, g in gaps]
-    values = []
-    for i in range(i0, i1 + 1):
-        t1 = i * dt
-        events = tuple((ch, t1 + g * dt) for ch, g in snapped)
-        spec = CorrelatorSpec(events, tuple(setup.sim.r_init), 0.0)
-        if kind == "chain":
-            values.append(chain_correlator(setup.model, setup.channels, spec))
-        else:
-            values.append(factorized_correlator(setup.model, setup.channels, spec))
-    key = _events_key((ch, g * dt) for ch, g in snapped)
-    return float(np.mean(values)), key, (i0 * dt, (i1 - i0) * dt)
-
-
 def _do_analytic(args) -> int:
     setup = parse_config(args.config)
+    model, channels, dt = setup.model, setup.channels, setup.sim.dt
+    r_init = tuple(setup.sim.r_init)
     rows = []
-    for entry in _load_spec_entries(args.spec):
-        spec, gaps, window = _spec_from_entry(entry, setup)
-        if spec is not None:
-            chain = chain_correlator(setup.model, setup.channels, spec)
-            try:
-                fact = factorized_correlator(setup.model, setup.channels, spec)
-            except FactorizationInapplicableError:
-                fact = float("nan")
-            brute = (
-                brute_force_correlator(setup.model, setup.channels, spec)
-                if spec.n_events <= BRUTE_FORCE_MAX_EVENTS else float("nan")
-            )
-            key = _events_key(spec.events)
-            rows.append((key, float("nan"), float("nan"), chain, chain, fact, brute))
+    for entry in _spec_entries(args.spec, r_init):
+        if isinstance(entry, CorrelatorSpec):
+            def evaluate(route):
+                return route(model, channels, entry)
+            key = (_events_key(entry.events), float("nan"), float("nan"))
         else:
-            chain, key, (w0, wlen) = _windowed_analytic(setup, gaps, window, "chain")
-            try:
-                fact, _, _ = _windowed_analytic(setup, gaps, window, "factorized")
-            except FactorizationInapplicableError:
-                fact = float("nan")
-            rows.append((key, w0, wlen, chain, chain, fact, float("nan")))
+            gaps, window = entry
+            events = resolve_events(gaps, dt, len(channels))
+
+            def evaluate(route):
+                # Every placement of t1 on the estimator's grid, events at snapped gaps.
+                return window.average(lambda t1: route(model, channels, CorrelatorSpec(
+                    tuple((ch, t1 + g * dt) for ch, g in events), r_init, 0.0)), dt)
+            key = _window_key(events, window.bins(dt), dt)
+        chain = evaluate(chain_correlator)
+        try:
+            fact = evaluate(factorized_correlator)
+        except FactorizationInapplicableError:
+            fact = float("nan")
+        brute = (
+            evaluate(brute_force_correlator)
+            if isinstance(entry, CorrelatorSpec) and entry.n_events <= BRUTE_FORCE_MAX_EVENTS
+            else float("nan")
+        )
+        rows.append((*key, chain, chain, fact, brute))
     header = ["events", "window_start_us", "window_len_us", "value",
               "chain", "factorized", "brute_force"]
     for row in rows:
@@ -161,17 +175,12 @@ def _do_analytic(args) -> int:
 
 
 def _do_estimate(args) -> int:
+    entries = _spec_entries(args.spec, None)
     records = read_records(args.records)
     rows = []
-    for entry in _load_spec_entries(args.spec):
-        if "gaps" not in entry or "window" not in entry:
-            raise QcorrError("estimate specs need 'gaps' and 'window' sections")
-        window = Window(float(entry["window"]["t_a_us"]), float(entry["window"]["T_us"]))
-        gaps = [(int(g["channel"]), float(g["dt_us"])) for g in entry["gaps"]]
+    for gaps, window in entries:
         est = estimate_correlator(records, gaps, window)
-        key = _events_key(zip((ch for ch, _ in est.events), est.snapped_gaps_us))
-        w0 = est.window_bins[0] * est.dt
-        wlen = (est.window_bins[1] - est.window_bins[0]) * est.dt
+        key, w0, wlen = _window_key(est.events, est.window_bins, est.dt)
         rows.append((key, w0, wlen, est.value, est.std_error,
                      est.n_traj, est.n_window_samples))
         print(f"{key}: value={_fmt(est.value)} +- {_fmt(est.std_error)}")
@@ -258,13 +267,15 @@ def _do_compare(args) -> int:
         raise QcorrError("the two files share no key columns to join on")
     analytic = {tuple(row[k] for k in keys): float(row["value"]) for row in a_rows}
     worst = 0.0
-    matched = 0
+    matched = set()
+    unmatched_empirical = 0
     failures = 0
     for row in e_rows:
         key = tuple(row[k] for k in keys)
         if key not in analytic:
+            unmatched_empirical += 1
             continue
-        matched += 1
+        matched.add(key)
         delta = float(row["value"]) - analytic[key]
         se = float(row["std_error"])
         sigma = abs(delta) / se if se > 0 else float("inf") if delta else 0.0
@@ -272,10 +283,12 @@ def _do_compare(args) -> int:
         if sigma > args.max_sigma:
             failures += 1
             print(f"MISMATCH {dict(zip(keys, key))}: |delta|/se = {sigma:.2f}")
-    if matched == 0:
+    if not matched:
         raise QcorrError("no rows matched between the two files")
-    print(f"compared {matched} rows on {keys}: max |delta|/se = {worst:.3f} "
-          f"(threshold {args.max_sigma})")
+    unmatched_analytic = sum(tuple(row[k] for k in keys) not in matched for row in a_rows)
+    print(f"compared {len(e_rows) - unmatched_empirical} rows on {keys}: "
+          f"max |delta|/se = {worst:.3f} (threshold {args.max_sigma}); "
+          f"unmatched rows: {unmatched_analytic} analytic, {unmatched_empirical} empirical")
     return 0 if failures == 0 else 1
 
 

@@ -29,6 +29,11 @@ from .errors import EstimateMismatchError, ValidationError
 from .trajectory import RecordSet
 
 
+def snap(value: float, dt: float) -> int:
+    """Index of the sample bin nearest to a time: the one grid rule of qcorr."""
+    return int(round(value / dt))
+
+
 @dataclass(frozen=True)
 class Window:
     """Averaging window for the earliest event time: [t_a, t_a + length]."""
@@ -41,6 +46,19 @@ class Window:
             raise ValidationError(f"window length must be positive, got {self.length}")
         if self.t_a < 0.0:
             raise ValidationError(f"window start must be nonnegative, got {self.t_a}")
+
+    def bins(self, dt: float) -> tuple:
+        """Inclusive bin range (i0, i1) of t1: both window edges snapped."""
+        return snap(self.t_a, dt), snap(self.t_a + self.length, dt)
+
+    def average(self, f, dt: float) -> float:
+        """Mean of f(t1) over the snapped placements t1 = i dt of the window.
+
+        This is the grid the estimator averages over, so an exact value
+        averaged here joins the Monte Carlo estimate of the same window.
+        """
+        i0, i1 = self.bins(dt)
+        return float(np.mean([f(i * dt) for i in range(i0, i1 + 1)]))
 
 
 @dataclass(frozen=True)
@@ -76,33 +94,21 @@ class CorrelatorEstimate:
         return (self.dt, self.window_bins, self.events)
 
 
-def _snap(value: float, dt: float) -> int:
-    return int(round(value / dt))
+def resolve_events(gaps, dt: float, n_channels: int) -> tuple:
+    """Validated (channel_index, gap_in_bins) events of a gap list.
 
-
-def _window_bins(window: Window, dt: float) -> tuple:
-    i0 = _snap(window.t_a, dt)
-    i1 = _snap(window.t_a + window.length, dt)
-    if i1 < i0:
-        raise ValidationError("window shorter than one sample bin")
-    return i0, i1
-
-
-def _check_records(records: RecordSet):
-    if records.n_traj < 2:
-        raise ValidationError("estimation needs at least 2 trajectories for a standard error")
-
-
-def _resolve_events(records: RecordSet, gaps) -> tuple:
+    gaps is a sequence of (channel_index, gap_us) with nondecreasing gaps and
+    first gap 0; each gap snaps to the nearest bin.
+    """
     events = []
     previous = None
     for ch, gap in gaps:
         ch = int(ch)
-        if not (0 <= ch < records.n_channels):
+        if not (0 <= ch < n_channels):
             raise ValidationError(
-                f"channel index {ch} out of range for {records.n_channels} channels"
+                f"channel index {ch} out of range for {n_channels} channels"
             )
-        g = _snap(float(gap), records.dt)
+        g = snap(float(gap), dt)
         if g < 0:
             raise ValidationError(f"gaps must be nonnegative, got {gap}")
         if previous is not None and g < previous:
@@ -116,8 +122,15 @@ def _resolve_events(records: RecordSet, gaps) -> tuple:
     return tuple(events)
 
 
-def _traj_window_means(records: RecordSet, events: tuple, i0: int, i1: int) -> np.ndarray:
-    """Per-trajectory window means of the event product, in extended precision."""
+def trajectory_window_means(records: RecordSet, gaps, window: Window) -> np.ndarray:
+    """Per-trajectory window means of the product of samples at gaps from t1.
+
+    Accumulated in extended precision. The ensemble mean of the returned
+    array is the correlator estimate (estimate_from_means); scans use this to
+    pool statistics across grid points trajectory by trajectory.
+    """
+    events = resolve_events(gaps, records.dt, records.n_channels)
+    i0, i1 = window.bins(records.dt)
     max_gap = max(g for _, g in events)
     if i0 < 0 or i1 + max_gap > records.n_samples - 1:
         raise ValidationError(
@@ -130,38 +143,33 @@ def _traj_window_means(records: RecordSet, events: tuple, i0: int, i1: int) -> n
     return product.sum(axis=1, dtype=np.longdouble) / product.shape[1]
 
 
-def trajectory_window_means(records: RecordSet, gaps, window: Window) -> np.ndarray:
-    """Per-trajectory window means of the product of samples at gaps from t1.
-
-    The ensemble mean of the returned array is the correlator estimate;
-    scans use this to pool statistics across grid points trajectory by
-    trajectory.
-    """
-    events = _resolve_events(records, gaps)
-    i0, i1 = _window_bins(window, records.dt)
-    return _traj_window_means(records, events, i0, i1)
-
-
-def _estimate(records: RecordSet, events: tuple, window: Window) -> CorrelatorEstimate:
-    i0, i1 = _window_bins(window, records.dt)
-    traj_means = _traj_window_means(records, events, i0, i1)
-    total = traj_means.sum()
-    total_sq = np.square(traj_means).sum()
-    m = records.n_traj
-    value = total / m
-    var = (total_sq - total * total / m) / (m - 1)
-    var = max(float(var), 0.0)
+def _pooled(m: int, total, total_sq, dt: float, window_bins: tuple, events: tuple):
+    """Estimate from the sum and sum of squares of m per-trajectory means."""
+    var = max(float((total_sq - total * total / m) / (m - 1)), 0.0)
     return CorrelatorEstimate(
-        value=float(value),
+        value=float(total / m),
         std_error=float(np.sqrt(var / m)),
         n_traj=m,
-        n_window_samples=i1 - i0 + 1,
-        dt=records.dt,
-        window_bins=(i0, i1),
+        n_window_samples=window_bins[1] - window_bins[0] + 1,
+        dt=dt,
+        window_bins=window_bins,
         events=events,
         sum_means=float(total),
         sumsq_means=float(total_sq),
     )
+
+
+def estimate_from_means(traj_means: np.ndarray, dt: float, window_bins: tuple,
+                        events: tuple) -> CorrelatorEstimate:
+    """Estimate from per-trajectory window means (trajectory_window_means).
+
+    dt, window_bins and events label the estimate for merge_estimates: the
+    snapped specification the means were taken over.
+    """
+    if len(traj_means) < 2:
+        raise ValidationError("estimation needs at least 2 trajectories for a standard error")
+    return _pooled(len(traj_means), traj_means.sum(), np.square(traj_means).sum(),
+                   dt, window_bins, events)
 
 
 def estimate_correlator(records: RecordSet, gaps, window: Window) -> CorrelatorEstimate:
@@ -171,16 +179,14 @@ def estimate_correlator(records: RecordSet, gaps, window: Window) -> CorrelatorE
     first gap 0; equal gaps on the same channel estimate the discretized
     equal-time singular term tau/dt plus the smooth part.
     """
-    _check_records(records)
-    events = _resolve_events(records, gaps)
-    return _estimate(records, events, window)
+    return estimate_from_means(trajectory_window_means(records, gaps, window), records.dt,
+                               window.bins(records.dt),
+                               resolve_events(gaps, records.dt, records.n_channels))
 
 
 def estimate_mean_signal(records: RecordSet, channel_index: int, window: Window) -> CorrelatorEstimate:
     """Window-averaged mean output signal of one channel."""
-    _check_records(records)
-    events = _resolve_events(records, [(channel_index, 0.0)])
-    return _estimate(records, events, window)
+    return estimate_correlator(records, [(channel_index, 0.0)], window)
 
 
 def merge_estimates(parts) -> CorrelatorEstimate:
@@ -198,24 +204,9 @@ def merge_estimates(parts) -> CorrelatorEstimate:
             raise EstimateMismatchError(
                 f"cannot merge estimates of different specs: {p.spec_key()} != {key}"
             )
-    m = sum(p.n_traj for p in parts)
     total = np.longdouble(0.0)
     total_sq = np.longdouble(0.0)
     for p in parts:
         total += np.longdouble(p.sum_means)
         total_sq += np.longdouble(p.sumsq_means)
-    value = total / m
-    var = (total_sq - total * total / m) / (m - 1)
-    var = max(float(var), 0.0)
-    first = parts[0]
-    return CorrelatorEstimate(
-        value=float(value),
-        std_error=float(np.sqrt(var / m)),
-        n_traj=m,
-        n_window_samples=first.n_window_samples,
-        dt=first.dt,
-        window_bins=first.window_bins,
-        events=first.events,
-        sum_means=float(total),
-        sumsq_means=float(total_sq),
-    )
+    return _pooled(sum(p.n_traj for p in parts), total, total_sq, *key)

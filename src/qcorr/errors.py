@@ -20,8 +20,8 @@ class SpecSizeError(ValidationError):
 class FactorizationInapplicableError(QcorrError):
     """Factorized evaluation requested for a model outside its preconditions.
 
-    Raised when the ensemble model is not unital or a channel has nonzero
-    phase backaction; use chain_correlator instead.
+    Raised when the ensemble model is not unital (use chain_correlator
+    instead) or a channel has nonzero phase backaction.
     """
 
 

@@ -38,11 +38,14 @@ from .bloch import MeasurementChannel, build_ensemble_model
 from .empirical import (
     Window,
     estimate_correlator,
+    estimate_from_means,
     merge_estimates,
+    resolve_events,
+    snap,
     trajectory_window_means,
 )
 from .errors import ValidationError
-from .trajectory import SimConfig, simulate_range
+from .trajectory import SimConfig, index_ranges, simulate_range
 
 DEFAULT_GAMMA = 1.0 / 1.3  # per-channel ensemble dephasing rate, 1/us
 DEFAULT_THREE_TIME_WINDOW = 0.2
@@ -126,42 +129,9 @@ class FourTimeSummary:
     n_traj: int
 
 
-def _snap_gap(gap: float, dt: float) -> float:
-    return round(gap / dt) * dt
-
-
-def _window_average_mean_signal(model, channels, channel_index, config, window):
-    """Discrete window average of the mean signal, on the estimator's grid."""
-    i0 = round(window.t_a / config.dt)
-    i1 = round((window.t_a + window.length) / config.dt)
-    values = [
-        mean_signal(model, channels, channel_index, k * config.dt, config.r_init, 0.0)
-        for k in range(i0, i1 + 1)
-    ]
-    return float(np.mean(values))
-
-
-def _shard_bounds(total: int, shard: int):
-    bounds = []
-    lo = 0
-    while lo < total:
-        bounds.append((lo, min(lo + shard, total)))
-        lo = bounds[-1][1]
-    # A trailing single trajectory cannot carry a standard error; fold it in.
-    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] < 2:
-        last = bounds.pop()
-        prev = bounds.pop()
-        bounds.append((prev[0], last[1]))
-    return bounds
-
-
-def _simulate_shards(config: ReplicaConfig, sim: SimConfig):
-    for lo, hi in _shard_bounds(sim.n_traj, config.shard_size):
-        yield simulate_range(sim, lo, hi, workers=config.workers)
-
-
-def _sim_config(config: ReplicaConfig, model, channels, t_total: float) -> SimConfig:
-    return SimConfig(
+def _simulate_shards(config: ReplicaConfig, model, channels, t_total: float):
+    """The scan's ensemble, one shard_size range of trajectories at a time."""
+    sim = SimConfig(
         model=model,
         channels=channels,
         r_init=config.r_init,
@@ -171,6 +141,16 @@ def _sim_config(config: ReplicaConfig, model, channels, t_total: float) -> SimCo
         master_seed=config.master_seed,
         store_states=False,
     )
+    for lo, hi in index_ranges(0, sim.n_traj, config.shard_size):
+        yield simulate_range(sim, lo, hi, workers=config.workers)
+
+
+def _pooled_mc(parts) -> tuple:
+    """(value, std_error) pooled over shard estimates; NaN without any."""
+    if not parts:
+        return float("nan"), float("nan")
+    pooled = merge_estimates(parts)
+    return pooled.value, pooled.std_error
 
 
 def default_three_time_grid(gamma: float = DEFAULT_GAMMA):
@@ -193,10 +173,12 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
         dt21_values = default_three_time_grid(config.gamma)
     if dt32_values is None:
         dt32_values = default_three_time_grid(config.gamma)
-    gaps21 = sorted({_snap_gap(v, config.dt) for v in dt21_values})
-    gaps32 = sorted({_snap_gap(v, config.dt) for v in dt32_values})
+    dt = config.dt
+    gaps21 = sorted({snap(v, dt) * dt for v in dt21_values})
+    gaps32 = sorted({snap(v, dt) * dt for v in dt32_values})
 
-    mean_phi = _window_average_mean_signal(model, channels, CHANNEL_PHI, config, window)
+    mean_phi = window.average(
+        lambda t1: mean_signal(model, channels, CHANNEL_PHI, t1, config.r_init, 0.0), dt)
     analytic = {
         g32: mean_phi * two_time_correlator(model, channels, CHANNEL_Z, 0.0, CHANNEL_PHI, g32)
         for g32 in gaps32
@@ -205,20 +187,15 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
     points = [(g21, g32) for g21 in gaps21 for g32 in gaps32]
     estimates = {point: [] for point in points}
     if config.include_mc:
-        t_total = window.t_a + window.length + max(gaps21) + max(gaps32) + 2 * config.dt
-        sim = _sim_config(config, model, channels, t_total)
-        for shard in _simulate_shards(config, sim):
+        t_total = window.t_a + window.length + max(gaps21) + max(gaps32) + 2 * dt
+        for shard in _simulate_shards(config, model, channels, t_total):
             for g21, g32 in points:
                 gaps = [(CHANNEL_PHI, 0.0), (CHANNEL_Z, g21), (CHANNEL_PHI, g21 + g32)]
                 estimates[(g21, g32)].append(estimate_correlator(shard, gaps, window))
 
     rows = []
     for g21, g32 in points:
-        if config.include_mc:
-            pooled = merge_estimates(estimates[(g21, g32)])
-            mc_value, mc_se = pooled.value, pooled.std_error
-        else:
-            mc_value = mc_se = float("nan")
+        mc_value, mc_se = _pooled_mc(estimates[(g21, g32)])
         rows.append(ScanRow(
             phi=config.phi, dt21=g21, dt32=g32, dt43=float("nan"),
             analytic=analytic[g32], mc_value=mc_value, mc_se=mc_se,
@@ -239,66 +216,53 @@ def four_time_scan(config: ReplicaConfig, dt32_values=None,
     window = Window(config.t_a, config.window_len or DEFAULT_FOUR_TIME_WINDOW)
     if dt32_values is None:
         dt32_values = default_four_time_grid(config.gamma)
-    g21 = _snap_gap(0.15 / config.gamma if dt21 is None else dt21, config.dt)
-    g43 = _snap_gap(0.15 / config.gamma if dt43 is None else dt43, config.dt)
-    gaps32 = sorted({_snap_gap(v, config.dt) for v in dt32_values})
+    dt = config.dt
+    g21 = snap(0.15 / config.gamma if dt21 is None else dt21, dt) * dt
+    g43 = snap(0.15 / config.gamma if dt43 is None else dt43, dt) * dt
+    gaps32 = sorted({snap(v, dt) * dt for v in dt32_values})
 
     analytic = (
         two_time_correlator(model, channels, CHANNEL_Z, 0.0, CHANNEL_PHI, g21)
         * two_time_correlator(model, channels, CHANNEL_Z, 0.0, CHANNEL_PHI, g43)
     )
 
-    per_point = {g32: [] for g32 in gaps32}
-    pooled_sum = 0.0
-    pooled_sumsq = 0.0
+    point_gaps = [
+        [(CHANNEL_Z, 0.0), (CHANNEL_PHI, g21), (CHANNEL_Z, g21 + g32),
+         (CHANNEL_PHI, g21 + g32 + g43)]
+        for g32 in gaps32
+    ]
+    point_events = [resolve_events(gaps, dt, len(channels)) for gaps in point_gaps]
+    window_bins = window.bins(dt)
+    per_point = [[] for _ in gaps32]
+    grid_parts = []
     if config.include_mc:
-        t_total = window.t_a + window.length + g21 + max(gaps32) + g43 + 2 * config.dt
-        sim = _sim_config(config, model, channels, t_total)
-        for shard in _simulate_shards(config, sim):
-            grid_means = []
-            for g32 in gaps32:
-                gaps = [
-                    (CHANNEL_Z, 0.0),
-                    (CHANNEL_PHI, g21),
-                    (CHANNEL_Z, g21 + g32),
-                    (CHANNEL_PHI, g21 + g32 + g43),
-                ]
-                per_point[g32].append(estimate_correlator(shard, gaps, window))
-                grid_means.append(trajectory_window_means(shard, gaps, window))
-            # Grid average per trajectory: respects cross-point correlation.
-            traj_avg = np.mean(grid_means, axis=0)
-            pooled_sum += float(traj_avg.sum())
-            pooled_sumsq += float(np.square(traj_avg).sum())
+        t_total = window.t_a + window.length + g21 + max(gaps32) + g43 + 2 * dt
+        for shard in _simulate_shards(config, model, channels, t_total):
+            means = [trajectory_window_means(shard, gaps, window) for gaps in point_gaps]
+            for parts, events, traj_means in zip(per_point, point_events, means):
+                parts.append(estimate_from_means(traj_means, dt, window_bins, events))
+            # Grid average per trajectory (respects cross-point correlation),
+            # labelled with every point's events.
+            grid_parts.append(estimate_from_means(
+                np.mean(means, axis=0), dt, window_bins, tuple(point_events)))
 
     rows = []
-    values = []
-    for g32 in gaps32:
-        if config.include_mc:
-            pooled = merge_estimates(per_point[g32])
-            mc_value, mc_se = pooled.value, pooled.std_error
-            values.append(mc_value)
-        else:
-            mc_value = mc_se = float("nan")
+    for g32, parts in zip(gaps32, per_point):
+        mc_value, mc_se = _pooled_mc(parts)
         rows.append(ScanRow(
             phi=config.phi, dt21=g21, dt32=g32, dt43=g43,
             analytic=analytic, mc_value=mc_value, mc_se=mc_se,
         ))
 
-    if config.include_mc:
-        m = config.n_traj
-        mean = pooled_sum / m
-        var = max((pooled_sumsq - pooled_sum * pooled_sum / m) / (m - 1), 0.0)
-        summary = FourTimeSummary(
-            phi=config.phi,
-            mc_mean=mean,
-            mc_std=float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
-            mc_pooled_se=math.sqrt(var / m),
-            analytic=analytic,
-            n_traj=m,
-        )
-    else:
-        summary = FourTimeSummary(
-            phi=config.phi, mc_mean=float("nan"), mc_std=float("nan"),
-            mc_pooled_se=float("nan"), analytic=analytic, n_traj=0,
-        )
+    values = [row.mc_value for row in rows]
+    mc_std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    mc_mean, mc_pooled_se = _pooled_mc(grid_parts)
+    summary = FourTimeSummary(
+        phi=config.phi,
+        mc_mean=mc_mean,
+        mc_std=mc_std if config.include_mc else float("nan"),
+        mc_pooled_se=mc_pooled_se,
+        analytic=analytic,
+        n_traj=config.n_traj if config.include_mc else 0,
+    )
     return rows, summary

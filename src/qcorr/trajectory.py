@@ -112,32 +112,12 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SignalRecord:
-    """Sampled output signals of one trajectory.
-
-    samples[c, k] is channel c over the bin [k dt, (k+1) dt); states, when
-    stored, holds the Bloch vector at every bin edge including the final one.
-    """
-
-    samples: np.ndarray
-    dt: float
-    channels: tuple
-    trajectory_index: int
-    master_seed: int
-    clipped_steps: int
-    states: np.ndarray | None = None
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[1]
-
-
-@dataclass(frozen=True)
 class RecordSet:
     """Ensemble of signal records, trajectory-major.
 
-    samples has shape (n_traj, n_channels, n_samples); trajectory i of the
-    ensemble is bit-identical to simulate_trajectory(config, i).
+    samples has shape (n_traj, n_channels, n_samples); row i holds trajectory
+    traj_offset + i of the ensemble, bit-identical however the ensemble was
+    cut into ranges.
     """
 
     samples: np.ndarray
@@ -169,17 +149,6 @@ class RecordSet:
     @property
     def clip_fraction(self) -> float:
         return self.clipped_steps / float(self.n_traj * self.n_samples)
-
-    def record(self, i: int) -> SignalRecord:
-        return SignalRecord(
-            samples=self.samples[i],
-            dt=self.dt,
-            channels=self.channels,
-            trajectory_index=self.traj_offset + i,
-            master_seed=self.master_seed,
-            clipped_steps=-1,
-            states=None if self.states is None else self.states[i],
-        )
 
 
 def _channel_arrays(channels):
@@ -312,28 +281,25 @@ def _simulate_batch(config: SimConfig, start: int, stop: int):
     return samples, states, clipped
 
 
-def simulate_trajectory(config: SimConfig, trajectory_index: int) -> SignalRecord:
-    """One trajectory's record, deterministic in (master_seed, trajectory_index)."""
-    if not (0 <= trajectory_index):
-        raise ValidationError(f"trajectory_index must be nonnegative, got {trajectory_index}")
-    samples, states, clipped = _simulate_batch(config, trajectory_index, trajectory_index + 1)
-    return SignalRecord(
-        samples=samples[0],
-        dt=config.dt,
-        channels=config.channels,
-        trajectory_index=trajectory_index,
-        master_seed=config.master_seed,
-        clipped_steps=clipped,
-        states=None if states is None else states[0],
-    )
+def index_ranges(start: int, stop: int, step: int) -> list:
+    """Cut [start, stop) into ranges that end on multiples of step.
+
+    A trailing range of one index is folded into the range before it: a
+    single trajectory cannot carry a standard error.
+    """
+    edges = [start, *range((start // step + 1) * step, stop, step), stop]
+    ranges = list(zip(edges, edges[1:]))
+    if len(ranges) > 1 and ranges[-1][1] - ranges[-1][0] < 2:
+        ranges[-2:] = [(ranges[-2][0], stop)]
+    return ranges
 
 
 def simulate_range(config: SimConfig, start: int, stop: int,
                    workers: int = 1, progress=None) -> RecordSet:
     """Simulate the trajectory index range [start, stop) of the ensemble.
 
-    The range is cut into fixed batches of config.batch_size aligned to
-    multiples of batch_size in the global index space; workers only changes
+    The range is cut into batches of config.batch_size aligned to multiples
+    of batch_size in the global index space (index_ranges); workers only changes
     how batches are scheduled, never what they compute, so the result is
     bit-identical for any worker count. progress, when given, is called as
     progress(trajectories_done, range_size) after each finished batch.
@@ -347,13 +313,7 @@ def simulate_range(config: SimConfig, start: int, stop: int,
     total = stop - start
     samples = np.empty((total, config.n_channels, config.n_samples))
     states = np.empty((total, config.n_samples + 1, 3)) if config.store_states else None
-    step = config.batch_size
-    first_edge = min((start // step + 1) * step, stop)
-    bounds = [(start, first_edge)]
-    lo = first_edge
-    while lo < stop:
-        bounds.append((lo, min(lo + step, stop)))
-        lo += step
+    bounds = index_ranges(start, stop, config.batch_size)
     clipped = 0
     done = 0
 

@@ -38,6 +38,15 @@ def replica_system(phi=PHI):
     return build_ensemble_model(channels), channels
 
 
+def phase_kicked_system():
+    """z channel with phase backaction, y channel without."""
+    channels = (
+        MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0, phase_k=1.0),
+        MeasurementChannel((0.0, 1.0, 0.0), tau=0.65, eta=1.0),
+    )
+    return build_ensemble_model(channels), channels
+
+
 class TestCorrelatorSpec:
     def test_strictly_increasing_times_enforced(self):
         with pytest.raises(ValidationError):
@@ -122,6 +131,12 @@ class TestTwoTimeCorrelator:
         with pytest.raises(ValidationError):
             two_time_correlator(model, channels, 0, 1.0, 1, 0.5)
 
+    def test_phase_backaction_on_earlier_channel_refused(self):
+        model, channels = phase_kicked_system()
+        with pytest.raises(ValidationError, match="phase backaction"):
+            two_time_correlator(model, channels, 0, 0.1, 1, 0.6)
+        assert np.isfinite(two_time_correlator(model, channels, 1, 0.1, 0, 0.6))
+
 
 class TestBruteForceCorrelator:
     def test_single_event_equals_mean_signal(self):
@@ -145,6 +160,11 @@ class TestBruteForceCorrelator:
         events = tuple((0, 0.1 * (k + 1)) for k in range(17))
         with pytest.raises(SpecSizeError):
             brute_force_correlator(model, channels, CorrelatorSpec(events))
+
+    def test_phase_backaction_before_last_event_refused(self):
+        model, channels = phase_kicked_system()
+        with pytest.raises(ValidationError, match="phase backaction"):
+            brute_force_correlator(model, channels, CorrelatorSpec(((0, 0.1), (1, 0.6))))
 
 
 class TestChainCorrelator:
@@ -194,6 +214,15 @@ class TestChainCorrelator:
         ]
         assert max(values) - min(values) <= 1e-12
 
+    def test_phase_backaction_before_last_event_refused(self):
+        model, channels = phase_kicked_system()
+        with pytest.raises(ValidationError, match="phase backaction"):
+            chain_correlator(model, channels, CorrelatorSpec(((0, 0.1), (1, 0.6), (1, 0.9))))
+        # The last event's kick reaches no later event.
+        last_only = CorrelatorSpec(((1, 0.1), (1, 0.6), (0, 0.9)), r_in=(0.0, 0.6, 0.0))
+        assert chain_correlator(model, channels, last_only) == pytest.approx(
+            brute_force_correlator(model, channels, last_only), abs=1e-12)
+
 
 class TestFactorizedCorrelator:
     def test_two_events_reduce_to_two_time(self):
@@ -236,8 +265,9 @@ class TestFactorizedCorrelator:
         )
         model = build_ensemble_model(channels)
         spec = CorrelatorSpec(((0, 0.5), (1, 1.0)))
-        with pytest.raises(FactorizationInapplicableError):
+        with pytest.raises(FactorizationInapplicableError) as exc:
             factorized_correlator(model, channels, spec)
+        assert "chain_correlator" not in str(exc.value)
 
     def test_non_unital_witness_shows_factorization_failure(self):
         # The pair-product formula applied outside its preconditions must

@@ -100,6 +100,19 @@ class TestAnalytic:
         assert chain == pytest.approx(float(row["factorized"]), abs=1e-10)
         assert chain == pytest.approx(float(row["brute_force"]), abs=1e-12)
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"gaps": [{"channel": 0, "dt_us": 0.0}]},
+         "spec[0].window: missing required key"),
+        ({"window": {"t_a_us": 0.5}, "gaps": [{"channel": 0, "dt_us": 0.0}]},
+         "spec[0].window.T_us: missing required key"),
+    ])
+    def test_malformed_spec_names_the_missing_key(self, workspace, capsys, entry, message):
+        tmp, config, _ = workspace
+        spec = tmp / "bad.json"
+        spec.write_text(json.dumps([entry]))
+        assert main(["analytic", "--config", str(config), "--spec", str(spec)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 class TestEstimateAndCompare:
     def test_pipeline_and_agreement(self, workspace):
@@ -145,6 +158,14 @@ class TestEstimateAndCompare:
         rc = main(["compare", "--analytic", str(ana_csv), "--empirical", str(est_csv)])
         assert rc == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_compare_reports_unmatched_rows(self, tmp_path, capsys):
+        ana = tmp_path / "a.csv"
+        emp = tmp_path / "e.csv"
+        ana.write_text("events,value\nx@1,0.5\nz@3,0.1\n")
+        emp.write_text("events,value,std_error\nx@1,0.5,0.1\ny@2,0.5,0.1\n")
+        assert main(["compare", "--analytic", str(ana), "--empirical", str(emp)]) == 0
+        assert "unmatched rows: 1 analytic, 1 empirical" in capsys.readouterr().out
 
     def test_compare_with_no_shared_rows_fails(self, workspace, capsys):
         tmp, config, spec = workspace

@@ -12,8 +12,8 @@ from qcorr import (
     propagate_ensemble,
     simulate_ensemble,
     simulate_range,
-    simulate_trajectory,
 )
+from qcorr.trajectory import index_ranges
 
 Z = MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0)
 X = MeasurementChannel((1.0, 0.0, 0.0), tau=0.65, eta=1.0)
@@ -148,23 +148,23 @@ class TestSimulateTrajectory:
     def test_deterministic_repeat(self):
         model, channels = single_channel_setup()
         config = make_config(model, channels, store_states=True)
-        a = simulate_trajectory(config, 2)
-        b = simulate_trajectory(config, 2)
+        a = simulate_range(config, 2, 3)
+        b = simulate_range(config, 2, 3)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.states, b.states)
 
     def test_different_indices_differ(self):
         model, channels = single_channel_setup()
         config = make_config(model, channels)
-        a = simulate_trajectory(config, 0)
-        b = simulate_trajectory(config, 1)
+        a = simulate_range(config, 0, 1)
+        b = simulate_range(config, 1, 2)
         assert not np.array_equal(a.samples, b.samples)
 
     def test_sample_counts(self):
         model, channels = single_channel_setup()
         config = make_config(model, channels, t_total=0.8, dt=0.005)
-        rec = simulate_trajectory(config, 0)
-        assert rec.samples.shape == (1, 160)
+        rec = simulate_range(config, 0, 1)
+        assert rec.samples[0].shape == (1, 160)
         assert rec.n_samples == 160
 
     def test_purity_defect_shrinks_linearly_with_dt(self):
@@ -190,9 +190,9 @@ class TestSimulateEnsemble:
         model, channels = single_channel_setup()
         config = make_config(model, channels, n_traj=1, store_states=True)
         ens = simulate_ensemble(config)
-        solo = simulate_trajectory(config, 0)
-        assert np.array_equal(ens.samples[0], solo.samples)
-        assert np.array_equal(ens.states[0], solo.states)
+        solo = simulate_range(config, 0, 1)
+        assert np.array_equal(ens.samples[0], solo.samples[0])
+        assert np.array_equal(ens.states[0], solo.states[0])
 
     def test_rows_independent_of_batch_size(self):
         model, channels = single_channel_setup()
@@ -217,7 +217,15 @@ class TestSimulateEnsemble:
         part = simulate_range(config, 10, 20)
         assert np.array_equal(part.samples, full.samples[10:20])
         assert part.traj_offset == 10
-        assert part.record(0).trajectory_index == 10
+
+    def test_index_ranges_align_and_fold_a_single_tail(self):
+        assert index_ranges(0, 10, 4) == [(0, 4), (4, 8), (8, 10)]
+        assert index_ranges(5, 13, 4) == [(5, 8), (8, 13)]
+        assert index_ranges(3, 4, 8) == [(3, 4)]
+        model, channels = single_channel_setup()
+        config = make_config(model, channels, n_traj=9, batch_size=4)
+        assert np.array_equal(simulate_range(config, 0, 9).samples,
+                              simulate_ensemble(make_config(model, channels, n_traj=9)).samples)
 
     def test_progress_callback_counts_up(self):
         model, channels = single_channel_setup()
