@@ -83,10 +83,6 @@ class CorrelatorEstimate:
     sumsq_means: float
 
     @property
-    def snapped_window_us(self) -> tuple:
-        return (self.window_bins[0] * self.dt, self.window_bins[1] * self.dt)
-
-    @property
     def snapped_gaps_us(self) -> tuple:
         return tuple(g * self.dt for _, g in self.events)
 

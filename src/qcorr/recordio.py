@@ -13,11 +13,14 @@ order with channel-major float64 sample arrays:
     master_seed u64
     payload: n_traj * n_channels * n_samples * f64
 
-Round trips are bit-exact.
+Round trips are bit-exact. Both directions move the payload between the
+file and one contiguous array through its buffer, so neither holds a second
+copy of it.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -49,50 +52,51 @@ def write_records(path, records: RecordSet) -> None:
             ax = ch.axis_vector
             fh.write(_CHANNEL.pack(ax[0], ax[1], ax[2], ch.tau, ch.eta, ch.phase_k))
         fh.write(_SEED.pack(records.master_seed))
-        fh.write(samples.tobytes())
+        fh.write(samples.reshape(-1).view(np.uint8))
 
 
 def read_records(path) -> RecordSet:
     """Read a RecordSet written by write_records; validates the container."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        def take(n: int, what: str) -> bytes:
+            offset = fh.tell()
+            chunk = fh.read(n)
+            if len(chunk) < n:
+                raise TruncatedRecordError(
+                    f"file ends inside {what} (need {n} bytes at offset {offset}, "
+                    f"have {len(chunk)})"
+                )
+            return chunk
 
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(data):
-            raise TruncatedRecordError(
-                f"file ends inside {what} (need {n} bytes at offset {offset}, "
-                f"have {len(data) - offset})"
+        magic = take(len(MAGIC), "magic")
+        if magic != MAGIC:
+            raise MagicMismatchError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        version, dt, n_samples, n_channels, n_traj = _FIXED_HEADER.unpack(
+            take(_FIXED_HEADER.size, "header")
+        )
+        if version != FORMAT_VERSION:
+            raise VersionMismatchError(f"unsupported format version {version}")
+        channels = []
+        for _ in range(n_channels):
+            ax0, ax1, ax2, tau, eta, phase_k = _CHANNEL.unpack(
+                take(_CHANNEL.size, "channel metadata")
             )
-        chunk = data[offset:offset + n]
-        offset += n
-        return chunk
-
-    offset = 0
-    magic = take(len(MAGIC), "magic")
-    if magic != MAGIC:
-        raise MagicMismatchError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version, dt, n_samples, n_channels, n_traj = _FIXED_HEADER.unpack(
-        take(_FIXED_HEADER.size, "header")
-    )
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"unsupported format version {version}")
-    channels = []
-    for _ in range(n_channels):
-        ax0, ax1, ax2, tau, eta, phase_k = _CHANNEL.unpack(
-            take(_CHANNEL.size, "channel metadata")
-        )
-        channels.append(MeasurementChannel((ax0, ax1, ax2), tau, eta, phase_k))
-    (master_seed,) = _SEED.unpack(take(_SEED.size, "master seed"))
-    expected = n_traj * n_channels * n_samples * 8
-    payload = data[offset:]
-    if len(payload) != expected:
-        raise TruncatedRecordError(
-            f"payload holds {len(payload)} bytes but the header implies {expected}"
-        )
-    samples = np.frombuffer(payload, dtype="<f8").reshape(n_traj, n_channels, n_samples)
+            channels.append(MeasurementChannel((ax0, ax1, ax2), tau, eta, phase_k))
+        (master_seed,) = _SEED.unpack(take(_SEED.size, "master seed"))
+        expected = n_traj * n_channels * n_samples * 8
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != expected:
+            raise TruncatedRecordError(
+                f"payload holds {payload} bytes but the header implies {expected}"
+            )
+        samples = np.empty((n_traj, n_channels, n_samples), dtype="<f8")
+        got = fh.readinto(samples.reshape(-1).view(np.uint8))
+        if got != expected:
+            raise TruncatedRecordError(
+                f"payload holds {got} bytes but the header implies {expected}"
+            )
     return RecordSet(
-        samples=samples.astype(float, copy=True),
+        samples=samples,
         dt=dt,
         channels=tuple(channels),
         master_seed=master_seed,

@@ -20,10 +20,11 @@ structure of this setup:
   state; its summary compares the Monte Carlo average over the dt32 grid
   against that constant.
 
-Monte Carlo columns stream the ensemble through fixed-size shards so memory
-stays bounded at any trajectory budget; per-point estimates are pooled with
-exact moment algebra and the summary pools grid points trajectory by
-trajectory, respecting their correlation through the shared records.
+Monte Carlo columns stream the ensemble through fixed-size shards, holding
+one shard at a time, so memory stays bounded at any trajectory budget;
+per-point estimates are pooled with exact moment algebra and the summary
+pools grid points trajectory by trajectory, respecting their correlation
+through the shared records.
 """
 
 from __future__ import annotations
@@ -192,6 +193,7 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
             for g21, g32 in points:
                 gaps = [(CHANNEL_PHI, 0.0), (CHANNEL_Z, g21), (CHANNEL_PHI, g21 + g32)]
                 estimates[(g21, g32)].append(estimate_correlator(shard, gaps, window))
+            del shard  # free it before the next shard is simulated
 
     rows = []
     for g21, g32 in points:
@@ -245,6 +247,7 @@ def four_time_scan(config: ReplicaConfig, dt32_values=None,
             # labelled with every point's events.
             grid_parts.append(estimate_from_means(
                 np.mean(means, axis=0), dt, window_bins, tuple(point_events)))
+            del shard  # free it before the next shard is simulated
 
     rows = []
     for g32, parts in zip(gaps32, per_point):

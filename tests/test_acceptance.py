@@ -37,6 +37,7 @@ from qcorr import (
 )
 from qcorr.analytic import _factorized_value
 from qcorr.cli import main as cli_main
+from qcorr.trajectory import index_ranges
 
 from conftest import random_event_spec, random_model, random_unit_vector
 
@@ -162,10 +163,8 @@ def test_a4_monte_carlo_two_time_correlator():
         master_seed=config.master_seed, batch_size=8192,
     )
     start = time.time()
-    shard = 16384
     parts = {g: [] for g in gaps_us}
-    for lo in range(0, sim.n_traj, shard):
-        hi = min(lo + shard, sim.n_traj)
+    for lo, hi in index_ranges(0, sim.n_traj, 16384):
         records = simulate_range(sim, lo, hi, workers=2)
         for g in gaps_us:
             parts[g].append(

@@ -1,13 +1,42 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from qcorr import ValidationError, trajectory_draws
+from qcorr import ValidationError, trajectory_draws, trajectory_generator
 
 
 def test_identical_keys_identical_draws():
     a = trajectory_draws(987654321, 17, 200, 2)
     b = trajectory_draws(987654321, 17, 200, 2)
     assert np.array_equal(a, b)
+
+
+def test_draws_equal_a_freshly_keyed_generator():
+    # The rekeyed per-thread generator reproduces Generator(Philox(key)),
+    # however the previous call left it.
+    for seed, index, shape in ((987654321, 17, (200, 2)), (2 ** 64 - 1, 2 ** 63 + 5, (7, 3)),
+                               (0, 0, (1, 1)), (42, 3, (301, 2))):
+        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, index], np.uint64)))
+        assert np.array_equal(trajectory_draws(seed, index, *shape), fresh.standard_normal(shape))
+        assert np.array_equal(trajectory_generator(seed, index).standard_normal(shape),
+                              trajectory_draws(seed, index, *shape))
+
+
+def test_concurrent_threads_draw_the_serial_blocks():
+    keys = [(seed, index) for seed in (5, 2 ** 40) for index in range(60)]
+    serial = [trajectory_draws(seed, index, 500, 2) for seed, index in keys]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda key: trajectory_draws(*key, 500, 2), keys * 3,
+                                     timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(threaded, serial * 3):
+        assert np.array_equal(got, want)
 
 
 def test_block_prefix_stable_under_length():

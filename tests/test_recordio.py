@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,26 @@ class TestRoundTrip:
         data = path.read_bytes()
         header_len = len(MAGIC) + 4 + 8 + 8 + 4 + 8 + 2 * 48 + 8
         assert len(data) - header_len == 5 * 2 * 11 * 8
+
+
+def test_payload_is_copied_at_most_once(tmp_path):
+    # About 8 MiB of samples: reading holds one copy of the payload and
+    # writing none beyond the records passed in.
+    records = sample_records(n_traj=256, n_channels=2, n_samples=2048)
+    payload = records.samples.nbytes
+    path = tmp_path / "records.qcr"
+    tracemalloc.start()
+    try:
+        write_records(path, records)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = read_records(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.samples, records.samples)
+    assert write_peak < 0.5 * payload
+    assert read_peak < 1.5 * payload
 
 
 class TestCorruption:

@@ -1,9 +1,13 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qcorr import (
     EnsembleModel,
     MeasurementChannel,
+    ModelSegment,
     SimConfig,
     TimestepWarning,
     ValidationError,
@@ -31,6 +35,64 @@ def make_config(model, channels, **kwargs):
     )
     defaults.update(kwargs)
     return SimConfig(model=model, channels=channels, **defaults)
+
+
+def sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def golden_model(case):
+    """(model, channels, r_init) of one pinned fixed-seed ensemble."""
+    phi = 3 * np.pi / 10
+    if case == "unital_preset":
+        channels = (
+            MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0),
+            MeasurementChannel((np.sin(phi), 0.0, np.cos(phi)), tau=0.65, eta=1.0),
+        )
+        return build_ensemble_model(channels), channels, (np.sin(phi / 2), 0.0, np.cos(phi / 2))
+    if case == "phase_backaction":
+        channels = (
+            MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0, phase_k=0.8),
+            MeasurementChannel((1.0, 0.0, 0.0), tau=0.5, eta=0.7),
+        )
+        return build_ensemble_model(channels), channels, (0.6, 0.0, 0.8)
+    channels = (MeasurementChannel((0.0, 1.0, 0.0), tau=0.8, eta=0.9),)
+    driven = build_ensemble_model(channels, rabi_axis=(1.0, 0.0, 0.0), rabi_freq=3.0)
+    relaxing = build_ensemble_model(channels, env_lambda=-0.4 * np.eye(3),
+                                    env_rst=(0.0, 0.0, -0.5))
+    model = EnsembleModel((
+        driven.segments[0],
+        ModelSegment(0.25, relaxing.segments[0].lam, relaxing.segments[0].r_st),
+    ))
+    return model, channels, (0.0, 0.0, 1.0)
+
+
+def golden_config(case):
+    model, channels, r_init = golden_model(case)
+    return SimConfig(
+        model=model, channels=channels, r_init=r_init, t_total=0.5075, dt=0.005,
+        n_traj=23, master_seed=31337, store_states=True, batch_size=7,
+    )
+
+
+# case -> (sha256 of samples, sha256 of states, clipped steps)
+GOLDEN = {
+    "phase_backaction": (
+        "3246b55d5dfd2fa61098a9421cbf9aac499ac6c316ee3723513a9ef3ea781b2f",
+        "954103729821682d69adf62fa5c1fc46aa65bb68d77bbb116b4c586d1e8cb98a",
+        0,
+    ),
+    "rabi_nonunital_segments": (
+        "f5ecac778e12167299769834d47a527c7454c61495d36dfe8e7c8ed4a8dae0fe",
+        "6282840502725f8516a0016bf7b89855b05780435a35c9f65e6221f13767b059",
+        102,
+    ),
+    "unital_preset": (
+        "dffde65c69795867da90767882d545bd0464ab7aa06c0f90a89ea5c757cc4dfd",
+        "7af09afd08ce3d3927879990d7d139fae0fc653a74ec20a0d11bf032042765d3",
+        813,
+    ),
+}
 
 
 class TestSimConfig:
@@ -108,9 +170,9 @@ class TestItoStep:
         draws = rng.standard_normal(n)
         from qcorr.trajectory import _channel_arrays, _step_batch
         axes, taus, phase_ks = _channel_arrays(channels)
-        r = np.zeros((n, 3))
-        out = np.empty((n, 1))
-        _step_batch(r, seg.lam, seg.r_st, axes, taus, phase_ks, dt, draws[:, None], out)
+        r = np.zeros((3, n))
+        out = np.empty((1, n))
+        _step_batch(r, seg.lam, seg.r_st, axes, taus, phase_ks, dt, draws[None, :], out)
         noise_scale = np.sqrt(0.65 / dt)
         assert abs(out.mean()) < 4.0 * noise_scale / np.sqrt(n)
         assert out.var() == pytest.approx(0.65 / dt, rel=0.01)
@@ -209,6 +271,41 @@ class TestSimulateEnsemble:
         threaded = simulate_ensemble(config, workers=4)
         assert np.array_equal(serial.samples, threaded.samples)
         assert serial.clipped_steps == threaded.clipped_steps
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_fixed_seed_bits_are_pinned(self, case, workers):
+        # sha256 of samples, states and the clip count, recorded with the
+        # (batch, 3) kernel; batch_size 7 cuts the 23 trajectories into
+        # uneven batches and the 101 steps end in a partial block.
+        config = golden_config(case)
+        records = simulate_range(config, 0, config.n_traj, workers=workers)
+        samples_sha, states_sha, clipped = GOLDEN[case]
+        assert sha256(records.samples) == samples_sha
+        assert sha256(records.states) == states_sha
+        assert records.clipped_steps == clipped
+        lean = simulate_range(replace(config, store_states=False), 0, config.n_traj,
+                              workers=workers)
+        assert sha256(lean.samples) == samples_sha
+        assert lean.states is None
+
+    def test_nonfinite_draw_names_step_and_trajectory(self, monkeypatch):
+        import qcorr.trajectory as trajectory
+        from qcorr import IntegrationDivergedError
+        draws = trajectory.trajectory_draws
+
+        def poisoned(seed, index, n_steps, n_channels):
+            block = draws(seed, index, n_steps, n_channels)
+            if index == 12:
+                block[19, 0] = np.nan
+            return block
+
+        monkeypatch.setattr(trajectory, "trajectory_draws", poisoned)
+        model, channels = single_channel_setup()
+        config = make_config(model, channels, n_traj=16, batch_size=5)
+        with pytest.raises(IntegrationDivergedError) as info:
+            simulate_ensemble(config)
+        assert (info.value.step_index, info.value.trajectory_index) == (19, 12)
 
     def test_range_matches_full_run(self):
         model, channels = single_channel_setup()
