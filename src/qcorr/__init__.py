@@ -3,9 +3,9 @@
 Simulates simultaneous continuous measurement of several qubit observables
 as stochastic signal records and evaluates their multi-time correlators
 three independent ways: Monte Carlo estimation from records, exact
-projective-collapse evaluation (brute-force and linear-time chain), and the
-pair-product factorization valid for unital evolution without phase
-backaction.
+evaluation (a linear-time transfer product over quantum Bayesian event maps,
+checked against a brute-force collapse sum), and the pair-product
+factorization valid for unital evolution without phase backaction.
 """
 
 from .analytic import (

@@ -1,34 +1,31 @@
 """Exact multi-time output-signal correlators of monitored qubits.
 
 An N-time correlator is the ensemble average of a time-ordered product of
-output samples, one per event (channel, time). With purely informational
-backaction it can be evaluated exactly by replacing the continuous records
-with projective +-1 outcomes at the event times and ensemble-averaged
-evolution in between: outcome s at an event on axis n collapses the state to
-s n, and the next event sees the propagated collapsed state. Summing the
-outcome product over all 2^N branches weighted by their probabilities gives
-the correlator.
+output samples, one per event (channel, time). chain_correlator evaluates it
+as a forward transfer product over the unnormalised qubit operator
+(c I + v . sigma) / 2, held as the homogeneous pair (c, v) and started from
+(1, r_in). Each gap applies the ensemble-averaged affine map r -> P r + q of
+the model, and each event on a channel with axis n and phase-backaction
+strength k applies the quantum Bayesian event map
+rho -> {sigma_n, rho}/2 - (i k/2) [sigma_n, rho]:
 
-brute_force_correlator performs that 2^N summation literally and is kept as
-the permanent in-repo oracle. chain_correlator evaluates the identical sum
-in O(N) by propagating backward a pair (alpha, beta) such that the expected
-product of outcomes from event k on, conditioned on outcome s at event k, is
-alpha_k + beta_k s. With the inter-event affine maps r -> P_k r + q_k and
-the shorthand a_k = n_k . (P_k n_{k-1}), b_k = n_k . q_k, the recursion is
+    gap:    (c, v) -> (c, P v + c q)
+    event:  (c, v) -> (n . v, c n + k n x v)
 
-    alpha_N = 1, beta_N = 0
-    alpha_k = beta_{k+1} + b_{k+1} alpha_{k+1}
-    beta_k  = a_{k+1} alpha_{k+1}
+The correlator is the final c. The k term is the phase kick the output noise
+gives the state (Korotkov, PRB 63, 115403 (2001)); with k = 0 the event map
+is the projective +-1 collapse, which brute_force_correlator sums literally
+over all 2^N outcomes as the k = 0 oracle.
 
-and the correlator is mu_1 alpha_1 + beta_1 with mu_1 the mean signal at the
-first event. The two routes agree to machine precision for every model.
-
-For unital models (r_st = 0 on every segment, so q_k = 0) with no phase
-backaction the chain collapses to a product of two-time correlators
-K(t_i, t_k) = n_k . P(t_i -> t_k) n_i taken over consecutive event pairs,
-times the mean signal at the earliest event when N is odd. The qubit
-evolution inside the unpaired gaps then drops out entirely, as does the
-initial state for even N.
+Factorization is a corollary. For a unital model (q = 0) without phase
+backaction the state splits into two threads that never mix: a gap acts on
+v alone, and an event turns c into the vector c n and v into the scalar
+n . v. The final c follows one thread. For even N it starts from c = 1 and
+is the product of two-time correlators K(t_i, t_k) = n_k . P(t_i -> t_k) n_i
+over the pairs (1, 2), (3, 4), ...; for odd N it starts from r_in and is the
+mean signal at the first event times the pairs (2, 3), (4, 5), ... The
+evolution inside the unpaired gaps drops out, as does the initial state for
+even N.
 
 Coinciding event times are meaningful only between two events of the same
 channel, where the white output noise contributes a delta-function term
@@ -47,7 +44,6 @@ from .bloch import (
     EnsembleModel,
     as_bloch,
     ordered_propagator,
-    propagate_ensemble,
     validate_state,
 )
 from .errors import (
@@ -55,6 +51,7 @@ from .errors import (
     SpecSizeError,
     ValidationError,
 )
+from .linalg import cross_matrix
 
 BRUTE_FORCE_MAX_EVENTS = 16
 
@@ -182,8 +179,7 @@ def _require_no_phase_backaction(channels):
         if ch.phase_k != 0.0:
             raise FactorizationInapplicableError(
                 f"channel {i} has phase backaction (phase_k={ch.phase_k}); "
-                "the factorized form does not apply, and no exact route covers "
-                "phase backaction yet"
+                "the factorized form does not apply; use chain_correlator"
             )
 
 
@@ -197,17 +193,16 @@ def _require_no_kick_before_last(channels, channel_indices):
         if channels[ch].phase_k != 0.0:
             raise ValidationError(
                 f"channel {ch} has phase backaction (phase_k={channels[ch].phase_k}) "
-                "at an event before the last; the exact routes do not model it yet"
+                "at an event before the last, which the collapse picture drops; "
+                "use chain_correlator"
             )
 
 
 def mean_signal(model: EnsembleModel, channels, channel_index: int, t: float,
                 r_in=(0.0, 0.0, 0.0), t_in: float = 0.0) -> float:
-    """Ensemble-averaged output signal of one channel at time t."""
-    if t < t_in:
-        raise ValidationError(f"t={t} precedes t_in={t_in}")
-    n = _axis(channels, channel_index)
-    return float(n @ propagate_ensemble(model, as_bloch(r_in), t_in, t))
+    """Ensemble-averaged output signal of one channel at time t (one-event chain)."""
+    spec = CorrelatorSpec(((channel_index, t),), r_in, t_in)
+    return chain_correlator(model, channels, spec)
 
 
 def two_time_correlator(model: EnsembleModel, channels,
@@ -215,9 +210,9 @@ def two_time_correlator(model: EnsembleModel, channels,
                         channel_k: int, t_k: float) -> float:
     """Two-time correlator n_k . P(t_i -> t_k) n_i of a unital model.
 
-    Independent of the initial state. For non-unital models this closed form
-    does not hold; evaluate a two-event chain_correlator instead. Phase
-    backaction on channel_i is refused.
+    Independent of the initial state. For non-unital models, or phase
+    backaction on channel_i, this closed form does not hold and is refused;
+    evaluate a two-event chain_correlator instead.
     """
     if t_k < t_i:
         raise ValidationError(f"two_time_correlator requires t_i <= t_k, got {t_i} > {t_k}")
@@ -242,9 +237,9 @@ def _event_propagators(model: EnsembleModel, spec: CorrelatorSpec):
 def brute_force_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec) -> float:
     """Correlator by explicit summation over all 2^N projective outcomes.
 
-    Exponential cost; retained permanently as the oracle that the O(N) chain
-    evaluation is checked against. Like the chain, it refuses phase
-    backaction at any event but the last.
+    Exponential cost; retained permanently as the k = 0 oracle that the O(N)
+    chain evaluation is checked against. It refuses phase backaction at any
+    event but the last.
     """
     n = spec.n_events
     if n > BRUTE_FORCE_MAX_EVENTS:
@@ -267,20 +262,13 @@ def brute_force_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec)
 
 
 def chain_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec) -> float:
-    """Correlator via the O(N) backward recursion; equals brute force exactly.
-
-    Raises ValidationError for phase backaction at any event but the last.
-    """
-    axes = [_axis(channels, ch) for ch in spec.channel_indices]
-    _require_no_kick_before_last(channels, spec.channel_indices)
-    props = _event_propagators(model, spec)
-    alpha, beta = 1.0, 0.0
-    for k in range(spec.n_events - 1, 0, -1):
-        a = float(axes[k] @ (props[k].matrix @ axes[k - 1]))
-        b = float(axes[k] @ props[k].offset)
-        alpha, beta = beta + b * alpha, a * alpha
-    mu_first = float(axes[0] @ props[0].apply(as_bloch(spec.r_in)))
-    return mu_first * alpha + beta
+    """Correlator via the O(N) forward transfer product; covers every model."""
+    c, v = 1.0, as_bloch(spec.r_in)
+    for prop, ch in zip(_event_propagators(model, spec), spec.channel_indices):
+        n = _axis(channels, ch)
+        v = prop.matrix @ v + c * prop.offset
+        c, v = float(n @ v), c * n + channels[ch].phase_k * (cross_matrix(n) @ v)
+    return c
 
 
 def _factorized_value(model: EnsembleModel, channels, spec: CorrelatorSpec) -> float:
@@ -297,9 +285,8 @@ def _factorized_value(model: EnsembleModel, channels, spec: CorrelatorSpec) -> f
         value = 1.0
         start = 0
     else:
-        value = float(
-            axes[0] @ propagate_ensemble(model, as_bloch(spec.r_in), spec.t_in, times[0])
-        )
+        value = mean_signal(model, channels, spec.channel_indices[0], times[0],
+                            spec.r_in, spec.t_in)
         start = 1
     for i in range(start, n - 1, 2):
         value *= pair(i, i + 1)

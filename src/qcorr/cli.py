@@ -13,7 +13,6 @@ import json
 import sys
 
 from .analytic import (
-    BRUTE_FORCE_MAX_EVENTS,
     CorrelatorSpec,
     brute_force_correlator,
     chain_correlator,
@@ -21,7 +20,7 @@ from .analytic import (
 )
 from .config import _integer, _number, _require_keys, _vector3, parse_config
 from .empirical import Window, estimate_correlator, resolve_events
-from .errors import ConfigError, FactorizationInapplicableError, QcorrError
+from .errors import ConfigError, FactorizationInapplicableError, QcorrError, ValidationError
 from .recordio import read_records, write_records
 from .replica import ReplicaConfig, four_time_scan, three_time_scan
 from .trajectory import simulate_ensemble
@@ -158,11 +157,12 @@ def _do_analytic(args) -> int:
             fact = evaluate(factorized_correlator)
         except FactorizationInapplicableError:
             fact = float("nan")
-        brute = (
-            evaluate(brute_force_correlator)
-            if isinstance(entry, CorrelatorSpec) and entry.n_events <= BRUTE_FORCE_MAX_EVENTS
-            else float("nan")
-        )
+        brute = float("nan")
+        if isinstance(entry, CorrelatorSpec):
+            try:
+                brute = evaluate(brute_force_correlator)
+            except ValidationError:
+                pass  # the chain accepted the spec: brute force refused its size or phase kicks
         rows.append((*key, chain, chain, fact, brute))
     header = ["events", "window_start_us", "window_len_us", "value",
               "chain", "factorized", "brute_force"]

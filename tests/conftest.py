@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcorr import EnsembleModel, MeasurementChannel, ReplicaConfig, replica_model
+from qcorr.bloch import ordered_propagator
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -40,6 +41,29 @@ def dephasing_generator_operator_oracle(channels):
         columns.append(bloch_components(drho))
     # Columns are d/dt of the basis states minus the identity part (traceless).
     return np.column_stack(columns)
+
+
+def density_matrix_correlator_oracle(model, channels, spec):
+    """Correlator from the 2x2 operator form of the quantum Bayesian event map.
+
+    Carries the unnormalised operator rho = (c I + v . sigma) / 2 and applies
+    rho -> {sigma_n, rho}/2 - (i k/2) [sigma_n, rho] at each event on a
+    channel with axis n and phase_k = k; the correlator is tr rho at the end.
+    Gaps apply the model's affine map to (tr rho, Bloch part), v -> P v + c q.
+    """
+    rho = density_matrix(spec.r_in)
+    t = spec.t_in
+    for ch, t_event in spec.events:
+        prop = ordered_propagator(model, t, t_event)
+        c = np.trace(rho).real
+        v = prop.matrix @ bloch_components(rho) + c * prop.offset
+        rho = density_matrix(v) + (c - 1.0) * np.eye(2) / 2.0
+        sigma_n = sum(a * p for a, p in zip(channels[ch].axis_vector, PAULIS))
+        k = channels[ch].phase_k
+        rho = (0.5 * (sigma_n @ rho + rho @ sigma_n)
+               - 0.5j * k * (sigma_n @ rho - rho @ sigma_n))
+        t = t_event
+    return np.trace(rho).real
 
 
 def rk4_affine_oracle(lam, r_st, r0, dt_total, n_steps=4000):

@@ -169,6 +169,7 @@ def test_a4_monte_carlo_two_time_correlator():
         for g in gaps_us:
             parts[g].append(
                 estimate_correlator(records, [(0, 0.0), (1, g)], window))
+        del records  # free this shard before the next one is simulated
     elapsed = time.time() - start
     hits = 0
     max_se = 0.0
@@ -368,4 +369,51 @@ def test_a9_pipeline_determinism(tmp_path):
         byte_match and value_match and cli_match,
         f"record bytes identical: {byte_match}, estimates identical: "
         f"{value_match}, CLI CSV bytes identical: {cli_match}",
+    )
+
+
+def test_a10_phase_backaction_chain_matches_monte_carlo():
+    # Channel 0 on z with phase backaction, channel 1 on y, r_in = x: the z
+    # event's kick turns x into y, so without drive the pair correlator is the
+    # kick alone (0 in the collapse picture). Budget fixed before the first
+    # run: 1e5 trajectories at dt 0.01 us, one seed per point, 4 se.
+    dt, gap = 0.01, 0.1
+    window = Window(0.1, 0.5)
+    points = (
+        ("phase_k=1", 1.0, 0.0, 10001),
+        ("phase_k=0.5", 0.5, 0.0, 10002),
+        ("phase_k=0.8, Rabi 2 rad/us about x", 0.8, 2.0, 10003),
+    )
+    start = time.time()
+    ok, details = True, []
+    for label, phase_k, rabi_freq, seed in points:
+        channels = (
+            MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0, phase_k=phase_k),
+            MeasurementChannel((0.0, 1.0, 0.0), tau=0.65, eta=1.0),
+        )
+        model = build_ensemble_model(channels, rabi_axis=(1.0, 0.0, 0.0), rabi_freq=rabi_freq)
+        sim = SimConfig(
+            model=model, channels=channels, r_init=(1.0, 0.0, 0.0),
+            t_total=window.t_a + window.length + gap + 2 * dt, dt=dt,
+            n_traj=100_000, master_seed=seed,
+        )
+        parts = []
+        for lo, hi in index_ranges(0, sim.n_traj, 16384):
+            records = simulate_range(sim, lo, hi, workers=2)
+            parts.append(estimate_correlator(records, [(0, 0.0), (1, gap)], window))
+            del records
+        est = merge_estimates(parts)
+        exact = window.average(lambda t1: chain_correlator(model, channels, CorrelatorSpec(
+            ((0, t1), (1, t1 + gap)), r_in=(1.0, 0.0, 0.0))), dt)
+        sigma = abs(est.value - exact) / est.std_error
+        ok = ok and sigma <= 4.0
+        details.append(f"{label}: exact {exact:.3f}, MC {est.value:.3f} +- "
+                       f"{est.std_error:.3f} ({sigma:.1f} se)")
+        if phase_k == 1.0 and rabi_freq == 0.0:
+            old_sigma = abs(est.value) / est.std_error
+            ok = ok and old_sigma > 4.0
+            details.append(f"collapse value 0 is {old_sigma:.1f} se off (> 4)")
+    verdict(
+        "[A10] phase backaction: chain vs Monte Carlo (1e5 trajectories per point)",
+        ok, "; ".join(details) + f", {time.time() - start:.0f}s",
     )

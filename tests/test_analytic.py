@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,12 @@ from qcorr import (
 )
 from qcorr.analytic import _factorized_value
 
-from conftest import random_event_spec, random_model, random_unit_vector
+from conftest import (
+    density_matrix_correlator_oracle,
+    random_event_spec,
+    random_model,
+    random_unit_vector,
+)
 
 PHI = 3 * np.pi / 10
 
@@ -214,14 +221,36 @@ class TestChainCorrelator:
         ]
         assert max(values) - min(values) <= 1e-12
 
-    def test_phase_backaction_before_last_event_refused(self):
+    def test_phase_backaction_before_last_event_matches_oracle(self):
         model, channels = phase_kicked_system()
-        with pytest.raises(ValidationError, match="phase backaction"):
-            chain_correlator(model, channels, CorrelatorSpec(((0, 0.1), (1, 0.6), (1, 0.9))))
+        spec = CorrelatorSpec(((0, 0.1), (1, 0.3)), r_in=(1.0, 0.0, 0.0))
+        value = chain_correlator(model, channels, spec)
+        assert value == pytest.approx(
+            density_matrix_correlator_oracle(model, channels, spec), abs=1e-12)
+        # The z event's kick k z x r turns the decayed x into y for the y event;
+        # the collapse picture, which drops it, gives 0.
+        gamma_z, gamma_y = (ch.dephasing_rate for ch in channels)
+        expected = channels[0].phase_k * np.exp(-(gamma_z + gamma_y) * 0.1 - gamma_z * 0.2)
+        assert value == pytest.approx(expected, abs=1e-12)
+        unkicked = (replace(channels[0], phase_k=0.0), channels[1])
+        assert chain_correlator(model, unkicked, spec) == 0.0
         # The last event's kick reaches no later event.
         last_only = CorrelatorSpec(((1, 0.1), (1, 0.6), (0, 0.9)), r_in=(0.0, 0.6, 0.0))
         assert chain_correlator(model, channels, last_only) == pytest.approx(
             brute_force_correlator(model, channels, last_only), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 7))
+    def test_equals_density_matrix_oracle_under_phase_backaction(self, seed, n_events):
+        rng = np.random.default_rng(seed)
+        model, channels = random_model(rng, unital=bool(seed % 2))
+        channels = tuple(replace(ch, phase_k=float(rng.uniform(-1.5, 1.5)))
+                         for ch in channels)
+        events = random_event_spec(rng, channels, n_events)
+        r_in = random_unit_vector(rng) * rng.uniform(0.0, 1.0)
+        spec = CorrelatorSpec(events, r_in=tuple(r_in))
+        assert chain_correlator(model, channels, spec) == pytest.approx(
+            density_matrix_correlator_oracle(model, channels, spec), abs=1e-12)
 
 
 class TestFactorizedCorrelator:
@@ -267,7 +296,7 @@ class TestFactorizedCorrelator:
         spec = CorrelatorSpec(((0, 0.5), (1, 1.0)))
         with pytest.raises(FactorizationInapplicableError) as exc:
             factorized_correlator(model, channels, spec)
-        assert "chain_correlator" not in str(exc.value)
+        assert "chain_correlator" in str(exc.value)
 
     def test_non_unital_witness_shows_factorization_failure(self):
         # The pair-product formula applied outside its preconditions must

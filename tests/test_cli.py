@@ -100,6 +100,36 @@ class TestAnalytic:
         assert chain == pytest.approx(float(row["factorized"]), abs=1e-10)
         assert chain == pytest.approx(float(row["brute_force"]), abs=1e-12)
 
+    def test_phase_model_prints_chain_and_nan_for_refusing_routes(self, workspace, capsys):
+        tmp, _, _ = workspace
+        config = tmp / "phase.json"
+        config.write_text(json.dumps(dict(CONFIG, channels=[
+            {"axis": [0.0, 0.0, 1.0], "tau_us": 0.65, "phase_k": 1.0},
+            {"axis": [0.0, 1.0, 0.0], "tau_us": 0.65},
+        ])))
+        spec = tmp / "phase_spec.json"
+        spec.write_text(json.dumps([
+            {"initial": {"r": [1.0, 0.0, 0.0]},
+             "events": [{"channel": 0, "t_us": 0.1}, {"channel": 1, "t_us": 0.3}]},
+            {"initial": {"r": [0.0, 1.0, 0.0]},
+             "events": [{"channel": 1, "t_us": 0.1}, {"channel": 0, "t_us": 0.3}]},
+        ]))
+        out = tmp / "analytic.csv"
+        assert main(["analytic", "--config", str(config), "--spec", str(spec),
+                     "--out", str(out)]) == 0
+        kicked, last_only = read_csv(out)
+        # A kick before the last event, which only the chain evaluates: x decays
+        # at 30/13 per us until the z event kicks it into y, which decays at
+        # 20/13 per us until the y event.
+        expected = np.exp(-(30 / 13) * 0.1 - (20 / 13) * 0.2)
+        assert float(kicked["chain"]) == pytest.approx(expected, abs=1e-12)
+        assert kicked["factorized"] == "nan" and kicked["brute_force"] == "nan"
+        # A kick at the last event only: brute force accepts it and agrees.
+        assert last_only["factorized"] == "nan"
+        assert float(last_only["brute_force"]) == pytest.approx(
+            float(last_only["chain"]), abs=1e-12)
+        assert "chain=" in capsys.readouterr().out
+
     @pytest.mark.parametrize("entry, message", [
         ({"gaps": [{"channel": 0, "dt_us": 0.0}]},
          "spec[0].window: missing required key"),
