@@ -23,7 +23,6 @@ from .bloch import (
     AffinePropagator,
     EnsembleModel,
     MeasurementChannel,
-    ModelSegment,
     build_ensemble_model,
     measurement_dephasing_generator,
     ordered_propagator,
@@ -85,7 +84,6 @@ __all__ = [
     "IntegrationDivergedError",
     "MagicMismatchError",
     "MeasurementChannel",
-    "ModelSegment",
     "QcorrError",
     "RecordFormatError",
     "RecordSet",

@@ -302,8 +302,8 @@ def factorized_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec) 
     """
     if not model.unital:
         raise FactorizationInapplicableError(
-            "factorized evaluation requires a unital model (r_st = 0 on all "
-            "segments); use chain_correlator"
+            "factorized evaluation requires a unital model (r_st = 0); "
+            "use chain_correlator"
         )
     _require_no_phase_backaction(channels)
     return _factorized_value(model, channels, spec)

@@ -12,10 +12,10 @@ general linear Markovian form
 
     dr/dt = L (r - r_st)
 
-with a 3x3 generator L and quasistationary state r_st, both piecewise
-constant in time. A model is *unital* when every segment has r_st = 0, which
-makes the solution map odd in the initial state: propagating -r0 gives minus
-the propagation of r0.
+with a constant 3x3 generator L and quasistationary state r_st, so the
+solution map over a time span depends on its length alone. A model is
+*unital* when r_st = 0, which makes the solution map odd in the initial
+state: propagating -r0 gives minus the propagation of r0.
 
 All functions here are pure; nothing is mutated, so concurrent use needs no
 locking.
@@ -94,69 +94,30 @@ class MeasurementChannel:
 
 
 @dataclass(frozen=True)
-class ModelSegment:
-    """Constant-generator piece of an EnsembleModel, active from t_start on."""
+class EnsembleModel:
+    """Time-homogeneous ensemble-averaged evolution dr/dt = lam (r - r_st)."""
 
-    t_start: float
     lam: np.ndarray
-    r_st: np.ndarray
+    r_st: np.ndarray = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        r_st = np.asarray(self.r_st, dtype=float)
+        lam = np.array(self.lam, dtype=float)
+        r_st = np.array(self.r_st, dtype=float)
         if lam.shape != (3, 3):
-            raise ValidationError(f"segment generator must be 3x3, got {lam.shape}")
+            raise ValidationError(f"model generator must be 3x3, got {lam.shape}")
         if r_st.shape != (3,):
-            raise ValidationError(f"segment r_st must be a 3-vector, got {r_st.shape}")
+            raise ValidationError(f"model r_st must be a 3-vector, got {r_st.shape}")
         if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(r_st)):
-            raise ValidationError("segment generator and r_st must be finite")
+            raise ValidationError("model generator and r_st must be finite")
         lam.setflags(write=False)
         r_st.setflags(write=False)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "r_st", r_st)
 
-
-@dataclass(frozen=True)
-class EnsembleModel:
-    """Piecewise-constant ensemble-averaged evolution dr/dt = L (r - r_st)."""
-
-    segments: tuple
-
-    def __post_init__(self):
-        segments = tuple(self.segments)
-        if not segments:
-            raise ValidationError("EnsembleModel needs at least one segment")
-        starts = [s.t_start for s in segments]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValidationError(f"segment start times must be strictly increasing: {starts}")
-        object.__setattr__(self, "segments", segments)
-
-    @classmethod
-    def constant(cls, lam, r_st=None, t_start=0.0) -> "EnsembleModel":
-        if r_st is None:
-            r_st = np.zeros(3)
-        return cls((ModelSegment(t_start, np.asarray(lam, float), as_bloch(r_st)),))
-
-    @property
-    def t_start(self) -> float:
-        return self.segments[0].t_start
-
     @property
     def unital(self) -> bool:
-        """True when every segment keeps the fully mixed state fixed."""
-        return all(float(np.linalg.norm(s.r_st)) <= UNITAL_TOL for s in self.segments)
-
-    def segment_at(self, t: float) -> ModelSegment:
-        """Segment governing time t (segments extend until the next start)."""
-        if t < self.t_start:
-            raise ValidationError(f"time {t} precedes model start {self.t_start}")
-        active = self.segments[0]
-        for seg in self.segments[1:]:
-            if seg.t_start <= t:
-                active = seg
-            else:
-                break
-        return active
+        """True when the model keeps the fully mixed state fixed."""
+        return float(np.linalg.norm(self.r_st)) <= UNITAL_TOL
 
 
 def measurement_dephasing_generator(channels) -> np.ndarray:
@@ -181,14 +142,15 @@ def build_ensemble_model(
     rabi_freq: float = 0.0,
     env_lambda=None,
     env_rst=None,
-    t_start: float = 0.0,
 ) -> EnsembleModel:
-    """Assemble the single-segment ensemble model for a monitored qubit.
+    """Assemble the ensemble model of a monitored qubit.
 
-    The generator is the sum of a coherent rotation rabi_freq * [rabi_axis]_x
-    (rad/us about a unit axis), an arbitrary environmental generator
-    env_lambda with quasistationary state env_rst, and the measurement
-    dephasing of all channels. The model r_st is env_rst (zero by default).
+    The evolution is the measurement dephasing of all channels, a coherent
+    rotation rabi_freq * [rabi_axis]_x (rad/us about a unit axis) and an
+    environment env_lambda (r - env_rst) that relaxes toward env_rst (zero
+    by default). Only the environment term carries env_rst, so the model
+    r_st solves lam r_st = env_lambda env_rst; it is zero when that drift is
+    zero, and a singular lam with a nonzero drift is refused.
     """
     lam = measurement_dephasing_generator(channels)
     if rabi_freq != 0.0:
@@ -199,13 +161,23 @@ def build_ensemble_model(
         if abs(norm - 1.0) > UNIT_AXIS_TOL:
             raise ValidationError(f"rabi_axis must be unit length, got norm {norm:.12g}")
         lam = lam + rabi_freq * cross_matrix(axis)
+    r_env = np.zeros(3) if env_rst is None else as_bloch(env_rst)
+    drift = np.zeros(3)
     if env_lambda is not None:
         env_lambda = np.asarray(env_lambda, dtype=float)
         if env_lambda.shape != (3, 3):
             raise ValidationError(f"env_lambda must be 3x3, got {env_lambda.shape}")
         lam = lam + env_lambda
-    r_st = np.zeros(3) if env_rst is None else as_bloch(env_rst)
-    return EnsembleModel.constant(lam, r_st, t_start)
+        drift = env_lambda @ r_env
+    model = EnsembleModel(lam)  # refuses a non-finite generator
+    if not np.any(drift):
+        return model
+    if np.linalg.matrix_rank(lam) < 3:
+        raise ValidationError(
+            "the generator is singular but the environment drives toward "
+            f"env_rst (drift {drift.tolist()}); no stationary state r_st exists"
+        )
+    return EnsembleModel(lam, np.linalg.solve(lam, drift))
 
 
 @dataclass(frozen=True)
@@ -225,44 +197,18 @@ class AffinePropagator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", q)
 
-    @classmethod
-    def identity(cls) -> "AffinePropagator":
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, r) -> np.ndarray:
         return self.matrix @ as_bloch(r) + self.offset
 
-    def compose(self, earlier: "AffinePropagator") -> "AffinePropagator":
-        """Map equal to applying ``earlier`` first, then this propagator."""
-        return AffinePropagator(
-            self.matrix @ earlier.matrix,
-            self.matrix @ earlier.offset + self.offset,
-        )
-
 
 def ordered_propagator(model: EnsembleModel, t0: float, t1: float) -> AffinePropagator:
-    """Time-ordered propagator of the model from t0 to t1 (t0 <= t1).
+    """Exact propagator of the model from t0 to t1 (t0 <= t1).
 
-    Later segments compose on the left; within each constant segment the
-    affine flow is exact.
+    The model is time-homogeneous, so the map depends on t1 - t0 alone.
     """
     if t1 < t0:
         raise ValidationError(f"ordered_propagator requires t0 <= t1, got {t0} > {t1}")
-    if t0 < model.t_start:
-        raise ValidationError(f"t0={t0} precedes model start {model.t_start}")
-    prop = AffinePropagator.identity()
-    if t1 == t0:
-        return prop
-    segments = model.segments
-    for i, seg in enumerate(segments):
-        seg_end = segments[i + 1].t_start if i + 1 < len(segments) else np.inf
-        lo = max(t0, seg.t_start)
-        hi = min(t1, seg_end)
-        if hi <= lo:
-            continue
-        p, q = affine_flow(seg.lam, seg.r_st, hi - lo)
-        prop = AffinePropagator(p, q).compose(prop)
-    return prop
+    return AffinePropagator(*affine_flow(model.lam, model.r_st, t1 - t0))
 
 
 def propagate_ensemble(model: EnsembleModel, r0, t0: float, t1: float) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .analytic import (
@@ -97,8 +98,15 @@ def _spec_entries(path, r_init) -> list:
     return entries
 
 
-def _parse_float_list(text):
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_float_list(text, option: str) -> list:
+    """The numbers of a comma-separated option value: finite, at least one."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values or not all(map(math.isfinite, values)):
+        raise ConfigError(f"{option}: expected comma-separated finite numbers, got {text!r}")
+    return values
 
 
 def _do_simulate(args) -> int:
@@ -204,10 +212,10 @@ def _replica_config(args, phi) -> ReplicaConfig:
 
 def _do_replica_fig1(args) -> int:
     rows = []
-    for phi in _parse_float_list(args.phi):
+    grid21 = None if args.dt21_grid is None else _parse_float_list(args.dt21_grid, "--dt21-grid")
+    grid32 = None if args.dt32_grid is None else _parse_float_list(args.dt32_grid, "--dt32-grid")
+    for phi in _parse_float_list(args.phi, "--phi"):
         config = _replica_config(args, phi)
-        grid21 = _parse_float_list(args.dt21_grid) if args.dt21_grid else None
-        grid32 = _parse_float_list(args.dt32_grid) if args.dt32_grid else None
         rows.extend(three_time_scan(config, grid21, grid32))
     _write_csv(
         args.out,
@@ -221,9 +229,9 @@ def _do_replica_fig1(args) -> int:
 def _do_replica_fig2(args) -> int:
     rows = []
     summaries = []
-    for phi in _parse_float_list(args.phi):
+    grid32 = None if args.dt32_grid is None else _parse_float_list(args.dt32_grid, "--dt32-grid")
+    for phi in _parse_float_list(args.phi, "--phi"):
         config = _replica_config(args, phi)
-        grid32 = _parse_float_list(args.dt32_grid) if args.dt32_grid else None
         phi_rows, summary = four_time_scan(config, grid32)
         rows.extend(phi_rows)
         summaries.append(summary)

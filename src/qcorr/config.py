@@ -2,7 +2,7 @@
 
 Sections: channels[] (axis, tau_us, eta, phase_k), hamiltonian (rabi_axis,
 rabi_freq_rad_per_us), environment (lambda, r_st), sim (dt_us, t_total_us,
-n_traj, seed, r_init, store_states, batch_size), outputs (records, csv).
+n_traj, seed, r_init, store_states, batch_size), outputs (records).
 Unknown keys are rejected with the offending path in the message.
 """
 
@@ -134,7 +134,7 @@ def load_config(text: str, source: str = "<config>") -> RunSetup:
 
     outputs = {}
     if "outputs" in raw:
-        _require_keys(raw["outputs"], "config.outputs", required=(), optional=("records", "csv"))
+        _require_keys(raw["outputs"], "config.outputs", required=(), optional=("records",))
         for key, value in raw["outputs"].items():
             if not isinstance(value, str):
                 raise ConfigError(f"config.outputs.{key}: expected a path string")

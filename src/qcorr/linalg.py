@@ -3,9 +3,9 @@
 The generators handled here are 3x3 real matrices that are generally
 non-normal (dissipation plus rotation), so the exponential uses scaling and
 squaring around a fixed-order diagonal Pade approximant instead of any
-eigendecomposition. Affine flows dr/dt = L (r - r_st) are integrated exactly
-per constant segment by exponentiating the homogeneous 4x4 augmentation,
-which remains valid when L is singular.
+eigendecomposition. Affine flows dr/dt = L (r - r_st) with constant L are
+integrated exactly by exponentiating the homogeneous 4x4 augmentation, which
+remains valid when L is singular.
 """
 
 from __future__ import annotations

@@ -83,6 +83,8 @@ class ReplicaConfig:
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
         if not (0.0 < self.eta <= 1.0):
             raise ValidationError(f"eta must be in (0, 1], got {self.eta}")
+        if not (0.0 < self.dt < math.inf):
+            raise ValidationError(f"dt must be positive and finite, got {self.dt}")
 
     @property
     def r_init(self) -> tuple:

@@ -254,18 +254,6 @@ def ito_step(r, lam, r_st, channels, dt, noise_draws):
     return new_r[:, 0], out[:, 0], bool(n_clipped)
 
 
-def _segment_step_table(config: SimConfig):
-    """Per-step (lam, r_st) lookup; segment active at each bin start governs the bin."""
-    model = config.model
-    if model.t_start > 0.0:
-        raise ValidationError("model must be defined from t=0 for trajectory simulation")
-    table = []
-    for k in range(config.n_samples):
-        seg = model.segment_at(k * config.dt)
-        table.append((seg.lam, seg.r_st))
-    return table
-
-
 def _simulate_batch(config: SimConfig, start: int, stop: int, samples, states) -> int:
     """Simulate trajectories [start, stop) into their rows of samples and states.
 
@@ -277,7 +265,7 @@ def _simulate_batch(config: SimConfig, start: int, stop: int, samples, states) -
     n_ch = config.n_channels
     batch = stop - start
     axes, taus, phase_ks = _channel_arrays(config.channels)
-    seg_table = _segment_step_table(config)
+    lam, r_st = config.model.lam, config.model.r_st
 
     noise = np.empty((batch, n_steps, n_ch))
     for j in range(batch):
@@ -296,7 +284,6 @@ def _simulate_batch(config: SimConfig, start: int, stop: int, samples, states) -
         out_block = out[:len(steps)]
         xi_block[:] = noise[:, steps.start:steps.stop].transpose(1, 2, 0)
         for k, xi_k, out_k in zip(steps, xi_block, out_block):
-            lam, r_st = seg_table[k]
             r, n_clip = _step_batch(r, lam, r_st, axes, taus, phase_ks, config.dt, xi_k, out_k)
             clipped += n_clip
             if states is not None:

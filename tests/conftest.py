@@ -109,7 +109,7 @@ def random_model(rng, unital, max_channels=3, allow_rabi=True):
             [-axis[1], axis[0], 0.0],
         ])
     r_st = np.zeros(3) if unital else rng.uniform(-0.4, 0.4, size=3)
-    return EnsembleModel.constant(lam, r_st), tuple(channels)
+    return EnsembleModel(lam, r_st), tuple(channels)
 
 
 def random_event_spec(rng, channels, n_events, t_span=5.0):

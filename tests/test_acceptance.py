@@ -112,7 +112,7 @@ def test_a2_factorization_theorem_and_witness():
         MeasurementChannel((0.0, 0.0, 1.0), tau=0.5, eta=1.0),
         MeasurementChannel((1.0, 0.0, 0.0), tau=0.5, eta=1.0),
     )
-    witness_model = EnsembleModel.constant(-np.eye(3), (0.0, 0.0, 0.5))
+    witness_model = EnsembleModel(-np.eye(3), (0.0, 0.0, 0.5))
     wspec = CorrelatorSpec(((0, 0.5), (0, 1.0), (0, 1.5), (0, 2.0)))
     gap = abs(
         chain_correlator(witness_model, channels, wspec)
@@ -415,5 +415,47 @@ def test_a10_phase_backaction_chain_matches_monte_carlo():
             details.append(f"collapse value 0 is {old_sigma:.1f} se off (> 4)")
     verdict(
         "[A10] phase backaction: chain vs Monte Carlo (1e5 trajectories per point)",
+        ok, "; ".join(details) + f", {time.time() - start:.0f}s",
+    )
+
+
+def test_a11_non_unital_environment_matches_monte_carlo():
+    # Environment relaxation toward z with measurements on z and y, r_in = x:
+    # the mean z signal over the window, without drive and with a 2 rad/us
+    # Rabi drive about x. Budget fixed before the first run: 5e4 trajectories
+    # at dt 0.005 us, seed 55, 4 se.
+    dt = 0.005
+    window = Window(0.1, 0.5)
+    channels = (
+        MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0),
+        MeasurementChannel((0.0, 1.0, 0.0), tau=0.65, eta=1.0),
+    )
+    start = time.time()
+    ok, details = True, []
+    for label, rabi_freq in (("no drive", 0.0), ("Rabi 2 rad/us about x", 2.0)):
+        model = build_ensemble_model(
+            channels, rabi_axis=(1.0, 0.0, 0.0), rabi_freq=rabi_freq,
+            env_lambda=-0.5 * np.diag([0.5, 0.5, 1.0]), env_rst=(0.0, 0.0, 1.0))
+        sim = SimConfig(
+            model=model, channels=channels, r_init=(1.0, 0.0, 0.0),
+            t_total=window.t_a + window.length + 2 * dt, dt=dt,
+            n_traj=50_000, master_seed=55,
+        )
+        parts, clipped = [], 0
+        for lo, hi in index_ranges(0, sim.n_traj, 16384):
+            records = simulate_range(sim, lo, hi, workers=2)
+            parts.append(estimate_correlator(records, [(0, 0.0)], window))
+            clipped += records.clipped_steps
+            del records
+        est = merge_estimates(parts)
+        exact = window.average(lambda t1: chain_correlator(
+            model, channels, CorrelatorSpec(((0, t1),), r_in=(1.0, 0.0, 0.0))), dt)
+        sigma = abs(est.value - exact) / est.std_error
+        ok = ok and sigma <= 4.0
+        details.append(f"{label}: exact {exact:.4f}, MC {est.value:.4f} +- "
+                       f"{est.std_error:.4f} ({sigma:.1f} se), clip fraction "
+                       f"{clipped / (sim.n_traj * sim.n_samples):.4f}")
+    verdict(
+        "[A11] non-unital environment: chain vs Monte Carlo (5e4 trajectories per point)",
         ok, "; ".join(details) + f", {time.time() - start:.0f}s",
     )

@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorr import (
-    AffinePropagator,
     EnsembleModel,
     MeasurementChannel,
-    ModelSegment,
     ValidationError,
     build_ensemble_model,
     measurement_dephasing_generator,
@@ -93,14 +91,13 @@ class TestBuildEnsembleModel:
     def test_single_z_channel(self):
         ch = MeasurementChannel((0, 0, 1), tau=0.5, eta=1.0)
         model = build_ensemble_model([ch])
-        seg = model.segments[0]
-        assert np.allclose(seg.lam, np.diag([-1.0, -1.0, 0.0]), atol=1e-15)
-        assert np.allclose(seg.r_st, 0.0)
+        assert np.allclose(model.lam, np.diag([-1.0, -1.0, 0.0]), atol=1e-15)
+        assert np.allclose(model.r_st, 0.0)
         assert model.unital
 
     def test_rabi_rotation_about_y(self):
         model = build_ensemble_model([], rabi_axis=(0, 1, 0), rabi_freq=1.3)
-        lam = model.segments[0].lam
+        lam = model.lam
         assert np.allclose(lam, -lam.T, atol=1e-15)
         moved = propagate_ensemble(model, (0, 0, 1), 0.0, 0.4)
         angle = 1.3 * 0.4
@@ -113,65 +110,82 @@ class TestBuildEnsembleModel:
     def test_env_rst_recorded(self):
         model = build_ensemble_model([], env_lambda=-0.5 * np.eye(3), env_rst=(0, 0, 0.8))
         assert not model.unital
-        assert np.allclose(model.segments[0].r_st, [0, 0, 0.8])
+        assert np.allclose(model.r_st, [0, 0, 0.8])
+
+    def test_env_rst_carried_by_the_environment_term_alone(self):
+        # lam (r - r_st) = (L_meas + Rabi) r + L_env (r - r_env) for every r.
+        channels = (MeasurementChannel((0, 0, 1), tau=0.65), MeasurementChannel((0, 1, 0), tau=0.65))
+        env_lambda = -0.5 * np.diag([0.5, 0.5, 1.0])
+        r_env = np.array([0.0, 0.0, 1.0])
+        model = build_ensemble_model(channels, rabi_axis=(1, 0, 0), rabi_freq=2.0,
+                                     env_lambda=env_lambda, env_rst=r_env)
+        coherent = build_ensemble_model(channels, rabi_axis=(1, 0, 0), rabi_freq=2.0)
+        assert coherent.unital
+        for r in np.eye(3):
+            assert np.allclose(model.lam @ (r - model.r_st),
+                               coherent.lam @ r + env_lambda @ (r - r_env), atol=1e-14)
+        # The relaxation target is not r_env: dephasing and drive pull on it too.
+        assert np.linalg.norm(model.r_st - r_env) > 0.1
+
+    def test_zero_environment_drift_is_unital(self):
+        ch = MeasurementChannel((0, 0, 1), tau=0.5)
+        model = build_ensemble_model([ch], env_lambda=np.diag([-1.0, -1.0, 0.0]),
+                                     env_rst=(0, 0, 0.9))
+        assert model.unital
+        assert np.array_equal(model.r_st, np.zeros(3))
+
+    def test_singular_generator_with_drift_rejected(self):
+        with pytest.raises(ValidationError, match="singular"):
+            build_ensemble_model([], env_lambda=np.diag([-1.0, -1.0, 0.0]), env_rst=(0.5, 0, 0))
 
 
 class TestEnsembleModel:
-    def test_segment_starts_strictly_increasing(self):
-        seg = ModelSegment(0.0, np.zeros((3, 3)), np.zeros(3))
-        seg_same = ModelSegment(0.0, np.eye(3), np.zeros(3))
-        with pytest.raises(ValidationError):
-            EnsembleModel((seg, seg_same))
-
-    def test_segment_at_picks_latest_started(self):
-        a = ModelSegment(0.0, np.zeros((3, 3)), np.zeros(3))
-        b = ModelSegment(1.0, np.eye(3), np.zeros(3))
-        model = EnsembleModel((a, b))
-        assert model.segment_at(0.5) is a
-        assert model.segment_at(1.0) is b
-        assert model.segment_at(7.0) is b
+    def test_validates_shapes_finiteness_and_freezes_arrays(self):
+        lam = np.diag([-1.0, -2.0, -3.0])
+        model = EnsembleModel(lam)
+        assert np.array_equal(model.r_st, np.zeros(3))
+        assert np.array_equal(model.lam, lam)
+        for array in (model.lam, model.r_st):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        lam[0, 0] = 5.0  # the model holds its own copy
+        assert model.lam[0, 0] == -1.0
+        for bad_lam, bad_rst in (
+            (np.eye(2), np.zeros(3)),
+            (np.zeros((3, 4)), np.zeros(3)),
+            (np.zeros((3, 3)), np.zeros(2)),
+            (np.zeros((3, 3)), np.zeros((3, 1))),
+            (np.diag([np.nan, 0.0, 0.0]), np.zeros(3)),
+            (np.zeros((3, 3)), (0.0, np.inf, 0.0)),
+        ):
+            with pytest.raises(ValidationError):
+                EnsembleModel(bad_lam, bad_rst)
 
     def test_unital_flag_threshold(self):
-        almost = EnsembleModel.constant(np.zeros((3, 3)), (0.0, 0.0, 5e-11))
+        almost = EnsembleModel(np.zeros((3, 3)), (0.0, 0.0, 5e-11))
         assert almost.unital
-        not_unital = EnsembleModel.constant(np.zeros((3, 3)), (0.0, 0.0, 1e-9))
+        not_unital = EnsembleModel(np.zeros((3, 3)), (0.0, 0.0, 1e-9))
         assert not not_unital.unital
 
 
 class TestOrderedPropagator:
     def test_zero_span_is_identity(self):
-        model = EnsembleModel.constant(np.diag([-1.0, -1.0, 0.0]))
+        model = EnsembleModel(np.diag([-1.0, -1.0, 0.0]))
         prop = ordered_propagator(model, 0.7, 0.7)
         assert np.array_equal(prop.matrix, np.eye(3))
         assert np.array_equal(prop.offset, np.zeros(3))
 
     def test_constant_dephasing(self):
-        model = EnsembleModel.constant(np.diag([-1.0, -1.0, 0.0]))
+        model = EnsembleModel(np.diag([-1.0, -1.0, 0.0]))
         prop = ordered_propagator(model, 0.0, 1.0)
         assert np.allclose(prop.matrix,
                            np.diag([np.exp(-1.0), np.exp(-1.0), 1.0]), rtol=1e-13)
 
-    def test_two_segments_compose_in_time_order(self):
-        lam_a = np.diag([-1.0, 0.0, 0.0])
-        lam_b = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        model = EnsembleModel((
-            ModelSegment(0.0, lam_a, np.zeros(3)),
-            ModelSegment(1.0, lam_b, np.zeros(3)),
-        ))
-        prop = ordered_propagator(model, 0.0, 1.5)
-        from qcorr.linalg import expm
-        expected = expm(lam_b * 0.5) @ expm(lam_a * 1.0)
-        assert np.allclose(prop.matrix, expected, rtol=1e-12, atol=1e-13)
-
     def test_reversed_times_rejected(self):
-        model = EnsembleModel.constant(np.zeros((3, 3)))
+        model = EnsembleModel(np.zeros((3, 3)))
         with pytest.raises(ValidationError):
             ordered_propagator(model, 1.0, 0.5)
-
-    def test_before_model_start_rejected(self):
-        model = EnsembleModel.constant(np.zeros((3, 3)), t_start=1.0)
-        with pytest.raises(ValidationError):
-            ordered_propagator(model, 0.0, 2.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95))
@@ -181,24 +195,15 @@ class TestOrderedPropagator:
         t0, t2 = 0.3, 2.9
         t1 = t0 + frac * (t2 - t0)
         full = ordered_propagator(model, t0, t2)
-        split = ordered_propagator(model, t1, t2).compose(ordered_propagator(model, t0, t1))
-        assert np.allclose(full.matrix, split.matrix, rtol=0, atol=1e-12)
-        assert np.allclose(full.offset, split.offset, rtol=0, atol=1e-12)
-
-    def test_multisegment_composition_across_boundary(self):
-        model = EnsembleModel((
-            ModelSegment(0.0, np.diag([-1.0, -0.5, 0.0]), np.zeros(3)),
-            ModelSegment(1.0, np.diag([0.0, -2.0, -1.0]), np.array([0.0, 0.0, 0.3])),
-        ))
-        full = ordered_propagator(model, 0.2, 2.4)
-        split = ordered_propagator(model, 0.9, 2.4).compose(ordered_propagator(model, 0.2, 0.9))
-        assert np.allclose(full.matrix, split.matrix, atol=1e-12)
-        assert np.allclose(full.offset, split.offset, atol=1e-12)
+        p01 = ordered_propagator(model, t0, t1)
+        p12 = ordered_propagator(model, t1, t2)
+        assert np.allclose(full.matrix, p12.matrix @ p01.matrix, rtol=0, atol=1e-12)
+        assert np.allclose(full.offset, p12.matrix @ p01.offset + p12.offset, rtol=0, atol=1e-12)
 
 
 class TestPropagateEnsemble:
     def test_z_dephasing_decays_transverse(self):
-        model = EnsembleModel.constant(np.diag([-1.0, -1.0, 0.0]))
+        model = EnsembleModel(np.diag([-1.0, -1.0, 0.0]))
         # The affine map itself is linear, so probe it beyond the unit ball.
         out = ordered_propagator(model, 0.0, 1.0).apply((1.0, 0.0, 0.5))
         assert np.allclose(out, [np.exp(-1.0), 0.0, 0.5], rtol=1e-12)
@@ -207,18 +212,18 @@ class TestPropagateEnsemble:
         assert np.allclose(inside, [0.8 * np.exp(-1.0), 0.0, 0.5], rtol=1e-12)
 
     def test_mixed_state_is_unital_fixed_point(self):
-        model = EnsembleModel.constant(np.diag([-2.0, -1.0, -3.0]))
+        model = EnsembleModel(np.diag([-2.0, -1.0, -3.0]))
         out = propagate_ensemble(model, (0.0, 0.0, 0.0), 0.0, 3.0)
         assert np.array_equal(out, np.zeros(3))
 
     def test_relaxation_toward_quasistationary_state(self):
         gamma = 1.1
-        model = EnsembleModel.constant(-gamma * np.eye(3), (0.0, 0.0, 1.0))
+        model = EnsembleModel(-gamma * np.eye(3), (0.0, 0.0, 1.0))
         out = propagate_ensemble(model, (0.0, 0.0, 0.0), 0.0, 0.9)
         assert np.allclose(out, [0.0, 0.0, 1.0 - np.exp(-gamma * 0.9)], rtol=1e-12)
 
     def test_rejects_states_outside_ball(self):
-        model = EnsembleModel.constant(np.zeros((3, 3)))
+        model = EnsembleModel(np.zeros((3, 3)))
         with pytest.raises(ValidationError):
             propagate_ensemble(model, (1.0, 1.0, 1.0), 0.0, 1.0)
 
@@ -246,26 +251,14 @@ class TestPropagateEnsemble:
     def test_matches_rk4_oracle(self, seed):
         rng = np.random.default_rng(seed)
         model, _ = random_model(rng, unital=False)
-        seg = model.segments[0]
         r0 = random_unit_vector(rng) * 0.7
         dt = float(rng.uniform(0.2, 2.5))
         out = propagate_ensemble(model, r0, 0.0, dt)
-        expected = rk4_affine_oracle(seg.lam, seg.r_st, r0, dt, n_steps=8000)
+        expected = rk4_affine_oracle(model.lam, model.r_st, r0, dt, n_steps=8000)
         assert np.allclose(out, expected, rtol=1e-9, atol=1e-9)
 
 
 class TestAffinePropagator:
-    def test_compose_is_associative(self, rng):
-        props = [
-            AffinePropagator(rng.normal(size=(3, 3)), rng.normal(size=3))
-            for _ in range(3)
-        ]
-        c, b, a = props
-        left = c.compose(b).compose(a)
-        right = c.compose(b.compose(a))
-        assert np.allclose(left.matrix, right.matrix, rtol=1e-13, atol=1e-13)
-        assert np.allclose(left.offset, right.offset, rtol=1e-12, atol=1e-12)
-
     def test_unital_propagator_has_zero_offset(self, rng):
         model, _ = random_model(rng, unital=True)
         prop = ordered_propagator(model, 0.0, 2.0)

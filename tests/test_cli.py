@@ -239,6 +239,23 @@ class TestReplicaCommands:
         assert abs(float(row["mc_value"]) - float(row["analytic"])) \
             <= 4.0 * float(row["mc_se"])
 
+    @pytest.mark.parametrize("argv, named", [
+        (["replica-fig2", "--phi", "0.5", "--dt", "0", "--no-mc"], "dt must be positive"),
+        (["replica-fig2", "--phi", "0.5", "--dt", "-0.01", "--no-mc"], "dt must be positive"),
+        (["replica-fig1", "--phi", "abc", "--no-mc"], "--phi"),
+        (["replica-fig2", "--phi", "0.5", "--dt32-grid", ",", "--n-traj", "100"], "--dt32-grid"),
+        (["replica-fig1", "--phi", ",", "--no-mc"], "--phi"),
+        (["replica-fig1", "--phi", "0.5", "--dt21-grid", ",", "--no-mc"], "--dt21-grid"),
+        (["replica-fig1", "--phi", "0.5", "--dt21-grid", "", "--no-mc"], "--dt21-grid"),
+    ], ids=["dt-zero", "dt-negative", "phi-not-a-number", "empty-dt32-grid",
+            "empty-phi", "empty-dt21-grid", "blank-dt21-grid"])
+    def test_malformed_input_exits_with_one_named_error(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "scan.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+        assert not out.exists()
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_nonzero(self, capsys):

@@ -41,7 +41,7 @@ def test_full_config_sections(tmp_path):
         },
         "sim": {"dt_us": 0.005, "t_total_us": 1.0, "n_traj": 10, "seed": 1,
                 "r_init": [0.0, 0.0, 0.0], "store_states": True},
-        "outputs": {"records": "out.qcr", "csv": "out.csv"},
+        "outputs": {"records": "out.qcr"},
     }
     path = tmp_path / "config.json"
     path.write_text(as_text(cfg))
@@ -49,10 +49,26 @@ def test_full_config_sections(tmp_path):
     assert not setup.model.unital
     assert setup.sim.store_states
     assert setup.outputs["records"] == "out.qcr"
-    lam = setup.model.segments[0].lam
+    lam = setup.model.lam
     # Rotation about y at 2 rad/us: antisymmetric part (lam - lam.T)[0, 2]
     # is twice the rate.
     assert np.allclose((lam - lam.T)[0, 2], 4.0)
+
+
+def test_environment_without_stationary_state_rejected():
+    # No channels along x and no drive: lam = env lambda is singular, yet it
+    # drives toward env r_st.
+    cfg = {**MINIMAL, "environment": {"lambda": [[0, 0, 0], [0, -0.5, 0], [0, 0, -0.5]],
+                                      "r_st": [0.0, 0.0, 0.5]}}
+    cfg["channels"] = [{"axis": [1.0, 0.0, 0.0], "tau_us": 0.65}]
+    with pytest.raises(ConfigError, match="singular"):
+        load_config(as_text(cfg))
+
+
+def test_outputs_csv_key_rejected():
+    cfg = {**MINIMAL, "outputs": {"records": "out.qcr", "csv": "out.csv"}}
+    with pytest.raises(ConfigError, match=r"config\.outputs\.csv: unknown key"):
+        load_config(as_text(cfg))
 
 
 def test_nonpositive_tau_names_field():

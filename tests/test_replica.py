@@ -18,12 +18,12 @@ GAMMA = 1.0 / 1.3
 class TestReplicaModel:
     def test_aligned_axes_double_the_dephasing(self):
         model, channels = replica_model(ReplicaConfig(phi=0.0, include_mc=False))
-        lam = model.segments[0].lam
+        lam = model.lam
         assert np.allclose(lam, np.diag([-2 * GAMMA, -2 * GAMMA, 0.0]), atol=1e-12)
 
     def test_orthogonal_axes_generator(self):
         model, _ = replica_model(ReplicaConfig(phi=np.pi / 2, include_mc=False))
-        lam = model.segments[0].lam
+        lam = model.lam
         assert np.allclose(lam, -GAMMA * np.diag([1.0, 2.0, 1.0]), atol=1e-12)
 
     def test_always_unital(self):

@@ -7,16 +7,17 @@ import pytest
 from qcorr import (
     EnsembleModel,
     MeasurementChannel,
-    ModelSegment,
     SimConfig,
     TimestepWarning,
     ValidationError,
     build_ensemble_model,
     ito_step,
+    measurement_dephasing_generator,
     propagate_ensemble,
     simulate_ensemble,
     simulate_range,
 )
+from qcorr.linalg import cross_matrix
 from qcorr.trajectory import index_ranges
 
 Z = MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0)
@@ -56,15 +57,13 @@ def golden_model(case):
             MeasurementChannel((1.0, 0.0, 0.0), tau=0.5, eta=0.7),
         )
         return build_ensemble_model(channels), channels, (0.6, 0.0, 0.8)
+    # rabi_nonunital: y measurement, 3 rad/us drive about x and relaxation at
+    # 0.4/us, given directly as (lam, r_st); r_st is its relaxation target,
+    # rounded.
     channels = (MeasurementChannel((0.0, 1.0, 0.0), tau=0.8, eta=0.9),)
-    driven = build_ensemble_model(channels, rabi_axis=(1.0, 0.0, 0.0), rabi_freq=3.0)
-    relaxing = build_ensemble_model(channels, env_lambda=-0.4 * np.eye(3),
-                                    env_rst=(0.0, 0.0, -0.5))
-    model = EnsembleModel((
-        driven.segments[0],
-        ModelSegment(0.25, relaxing.segments[0].lam, relaxing.segments[0].r_st),
-    ))
-    return model, channels, (0.0, 0.0, 1.0)
+    lam = (measurement_dephasing_generator(channels) + 3.0 * cross_matrix((1.0, 0.0, 0.0))
+           - 0.4 * np.eye(3))
+    return EnsembleModel(lam, (0.0, 0.0636, -0.0085)), channels, (0.0, 0.0, 1.0)
 
 
 def golden_config(case):
@@ -82,10 +81,10 @@ GOLDEN = {
         "954103729821682d69adf62fa5c1fc46aa65bb68d77bbb116b4c586d1e8cb98a",
         0,
     ),
-    "rabi_nonunital_segments": (
-        "f5ecac778e12167299769834d47a527c7454c61495d36dfe8e7c8ed4a8dae0fe",
-        "6282840502725f8516a0016bf7b89855b05780435a35c9f65e6221f13767b059",
-        102,
+    "rabi_nonunital": (
+        "d80ff19392cd9094fe4ffe2cdc56284b41197b62defe830bbefd6944f212a540",
+        "0e4cb9e49288154f61470c4f437b9da4ad8726be6385d863e8817566b232a1dc",
+        0,
     ),
     "unital_preset": (
         "dffde65c69795867da90767882d545bd0464ab7aa06c0f90a89ea5c757cc4dfd",
@@ -128,10 +127,9 @@ class TestItoStep:
     def test_qnd_fixed_point_is_exact(self):
         # State on the sole measured axis: backaction and drift both vanish.
         model, channels = single_channel_setup(eta=0.7)
-        seg = model.segments[0]
         r = np.array([0.0, 0.0, 1.0])
         for draw in (0.0, 1.3, -2.1):
-            new_r, outputs, clipped = ito_step(r, seg.lam, seg.r_st, channels, 0.005, [draw])
+            new_r, outputs, clipped = ito_step(r, model.lam, model.r_st, channels, 0.005, [draw])
             assert np.array_equal(new_r, r)
             assert not clipped
             assert outputs[0] == pytest.approx(1.0 + np.sqrt(0.65 / 0.005) * draw)
@@ -141,29 +139,26 @@ class TestItoStep:
         # radial factor sqrt(1 + sum_l |b_l|^2 dt / |y|^2) that carries the
         # deterministic part of the Ito norm growth.
         model, channels = single_channel_setup()
-        seg = model.segments[0]
         dt = 0.005
         r = np.array([0.6, 0.0, 0.3])
-        y = r + (seg.lam @ r) * dt
+        y = r + (model.lam @ r) * dt
         nr = r[2]
         b = (np.array([0.0, 0.0, 1.0]) - nr * r) / np.sqrt(0.65)
         expected = y * np.sqrt(1.0 + (b @ b) * dt / (y @ y))
-        new_r, outputs, clipped = ito_step(r, seg.lam, seg.r_st, channels, dt, [0.0])
+        new_r, outputs, clipped = ito_step(r, model.lam, model.r_st, channels, dt, [0.0])
         assert np.allclose(new_r, expected, rtol=1e-13, atol=1e-14)
         assert outputs[0] == pytest.approx(nr)
         assert not clipped
 
     def test_zero_state_stays_zero_with_zero_draws(self):
         model, channels = single_channel_setup()
-        seg = model.segments[0]
-        new_r, outputs, _ = ito_step(np.zeros(3), seg.lam, seg.r_st, channels, 0.005, [0.0])
+        new_r, outputs, _ = ito_step(np.zeros(3), model.lam, model.r_st, channels, 0.005, [0.0])
         assert np.array_equal(new_r, np.zeros(3))
         assert outputs[0] == 0.0
 
     def test_output_statistics_at_mixed_state(self):
         # Mean 0 +- 4 sqrt(tau/dt)/sqrt(n), variance tau/dt within 1%.
         model, channels = single_channel_setup()
-        seg = model.segments[0]
         dt = 0.005
         n = 1_000_000
         rng = np.random.default_rng(3)
@@ -172,7 +167,7 @@ class TestItoStep:
         axes, taus, phase_ks = _channel_arrays(channels)
         r = np.zeros((3, n))
         out = np.empty((1, n))
-        _step_batch(r, seg.lam, seg.r_st, axes, taus, phase_ks, dt, draws[None, :], out)
+        _step_batch(r, model.lam, model.r_st, axes, taus, phase_ks, dt, draws[None, :], out)
         noise_scale = np.sqrt(0.65 / dt)
         assert abs(out.mean()) < 4.0 * noise_scale / np.sqrt(n)
         assert out.var() == pytest.approx(0.65 / dt, rel=0.01)
@@ -180,29 +175,26 @@ class TestItoStep:
     def test_phase_backaction_rotates_about_axis(self):
         ch = MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0, phase_k=0.8)
         model = build_ensemble_model([ch])
-        seg = model.segments[0]
         r = np.array([0.5, 0.0, 0.0])
         draw = 1.7
         dt = 0.004
-        new_r, _, _ = ito_step(r, seg.lam, seg.r_st, (ch,), dt, [draw])
+        new_r, _, _ = ito_step(r, model.lam, model.r_st, (ch,), dt, [draw])
         # The phase term tilts the step out of the xz plane along n x r = y.
         assert new_r[1] != 0.0
-        new_r0, _, _ = ito_step(r, seg.lam, seg.r_st,
+        new_r0, _, _ = ito_step(r, model.lam, model.r_st,
                                 (MeasurementChannel((0, 0, 1), 0.65, 1.0),), dt, [draw])
         assert new_r0[1] == 0.0
 
     def test_wrong_draw_count_rejected(self):
         model, channels = single_channel_setup()
-        seg = model.segments[0]
         with pytest.raises(ValidationError):
-            ito_step(np.zeros(3), seg.lam, seg.r_st, channels, 0.005, [0.0, 0.0])
+            ito_step(np.zeros(3), model.lam, model.r_st, channels, 0.005, [0.0, 0.0])
 
     def test_nonfinite_state_raises_diverged(self):
         from qcorr import IntegrationDivergedError
         model, channels = single_channel_setup()
-        seg = model.segments[0]
         with pytest.raises(IntegrationDivergedError, match="step 0"):
-            ito_step(np.array([0.5, 0.0, 0.0]), seg.lam, seg.r_st,
+            ito_step(np.array([0.5, 0.0, 0.0]), model.lam, model.r_st,
                      channels, 0.005, [np.nan])
 
 
@@ -276,7 +268,7 @@ class TestSimulateEnsemble:
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_fixed_seed_bits_are_pinned(self, case, workers):
         # sha256 of samples, states and the clip count, recorded with the
-        # (batch, 3) kernel; batch_size 7 cuts the 23 trajectories into
+        # (batch, 3) kernel (rabi_nonunital with the (3, batch) one); batch_size 7 cuts the 23 trajectories into
         # uneven batches and the 101 steps end in a partial block.
         config = golden_config(case)
         records = simulate_range(config, 0, config.n_traj, workers=workers)
@@ -396,25 +388,3 @@ def ReplicaLikeConfig(n_traj=2000):
         t_total=2.0, dt=0.008, n_traj=n_traj, master_seed=99,
         store_states=True,
     )
-
-
-class TestPiecewiseModels:
-    def test_segment_switch_reflected_in_drift(self):
-        # Segment 1 freezes everything; segment 2 rotates about y.
-        seg1 = np.zeros((3, 3))
-        rot = 2.0 * np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        from qcorr import ModelSegment
-        model = EnsembleModel((
-            ModelSegment(0.0, seg1, np.zeros(3)),
-            ModelSegment(0.5, rot, np.zeros(3)),
-        ))
-        ch = MeasurementChannel((0.0, 0.0, 1.0), tau=100.0, eta=1.0)  # weak
-        config = SimConfig(
-            model=model, channels=(ch,), r_init=(0.0, 0.0, 1.0),
-            t_total=1.0, dt=0.01, n_traj=64, master_seed=5, store_states=True,
-        )
-        records = simulate_ensemble(config)
-        mean = records.states.mean(axis=0)
-        # Before the switch the mean barely moves; afterwards it rotates.
-        assert abs(mean[50][0] - 0.0) < 0.05
-        assert mean[100][0] > 0.5
