@@ -18,6 +18,7 @@ from .analytic import (
     mean_signal,
     singular_corrections,
     two_time_correlator,
+    window_mean_state,
 )
 from .bloch import (
     AffinePropagator,
@@ -33,7 +34,6 @@ from .empirical import (
     CorrelatorEstimate,
     Window,
     estimate_correlator,
-    estimate_mean_signal,
     merge_estimates,
     trajectory_window_means,
 )
@@ -64,7 +64,6 @@ from .trajectory import (
     RecordSet,
     SimConfig,
     TimestepWarning,
-    ito_step,
     simulate_ensemble,
     simulate_range,
 )
@@ -102,10 +101,8 @@ __all__ = [
     "build_ensemble_model",
     "chain_correlator",
     "estimate_correlator",
-    "estimate_mean_signal",
     "factorized_correlator",
     "four_time_scan",
-    "ito_step",
     "load_config",
     "mean_signal",
     "measurement_dephasing_generator",
@@ -123,5 +120,6 @@ __all__ = [
     "trajectory_generator",
     "trajectory_window_means",
     "two_time_correlator",
+    "window_mean_state",
     "write_records",
 ]

@@ -27,6 +27,14 @@ mean signal at the first event times the pairs (2, 3), (4, 5), ... The
 evolution inside the unpaired gaps drops out, as does the initial state for
 even N.
 
+Window averages are one evaluation. The event maps act linearly on the
+unnormalised state (Korotkov, PRB 60, 5737 (1999)), so every route (chain,
+factorized, brute force) is affine in the state r(t1) at the earliest event.
+The mean of a route over the placements t1 = i dt of an averaging window is
+therefore the route evaluated once, from window_mean_state: the ensemble
+state averaged over those placements, taken as r_in at t_in = t1 = 0 with
+the later events at their gaps from t1.
+
 Coinciding event times are meaningful only between two events of the same
 channel, where the white output noise contributes a delta-function term
 tau_l * delta(0) (discretized as tau_l / dt) times the correlator with the
@@ -44,6 +52,7 @@ from .bloch import (
     EnsembleModel,
     as_bloch,
     ordered_propagator,
+    propagate_ensemble,
     validate_state,
 )
 from .errors import (
@@ -226,6 +235,17 @@ def two_time_correlator(model: EnsembleModel, channels,
     _require_no_kick_before_last(channels, (channel_i, channel_k))
     prop = ordered_propagator(model, t_i, t_k)
     return float(n_k @ (prop.matrix @ n_i))
+
+
+def window_mean_state(model: EnsembleModel, r_in, window, dt: float) -> np.ndarray:
+    """Ensemble state from r_in at 0, averaged over t1 = i dt for i in window.bins(dt).
+
+    Every route is affine in the state at t1, so its window average is one
+    evaluation from this state (module docstring).
+    """
+    i0, i1 = window.bins(dt)
+    return np.mean([propagate_ensemble(model, r_in, 0.0, i * dt)
+                    for i in range(i0, i1 + 1)], axis=0)
 
 
 def _event_propagators(model: EnsembleModel, spec: CorrelatorSpec):

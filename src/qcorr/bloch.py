@@ -93,7 +93,7 @@ class MeasurementChannel:
         return (1.0 + self.phase_k ** 2) / (2.0 * self.eta * self.tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleModel:
     """Time-homogeneous ensemble-averaged evolution dr/dt = lam (r - r_st)."""
 
@@ -180,7 +180,7 @@ def build_ensemble_model(
     return EnsembleModel(lam, np.linalg.solve(lam, drift))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinePropagator:
     """Affine solution map r(t1) = P r(t0) + q of an ensemble model."""
 

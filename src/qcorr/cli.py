@@ -18,6 +18,7 @@ from .analytic import (
     brute_force_correlator,
     chain_correlator,
     factorized_correlator,
+    window_mean_state,
 )
 from .config import _integer, _number, _require_keys, _vector3, parse_config
 from .empirical import Window, estimate_correlator, resolve_events
@@ -148,29 +149,26 @@ def _do_analytic(args) -> int:
     rows = []
     for entry in _spec_entries(args.spec, r_init):
         if isinstance(entry, CorrelatorSpec):
-            def evaluate(route):
-                return route(model, channels, entry)
+            spec = entry
             key = (_events_key(entry.events), float("nan"), float("nan"))
         else:
+            # Events at their snapped gaps from t1 = 0, started from the state
+            # averaged over the window's placements of t1 (analytic docstring).
             gaps, window = entry
             events = resolve_events(gaps, dt, len(channels))
-
-            def evaluate(route):
-                # Every placement of t1 on the estimator's grid, events at snapped gaps.
-                return window.average(lambda t1: route(model, channels, CorrelatorSpec(
-                    tuple((ch, t1 + g * dt) for ch, g in events), r_init, 0.0)), dt)
+            spec = CorrelatorSpec(tuple((ch, g * dt) for ch, g in events),
+                                  window_mean_state(model, r_init, window, dt), 0.0)
             key = _window_key(events, window.bins(dt), dt)
-        chain = evaluate(chain_correlator)
+        chain = chain_correlator(model, channels, spec)
         try:
-            fact = evaluate(factorized_correlator)
+            fact = factorized_correlator(model, channels, spec)
         except FactorizationInapplicableError:
             fact = float("nan")
-        brute = float("nan")
-        if isinstance(entry, CorrelatorSpec):
-            try:
-                brute = evaluate(brute_force_correlator)
-            except ValidationError:
-                pass  # the chain accepted the spec: brute force refused its size or phase kicks
+        try:
+            brute = brute_force_correlator(model, channels, spec)
+        except ValidationError:
+            # The chain accepted the spec: brute force refused its size or phase kicks.
+            brute = float("nan")
         rows.append((*key, chain, chain, fact, brute))
     header = ["events", "window_start_us", "window_len_us", "value",
               "chain", "factorized", "brute_force"]

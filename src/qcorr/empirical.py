@@ -48,17 +48,13 @@ class Window:
             raise ValidationError(f"window start must be nonnegative, got {self.t_a}")
 
     def bins(self, dt: float) -> tuple:
-        """Inclusive bin range (i0, i1) of t1: both window edges snapped."""
-        return snap(self.t_a, dt), snap(self.t_a + self.length, dt)
+        """Inclusive bin range (i0, i1) of t1: both window edges snapped.
 
-    def average(self, f, dt: float) -> float:
-        """Mean of f(t1) over the snapped placements t1 = i dt of the window.
-
-        This is the grid the estimator averages over, so an exact value
-        averaged here joins the Monte Carlo estimate of the same window.
+        Both sides of a comparison average over this grid:
+        trajectory_window_means for the records and
+        analytic.window_mean_state for the exact routes.
         """
-        i0, i1 = self.bins(dt)
-        return float(np.mean([f(i * dt) for i in range(i0, i1 + 1)]))
+        return snap(self.t_a, dt), snap(self.t_a + self.length, dt)
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,11 @@ def resolve_events(gaps, dt: float, n_channels: int) -> tuple:
     """Validated (channel_index, gap_in_bins) events of a gap list.
 
     gaps is a sequence of (channel_index, gap_us) with nondecreasing gaps and
-    first gap 0; each gap snaps to the nearest bin.
+    first gap 0; each gap snaps to the nearest bin. Events that share a bin
+    must share a channel: there the white noise adds the tau/dt term of the
+    equal-time singularity, while a product of left-point samples of
+    different channels in one bin is a state moment that no exact route
+    evaluates.
     """
     events = []
     previous = None
@@ -109,6 +109,11 @@ def resolve_events(gaps, dt: float, n_channels: int) -> tuple:
             raise ValidationError(f"gaps must be nonnegative, got {gap}")
         if previous is not None and g < previous:
             raise ValidationError("gaps must be nondecreasing")
+        if previous == g and events[-1][0] != ch:
+            raise ValidationError(
+                f"events on channels {events[-1][0]} and {ch} snap to one bin "
+                f"(gap {gap} us at dt {dt}); coinciding events must be on one channel"
+            )
         previous = g
         events.append((ch, g))
     if not events:
@@ -178,11 +183,6 @@ def estimate_correlator(records: RecordSet, gaps, window: Window) -> CorrelatorE
     return estimate_from_means(trajectory_window_means(records, gaps, window), records.dt,
                                window.bins(records.dt),
                                resolve_events(gaps, records.dt, records.n_channels))
-
-
-def estimate_mean_signal(records: RecordSet, channel_index: int, window: Window) -> CorrelatorEstimate:
-    """Window-averaged mean output signal of one channel."""
-    return estimate_correlator(records, [(channel_index, 0.0)], window)
 
 
 def merge_estimates(parts) -> CorrelatorEstimate:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import mean_signal, two_time_correlator
+from .analytic import mean_signal, two_time_correlator, window_mean_state
 from .bloch import MeasurementChannel, build_ensemble_model
 from .empirical import (
     Window,
@@ -180,8 +180,8 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
     gaps21 = sorted({snap(v, dt) * dt for v in dt21_values})
     gaps32 = sorted({snap(v, dt) * dt for v in dt32_values})
 
-    mean_phi = window.average(
-        lambda t1: mean_signal(model, channels, CHANNEL_PHI, t1, config.r_init, 0.0), dt)
+    mean_phi = mean_signal(model, channels, CHANNEL_PHI, 0.0,
+                           window_mean_state(model, config.r_init, window, dt))
     analytic = {
         g32: mean_phi * two_time_correlator(model, channels, CHANNEL_Z, 0.0, CHANNEL_PHI, g32)
         for g32 in gaps32
@@ -207,11 +207,10 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
     return rows
 
 
-def four_time_scan(config: ReplicaConfig, dt32_values=None,
-                   dt21: float | None = None, dt43: float | None = None):
+def four_time_scan(config: ReplicaConfig, dt32_values=None):
     """Tabulate the (z, phi, z, phi) four-time correlator over a dt32 grid.
 
-    dt21 and dt43 default to 0.15/gamma. Returns (rows, summary) where the
+    dt21 and dt43 are both 0.15/gamma. Returns (rows, summary) where the
     summary averages the Monte Carlo values over the dt32 grid, with both the
     spread across grid points and the trajectory-pooled standard error of the
     grid average.
@@ -221,8 +220,7 @@ def four_time_scan(config: ReplicaConfig, dt32_values=None,
     if dt32_values is None:
         dt32_values = default_four_time_grid(config.gamma)
     dt = config.dt
-    g21 = snap(0.15 / config.gamma if dt21 is None else dt21, dt) * dt
-    g43 = snap(0.15 / config.gamma if dt43 is None else dt43, dt) * dt
+    g21 = g43 = snap(0.15 / config.gamma, dt) * dt
     gaps32 = sorted({snap(v, dt) * dt for v in dt32_values})
 
     analytic = (

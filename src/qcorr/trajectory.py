@@ -20,8 +20,11 @@ Euler step inflates |r|^2 by the realized quadratic variation |B|^2 of the
 noise displacement instead of its Ito mean sum_l |b_l|^2 dt, a spurious
 O(sqrt(dt)) random walk of the state norm that a plain clip to the unit ball
 turns into a strong systematic bias of ensemble means. Each step therefore
-rescales the norm to remove (|B|^2 - sum_l |b_l|^2 dt) before clipping;
-clipping then only trims O(dt^1.5) residuals and is counted in run metadata.
+rescales the norm to remove (|B|^2 - sum_l |b_l|^2 dt) before clipping any
+state still outside the unit ball back onto it. Clipping is not rare: on the
+two-detector preset (2000 trajectories) `qcorr simulate` reports a clip
+fraction of 0.32 of all steps at dt = 0.01 us and 0.27 at dt = 0.005 us, so
+it barely falls with dt. The count is kept in run metadata (clipped_steps).
 Tangential dynamics is untouched Euler-Maruyama.
 
 Trajectories are embarrassingly parallel: states and noise streams are owned
@@ -69,7 +72,7 @@ class TimestepWarning(UserWarning):
     """dt is coarse relative to the fastest measurement time."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimConfig:
     """Everything needed to reproduce an ensemble of signal records."""
 
@@ -126,7 +129,7 @@ class SimConfig:
         return len(self.channels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecordSet:
     """Ensemble of signal records, trajectory-major.
 
@@ -232,26 +235,6 @@ def _step_batch(r, lam, r_st, axes, taus, phase_ks, dt, xi, out_samples):
     if n_clipped:
         new_r[:, outside] /= np.sqrt(norm2[outside])
     return new_r, n_clipped
-
-
-def ito_step(r, lam, r_st, channels, dt, noise_draws):
-    """Single Ito step of one state; reference entry point for the kernel.
-
-    noise_draws holds one standard-normal value per channel. Returns
-    (new_state, output_samples, clipped) with output_samples one per channel.
-    """
-    r = np.asarray(r, dtype=float).reshape(3, 1)
-    axes, taus, phase_ks = _channel_arrays(channels)
-    xi = np.asarray(noise_draws, dtype=float).reshape(-1, 1)
-    if xi.shape[0] != len(channels):
-        raise ValidationError("noise_draws must supply one draw per channel")
-    out = np.empty((len(channels), 1))
-    new_r, n_clipped = _step_batch(
-        r, np.asarray(lam, float), np.asarray(r_st, float), axes, taus, phase_ks, dt, xi, out
-    )
-    if not np.all(np.isfinite(new_r)):
-        raise IntegrationDivergedError(step_index=0)
-    return new_r[:, 0], out[:, 0], bool(n_clipped)
 
 
 def _simulate_batch(config: SimConfig, start: int, stop: int, samples, states) -> int:

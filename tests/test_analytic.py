@@ -13,6 +13,7 @@ from qcorr import (
     SingularSpec,
     SpecSizeError,
     ValidationError,
+    Window,
     brute_force_correlator,
     build_ensemble_model,
     chain_correlator,
@@ -20,6 +21,7 @@ from qcorr import (
     mean_signal,
     singular_corrections,
     two_time_correlator,
+    window_mean_state,
 )
 from qcorr.analytic import _factorized_value
 
@@ -320,6 +322,58 @@ class TestFactorizedCorrelator:
         spec = CorrelatorSpec(events, r_in=(0.1, 0.2, 0.3))
         assert factorized_correlator(model, channels, spec) == pytest.approx(
             chain_correlator(model, channels, spec), abs=1e-10)
+
+
+def random_window_system(rng, kind):
+    """Random physical model and channels of one kind: unital, nonunital or phase.
+
+    The non-unital kind adds a Rabi drive and an amplitude-damping
+    environment toward a point of the unit ball, so every state stays
+    physical; the phase kind puts phase backaction on every channel.
+    """
+    _, channels = random_model(rng, unital=True, allow_rabi=False)
+    if kind == "phase":
+        channels = tuple(replace(ch, phase_k=float(rng.uniform(-1.5, 1.5)))
+                         for ch in channels)
+    if kind != "nonunital":
+        return build_ensemble_model(channels, random_unit_vector(rng),
+                                    float(rng.uniform(0.0, 4.0))), channels
+    axis = random_unit_vector(rng)
+    basis = np.linalg.qr(np.column_stack([axis, rng.normal(size=(3, 2))]))[0]
+    env_lambda = -float(rng.uniform(0.1, 1.5)) * basis @ np.diag([1.0, 0.5, 0.5]) @ basis.T
+    return build_ensemble_model(
+        channels, random_unit_vector(rng), float(rng.uniform(0.5, 4.0)),
+        env_lambda, float(rng.uniform(-1.0, 1.0)) * axis), channels
+
+
+class TestWindowMeanState:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6),
+           st.sampled_from(["unital", "nonunital", "phase"]))
+    def test_one_evaluation_equals_mean_over_placements(self, seed, n_events, kind):
+        rng = np.random.default_rng(seed)
+        model, channels = random_window_system(rng, kind)
+        dt = float(rng.uniform(0.005, 0.05))
+        window = Window(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 1.0)) + dt)
+        gaps = np.concatenate([[0], np.cumsum(rng.integers(1, 40, size=n_events - 1))])
+        chans = rng.integers(0, len(channels), size=n_events)
+        r_in = tuple(random_unit_vector(rng) * rng.uniform(0.0, 1.0))
+        routes = [chain_correlator]
+        if kind == "unital":
+            routes.append(factorized_correlator)
+        if kind != "phase":
+            routes.append(brute_force_correlator)
+        r_window = window_mean_state(model, r_in, window, dt)
+        one = CorrelatorSpec(tuple((int(c), g * dt) for c, g in zip(chans, gaps)), r_window)
+        i0, i1 = window.bins(dt)
+        for route in routes:
+            placements = [
+                route(model, channels, CorrelatorSpec(
+                    tuple((int(c), i * dt + g * dt) for c, g in zip(chans, gaps)), r_in))
+                for i in range(i0, i1 + 1)
+            ]
+            assert route(model, channels, one) == pytest.approx(
+                np.mean(placements), abs=1e-14), route.__name__
 
 
 class TestSingularSpec:

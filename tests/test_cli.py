@@ -206,6 +206,27 @@ class TestEstimateAndCompare:
         assert main(["compare", "--analytic", str(ana), "--empirical", str(emp)]) == 1
 
 
+    def test_coinciding_cross_channel_events_refused_by_both_commands(self, workspace, capsys):
+        tmp, config, _ = workspace
+        records = tmp / "records.qcr"
+        assert main(["simulate", "--config", str(config), "--out", str(records),
+                     "--n-traj", "20"]) == 0
+        spec = tmp / "coinciding.json"
+        spec.write_text(json.dumps([{
+            "window": {"t_a_us": 0.5, "T_us": 0.3},
+            "gaps": [{"channel": 0, "dt_us": 0.0}, {"channel": 1, "dt_us": 0.004}],
+        }]))
+        capsys.readouterr()
+        errors = []
+        for argv in (["estimate", "--records", str(records)], ["analytic", "--config", str(config)]):
+            assert main(argv + ["--spec", str(spec), "--out", str(tmp / "out.csv")]) == 1
+            errors.append(capsys.readouterr().err.strip().splitlines())
+        assert errors[0] == errors[1]
+        assert len(errors[0]) == 1 and errors[0][0].startswith("error:")
+        assert "channels 0 and 1 snap to one bin" in errors[0][0]
+        assert not (tmp / "out.csv").exists()
+
+
 class TestReplicaCommands:
     def test_fig1_analytic_only(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"

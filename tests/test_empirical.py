@@ -10,7 +10,6 @@ from qcorr import (
     Window,
     build_ensemble_model,
     estimate_correlator,
-    estimate_mean_signal,
     merge_estimates,
     simulate_ensemble,
     simulate_range,
@@ -63,7 +62,8 @@ class TestEstimateCorrelator:
         config, records = replica_records()
         model = build_ensemble_model(config.channels)
         window = Window(1.0, 0.5)
-        for gap in (0.0, 0.5, 1.0, 2.0):
+        # One bin is the shortest legal gap between different channels.
+        for gap in (DT, 0.5, 1.0, 2.0):
             est = estimate_correlator(records, [(0, 0.0), (1, gap)], window)
             expected = two_time_correlator(model, config.channels, 0, 0.0, 1, gap)
             assert abs(est.value - expected) <= 4.0 * est.std_error, gap
@@ -97,6 +97,13 @@ class TestEstimateCorrelator:
         with pytest.raises(ValidationError):
             estimate_correlator(records, [(0, 0.1), (1, 0.2)], Window(0.0, 0.1))
 
+    def test_coinciding_events_on_different_channels_rejected(self):
+        records = noise_only_records(n_traj=10, n_samples=50)
+        with pytest.raises(ValidationError, match="channels 0 and 1 snap to one bin"):
+            estimate_correlator(records, [(0, 0.0), (1, 0.004)], Window(0.0, 0.1))
+        with pytest.raises(ValidationError, match="channels 0 and 1 snap to one bin"):
+            estimate_correlator(records, [(0, 0.0), (0, 0.0), (1, 0.0)], Window(0.0, 0.1))
+
     def test_single_trajectory_rejected(self):
         records = noise_only_records(n_traj=1, n_samples=50)
         with pytest.raises(ValidationError):
@@ -106,7 +113,7 @@ class TestEstimateCorrelator:
 class TestEstimateMeanSignal:
     def test_noise_only_mean_is_zero(self):
         records = noise_only_records()
-        est = estimate_mean_signal(records, 0, Window(1.0, 0.5))
+        est = estimate_correlator(records, [(0, 0.0)], Window(1.0, 0.5))
         assert abs(est.value) <= 4.0 * est.std_error
 
     def test_deterministic_records_give_exact_window_average(self):
@@ -116,14 +123,14 @@ class TestEstimateMeanSignal:
         ramp = np.linspace(0.0, 1.0, n_samples)
         samples = np.tile(ramp, (n_traj, 2, 1))
         records = RecordSet(samples=samples, dt=DT, channels=channels, master_seed=0)
-        est = estimate_mean_signal(records, 1, Window(0.2, 0.3))
+        est = estimate_correlator(records, [(1, 0.0)], Window(0.2, 0.3))
         i0, i1 = est.window_bins
         assert est.value == pytest.approx(ramp[i0:i1 + 1].mean(), abs=1e-14)
         assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
     def test_initial_projection_recovered(self):
         config, records = replica_records(n_traj=2000, t_total=1.0)
-        est = estimate_mean_signal(records, 1, Window(0.0, 0.05))
+        est = estimate_correlator(records, [(1, 0.0)], Window(0.0, 0.05))
         assert abs(est.value - np.cos(PHI / 2)) <= 4.0 * est.std_error
 
 

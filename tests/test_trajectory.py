@@ -7,18 +7,19 @@ import pytest
 from qcorr import (
     EnsembleModel,
     MeasurementChannel,
+    RecordSet,
     SimConfig,
     TimestepWarning,
     ValidationError,
     build_ensemble_model,
-    ito_step,
     measurement_dephasing_generator,
+    ordered_propagator,
     propagate_ensemble,
     simulate_ensemble,
     simulate_range,
 )
 from qcorr.linalg import cross_matrix
-from qcorr.trajectory import index_ranges
+from qcorr.trajectory import _channel_arrays, _step_batch, index_ranges
 
 Z = MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0)
 X = MeasurementChannel((1.0, 0.0, 0.0), tau=0.65, eta=1.0)
@@ -27,6 +28,15 @@ X = MeasurementChannel((1.0, 0.0, 0.0), tau=0.65, eta=1.0)
 def single_channel_setup(tau=0.65, eta=1.0):
     ch = MeasurementChannel((0.0, 0.0, 1.0), tau=tau, eta=eta)
     return build_ensemble_model([ch]), (ch,)
+
+
+def one_step(r, model, channels, dt, draws):
+    """One kernel step of a single state: (new_state, samples, n_clipped)."""
+    out = np.empty((len(channels), 1))
+    new_r, n_clipped = _step_batch(
+        np.asarray(r, dtype=float).reshape(3, 1), model.lam, model.r_st,
+        *_channel_arrays(channels), dt, np.asarray(draws, dtype=float).reshape(-1, 1), out)
+    return new_r[:, 0], out[:, 0], n_clipped
 
 
 def make_config(model, channels, **kwargs):
@@ -123,13 +133,22 @@ class TestSimConfig:
         assert config.n_samples == 333
 
 
+def test_array_holding_dataclasses_compare_by_identity_and_hash():
+    model, channels = single_channel_setup()
+    for obj in (model, ordered_propagator(model, 0.0, 0.3), make_config(model, channels),
+                RecordSet(np.zeros((2, 1, 3)), 0.01, channels, master_seed=1)):
+        twin = replace(obj)
+        assert obj == obj and obj != twin
+        assert len({obj, twin, obj}) == 2
+
+
 class TestItoStep:
     def test_qnd_fixed_point_is_exact(self):
         # State on the sole measured axis: backaction and drift both vanish.
         model, channels = single_channel_setup(eta=0.7)
         r = np.array([0.0, 0.0, 1.0])
         for draw in (0.0, 1.3, -2.1):
-            new_r, outputs, clipped = ito_step(r, model.lam, model.r_st, channels, 0.005, [draw])
+            new_r, outputs, clipped = one_step(r, model, channels, 0.005, [draw])
             assert np.array_equal(new_r, r)
             assert not clipped
             assert outputs[0] == pytest.approx(1.0 + np.sqrt(0.65 / 0.005) * draw)
@@ -145,14 +164,14 @@ class TestItoStep:
         nr = r[2]
         b = (np.array([0.0, 0.0, 1.0]) - nr * r) / np.sqrt(0.65)
         expected = y * np.sqrt(1.0 + (b @ b) * dt / (y @ y))
-        new_r, outputs, clipped = ito_step(r, model.lam, model.r_st, channels, dt, [0.0])
+        new_r, outputs, clipped = one_step(r, model, channels, dt, [0.0])
         assert np.allclose(new_r, expected, rtol=1e-13, atol=1e-14)
         assert outputs[0] == pytest.approx(nr)
         assert not clipped
 
     def test_zero_state_stays_zero_with_zero_draws(self):
         model, channels = single_channel_setup()
-        new_r, outputs, _ = ito_step(np.zeros(3), model.lam, model.r_st, channels, 0.005, [0.0])
+        new_r, outputs, _ = one_step(np.zeros(3), model, channels, 0.005, [0.0])
         assert np.array_equal(new_r, np.zeros(3))
         assert outputs[0] == 0.0
 
@@ -163,7 +182,6 @@ class TestItoStep:
         n = 1_000_000
         rng = np.random.default_rng(3)
         draws = rng.standard_normal(n)
-        from qcorr.trajectory import _channel_arrays, _step_batch
         axes, taus, phase_ks = _channel_arrays(channels)
         r = np.zeros((3, n))
         out = np.empty((1, n))
@@ -178,24 +196,12 @@ class TestItoStep:
         r = np.array([0.5, 0.0, 0.0])
         draw = 1.7
         dt = 0.004
-        new_r, _, _ = ito_step(r, model.lam, model.r_st, (ch,), dt, [draw])
+        new_r, _, _ = one_step(r, model, (ch,), dt, [draw])
         # The phase term tilts the step out of the xz plane along n x r = y.
         assert new_r[1] != 0.0
-        new_r0, _, _ = ito_step(r, model.lam, model.r_st,
-                                (MeasurementChannel((0, 0, 1), 0.65, 1.0),), dt, [draw])
+        new_r0, _, _ = one_step(r, model, (MeasurementChannel((0, 0, 1), 0.65, 1.0),),
+                                dt, [draw])
         assert new_r0[1] == 0.0
-
-    def test_wrong_draw_count_rejected(self):
-        model, channels = single_channel_setup()
-        with pytest.raises(ValidationError):
-            ito_step(np.zeros(3), model.lam, model.r_st, channels, 0.005, [0.0, 0.0])
-
-    def test_nonfinite_state_raises_diverged(self):
-        from qcorr import IntegrationDivergedError
-        model, channels = single_channel_setup()
-        with pytest.raises(IntegrationDivergedError, match="step 0"):
-            ito_step(np.array([0.5, 0.0, 0.0]), model.lam, model.r_st,
-                     channels, 0.005, [np.nan])
 
 
 class TestSimulateTrajectory:
