@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 
@@ -20,7 +19,15 @@ from .analytic import (
     factorized_correlator,
     window_mean_state,
 )
-from .config import _integer, _number, _require_keys, _vector3, parse_config
+from .config import (
+    _integer,
+    _number,
+    _require_keys,
+    _vector3,
+    parse_config,
+    read_json,
+    setup_from_json,
+)
 from .empirical import Window, estimate_correlator, resolve_events
 from .errors import ConfigError, FactorizationInapplicableError, QcorrError, ValidationError
 from .recordio import read_records, write_records
@@ -71,11 +78,7 @@ def _spec_entries(path, r_init) -> list:
     Explicit event lists are accepted only when r_init, their default initial
     state, is not None; the windowed form needs no state.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    raw = read_json(path)
     entries = []
     for i, entry in enumerate(raw if isinstance(raw, list) else [raw]):
         where = f"spec[{i}]"
@@ -111,18 +114,15 @@ def _parse_float_list(text, option: str) -> list:
 
 
 def _do_simulate(args) -> int:
-    setup = parse_config(args.config)
+    # The options replace the file's values before anything is validated, so
+    # the file's own dt or n_traj is neither warned about nor refused.
+    raw = read_json(args.config)
+    if isinstance(raw, dict) and isinstance(raw.get("sim"), dict):
+        for key, value in (("seed", args.seed), ("n_traj", args.n_traj), ("dt_us", args.dt)):
+            if value is not None:
+                raw["sim"][key] = value
+    setup = setup_from_json(raw)
     sim = setup.sim
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.n_traj is not None:
-        overrides["n_traj"] = args.n_traj
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if overrides:
-        from dataclasses import replace
-        sim = replace(sim, **overrides)
     out = args.out or setup.outputs.get("records")
     if not out:
         raise QcorrError("no output path: pass --out or set outputs.records in the config")

@@ -76,12 +76,22 @@ def _parse_channel(obj, path: str) -> MeasurementChannel:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def load_config(text: str, source: str = "<config>") -> RunSetup:
-    """Parse and validate configuration text; see parse_config for files."""
+def decode_json(text: str, source: str):
+    """Decoded JSON text; a ConfigError names source, line and column if it is not JSON."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def read_json(path):
+    """Decoded JSON of a file; see decode_json."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return decode_json(fh.read(), str(path))
+
+
+def setup_from_json(raw) -> RunSetup:
+    """Validate decoded configuration JSON; see load_config and parse_config."""
     _require_keys(
         raw, "config",
         required=("channels", "sim"),
@@ -164,7 +174,11 @@ def load_config(text: str, source: str = "<config>") -> RunSetup:
     return RunSetup(channels=channels, model=model, sim=sim, outputs=outputs)
 
 
+def load_config(text: str, source: str = "<config>") -> RunSetup:
+    """Parse and validate configuration text; see parse_config for files."""
+    return setup_from_json(decode_json(text, source))
+
+
 def parse_config(path) -> RunSetup:
     """Load and validate a configuration file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_config(fh.read(), source=str(path))
+    return setup_from_json(read_json(path))

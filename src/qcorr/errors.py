@@ -36,6 +36,11 @@ class IntegrationDivergedError(QcorrError):
             where += f", trajectory {trajectory_index}"
         super().__init__(f"integration diverged at {where}")
 
+    def __reduce__(self):
+        # Rebuild from the indices, not from the message in self.args: worker
+        # processes send this error back pickled.
+        return type(self), (self.step_index, self.trajectory_index)
+
 
 class ConfigError(QcorrError, ValueError):
     """Configuration file failed schema validation; message names the field."""

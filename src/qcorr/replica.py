@@ -85,6 +85,8 @@ class ReplicaConfig:
             raise ValidationError(f"eta must be in (0, 1], got {self.eta}")
         if not (0.0 < self.dt < math.inf):
             raise ValidationError(f"dt must be positive and finite, got {self.dt}")
+        if self.workers < 1:
+            raise ValidationError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def r_init(self) -> tuple:

@@ -28,11 +28,14 @@ it barely falls with dt. The count is kept in run metadata (clipped_steps).
 Tangential dynamics is untouched Euler-Maruyama.
 
 Trajectories are embarrassingly parallel: states and noise streams are owned
-by one worker at a time and each batch writes its own rows of the result, so
+by one batch at a time and each batch writes its own rows of the result, so
 output never depends on worker count or scheduling. Batching is by fixed
 batch_size (not by worker count) and the per-step arithmetic is written as
 elementwise operations, making every trajectory's path bit-identical no
-matter how it is batched.
+matter how it is batched. With several workers, simulate_range forks worker
+processes that write their batches' rows in place into anonymous shared
+memory mappings holding the range's samples (and states); only batch bounds
+and per-batch counts cross a pipe.
 
 Layout: a batch keeps its states as one contiguous (3, batch) array, one row
 per Bloch component, so every operation of the kernel runs over contiguous
@@ -46,9 +49,11 @@ into the batch's rows of the range's sample array.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -62,7 +67,7 @@ DEFAULT_BATCH_SIZE = 8192
 # Steps per transposed noise/sample block. A block writes 16 consecutive
 # samples (two 64-byte cache lines) of each record row at a time; 4-step
 # blocks made the 20000 x 400 preset about 10% slower on a 2-vCPU x86 VM.
-# Each worker thread holds two (steps, channels, batch) blocks, 2 MiB each
+# Each batch in flight holds two (steps, channels, batch) blocks, 2 MiB each
 # at batch 8192 and two channels, so much longer blocks show up in peak
 # memory.
 _BLOCK_STEPS = 16
@@ -110,7 +115,7 @@ class SimConfig:
                 f"dt={self.dt} is {ratio:.3f} of the fastest measurement time; "
                 "expect visible discretization error",
                 TimestepWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to whoever built the config
             )
         if self.n_traj < 1:
             raise ValidationError(f"n_traj must be >= 1, got {self.n_traj}")
@@ -291,6 +296,43 @@ def index_ranges(start: int, stop: int, step: int) -> list:
     return ranges
 
 
+def _run_batch(config, start, samples, states, bounds) -> tuple:
+    """Simulate batch bounds = (lo, hi) into its rows; (trajectories, clipped steps)."""
+    lo, hi = bounds
+    rows = slice(lo - start, hi - start)
+    batch_states = None if states is None else states[rows]
+    return hi - lo, _simulate_batch(config, lo, hi, samples[rows], batch_states)
+
+
+_attached = None
+
+
+def _attach(*range_arrays):
+    """Pool initializer: bind the range's config and shared arrays in the worker."""
+    global _attached
+    _attached = partial(_run_batch, *range_arrays)
+
+
+def _run_attached(bounds) -> tuple:
+    return _attached(bounds)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shared_empty(shape) -> np.ndarray:
+    """Uninitialised float64 array on an anonymous shared mapping.
+
+    Forked workers write into the same pages; the array keeps its mapping
+    alive, and the mapping is unmapped once the array is gone.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+
+
 def simulate_range(config: SimConfig, start: int, stop: int,
                    workers: int = 1, progress=None) -> RecordSet:
     """Simulate the trajectory index range [start, stop) of the ensemble.
@@ -298,8 +340,11 @@ def simulate_range(config: SimConfig, start: int, stop: int,
     The range is cut into batches of config.batch_size aligned to multiples
     of batch_size in the global index space (index_ranges); workers only changes
     how batches are scheduled, never what they compute, so the result is
-    bit-identical for any worker count. progress, when given, is called as
-    progress(trajectories_done, range_size) after each finished batch.
+    bit-identical for any worker count. With workers > 1 the batches run in
+    min(workers, available CPUs, batches) forked processes that write into
+    shared memory; otherwise they run one after another in this process.
+    progress, when given, is called as progress(trajectories_done,
+    range_size) after each finished batch.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -308,32 +353,40 @@ def simulate_range(config: SimConfig, start: int, stop: int,
             f"range [{start}, {stop}) invalid for an ensemble of {config.n_traj}"
         )
     total = stop - start
-    samples = np.empty((total, config.n_channels, config.n_samples))
-    states = np.empty((total, config.n_samples + 1, 3)) if config.store_states else None
     bounds = index_ranges(start, stop, config.batch_size)
+    n_procs = min(workers, _available_cpus(), len(bounds))
+    empty = np.empty if n_procs == 1 else _shared_empty
+    samples = empty((total, config.n_channels, config.n_samples))
+    states = empty((total, config.n_samples + 1, 3)) if config.store_states else None
+    range_arrays = (config, start, samples, states)
     clipped = 0
     done = 0
 
-    def run_batch(lo_hi):
-        lo, hi = lo_hi
-        rows = slice(lo - start, hi - start)
-        batch_states = None if states is None else states[rows]
-        return hi - lo, _simulate_batch(config, lo, hi, samples[rows], batch_states)
-
-    def collect(n_done, n_clip):
+    def collect(results):
         nonlocal clipped, done
-        clipped += n_clip
-        done += n_done
-        if progress is not None:
-            progress(done, total)
+        for n_done, n_clip in results:
+            clipped += n_clip
+            done += n_done
+            if progress is not None:
+                progress(done, total)
 
-    if workers == 1 or len(bounds) == 1:
-        for result in map(run_batch, bounds):
-            collect(*result)
+    if n_procs == 1:
+        collect(map(partial(_run_batch, *range_arrays), bounds))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(run_batch, bounds):
-                collect(*result)
+        # Imported here, not at the top: the process pool's imports add about
+        # 15 ms to the start of every run, and runs with one worker never use them.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        # Fork: the workers inherit config and the shared arrays as they are,
+        # so only (lo, hi) bounds and the per-batch counts are pickled.
+        with ProcessPoolExecutor(n_procs, mp_context=get_context("fork"),
+                                 initializer=_attach, initargs=range_arrays) as pool:
+            try:
+                collect(pool.map(_run_attached, bounds))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
 
     return RecordSet(
         samples=samples,

@@ -1,9 +1,13 @@
 import csv
 import json
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 
+import qcorr.config as config_module
+from qcorr import TimestepWarning
 from qcorr.cli import main
 
 CONFIG = {
@@ -60,6 +64,33 @@ class TestSimulate:
         main(["simulate", "--config", str(config), "--out", str(b),
               "--n-traj", "120", "--workers", "8"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_dt_option_replaces_the_file_dt_before_it_is_checked(self, workspace):
+        # The preset's dt = 0.01 sits in the warning band; --dt 0.005 does not.
+        tmp, _, _ = workspace
+        preset = resources.files("qcorr").joinpath("presets/two_detector_sim.json")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(preset), "--out", str(tmp / "fine.qcr"),
+                         "--n-traj", "4", "--dt", "0.005"]) == 0
+            assert not [w for w in seen if issubclass(w.category, TimestepWarning)]
+            assert main(["simulate", "--config", str(preset), "--out", str(tmp / "coarse.qcr"),
+                         "--n-traj", "4"]) == 0
+        warned = [w for w in seen if issubclass(w.category, TimestepWarning)]
+        assert len(warned) == 1 and "dt=0.01 " in str(warned[0].message)
+        assert warned[0].filename == config_module.__file__
+
+    def test_dt_option_makes_a_coarse_file_legal(self, workspace, capsys):
+        # dt = 0.04 us is 0.06 of tau = 0.65 us, above the 0.05 limit.
+        tmp, _, _ = workspace
+        coarse = tmp / "coarse.json"
+        coarse.write_text(json.dumps(dict(CONFIG, sim=dict(CONFIG["sim"], dt_us=0.04))))
+        out = tmp / "records.qcr"
+        assert main(["simulate", "--config", str(coarse), "--out", str(out)]) == 1
+        assert "dt=0.04 exceeds" in capsys.readouterr().err
+        assert main(["simulate", "--config", str(coarse), "--out", str(out),
+                     "--dt", "0.005", "--n-traj", "6"]) == 0
+        assert "6 trajectories x 2 channels x 440 samples" in capsys.readouterr().out
 
     def test_missing_config_fails_cleanly(self, workspace, capsys):
         tmp, _, _ = workspace
@@ -268,8 +299,9 @@ class TestReplicaCommands:
         (["replica-fig1", "--phi", ",", "--no-mc"], "--phi"),
         (["replica-fig1", "--phi", "0.5", "--dt21-grid", ",", "--no-mc"], "--dt21-grid"),
         (["replica-fig1", "--phi", "0.5", "--dt21-grid", "", "--no-mc"], "--dt21-grid"),
+        (["replica-fig2", "--phi", "0.5", "--workers", "0", "--no-mc"], "workers must be >= 1"),
     ], ids=["dt-zero", "dt-negative", "phi-not-a-number", "empty-dt32-grid",
-            "empty-phi", "empty-dt21-grid", "blank-dt21-grid"])
+            "empty-phi", "empty-dt21-grid", "blank-dt21-grid", "zero-workers"])
     def test_malformed_input_exits_with_one_named_error(self, tmp_path, capsys, argv, named):
         out = tmp_path / "scan.csv"
         assert main(argv + ["--out", str(out)]) == 1

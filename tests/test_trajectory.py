@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -112,8 +113,10 @@ class TestSimConfig:
 
     def test_dt_in_warning_band_warns(self):
         model, channels = single_channel_setup(tau=0.65)
-        with pytest.warns(TimestepWarning):
+        with pytest.warns(TimestepWarning) as seen:
             make_config(model, channels, dt=0.01)  # 1.5% of tau
+        # The warning points at the code that built the config.
+        assert [w.filename for w in seen] == [__file__]
 
     def test_fine_dt_is_silent(self):
         model, channels = single_channel_setup(tau=0.65)
@@ -266,9 +269,25 @@ class TestSimulateEnsemble:
         model, channels = single_channel_setup()
         config = make_config(model, channels, n_traj=40, batch_size=8)
         serial = simulate_ensemble(config, workers=1)
-        threaded = simulate_ensemble(config, workers=4)
-        assert np.array_equal(serial.samples, threaded.samples)
-        assert serial.clipped_steps == threaded.clipped_steps
+        pooled = simulate_ensemble(config, workers=4)
+        assert np.array_equal(serial.samples, pooled.samples)
+        assert serial.clipped_steps == pooled.clipped_steps
+        assert multiprocessing.active_children() == []
+
+    def test_one_available_cpu_starts_no_process(self, monkeypatch):
+        import concurrent.futures
+
+        import qcorr.trajectory as trajectory
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(trajectory, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        config = golden_config("unital_preset")
+        records = simulate_range(config, 0, config.n_traj, workers=3)
+        assert sha256(records.samples) == GOLDEN["unital_preset"][0]
+        assert sha256(records.states) == GOLDEN["unital_preset"][1]
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -288,6 +307,8 @@ class TestSimulateEnsemble:
         assert lean.states is None
 
     def test_nonfinite_draw_names_step_and_trajectory(self, monkeypatch):
+        # With 2 workers the poisoned draws reach the forked processes, and
+        # the error they raise comes back pickled.
         import qcorr.trajectory as trajectory
         from qcorr import IntegrationDivergedError
         draws = trajectory.trajectory_draws
@@ -301,9 +322,12 @@ class TestSimulateEnsemble:
         monkeypatch.setattr(trajectory, "trajectory_draws", poisoned)
         model, channels = single_channel_setup()
         config = make_config(model, channels, n_traj=16, batch_size=5)
-        with pytest.raises(IntegrationDivergedError) as info:
-            simulate_ensemble(config)
-        assert (info.value.step_index, info.value.trajectory_index) == (19, 12)
+        for workers in (1, 2):
+            with pytest.raises(IntegrationDivergedError) as info:
+                simulate_ensemble(config, workers=workers)
+            assert (info.value.step_index, info.value.trajectory_index) == (19, 12)
+            assert str(info.value) == "integration diverged at step 19, trajectory 12"
+            assert multiprocessing.active_children() == []
 
     def test_range_matches_full_run(self):
         model, channels = single_channel_setup()
@@ -325,10 +349,13 @@ class TestSimulateEnsemble:
     def test_progress_callback_counts_up(self):
         model, channels = single_channel_setup()
         config = make_config(model, channels, n_traj=10, batch_size=3)
-        seen = []
-        simulate_ensemble(config, progress=lambda done, total: seen.append((done, total)))
-        assert seen[-1] == (10, 10)
-        assert [d for d, _ in seen] == sorted(d for d, _ in seen)
+        for workers in (1, 2):
+            seen = []
+            simulate_ensemble(config, workers=workers,
+                              progress=lambda done, total: seen.append((done, total)))
+            assert len(seen) == 3  # one call per batch
+            assert seen[-1] == (10, 10)
+            assert [d for d, _ in seen] == sorted(d for d, _ in seen)
 
     def test_ensemble_mean_matches_analytic_propagation(self):
         config = ReplicaLikeConfig()
