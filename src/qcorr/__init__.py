@@ -36,6 +36,7 @@ from .empirical import (
     estimate_correlator,
     merge_estimates,
     trajectory_window_means,
+    window_means,
 )
 from .errors import (
     ConfigError,
@@ -51,7 +52,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .noise import trajectory_draws, trajectory_generator
-from .recordio import read_records, write_records
+from .recordio import read_header, read_records, write_records
 from .replica import (
     FourTimeSummary,
     ReplicaConfig,
@@ -110,6 +111,7 @@ __all__ = [
     "ordered_propagator",
     "parse_config",
     "propagate_ensemble",
+    "read_header",
     "read_records",
     "replica_model",
     "simulate_ensemble",
@@ -121,5 +123,6 @@ __all__ = [
     "trajectory_window_means",
     "two_time_correlator",
     "window_mean_state",
+    "window_means",
     "write_records",
 ]

@@ -28,9 +28,20 @@ from .config import (
     read_json,
     setup_from_json,
 )
-from .empirical import Window, estimate_correlator, resolve_events
+# estimate_correlator is unused here but stays importable from this module:
+# perfbench/layers.py traces it under this name.
+from .empirical import (  # noqa: F401
+    Window,
+    block_rows,
+    estimate_correlator,
+    estimate_from_means,
+    require_standard_error,
+    resolve_events,
+    resolve_spec,
+    window_means,
+)
 from .errors import ConfigError, FactorizationInapplicableError, QcorrError, ValidationError
-from .recordio import read_records, write_records
+from .recordio import read_header, read_records, write_records
 from .replica import ReplicaConfig, four_time_scan, three_time_scan
 from .trajectory import simulate_ensemble
 
@@ -182,18 +193,28 @@ def _do_analytic(args) -> int:
 
 def _do_estimate(args) -> int:
     entries = _spec_entries(args.spec, None)
-    records = read_records(args.records)
+    # Every spec and the trajectory count are checked against the header
+    # before any payload is read; the payload then streams through
+    # window_means one block of trajectories at a time.
+    header = read_header(args.records)
+    resolved = [resolve_spec(gaps, window, header.dt, header.n_channels, header.n_samples)
+                for gaps, window in entries]
+    require_standard_error(header.n_traj)
+    rows_per_block = block_rows(header.n_channels, header.n_samples)
+    blocks = (read_records(args.records, lo, min(lo + rows_per_block, header.n_traj))
+              for lo in range(0, header.n_traj, rows_per_block))
+    means = window_means(blocks, entries)
     rows = []
-    for gaps, window in entries:
-        est = estimate_correlator(records, gaps, window)
+    for traj_means, (window_bins, events) in zip(means, resolved):
+        est = estimate_from_means(traj_means, header.dt, window_bins, events)
         key, w0, wlen = _window_key(est.events, est.window_bins, est.dt)
         rows.append((key, w0, wlen, est.value, est.std_error,
                      est.n_traj, est.n_window_samples))
         print(f"{key}: value={_fmt(est.value)} +- {_fmt(est.std_error)}")
-    header = ["events", "window_start_us", "window_len_us", "value",
-              "std_error", "n_traj", "n_window_samples"]
+    columns = ["events", "window_start_us", "window_len_us", "value",
+               "std_error", "n_traj", "n_window_samples"]
     if args.out:
-        _write_csv(args.out, header, rows)
+        _write_csv(args.out, columns, rows)
     return 0
 
 

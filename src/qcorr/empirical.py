@@ -6,7 +6,9 @@ earliest event inside a time window [t_a, t_a + T]; the remaining events sit
 at fixed gaps from t1. Window placements within one trajectory are strongly
 correlated through the shared qubit path, so standard errors are computed by
 first averaging the window products inside each trajectory and then taking
-the spread of those per-trajectory means across the ensemble. Reported
+the spread of those per-trajectory means across the ensemble; window_means
+computes them for many specs in one cache-blocked pass over the
+trajectories, block by block, so a record file can stream through. Reported
 values come from extended-precision accumulation: individual noise factors
 have standard deviation sqrt(tau/dt) per sample, so long sums of their
 products shed float64 digits otherwise.
@@ -27,6 +29,12 @@ import numpy as np
 
 from .errors import EstimateMismatchError, ValidationError
 from .trajectory import RecordSet
+
+# Trajectories per pass of window_means are chosen so that one block holds
+# about this many bytes of samples: small enough that every spec's slices of
+# a block are read while it is still in cache, large enough that the
+# per-block Python work is small next to the arithmetic.
+BLOCK_BYTES = 4 * 2 ** 20
 
 
 def snap(value: float, dt: float) -> int:
@@ -51,7 +59,7 @@ class Window:
         """Inclusive bin range (i0, i1) of t1: both window edges snapped.
 
         Both sides of a comparison average over this grid:
-        trajectory_window_means for the records and
+        window_means for the records and
         analytic.window_mean_state for the exact routes.
         """
         return snap(self.t_a, dt), snap(self.t_a + self.length, dt)
@@ -123,25 +131,104 @@ def resolve_events(gaps, dt: float, n_channels: int) -> tuple:
     return tuple(events)
 
 
-def trajectory_window_means(records: RecordSet, gaps, window: Window) -> np.ndarray:
-    """Per-trajectory window means of the product of samples at gaps from t1.
+def resolve_spec(gaps, window: Window, dt: float, n_channels: int, n_samples: int) -> tuple:
+    """(window_bins, events) of one windowed spec, checked against a record shape.
 
-    Accumulated in extended precision. The ensemble mean of the returned
-    array is the correlator estimate (estimate_from_means); scans use this to
-    pool statistics across grid points trajectory by trajectory.
+    Refuses events that resolve_events refuses and windows whose bins plus
+    the largest gap fall outside the n_samples of a record.
     """
-    events = resolve_events(gaps, records.dt, records.n_channels)
-    i0, i1 = window.bins(records.dt)
-    max_gap = max(g for _, g in events)
-    if i0 < 0 or i1 + max_gap > records.n_samples - 1:
+    events = resolve_events(gaps, dt, n_channels)
+    i0, i1 = window.bins(dt)
+    max_gap = events[-1][1]
+    if i0 < 0 or i1 + max_gap > n_samples - 1:
         raise ValidationError(
             f"window bins [{i0}, {i1}] plus largest gap {max_gap} exceed the "
-            f"record span of {records.n_samples} samples"
+            f"record span of {n_samples} samples"
         )
-    product = np.ones((records.n_traj, i1 - i0 + 1))
-    for ch, g in events:
-        product *= records.samples[:, ch, i0 + g:i1 + g + 1]
-    return product.sum(axis=1, dtype=np.longdouble) / product.shape[1]
+    return (i0, i1), events
+
+
+def block_rows(n_channels: int, n_samples: int) -> int:
+    """Trajectories per block of window_means: about BLOCK_BYTES of samples."""
+    return max(1, BLOCK_BYTES // (8 * n_channels * n_samples))
+
+
+def _block_means(samples: np.ndarray, resolved, order, out: np.ndarray) -> None:
+    """Write spec j's window means over the rows of samples into out[j].
+
+    Specs are visited in sorted (window_bins, events) order, so specs that
+    share window bins and leading events are adjacent: chain holds the
+    products of the last spec's event prefixes, and a prefix product whose
+    key (window bins and events) matches is reused instead of recomputed.
+    Products are formed in event order, as 1 * x1 * x2 * ... would be.
+    """
+    chain = []
+    last_bins, last_events = None, ()
+    for j in order:
+        bins, events = resolved[j]
+        shared = 0
+        if bins == last_bins:
+            while (shared < min(len(chain), len(events))
+                   and last_events[shared] == events[shared]):
+                shared += 1
+        del chain[shared:]
+        i0, i1 = bins
+        for ch, g in events[shared:]:
+            x = samples[:, ch, i0 + g:i1 + g + 1]
+            chain.append(chain[-1] * x if chain else x)
+        out[j] = chain[-1].sum(axis=1, dtype=np.longdouble) / (i1 - i0 + 1)
+        last_bins, last_events = bins, events
+
+
+def window_means(blocks, specs) -> np.ndarray:
+    """Per-trajectory window means of every (gaps, window) spec in one pass.
+
+    blocks is an iterable of RecordSets holding consecutive trajectories of
+    one ensemble (a single RecordSet in a list, or the offset reads of a
+    record file). Every spec is checked against the first block's shape
+    once; the trajectories are then walked in blocks of about BLOCK_BYTES of
+    samples, and every spec's products are formed while a block is in
+    cache. Row j of the returned (len(specs), n_traj) long-double array is
+    spec j's mean over its window of the product of samples at its gaps
+    from t1, summed in extended precision per trajectory; its ensemble mean
+    is the correlator estimate (estimate_from_means).
+    """
+    specs = list(specs)
+    parts = []
+    resolved = order = shape = None
+    next_offset = None
+    for records in blocks:
+        if resolved is None:
+            shape = (records.dt, records.n_channels, records.n_samples)
+            resolved = [resolve_spec(gaps, window, *shape) for gaps, window in specs]
+            order = sorted(range(len(specs)), key=resolved.__getitem__)
+            rows = block_rows(records.n_channels, records.n_samples)
+        elif (records.dt, records.n_channels, records.n_samples) != shape:
+            raise ValidationError("record blocks differ in dt, channel count or sample count")
+        elif records.traj_offset != next_offset:
+            raise ValidationError(
+                f"record block starts at trajectory {records.traj_offset}, "
+                f"expected {next_offset}"
+            )
+        next_offset = records.traj_offset + records.n_traj
+        out = np.empty((len(specs), records.n_traj), dtype=np.longdouble)
+        for lo in range(0, records.n_traj, rows):
+            _block_means(records.samples[lo:lo + rows], resolved, order, out[:, lo:lo + rows])
+        parts.append(out)
+        del records  # let the next block be read into the memory of this one
+    if not parts:
+        raise ValidationError("window_means needs at least one block of records")
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def trajectory_window_means(records: RecordSet, gaps, window: Window) -> np.ndarray:
+    """Per-trajectory window means of one spec: window_means of one block.
+
+    The ensemble mean of the returned array is the correlator estimate
+    (estimate_from_means); scans use this to pool statistics across grid
+    points trajectory by trajectory.
+    """
+    return window_means([records], [(gaps, window)])[0]
 
 
 def _pooled(m: int, total, total_sq, dt: float, window_bins: tuple, events: tuple):
@@ -160,15 +247,20 @@ def _pooled(m: int, total, total_sq, dt: float, window_bins: tuple, events: tupl
     )
 
 
+def require_standard_error(n_traj: int) -> None:
+    """Refuse an estimate over fewer than 2 trajectories: it has no spread."""
+    if n_traj < 2:
+        raise ValidationError("estimation needs at least 2 trajectories for a standard error")
+
+
 def estimate_from_means(traj_means: np.ndarray, dt: float, window_bins: tuple,
                         events: tuple) -> CorrelatorEstimate:
-    """Estimate from per-trajectory window means (trajectory_window_means).
+    """Estimate from one spec's per-trajectory window means (a row of window_means).
 
     dt, window_bins and events label the estimate for merge_estimates: the
     snapped specification the means were taken over.
     """
-    if len(traj_means) < 2:
-        raise ValidationError("estimation needs at least 2 trajectories for a standard error")
+    require_standard_error(len(traj_means))
     return _pooled(len(traj_means), traj_means.sum(), np.square(traj_means).sum(),
                    dt, window_bins, events)
 
@@ -180,9 +272,10 @@ def estimate_correlator(records: RecordSet, gaps, window: Window) -> CorrelatorE
     first gap 0; equal gaps on the same channel estimate the discretized
     equal-time singular term tau/dt plus the smooth part.
     """
+    window_bins, events = resolve_spec(gaps, window, records.dt, records.n_channels,
+                                       records.n_samples)
     return estimate_from_means(trajectory_window_means(records, gaps, window), records.dt,
-                               window.bins(records.dt),
-                               resolve_events(gaps, records.dt, records.n_channels))
+                               window_bins, events)
 
 
 def merge_estimates(parts) -> CorrelatorEstimate:

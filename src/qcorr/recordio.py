@@ -15,18 +15,26 @@ order with channel-major float64 sample arrays:
 
 Round trips are bit-exact. Both directions move the payload between the
 file and one contiguous array through its buffer, so neither holds a second
-copy of it.
+copy of it. read_records can read any range of trajectory rows, so a
+reader can stream a file through a bounded footprint; read_header checks the
+container without reading the payload.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from collections import namedtuple
 
 import numpy as np
 
 from .bloch import MeasurementChannel
-from .errors import MagicMismatchError, TruncatedRecordError, VersionMismatchError
+from .errors import (
+    MagicMismatchError,
+    TruncatedRecordError,
+    ValidationError,
+    VersionMismatchError,
+)
 from .trajectory import RecordSet
 
 MAGIC = b"QCORR01"
@@ -55,49 +63,93 @@ def write_records(path, records: RecordSet) -> None:
         fh.write(samples.reshape(-1).view(np.uint8))
 
 
-def read_records(path) -> RecordSet:
-    """Read a RecordSet written by write_records; validates the container."""
-    with open(path, "rb") as fh:
-        def take(n: int, what: str) -> bytes:
-            offset = fh.tell()
-            chunk = fh.read(n)
-            if len(chunk) < n:
-                raise TruncatedRecordError(
-                    f"file ends inside {what} (need {n} bytes at offset {offset}, "
-                    f"have {len(chunk)})"
-                )
-            return chunk
+class RecordHeader(namedtuple("RecordHeader", "dt n_samples channels n_traj master_seed")):
+    """What a record file's header says about its payload.
 
-        magic = take(len(MAGIC), "magic")
-        if magic != MAGIC:
-            raise MagicMismatchError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version, dt, n_samples, n_channels, n_traj = _FIXED_HEADER.unpack(
-            take(_FIXED_HEADER.size, "header")
+    A named tuple rather than a dataclass: it is built on every import, and
+    a dataclass costs about ten times as long to build.
+    """
+
+    __slots__ = ()
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.channels)
+
+
+def _read_header(fh) -> RecordHeader:
+    """Parse and check the header at the start of fh, leaving fh at the payload.
+
+    Raises MagicMismatchError, VersionMismatchError or TruncatedRecordError;
+    the file's size must match the payload the header implies.
+    """
+    def take(n: int, what: str) -> bytes:
+        offset = fh.tell()
+        chunk = fh.read(n)
+        if len(chunk) < n:
+            raise TruncatedRecordError(
+                f"file ends inside {what} (need {n} bytes at offset {offset}, "
+                f"have {len(chunk)})"
+            )
+        return chunk
+
+    magic = take(len(MAGIC), "magic")
+    if magic != MAGIC:
+        raise MagicMismatchError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    version, dt, n_samples, n_channels, n_traj = _FIXED_HEADER.unpack(
+        take(_FIXED_HEADER.size, "header")
+    )
+    if version != FORMAT_VERSION:
+        raise VersionMismatchError(f"unsupported format version {version}")
+    channels = []
+    for _ in range(n_channels):
+        ax0, ax1, ax2, tau, eta, phase_k = _CHANNEL.unpack(
+            take(_CHANNEL.size, "channel metadata")
         )
-        if version != FORMAT_VERSION:
-            raise VersionMismatchError(f"unsupported format version {version}")
-        channels = []
-        for _ in range(n_channels):
-            ax0, ax1, ax2, tau, eta, phase_k = _CHANNEL.unpack(
-                take(_CHANNEL.size, "channel metadata")
+        channels.append(MeasurementChannel((ax0, ax1, ax2), tau, eta, phase_k))
+    (master_seed,) = _SEED.unpack(take(_SEED.size, "master seed"))
+    expected = n_traj * n_channels * n_samples * 8
+    payload = os.fstat(fh.fileno()).st_size - fh.tell()
+    if payload != expected:
+        raise TruncatedRecordError(
+            f"payload holds {payload} bytes but the header implies {expected}"
+        )
+    return RecordHeader(dt, n_samples, tuple(channels), n_traj, master_seed)
+
+
+def read_header(path) -> RecordHeader:
+    """The checked header of a record file, without reading its payload."""
+    with open(path, "rb") as fh:
+        return _read_header(fh)
+
+
+def read_records(path, start: int = 0, stop: int | None = None) -> RecordSet:
+    """Read trajectories [start, stop) of a file written by write_records.
+
+    Validates the whole container (header and payload length) and reads only
+    the requested rows, straight into the returned array; its traj_offset is
+    start. stop defaults to the file's trajectory count.
+    """
+    with open(path, "rb") as fh:
+        header = _read_header(fh)
+        if stop is None:
+            stop = header.n_traj
+        if not (0 <= start <= stop <= header.n_traj):
+            raise ValidationError(
+                f"trajectory range [{start}, {stop}) outside the file's "
+                f"[0, {header.n_traj})"
             )
-            channels.append(MeasurementChannel((ax0, ax1, ax2), tau, eta, phase_k))
-        (master_seed,) = _SEED.unpack(take(_SEED.size, "master seed"))
-        expected = n_traj * n_channels * n_samples * 8
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload != expected:
-            raise TruncatedRecordError(
-                f"payload holds {payload} bytes but the header implies {expected}"
-            )
-        samples = np.empty((n_traj, n_channels, n_samples), dtype="<f8")
+        samples = np.empty((stop - start, header.n_channels, header.n_samples), dtype="<f8")
+        fh.seek(start * header.n_channels * header.n_samples * 8, os.SEEK_CUR)
         got = fh.readinto(samples.reshape(-1).view(np.uint8))
-        if got != expected:
+        if got != samples.nbytes:
             raise TruncatedRecordError(
-                f"payload holds {got} bytes but the header implies {expected}"
+                f"payload holds {got} bytes where rows [{start}, {stop}) need {samples.nbytes}"
             )
     return RecordSet(
         samples=samples,
-        dt=dt,
-        channels=tuple(channels),
-        master_seed=master_seed,
+        dt=header.dt,
+        channels=header.channels,
+        master_seed=header.master_seed,
+        traj_offset=start,
     )

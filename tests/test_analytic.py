@@ -19,10 +19,12 @@ from qcorr import (
     chain_correlator,
     factorized_correlator,
     mean_signal,
+    propagate_ensemble,
     singular_corrections,
     two_time_correlator,
     window_mean_state,
 )
+from qcorr import linalg
 from qcorr.analytic import _factorized_value
 
 from conftest import (
@@ -374,6 +376,26 @@ class TestWindowMeanState:
             ]
             assert route(model, channels, one) == pytest.approx(
                 np.mean(placements), abs=1e-14), route.__name__
+
+
+    @pytest.mark.parametrize("n_bins", [1, 2, 250])
+    def test_two_matrix_exponentials_match_the_per_placement_mean(self, monkeypatch, n_bins):
+        rng = np.random.default_rng(97 + n_bins)
+        model, _ = random_window_system(rng, "nonunital")
+        assert not model.unital and np.any(model.lam != model.lam.T)
+        dt = 0.01
+        window = Window(37 * dt, (n_bins - 1 + 0.3) * dt)
+        i0, i1 = window.bins(dt)
+        assert i1 - i0 + 1 == n_bins
+        r_in = (0.3, -0.5, 0.6)
+        per_placement = np.mean([propagate_ensemble(model, r_in, 0.0, i * dt)
+                                 for i in range(i0, i1 + 1)], axis=0)
+        calls = []
+        expm = linalg.expm
+        monkeypatch.setattr(linalg, "expm", lambda a: calls.append(1) or expm(a))
+        r_window = window_mean_state(model, r_in, window, dt)
+        assert len(calls) == 2
+        np.testing.assert_allclose(r_window, per_placement, rtol=0.0, atol=1e-14)
 
 
 class TestSingularSpec:

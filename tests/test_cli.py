@@ -1,14 +1,18 @@
 import csv
+import hashlib
 import json
+import tracemalloc
 import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import qcorr.cli as cli_module
 import qcorr.config as config_module
-from qcorr import TimestepWarning
+from qcorr import MeasurementChannel, RecordSet, TimestepWarning, empirical, write_records
 from qcorr.cli import main
+from qcorr.recordio import FORMAT_VERSION
 
 CONFIG = {
     "channels": [
@@ -31,6 +35,19 @@ SPECS = [
         "gaps": [{"channel": 0, "dt_us": 0.0}, {"channel": 1, "dt_us": 1.0}],
     },
 ]
+
+# (t_a_us, T_us, [(channel, gap_us), ...]) of the estimate byte pin.
+PINNED_SPECS = [
+    (0.2, 0.3, [(0, 0.0), (1, 0.4)]),
+    (0.2, 0.3, [(0, 0.0), (1, 0.4), (0, 1.0)]),
+    (0.2, 0.3, [(0, 0.0), (1, 0.4), (1, 1.3)]),
+    (0.5, 0.4, [(0, 0.0), (1, 0.4), (0, 1.0)]),
+    (0.5, 0.4, [(0, 0.0)]),
+    (0.2, 0.3, [(1, 0.0)]),
+    (0.1, 0.1, [(0, 0.0), (0, 0.0)]),
+    (0.3, 0.5, [(0, 0.0), (1, 0.3), (0, 0.6), (1, 0.9)]),
+]
+PINNED_ESTIMATE_SHA256 = "865a02ea82b42a015916d57dc0e70a5ccbbf772d063692aa09a524fa1c20bce9"
 
 
 @pytest.fixture
@@ -199,6 +216,20 @@ class TestEstimateAndCompare:
         main(["estimate", "--records", str(records), "--spec", str(spec), "--out", str(b_csv)])
         assert a_csv.read_bytes() == b_csv.read_bytes()
 
+    def test_estimate_csv_bytes_pinned(self, workspace):
+        # sha256 of the CSV recorded before estimation was streamed block by
+        # block; the specs share event prefixes under different windows and
+        # include single-event and coinciding same-channel entries.
+        tmp, config, _ = workspace
+        records = tmp / "records.qcr"
+        assert main(["simulate", "--config", str(config), "--out", str(records),
+                     "--n-traj", "300"]) == 0
+        spec = write_specs(tmp / "pinned.json", PINNED_SPECS)
+        out = tmp / "estimates.csv"
+        assert main(["estimate", "--records", str(records), "--spec", str(spec),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_ESTIMATE_SHA256
+
     def test_compare_flags_disagreement(self, workspace, capsys):
         tmp, config, spec = workspace
         records = tmp / "records.qcr"
@@ -256,6 +287,76 @@ class TestEstimateAndCompare:
         assert len(errors[0]) == 1 and errors[0][0].startswith("error:")
         assert "channels 0 and 1 snap to one bin" in errors[0][0]
         assert not (tmp / "out.csv").exists()
+
+
+def synthetic_records(path, n_traj, n_samples=64, seed=0):
+    """Write a two-channel record file of Gaussian samples at dt 0.01."""
+    rng = np.random.default_rng(seed)
+    channels = (MeasurementChannel((0.0, 0.0, 1.0), tau=0.65),
+                MeasurementChannel((1.0, 0.0, 0.0), tau=0.65))
+    write_records(path, RecordSet(samples=8.0 * rng.standard_normal((n_traj, 2, n_samples)),
+                                  dt=0.01, channels=channels, master_seed=seed))
+    return path
+
+
+def write_specs(path, specs):
+    path.write_text(json.dumps([
+        {"window": {"t_a_us": t_a, "T_us": length},
+         "gaps": [{"channel": ch, "dt_us": gap} for ch, gap in gaps]}
+        for t_a, length, gaps in specs
+    ]))
+    return path
+
+
+class TestStreamedEstimate:
+    def test_peak_memory_is_a_fraction_of_the_payload(self, tmp_path, monkeypatch):
+        # About 8 MiB of samples streamed in blocks of 1 MiB: the estimate
+        # holds one block and the per-trajectory means, never the payload.
+        records = synthetic_records(tmp_path / "records.qcr", n_traj=256, n_samples=2048)
+        payload = 256 * 2 * 2048 * 8
+        spec = write_specs(tmp_path / "specs.json", PINNED_SPECS)
+        monkeypatch.setattr(empirical, "BLOCK_BYTES", 2 ** 20)
+        tracemalloc.start()
+        try:
+            assert main(["estimate", "--records", str(records), "--spec", str(spec),
+                         "--out", str(tmp_path / "estimates.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * payload
+
+    @pytest.mark.parametrize("n_traj, specs, named", [
+        (50, [(0.2, 0.3, [(0, 0.0), (1, 0.2)]), (0.3, 0.2, [(0, 0.0), (1, 0.2)])],
+         "exceed the record span of 64 samples"),
+        (1, [(0.1, 0.1, [(0, 0.0)])], "at least 2 trajectories"),
+        (0, [(0.1, 0.1, [(0, 0.0)])], "at least 2 trajectories"),
+    ], ids=["window-past-span", "one-trajectory", "no-trajectory"])
+    def test_refused_from_the_header_before_any_payload_read(self, tmp_path, capsys,
+                                                             monkeypatch, n_traj, specs, named):
+        records = synthetic_records(tmp_path / "records.qcr", n_traj=n_traj)
+        spec = write_specs(tmp_path / "specs.json", specs)
+        reads = []
+        monkeypatch.setattr(cli_module, "read_records", lambda *a: reads.append(a))
+        out = tmp_path / "estimates.csv"
+        assert main(["estimate", "--records", str(records), "--spec", str(spec),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+        assert reads == [] and not out.exists()
+
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda data: b"NOTQCOR" + data[7:], "bad magic"),
+        (lambda data: data[:7] + bytes([FORMAT_VERSION + 1]) + data[8:],
+         "unsupported format version"),
+        (lambda data: data[:-5], "payload holds"),
+    ], ids=["magic", "version", "truncated-payload"])
+    def test_damaged_file_exits_with_its_named_error(self, tmp_path, capsys, corrupt, named):
+        records = synthetic_records(tmp_path / "records.qcr", n_traj=5)
+        records.write_bytes(corrupt(records.read_bytes()))
+        spec = write_specs(tmp_path / "specs.json", [(0.1, 0.1, [(0, 0.0)])])
+        assert main(["estimate", "--records", str(records), "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
 
 
 class TestReplicaCommands:

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcorr import empirical
 from qcorr import (
     EstimateMismatchError,
     MeasurementChannel,
@@ -15,6 +20,7 @@ from qcorr import (
     simulate_range,
     two_time_correlator,
 )
+from qcorr.empirical import resolve_events, window_means
 
 PHI = 3 * np.pi / 10
 TAU = 0.65
@@ -108,6 +114,79 @@ class TestEstimateCorrelator:
         records = noise_only_records(n_traj=1, n_samples=50)
         with pytest.raises(ValidationError):
             estimate_correlator(records, [(0, 0.0)], Window(0.1, 0.1))
+
+
+def full_array_window_means(records, gaps, window):
+    """The per-trajectory window means formed over the whole record at once."""
+    events = resolve_events(gaps, records.dt, records.n_channels)
+    i0, i1 = window.bins(records.dt)
+    product = np.ones((records.n_traj, i1 - i0 + 1))
+    for ch, g in events:
+        product *= records.samples[:, ch, i0 + g:i1 + g + 1]
+    return product.sum(axis=1, dtype=np.longdouble) / product.shape[1]
+
+
+def split_records(records, rows):
+    """Consecutive RecordSets of at most rows trajectories each."""
+    return [RecordSet(samples=records.samples[lo:lo + rows], dt=records.dt,
+                      channels=records.channels, master_seed=records.master_seed,
+                      traj_offset=records.traj_offset + lo)
+            for lo in range(0, records.n_traj, rows)]
+
+
+@st.composite
+def shared_prefix_specs(draw, n_channels, n_samples):
+    """Windowed specs: prefixes of one event path under several windows.
+
+    The first spec is the single first event.
+    """
+    events = [(draw(st.integers(0, n_channels - 1)), 0)]
+    for _ in range(draw(st.integers(0, 4))):
+        step = draw(st.integers(0, 4))
+        ch = events[-1][0] if step == 0 else draw(st.integers(0, n_channels - 1))
+        events.append((ch, events[-1][1] + step))
+    specs = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, len(events))) if specs else 1
+        width = draw(st.integers(1, 6))
+        i0 = draw(st.integers(0, n_samples - width - events[k - 1][1]))
+        specs.append(([(ch, g * DT) for ch, g in events[:k]],
+                      Window(i0 * DT, (width - 1 + 0.25) * DT)))
+    return specs
+
+
+class TestWindowMeans:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(2, 23), st.integers(1, 3), st.integers(20, 40),
+           st.integers(1, 25), st.integers(1, 9))
+    def test_rows_equal_the_full_array_formula(self, data, n_traj, n_channels, n_samples,
+                                               rows, block_traj):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        channels = replica_channels() + (MeasurementChannel((1.0, 0.0, 0.0), tau=TAU),)
+        records = RecordSet(samples=8.0 * rng.standard_normal((n_traj, n_channels, n_samples)),
+                            dt=DT, channels=channels[:n_channels], master_seed=1)
+        specs = (data.draw(shared_prefix_specs(n_channels, n_samples))
+                 + data.draw(shared_prefix_specs(n_channels, n_samples)))
+        # Blocks of rows trajectories, walked by window_means in passes of
+        # block_traj trajectories: neither need divide n_traj.
+        with mock.patch.object(empirical, "BLOCK_BYTES", block_traj * 8 * n_channels * n_samples):
+            means = window_means(split_records(records, rows), specs)
+        assert means.shape == (len(specs), n_traj) and means.dtype == np.longdouble
+        for row, (gaps, window) in zip(means, specs):
+            assert np.array_equal(row, full_array_window_means(records, gaps, window))
+
+    def test_blocks_must_be_consecutive_and_alike(self):
+        records = noise_only_records(n_traj=10, n_samples=50)
+        specs = [([(0, 0.0)], Window(0.1, 0.1))]
+        first, second = split_records(records, 5)
+        with pytest.raises(ValidationError, match="starts at trajectory 0, expected 10"):
+            window_means([second, first], specs)
+        short = RecordSet(samples=second.samples[:, :, :40], dt=DT, channels=second.channels,
+                          master_seed=0, traj_offset=5)
+        with pytest.raises(ValidationError, match="differ"):
+            window_means([first, short], specs)
+        with pytest.raises(ValidationError, match="at least one block"):
+            window_means([], specs)
 
 
 class TestEstimateMeanSignal:

@@ -8,11 +8,12 @@ from qcorr import (
     MeasurementChannel,
     RecordSet,
     TruncatedRecordError,
+    ValidationError,
     VersionMismatchError,
     read_records,
     write_records,
 )
-from qcorr.recordio import FORMAT_VERSION, MAGIC
+from qcorr.recordio import FORMAT_VERSION, MAGIC, read_header
 
 
 def sample_records(n_traj=3, n_channels=2, n_samples=17, seed=0):
@@ -82,6 +83,53 @@ def test_payload_is_copied_at_most_once(tmp_path):
     assert np.array_equal(loaded.samples, records.samples)
     assert write_peak < 0.5 * payload
     assert read_peak < 1.5 * payload
+
+
+class TestOffsetReads:
+    @pytest.mark.parametrize("lo, hi", [(0, 7), (0, 0), (2, 5), (6, 7), (7, 7), (3, 3)])
+    def test_range_equals_the_slice_of_the_full_read(self, tmp_path, lo, hi):
+        path = tmp_path / "records.qcr"
+        write_records(path, sample_records(n_traj=7))
+        full = read_records(path)
+        part = read_records(path, lo, hi)
+        assert part.samples.shape == (hi - lo, 2, 17)
+        assert part.samples.tobytes() == full.samples[lo:hi].tobytes()
+        assert part.traj_offset == lo
+        assert (part.dt, part.channels, part.master_seed) == \
+            (full.dt, full.channels, full.master_seed)
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 3), (0, 8), (8, 8), (5, 4), (-2, -1)])
+    def test_range_outside_the_file_refused(self, tmp_path, lo, hi):
+        path = tmp_path / "records.qcr"
+        write_records(path, sample_records(n_traj=7))
+        with pytest.raises(ValidationError, match=r"outside the file's \[0, 7\)"):
+            read_records(path, lo, hi)
+
+    def test_header_alone(self, tmp_path):
+        path = tmp_path / "records.qcr"
+        records = sample_records(n_traj=7)
+        write_records(path, records)
+        header = read_header(path)
+        assert (header.dt, header.n_samples, header.n_channels, header.n_traj) == \
+            (records.dt, records.n_samples, records.n_channels, records.n_traj)
+        assert (header.channels, header.master_seed) == (records.channels, records.master_seed)
+
+
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda data: b"NOTQCOR" + data[7:], MagicMismatchError),
+        (lambda data: data[:7] + bytes([FORMAT_VERSION + 1]) + data[8:], VersionMismatchError),
+        (lambda data: data[:-5], TruncatedRecordError),
+        (lambda data: data[:10], TruncatedRecordError),
+        (lambda data: data + bytes(16), TruncatedRecordError),
+    ], ids=["magic", "version", "payload", "header", "trailing"])
+    @pytest.mark.parametrize("read", [lambda path: read_records(path, 1, 2), read_header],
+                             ids=["range", "header"])
+    def test_range_and_header_reads_check_the_container(self, tmp_path, corrupt, error, read):
+        path = tmp_path / "records.qcr"
+        write_records(path, sample_records())
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(error):
+            read(path)
 
 
 class TestCorruption:
