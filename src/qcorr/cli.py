@@ -90,6 +90,8 @@ def _spec_entries(path, r_init) -> list:
     state, is not None; the windowed form needs no state.
     """
     raw = read_json(path)
+    if raw == []:
+        raise ConfigError("spec: expected a non-empty array")
     entries = []
     for i, entry in enumerate(raw if isinstance(raw, list) else [raw]):
         where = f"spec[{i}]"

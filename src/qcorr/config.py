@@ -9,6 +9,7 @@ Unknown keys are rejected with the offending path in the message.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,15 @@ def _require_keys(obj: dict, path: str, required, optional=()):
 def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {obj!r}")
-    return float(obj)
+    # json reads NaN, Infinity and integers beyond float range; no key of a
+    # config or spec means any of them.
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {obj!r}")
+    return value
 
 
 def _integer(obj, path: str) -> int:

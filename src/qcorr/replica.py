@@ -20,11 +20,12 @@ structure of this setup:
   state; its summary compares the Monte Carlo average over the dt32 grid
   against that constant.
 
-Monte Carlo columns stream the ensemble through fixed-size shards, holding
-one shard at a time, so memory stays bounded at any trajectory budget;
-per-point estimates are pooled with exact moment algebra and the summary
-pools grid points trajectory by trajectory, respecting their correlation
-through the shared records.
+Both scans share one Monte Carlo loop. It streams the ensemble through
+fixed-size shards, holding one shard at a time, so memory stays bounded at
+any trajectory budget; each shard's whole grid is estimated in one
+window_means pass. Per-point estimates are pooled with exact moment algebra
+and the summary pools grid points trajectory by trajectory, respecting their
+correlation through the shared records.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ import numpy as np
 
 from .analytic import mean_signal, two_time_correlator, window_mean_state
 from .bloch import MeasurementChannel, build_ensemble_model
-from .empirical import (
+# estimate_correlator and trajectory_window_means are unused here but stay
+# importable from this module: perfbench/layers.py traces them under this name.
+from .empirical import (  # noqa: F401
     Window,
     estimate_correlator,
     estimate_from_means,
@@ -44,6 +47,7 @@ from .empirical import (
     resolve_events,
     snap,
     trajectory_window_means,
+    window_means,
 )
 from .errors import ValidationError
 from .trajectory import SimConfig, index_ranges, simulate_range
@@ -87,6 +91,9 @@ class ReplicaConfig:
             raise ValidationError(f"dt must be positive and finite, got {self.dt}")
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
+        if self.shard_size < 2:
+            # A shard of one trajectory has no standard error.
+            raise ValidationError(f"shard_size must be >= 2, got {self.shard_size}")
 
     @property
     def r_init(self) -> tuple:
@@ -134,28 +141,45 @@ class FourTimeSummary:
     n_traj: int
 
 
-def _simulate_shards(config: ReplicaConfig, model, channels, t_total: float):
-    """The scan's ensemble, one shard_size range of trajectories at a time."""
+def _monte_carlo(config: ReplicaConfig, model, channels, window: Window, points) -> tuple:
+    """(value, std_error) of every point and of their per-trajectory average.
+
+    points are (channel, gap_us) lists from a t1 in window. All are resolved
+    first, also without include_mc (then every pair is NaN), so a bad grid is
+    refused before any shard is simulated. Each shard's points are estimated
+    in one window_means pass and pooled over shards with merge_estimates.
+    """
+    dt = config.dt
+    events = [resolve_events(gaps, dt, len(channels)) for gaps in points]
+    window_bins = window.bins(dt)
+    if not config.include_mc:
+        nan = (float("nan"), float("nan"))
+        return [nan] * len(points), nan
     sim = SimConfig(
         model=model,
         channels=channels,
         r_init=config.r_init,
-        t_total=t_total,
-        dt=config.dt,
+        t_total=window.t_a + window.length + (max(e[-1][1] for e in events) + 2) * dt,
+        dt=dt,
         n_traj=config.n_traj,
         master_seed=config.master_seed,
         store_states=False,
     )
+    specs = [(gaps, window) for gaps in points]
+    per_point = [[] for _ in points]
+    grid = []
     for lo, hi in index_ranges(0, sim.n_traj, config.shard_size):
-        yield simulate_range(sim, lo, hi, workers=config.workers)
-
-
-def _pooled_mc(parts) -> tuple:
-    """(value, std_error) pooled over shard estimates; NaN without any."""
-    if not parts:
-        return float("nan"), float("nan")
-    pooled = merge_estimates(parts)
-    return pooled.value, pooled.std_error
+        # The shard is freed once its means are taken, before the next is simulated.
+        means = window_means([simulate_range(sim, lo, hi, workers=config.workers)], specs)
+        for parts, traj_means, point_events in zip(per_point, means, events):
+            parts.append(estimate_from_means(traj_means, dt, window_bins, point_events))
+        # Grid average per trajectory (respects cross-point correlation),
+        # labelled with every point's events.
+        grid.append(estimate_from_means(np.mean(means, axis=0), dt, window_bins,
+                                        tuple(events)))
+    pooled = [merge_estimates(parts) for parts in (*per_point, grid)]
+    mc = [(p.value, p.std_error) for p in pooled]
+    return mc[:-1], mc[-1]
 
 
 def default_three_time_grid(gamma: float = DEFAULT_GAMMA):
@@ -190,23 +214,15 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
     }
 
     points = [(g21, g32) for g21 in gaps21 for g32 in gaps32]
-    estimates = {point: [] for point in points}
-    if config.include_mc:
-        t_total = window.t_a + window.length + max(gaps21) + max(gaps32) + 2 * dt
-        for shard in _simulate_shards(config, model, channels, t_total):
-            for g21, g32 in points:
-                gaps = [(CHANNEL_PHI, 0.0), (CHANNEL_Z, g21), (CHANNEL_PHI, g21 + g32)]
-                estimates[(g21, g32)].append(estimate_correlator(shard, gaps, window))
-            del shard  # free it before the next shard is simulated
-
-    rows = []
-    for g21, g32 in points:
-        mc_value, mc_se = _pooled_mc(estimates[(g21, g32)])
-        rows.append(ScanRow(
-            phi=config.phi, dt21=g21, dt32=g32, dt43=float("nan"),
-            analytic=analytic[g32], mc_value=mc_value, mc_se=mc_se,
-        ))
-    return rows
+    mc, _ = _monte_carlo(config, model, channels, window, [
+        [(CHANNEL_PHI, 0.0), (CHANNEL_Z, g21), (CHANNEL_PHI, g21 + g32)]
+        for g21, g32 in points
+    ])
+    return [
+        ScanRow(phi=config.phi, dt21=g21, dt32=g32, dt43=float("nan"),
+                analytic=analytic[g32], mc_value=mc_value, mc_se=mc_se)
+        for (g21, g32), (mc_value, mc_se) in zip(points, mc)
+    ]
 
 
 def four_time_scan(config: ReplicaConfig, dt32_values=None):
@@ -230,38 +246,19 @@ def four_time_scan(config: ReplicaConfig, dt32_values=None):
         * two_time_correlator(model, channels, CHANNEL_Z, 0.0, CHANNEL_PHI, g43)
     )
 
-    point_gaps = [
+    mc, (mc_mean, mc_pooled_se) = _monte_carlo(config, model, channels, window, [
         [(CHANNEL_Z, 0.0), (CHANNEL_PHI, g21), (CHANNEL_Z, g21 + g32),
          (CHANNEL_PHI, g21 + g32 + g43)]
         for g32 in gaps32
+    ])
+    rows = [
+        ScanRow(phi=config.phi, dt21=g21, dt32=g32, dt43=g43,
+                analytic=analytic, mc_value=mc_value, mc_se=mc_se)
+        for g32, (mc_value, mc_se) in zip(gaps32, mc)
     ]
-    point_events = [resolve_events(gaps, dt, len(channels)) for gaps in point_gaps]
-    window_bins = window.bins(dt)
-    per_point = [[] for _ in gaps32]
-    grid_parts = []
-    if config.include_mc:
-        t_total = window.t_a + window.length + g21 + max(gaps32) + g43 + 2 * dt
-        for shard in _simulate_shards(config, model, channels, t_total):
-            means = [trajectory_window_means(shard, gaps, window) for gaps in point_gaps]
-            for parts, events, traj_means in zip(per_point, point_events, means):
-                parts.append(estimate_from_means(traj_means, dt, window_bins, events))
-            # Grid average per trajectory (respects cross-point correlation),
-            # labelled with every point's events.
-            grid_parts.append(estimate_from_means(
-                np.mean(means, axis=0), dt, window_bins, tuple(point_events)))
-            del shard  # free it before the next shard is simulated
-
-    rows = []
-    for g32, parts in zip(gaps32, per_point):
-        mc_value, mc_se = _pooled_mc(parts)
-        rows.append(ScanRow(
-            phi=config.phi, dt21=g21, dt32=g32, dt43=g43,
-            analytic=analytic, mc_value=mc_value, mc_se=mc_se,
-        ))
 
     values = [row.mc_value for row in rows]
     mc_std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    mc_mean, mc_pooled_se = _pooled_mc(grid_parts)
     summary = FourTimeSummary(
         phi=config.phi,
         mc_mean=mc_mean,

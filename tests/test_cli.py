@@ -109,6 +109,15 @@ class TestSimulate:
                      "--dt", "0.005", "--n-traj", "6"]) == 0
         assert "6 trajectories x 2 channels x 440 samples" in capsys.readouterr().out
 
+    def test_infinite_duration_refused_by_name(self, workspace, capsys):
+        tmp, config, _ = workspace
+        config.write_text(json.dumps(CONFIG).replace('"t_total_us": 2.2', '"t_total_us": Infinity'))
+        out = tmp / "records.qcr"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: config.sim.t_total_us: expected a finite number, got inf"]
+        assert not out.exists()
+
     def test_missing_config_fails_cleanly(self, workspace, capsys):
         tmp, _, _ = workspace
         rc = main(["simulate", "--config", str(tmp / "nope.json"),
@@ -359,6 +368,42 @@ class TestStreamedEstimate:
         assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
 
 
+class TestSpecFiles:
+    @pytest.mark.parametrize("path, literal", [
+        ("window.T_us", "Infinity"),
+        ("window.t_a_us", "NaN"),
+        ("gaps[1].dt_us", "-Infinity"),
+    ])
+    def test_non_finite_number_refused_by_both_commands(self, workspace, capsys, path, literal):
+        # json reads NaN and Infinity; unchecked, snap fails on them with a traceback.
+        tmp, config, _ = workspace
+        records = synthetic_records(tmp / "records.qcr", n_traj=5)
+        finite = write_specs(tmp / "finite.json", [(0.1, 0.15, [(0, 0.0), (1, 0.2)])])
+        key = path.rsplit(".", 1)[1]
+        value = {"t_a_us": 0.1, "T_us": 0.15, "dt_us": 0.2}[key]
+        spec = tmp / "spec.json"
+        spec.write_text(finite.read_text().replace(f'"{key}": {value}', f'"{key}": {literal}'))
+        for argv in (["estimate", "--records", str(records)], ["analytic", "--config", str(config)]):
+            assert main(argv + ["--spec", str(spec), "--out", str(tmp / "out.csv")]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"error: spec[0].{path}: expected a finite number, got {float(literal)!r}"]
+            assert not (tmp / "out.csv").exists()
+
+    def test_empty_spec_list_refused_before_any_read(self, workspace, capsys, monkeypatch):
+        tmp, config, _ = workspace
+        records = synthetic_records(tmp / "records.qcr", n_traj=5)
+        spec = tmp / "spec.json"
+        spec.write_text("[]")
+        reads = []
+        monkeypatch.setattr(cli_module, "read_header", lambda *a: reads.append(a))
+        monkeypatch.setattr(cli_module, "read_records", lambda *a: reads.append(a))
+        for argv in (["estimate", "--records", str(records)], ["analytic", "--config", str(config)]):
+            assert main(argv + ["--spec", str(spec), "--out", str(tmp / "out.csv")]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == ["error: spec: expected a non-empty array"]
+            assert reads == [] and not (tmp / "out.csv").exists()
+
+
 class TestReplicaCommands:
     def test_fig1_analytic_only(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"
@@ -401,8 +446,10 @@ class TestReplicaCommands:
         (["replica-fig1", "--phi", "0.5", "--dt21-grid", ",", "--no-mc"], "--dt21-grid"),
         (["replica-fig1", "--phi", "0.5", "--dt21-grid", "", "--no-mc"], "--dt21-grid"),
         (["replica-fig2", "--phi", "0.5", "--workers", "0", "--no-mc"], "workers must be >= 1"),
+        (["replica-fig1", "--phi", "0.5", "--dt21-grid", "0", "--no-mc"], "snap to one bin"),
     ], ids=["dt-zero", "dt-negative", "phi-not-a-number", "empty-dt32-grid",
-            "empty-phi", "empty-dt21-grid", "blank-dt21-grid", "zero-workers"])
+            "empty-phi", "empty-dt21-grid", "blank-dt21-grid", "zero-workers",
+            "coinciding-dt21-grid"])
     def test_malformed_input_exits_with_one_named_error(self, tmp_path, capsys, argv, named):
         out = tmp_path / "scan.csv"
         assert main(argv + ["--out", str(out)]) == 1

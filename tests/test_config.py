@@ -122,3 +122,20 @@ def test_preset_config_parses():
     assert len(setup.channels) == 2
     assert setup.model.unital
     assert np.linalg.norm(setup.sim.r_init) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("key, literal", [
+    ("t_total_us", "Infinity"),
+    ("t_total_us", "1e999"),
+    ("t_total_us", "1" + "0" * 400),
+    ("dt_us", "NaN"),
+    ("r_init", "[NaN, 0, 0]"),
+], ids=["infinity", "float-overflow", "integer-overflow", "nan", "nan-in-vector"])
+def test_non_finite_number_rejected_with_path(key, literal):
+    # json reads NaN and Infinity; each must be refused by name, not reach
+    # the integrator (r_init NaN) or the step count (t_total_us Infinity).
+    text = as_text(MINIMAL).replace('"seed": 7', f'"seed": 7, "{key}": {literal}')
+    if key in MINIMAL["sim"]:
+        text = text.replace(f'"{key}": {MINIMAL["sim"][key]}, ', "")
+    with pytest.raises(ConfigError, match=rf"config\.sim\.{key}.*: expected a finite number"):
+        load_config(text)

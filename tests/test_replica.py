@@ -1,8 +1,11 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import qcorr.replica as replica_module
 from qcorr import (
     ReplicaConfig,
     ValidationError,
@@ -41,6 +44,11 @@ class TestReplicaModel:
         config = ReplicaConfig(phi=1.0, include_mc=False)
         assert np.allclose(config.r_init, (math.sin(0.5), 0.0, math.cos(0.5)))
         assert np.linalg.norm(config.r_init) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("shard_size", [0, 1])
+    def test_shard_size_below_two_refused(self, shard_size):
+        with pytest.raises(ValidationError, match="shard_size must be >= 2"):
+            ReplicaConfig(phi=1.0, shard_size=shard_size)
 
     def test_phi_range_validated(self):
         with pytest.raises(ValidationError):
@@ -140,6 +148,17 @@ class TestScansWithMonteCarlo:
         assert summary.mc_pooled_se > 0.0
         assert abs(summary.mc_mean - summary.analytic) <= 4.0 * summary.mc_pooled_se
 
+    @pytest.mark.parametrize("scan, grid", [
+        (three_time_scan, dict(dt21_values=(0.0,), dt32_values=(0.5,))),
+        (four_time_scan, dict(dt32_values=(0.0,))),
+    ])
+    def test_coinciding_grid_point_refused_before_any_shard(self, monkeypatch, scan, grid):
+        shards = []
+        monkeypatch.setattr(replica_module, "simulate_range", lambda *a, **k: shards.append(a))
+        with pytest.raises(ValidationError, match="snap to one bin"):
+            scan(ReplicaConfig(phi=0.9, n_traj=600, include_mc=True), **grid)
+        assert shards == []
+
     def test_scan_deterministic_for_fixed_seed(self):
         config = ReplicaConfig(
             phi=0.9, n_traj=600, master_seed=9, include_mc=True, shard_size=200,
@@ -150,3 +169,27 @@ class TestScansWithMonteCarlo:
             assert row_a.mc_value == row_b.mc_value
             assert row_a.mc_se == row_b.mc_se
             assert row_a.analytic == row_b.analytic
+
+
+def scan_sha256(rows, summary=None) -> str:
+    """sha256 of every field of the rows (and summary) as float64 bytes."""
+    fields = [v for row in rows for v in dataclasses.astuple(row)]
+    if summary is not None:
+        fields += dataclasses.astuple(summary)
+    return hashlib.sha256(np.array(fields, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestScanBitsPinned:
+    # Recorded when each grid point was still estimated in its own pass over
+    # every shard. 601 trajectories in shards of 200 leave a one-trajectory
+    # tail, folded into the last shard (index_ranges).
+    CONFIG = dict(phi=0.9, n_traj=601, master_seed=4711, include_mc=True, shard_size=200)
+    THREE_TIME_SHA256 = "47cef4dab22921237fbc5550d832541f0658eae0b46de9bfddec0668117a1684"
+    FOUR_TIME_SHA256 = "0a9f6803ad14b24f1e0898ab8110d15fc52e23c00996ab246695a5cb3239e920"
+
+    def test_scan_rows_and_summary_pinned(self):
+        config = ReplicaConfig(**self.CONFIG)
+        rows = three_time_scan(config, dt21_values=(0.3, 1.2), dt32_values=(0.5, 0.8))
+        assert scan_sha256(rows) == self.THREE_TIME_SHA256
+        rows, summary = four_time_scan(config, dt32_values=(0.7, 1.0, 1.3))
+        assert scan_sha256(rows, summary) == self.FOUR_TIME_SHA256
