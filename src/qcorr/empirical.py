@@ -17,8 +17,8 @@ Requested times snap to the nearest sample bin (never further than dt/2) and
 the snapped grid is reported back on the estimate. Estimates carry enough of
 the snapped specification to be safely poolable: merge_estimates combines
 estimates of the same specification computed on disjoint trajectory subsets
-using exact pooled-moment algebra, so a sharded estimation equals the
-single-pass result up to floating-point reassociation.
+using exact pooled-moment algebra, so estimates pooled over trajectory
+batches equal the single-pass result up to floating-point reassociation.
 """
 
 from __future__ import annotations

@@ -20,18 +20,20 @@ structure of this setup:
   state; its summary compares the Monte Carlo average over the dt32 grid
   against that constant.
 
-Both scans share one Monte Carlo loop. It streams the ensemble through
-fixed-size shards, holding one shard at a time, so memory stays bounded at
-any trajectory budget; each shard's whole grid is estimated in one
-window_means pass. Per-point estimates are pooled with exact moment algebra
-and the summary pools grid points trajectory by trajectory, respecting their
-correlation through the shared records.
+Both scans share one Monte Carlo loop over simulation batches. The process
+that simulates a batch (a forked worker with several workers) estimates its
+whole grid in one window_means pass and returns only estimates, so memory
+stays bounded by one batch per process at any trajectory budget. Per-point
+estimates are pooled with exact moment algebra and the summary pools grid
+points trajectory by trajectory, respecting their correlation through the
+shared records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .empirical import (  # noqa: F401
     window_means,
 )
 from .errors import ValidationError
-from .trajectory import SimConfig, index_ranges, simulate_range
+from .trajectory import SimConfig, index_ranges, map_batches, simulate_range
 
 DEFAULT_GAMMA = 1.0 / 1.3  # per-channel ensemble dephasing rate, 1/us
 DEFAULT_THREE_TIME_WINDOW = 0.2
@@ -78,7 +80,6 @@ class ReplicaConfig:
     window_len: float | None = None
     include_mc: bool = True
     workers: int = 1
-    shard_size: int = 16384
 
     def __post_init__(self):
         if not (0.0 <= self.phi <= math.pi):
@@ -91,9 +92,10 @@ class ReplicaConfig:
             raise ValidationError(f"dt must be positive and finite, got {self.dt}")
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
-        if self.shard_size < 2:
-            # A shard of one trajectory has no standard error.
-            raise ValidationError(f"shard_size must be >= 2, got {self.shard_size}")
+        if self.include_mc and self.n_traj < 2:
+            raise ValidationError(f"n_traj must be >= 2 for a standard error, got {self.n_traj}")
+        if self.window_len is not None and not (0.0 < self.window_len < math.inf):
+            raise ValidationError(f"window_len must be positive and finite, got {self.window_len}")
 
     @property
     def r_init(self) -> tuple:
@@ -141,13 +143,25 @@ class FourTimeSummary:
     n_traj: int
 
 
+def _batch_estimates(sim: SimConfig, specs, events, window_bins, bounds) -> list:
+    """Estimates of every point, then of their per-trajectory average, over one batch.
+
+    Runs in the process that simulates the batch: no sample leaves it.
+    """
+    means = window_means([simulate_range(sim, *bounds)], specs)
+    # The grid average per trajectory respects the points' correlation
+    # through the shared records; it is labelled with every point's events.
+    labelled = [*zip(means, events), (np.mean(means, axis=0), tuple(events))]
+    return [estimate_from_means(m, sim.dt, window_bins, e) for m, e in labelled]
+
+
 def _monte_carlo(config: ReplicaConfig, model, channels, window: Window, points) -> tuple:
     """(value, std_error) of every point and of their per-trajectory average.
 
     points are (channel, gap_us) lists from a t1 in window. All are resolved
     first, also without include_mc (then every pair is NaN), so a bad grid is
-    refused before any shard is simulated. Each shard's points are estimated
-    in one window_means pass and pooled over shards with merge_estimates.
+    refused before any batch is simulated. Each batch's estimates
+    (_batch_estimates) are pooled in batch order with merge_estimates.
     """
     dt = config.dt
     events = [resolve_events(gaps, dt, len(channels)) for gaps in points]
@@ -155,30 +169,13 @@ def _monte_carlo(config: ReplicaConfig, model, channels, window: Window, points)
     if not config.include_mc:
         nan = (float("nan"), float("nan"))
         return [nan] * len(points), nan
-    sim = SimConfig(
-        model=model,
-        channels=channels,
-        r_init=config.r_init,
-        t_total=window.t_a + window.length + (max(e[-1][1] for e in events) + 2) * dt,
-        dt=dt,
-        n_traj=config.n_traj,
-        master_seed=config.master_seed,
-        store_states=False,
-    )
-    specs = [(gaps, window) for gaps in points]
-    per_point = [[] for _ in points]
-    grid = []
-    for lo, hi in index_ranges(0, sim.n_traj, config.shard_size):
-        # The shard is freed once its means are taken, before the next is simulated.
-        means = window_means([simulate_range(sim, lo, hi, workers=config.workers)], specs)
-        for parts, traj_means, point_events in zip(per_point, means, events):
-            parts.append(estimate_from_means(traj_means, dt, window_bins, point_events))
-        # Grid average per trajectory (respects cross-point correlation),
-        # labelled with every point's events.
-        grid.append(estimate_from_means(np.mean(means, axis=0), dt, window_bins,
-                                        tuple(events)))
-    pooled = [merge_estimates(parts) for parts in (*per_point, grid)]
-    mc = [(p.value, p.std_error) for p in pooled]
+    t_total = window.t_a + window.length + (max(e[-1][1] for e in events) + 2) * dt
+    sim = SimConfig(model=model, channels=channels, r_init=config.r_init, t_total=t_total,
+                    dt=dt, n_traj=config.n_traj, master_seed=config.master_seed)
+    task = partial(_batch_estimates, sim, [(gaps, window) for gaps in points], events,
+                   window_bins)
+    batches = map_batches(task, index_ranges(0, sim.n_traj, sim.batch_size), config.workers)
+    mc = [(p.value, p.std_error) for p in map(merge_estimates, zip(*batches))]
     return mc[:-1], mc[-1]
 
 
@@ -197,7 +194,8 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
     grids. The analytic column varies only with dt32.
     """
     model, channels = replica_model(config)
-    window = Window(config.t_a, config.window_len or DEFAULT_THREE_TIME_WINDOW)
+    window = Window(config.t_a, DEFAULT_THREE_TIME_WINDOW if config.window_len is None
+                    else config.window_len)
     if dt21_values is None:
         dt21_values = default_three_time_grid(config.gamma)
     if dt32_values is None:
@@ -234,7 +232,8 @@ def four_time_scan(config: ReplicaConfig, dt32_values=None):
     grid average.
     """
     model, channels = replica_model(config)
-    window = Window(config.t_a, config.window_len or DEFAULT_FOUR_TIME_WINDOW)
+    window = Window(config.t_a, DEFAULT_FOUR_TIME_WINDOW if config.window_len is None
+                    else config.window_len)
     if dt32_values is None:
         dt32_values = default_four_time_grid(config.gamma)
     dt = config.dt

@@ -32,10 +32,13 @@ by one batch at a time and each batch writes its own rows of the result, so
 output never depends on worker count or scheduling. Batching is by fixed
 batch_size (not by worker count) and the per-step arithmetic is written as
 elementwise operations, making every trajectory's path bit-identical no
-matter how it is batched. With several workers, simulate_range forks worker
-processes that write their batches' rows in place into anonymous shared
-memory mappings holding the range's samples (and states); only batch bounds
-and per-batch counts cross a pipe.
+matter how it is batched. map_batches runs any per-batch function over the
+batches, in this process or in forked worker processes; only batch bounds
+and the function's per-batch results cross a pipe. simulate_range's batches
+write their rows in place into anonymous shared memory mappings holding the
+range's samples (and states) and return per-batch counts; the replica scans
+simulate and estimate each batch in the worker, so their samples never
+leave it.
 
 Layout: a batch keeps its states as one contiguous (3, batch) array, one row
 per Bloch component, so every operation of the kernel runs over contiguous
@@ -307,13 +310,13 @@ def _run_batch(config, start, samples, states, bounds) -> tuple:
 _attached = None
 
 
-def _attach(*range_arrays):
-    """Pool initializer: bind the range's config and shared arrays in the worker."""
+def _attach(fn):
+    """Pool initializer: bind the per-batch function in the worker."""
     global _attached
-    _attached = partial(_run_batch, *range_arrays)
+    _attached = fn
 
 
-def _run_attached(bounds) -> tuple:
+def _run_attached(bounds):
     return _attached(bounds)
 
 
@@ -322,6 +325,39 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _pool_size(workers: int, n_batches: int) -> int:
+    """Processes that map_batches runs n_batches batches in (1: this one)."""
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    return min(workers, _available_cpus(), n_batches)
+
+
+def map_batches(fn, batches, workers: int = 1):
+    """Yield fn(bounds) for every batch bounds = (lo, hi), in batch order.
+
+    With workers > 1 the batches run in min(workers, available CPUs,
+    batches) forked processes, otherwise one after another in this process.
+    Fork hands fn to the workers as it is, so it may hold arrays on shared
+    mappings; only the bounds and fn's results are pickled.
+    """
+    n_procs = _pool_size(workers, len(batches))
+    if n_procs == 1:
+        yield from map(fn, batches)
+        return
+    # Imported here, not at the top: the process pool's imports add about
+    # 15 ms to the start of every run, and runs with one worker never use them.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(n_procs, mp_context=get_context("fork"),
+                             initializer=_attach, initargs=(fn,)) as pool:
+        try:
+            yield from pool.map(_run_attached, batches)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _shared_empty(shape) -> np.ndarray:
@@ -339,54 +375,29 @@ def simulate_range(config: SimConfig, start: int, stop: int,
 
     The range is cut into batches of config.batch_size aligned to multiples
     of batch_size in the global index space (index_ranges); workers only changes
-    how batches are scheduled, never what they compute, so the result is
-    bit-identical for any worker count. With workers > 1 the batches run in
-    min(workers, available CPUs, batches) forked processes that write into
-    shared memory; otherwise they run one after another in this process.
-    progress, when given, is called as progress(trajectories_done,
-    range_size) after each finished batch.
+    how batches are scheduled (map_batches), never what they compute, so the
+    result is bit-identical for any worker count. With several worker
+    processes the batches write their rows into shared memory. progress,
+    when given, is called as progress(trajectories_done, range_size) after
+    each finished batch.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     if not (0 <= start < stop <= config.n_traj):
         raise ValidationError(
             f"range [{start}, {stop}) invalid for an ensemble of {config.n_traj}"
         )
     total = stop - start
     bounds = index_ranges(start, stop, config.batch_size)
-    n_procs = min(workers, _available_cpus(), len(bounds))
-    empty = np.empty if n_procs == 1 else _shared_empty
+    empty = np.empty if _pool_size(workers, len(bounds)) == 1 else _shared_empty
     samples = empty((total, config.n_channels, config.n_samples))
     states = empty((total, config.n_samples + 1, 3)) if config.store_states else None
-    range_arrays = (config, start, samples, states)
     clipped = 0
     done = 0
-
-    def collect(results):
-        nonlocal clipped, done
-        for n_done, n_clip in results:
-            clipped += n_clip
-            done += n_done
-            if progress is not None:
-                progress(done, total)
-
-    if n_procs == 1:
-        collect(map(partial(_run_batch, *range_arrays), bounds))
-    else:
-        # Imported here, not at the top: the process pool's imports add about
-        # 15 ms to the start of every run, and runs with one worker never use them.
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        # Fork: the workers inherit config and the shared arrays as they are,
-        # so only (lo, hi) bounds and the per-batch counts are pickled.
-        with ProcessPoolExecutor(n_procs, mp_context=get_context("fork"),
-                                 initializer=_attach, initargs=range_arrays) as pool:
-            try:
-                collect(pool.map(_run_attached, bounds))
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+    run = partial(_run_batch, config, start, samples, states)
+    for n_done, n_clip in map_batches(run, bounds, workers):
+        clipped += n_clip
+        done += n_done
+        if progress is not None:
+            progress(done, total)
 
     return RecordSet(
         samples=samples,

@@ -204,7 +204,7 @@ def test_a5_three_time_correlator_flat_in_first_gap():
     for phi in phis:
         config = ReplicaConfig(
             phi=phi, n_traj=50_000, dt=0.01, master_seed=5002,
-            include_mc=True, workers=2, shard_size=16384,
+            include_mc=True, workers=2,
         )
         rows = three_time_scan(config, dt21_values=dt21_grid, dt32_values=dt32_grid)
         flat = [r for r in rows if r.dt32 == pytest.approx(fixed_dt32, abs=1e-9)]
@@ -233,7 +233,7 @@ def test_a6_four_time_correlator_flat_in_middle_gap():
     for phi in phis:
         config = ReplicaConfig(
             phi=phi, n_traj=200_000, dt=0.01, master_seed=6003,
-            include_mc=True, workers=2, shard_size=16384,
+            include_mc=True, workers=2,
         )
         rows, summary = four_time_scan(config, dt32_values=dt32_grid)
         slope, slope_se = weighted_slope(

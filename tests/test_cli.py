@@ -447,9 +447,10 @@ class TestReplicaCommands:
         (["replica-fig1", "--phi", "0.5", "--dt21-grid", "", "--no-mc"], "--dt21-grid"),
         (["replica-fig2", "--phi", "0.5", "--workers", "0", "--no-mc"], "workers must be >= 1"),
         (["replica-fig1", "--phi", "0.5", "--dt21-grid", "0", "--no-mc"], "snap to one bin"),
+        (["replica-fig2", "--phi", "0.5", "--n-traj", "1"], "n_traj must be >= 2"),
     ], ids=["dt-zero", "dt-negative", "phi-not-a-number", "empty-dt32-grid",
             "empty-phi", "empty-dt21-grid", "blank-dt21-grid", "zero-workers",
-            "coinciding-dt21-grid"])
+            "coinciding-dt21-grid", "single-trajectory"])
     def test_malformed_input_exits_with_one_named_error(self, tmp_path, capsys, argv, named):
         out = tmp_path / "scan.csv"
         assert main(argv + ["--out", str(out)]) == 1

@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
 import math
+import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qcorr.replica as replica_module
+import qcorr.trajectory as trajectory_module
 from qcorr import (
     ReplicaConfig,
     ValidationError,
@@ -45,10 +48,14 @@ class TestReplicaModel:
         assert np.allclose(config.r_init, (math.sin(0.5), 0.0, math.cos(0.5)))
         assert np.linalg.norm(config.r_init) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("shard_size", [0, 1])
-    def test_shard_size_below_two_refused(self, shard_size):
-        with pytest.raises(ValidationError, match="shard_size must be >= 2"):
-            ReplicaConfig(phi=1.0, shard_size=shard_size)
+    @pytest.mark.parametrize("window_len", [0.0, -0.5, math.nan, math.inf])
+    def test_window_len_not_positive_refused(self, window_len):
+        # 0.0 must not fall back to the scan's default window.
+        with pytest.raises(ValidationError, match="window_len must be positive"):
+            ReplicaConfig(phi=1.0, window_len=window_len, include_mc=False)
+
+    def test_single_trajectory_needs_no_mc(self):
+        assert ReplicaConfig(phi=1.0, n_traj=1, include_mc=False).n_traj == 1
 
     def test_phi_range_validated(self):
         with pytest.raises(ValidationError):
@@ -120,8 +127,7 @@ class TestFourTimeScanAnalytic:
 @pytest.fixture(scope="module")
 def small_scan():
     config = ReplicaConfig(
-        phi=3 * np.pi / 10, n_traj=4000, master_seed=314,
-        include_mc=True, shard_size=1500,
+        phi=3 * np.pi / 10, n_traj=4000, master_seed=314, include_mc=True,
     )
     return three_time_scan(config, dt21_values=(0.3, 1.2), dt32_values=(0.5,))
 
@@ -139,8 +145,7 @@ class TestScansWithMonteCarlo:
 
     def test_four_time_summary_pools_grid(self):
         config = ReplicaConfig(
-            phi=np.pi / 10, n_traj=3000, master_seed=217,
-            include_mc=True, shard_size=1000,
+            phi=np.pi / 10, n_traj=3000, master_seed=217, include_mc=True,
         )
         rows, summary = four_time_scan(config, dt32_values=(0.7, 1.0, 1.3))
         assert summary.mc_mean == pytest.approx(
@@ -159,9 +164,18 @@ class TestScansWithMonteCarlo:
             scan(ReplicaConfig(phi=0.9, n_traj=600, include_mc=True), **grid)
         assert shards == []
 
+    @pytest.mark.parametrize("n_traj", [0, 1])
+    def test_single_trajectory_refused_before_any_batch(self, monkeypatch, n_traj):
+        batches = []
+        monkeypatch.setattr(replica_module, "simulate_range", lambda *a, **k: batches.append(a))
+        with pytest.raises(ValidationError, match="n_traj must be >= 2"):
+            four_time_scan(ReplicaConfig(phi=0.9, n_traj=n_traj, include_mc=True),
+                           dt32_values=(0.7,))
+        assert batches == []
+
     def test_scan_deterministic_for_fixed_seed(self):
         config = ReplicaConfig(
-            phi=0.9, n_traj=600, master_seed=9, include_mc=True, shard_size=200,
+            phi=0.9, n_traj=600, master_seed=9, include_mc=True,
         )
         a = three_time_scan(config, dt21_values=(0.4,), dt32_values=(0.6,))
         b = three_time_scan(config, dt21_values=(0.4,), dt32_values=(0.6,))
@@ -179,17 +193,100 @@ def scan_sha256(rows, summary=None) -> str:
     return hashlib.sha256(np.array(fields, dtype=np.float64).tobytes()).hexdigest()
 
 
+def long_double_sha256(rows) -> str:
+    """sha256 of long-double values as float64 leading parts and remainders."""
+    hi = rows.astype(np.float64)
+    lo = (rows - hi).astype(np.float64)
+    return hashlib.sha256(hi.tobytes() + lo.tobytes()).hexdigest()
+
+
+@pytest.fixture
+def batches_of(monkeypatch):
+    """Make the scans simulate in batches of the given size; return the configs made."""
+    made = []
+
+    def patch(batch_size):
+        def sim_config(**kwargs):
+            made.append(trajectory_module.SimConfig(batch_size=batch_size, **kwargs))
+            return made[-1]
+        monkeypatch.setattr(replica_module, "SimConfig", sim_config)
+        return made
+
+    return patch
+
+
 class TestScanBitsPinned:
-    # Recorded when each grid point was still estimated in its own pass over
-    # every shard. 601 trajectories in shards of 200 leave a one-trajectory
-    # tail, folded into the last shard (index_ranges).
-    CONFIG = dict(phi=0.9, n_traj=601, master_seed=4711, include_mc=True, shard_size=200)
+    # 601 trajectories in batches of 200 leave a one-trajectory tail, folded
+    # into the last batch (index_ranges).
+    CONFIG = dict(phi=0.9, n_traj=601, master_seed=4711, include_mc=True)
+    THREE_TIME_GRID = dict(dt21_values=(0.3, 1.2), dt32_values=(0.5, 0.8))
+    FOUR_TIME_GRID = dict(dt32_values=(0.7, 1.0, 1.3))
     THREE_TIME_SHA256 = "47cef4dab22921237fbc5550d832541f0658eae0b46de9bfddec0668117a1684"
     FOUR_TIME_SHA256 = "0a9f6803ad14b24f1e0898ab8110d15fc52e23c00996ab246695a5cb3239e920"
+    # Recorded when each scan still took its per-trajectory means shard by
+    # shard in the calling process; the rows do not depend on the blocking.
+    THREE_TIME_ROWS_SHA256 = "b4f22862cc118f647b31d838cdcf477b3ad6a6413c268a940558792af520dd49"
+    FOUR_TIME_ROWS_SHA256 = "53a9c2933412d0f7c504f78195ad024eb21ff4149d174bff57aa7be97e377dda"
 
-    def test_scan_rows_and_summary_pinned(self):
+    def test_scan_rows_and_summary_pinned(self, batches_of):
+        batches_of(200)
         config = ReplicaConfig(**self.CONFIG)
-        rows = three_time_scan(config, dt21_values=(0.3, 1.2), dt32_values=(0.5, 0.8))
+        rows = three_time_scan(config, **self.THREE_TIME_GRID)
         assert scan_sha256(rows) == self.THREE_TIME_SHA256
-        rows, summary = four_time_scan(config, dt32_values=(0.7, 1.0, 1.3))
+        rows, summary = four_time_scan(config, **self.FOUR_TIME_GRID)
         assert scan_sha256(rows, summary) == self.FOUR_TIME_SHA256
+
+    def test_per_trajectory_window_means_pinned(self, monkeypatch, batches_of):
+        batches_of(200)
+        config = ReplicaConfig(**self.CONFIG)
+        window_means = replica_module.window_means
+        for scan, grid, expected in (
+                (three_time_scan, self.THREE_TIME_GRID, self.THREE_TIME_ROWS_SHA256),
+                (four_time_scan, self.FOUR_TIME_GRID, self.FOUR_TIME_ROWS_SHA256)):
+            taken = []
+            monkeypatch.setattr(replica_module, "window_means",
+                                lambda *a: taken.append(window_means(*a)) or taken[-1])
+            scan(config, **grid)
+            assert len(taken) == 3  # one call per batch
+            assert long_double_sha256(np.concatenate(taken, axis=1)) == expected
+
+
+class TestScanWorkers:
+    def test_scans_bit_identical_at_one_and_two_workers(self, batches_of):
+        batches_of(200)
+        digests = []
+        for workers in (1, 2):
+            config = ReplicaConfig(phi=0.9, n_traj=601, master_seed=4711, workers=workers)
+            rows = three_time_scan(config, dt21_values=(0.3, 1.2), dt32_values=(0.5,))
+            digests.append((scan_sha256(rows),
+                            scan_sha256(*four_time_scan(config, dt32_values=(0.7, 1.3)))))
+        assert digests[0] == digests[1]
+        assert multiprocessing.active_children() == []
+
+    def _peak_bytes(self, batches_of, n_traj, workers):
+        """(tracemalloc peak of a four-time scan in batches of 256, one batch's sample bytes)."""
+        made = batches_of(256)
+        config = ReplicaConfig(phi=0.9, n_traj=n_traj, master_seed=77, t_a=0.2, window_len=0.1,
+                               workers=workers)
+        tracemalloc.start()
+        try:
+            four_time_scan(config, dt32_values=(0.7,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sim = made[-1]
+        return peak, sim.batch_size * sim.n_channels * sim.n_samples * 8
+
+    def test_memory_bounded_at_any_budget_with_one_worker(self, batches_of):
+        self._peak_bytes(batches_of, 256, 1)  # first-call allocations
+        small, batch_bytes = self._peak_bytes(batches_of, 1024, 1)
+        large, _ = self._peak_bytes(batches_of, 4096, 1)
+        assert small > batch_bytes  # the batch is simulated here
+        assert large == pytest.approx(small, rel=0.1)
+
+    @pytest.mark.skipif(trajectory_module._available_cpus() < 2,
+                        reason="needs two CPUs for two workers")
+    def test_samples_stay_in_the_workers(self, batches_of):
+        self._peak_bytes(batches_of, 512, 2)  # first-call allocations
+        peak, batch_bytes = self._peak_bytes(batches_of, 4096, 2)
+        assert peak < batch_bytes
