@@ -52,7 +52,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .noise import trajectory_draws, trajectory_generator
-from .recordio import read_header, read_records, write_records
+from .recordio import read_header, read_records, simulate_records, write_records
 from .replica import (
     FourTimeSummary,
     ReplicaConfig,
@@ -116,6 +116,7 @@ __all__ = [
     "replica_model",
     "simulate_ensemble",
     "simulate_range",
+    "simulate_records",
     "singular_corrections",
     "three_time_scan",
     "trajectory_draws",

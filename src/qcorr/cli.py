@@ -12,6 +12,8 @@ import csv
 import math
 import sys
 
+import numpy as np
+
 from .analytic import (
     CorrelatorSpec,
     brute_force_correlator,
@@ -41,9 +43,11 @@ from .empirical import (  # noqa: F401
     window_means,
 )
 from .errors import ConfigError, FactorizationInapplicableError, QcorrError, ValidationError
-from .recordio import read_header, read_records, write_records
+# write_records and simulate_ensemble are unused here but stay importable from
+# this module: perfbench/layers.py traces them under this name.
+from .recordio import read_header, read_records, simulate_records, write_records  # noqa: F401
 from .replica import ReplicaConfig, four_time_scan, three_time_scan
-from .trajectory import simulate_ensemble
+from .trajectory import simulate_ensemble  # noqa: F401
 
 FLOAT_FMT = ".17g"
 
@@ -143,14 +147,14 @@ def _do_simulate(args) -> int:
     if args.progress:
         def progress(done, total):
             print(f"\r{done}/{total} trajectories", end="", file=sys.stderr, flush=True)
-    records = simulate_ensemble(sim, workers=args.workers, progress=progress)
+    clipped = simulate_records(out, sim, workers=args.workers, progress=progress)
     if args.progress:
         print(file=sys.stderr)
-    write_records(out, records)
+    clip_fraction = clipped / float(sim.n_traj * sim.n_samples)
     print(
-        f"wrote {records.n_traj} trajectories x {records.n_channels} channels "
-        f"x {records.n_samples} samples to {out} "
-        f"(clip fraction {records.clip_fraction:.3e})"
+        f"wrote {sim.n_traj} trajectories x {sim.n_channels} channels "
+        f"x {sim.n_samples} samples to {out} "
+        f"(clip fraction {clip_fraction:.3e})"
     )
     return 0
 
@@ -205,7 +209,8 @@ def _do_estimate(args) -> int:
     rows_per_block = block_rows(header.n_channels, header.n_samples)
     blocks = (read_records(args.records, lo, min(lo + rows_per_block, header.n_traj))
               for lo in range(0, header.n_traj, rows_per_block))
-    means = window_means(blocks, entries)
+    means = window_means(blocks, entries,
+                         out=np.empty((len(entries), header.n_traj), dtype=np.longdouble))
     rows = []
     for traj_means, (window_bins, events) in zip(means, resolved):
         est = estimate_from_means(traj_means, header.dt, window_bins, events)

@@ -180,7 +180,7 @@ def _block_means(samples: np.ndarray, resolved, order, out: np.ndarray) -> None:
         last_bins, last_events = bins, events
 
 
-def window_means(blocks, specs) -> np.ndarray:
+def window_means(blocks, specs, out=None) -> np.ndarray:
     """Per-trajectory window means of every (gaps, window) spec in one pass.
 
     blocks is an iterable of RecordSets holding consecutive trajectories of
@@ -192,17 +192,29 @@ def window_means(blocks, specs) -> np.ndarray:
     spec j's mean over its window of the product of samples at its gaps
     from t1, summed in extended precision per trajectory; its ensemble mean
     is the correlator estimate (estimate_from_means).
+
+    out, when given, is that long-double array, allocated by a caller that
+    knows n_traj (say from a record header): each block's means are written
+    straight into its columns, so they are held once, and blocks that do
+    not fill out exactly are refused. Without it the per-block means are
+    joined after the last block.
     """
     specs = list(specs)
+    if out is not None and (out.dtype != np.longdouble or out.ndim != 2
+                            or out.shape[0] != len(specs)):
+        raise ValidationError(
+            f"out must be a long-double array of {len(specs)} rows, got {out.dtype} {out.shape}"
+        )
     parts = []
     resolved = order = shape = None
-    next_offset = None
+    first_offset = next_offset = None
     for records in blocks:
         if resolved is None:
             shape = (records.dt, records.n_channels, records.n_samples)
             resolved = [resolve_spec(gaps, window, *shape) for gaps, window in specs]
             order = sorted(range(len(specs)), key=resolved.__getitem__)
             rows = block_rows(records.n_channels, records.n_samples)
+            first_offset = records.traj_offset
         elif (records.dt, records.n_channels, records.n_samples) != shape:
             raise ValidationError("record blocks differ in dt, channel count or sample count")
         elif records.traj_offset != next_offset:
@@ -211,13 +223,27 @@ def window_means(blocks, specs) -> np.ndarray:
                 f"expected {next_offset}"
             )
         next_offset = records.traj_offset + records.n_traj
-        out = np.empty((len(specs), records.n_traj), dtype=np.longdouble)
+        if out is None:
+            means = np.empty((len(specs), records.n_traj), dtype=np.longdouble)
+            parts.append(means)
+        else:
+            means = out[:, records.traj_offset - first_offset:next_offset - first_offset]
+            if means.shape[1] != records.n_traj:
+                raise ValidationError(
+                    f"record blocks hold more than the {out.shape[1]} trajectories of out"
+                )
         for lo in range(0, records.n_traj, rows):
-            _block_means(records.samples[lo:lo + rows], resolved, order, out[:, lo:lo + rows])
-        parts.append(out)
-        del records  # let the next block be read into the memory of this one
-    if not parts:
+            _block_means(records.samples[lo:lo + rows], resolved, order, means[:, lo:lo + rows])
+        del records, means  # let the next block be read into the memory of this one
+    if resolved is None:
         raise ValidationError("window_means needs at least one block of records")
+    if out is not None:
+        if next_offset - first_offset != out.shape[1]:
+            raise ValidationError(
+                f"record blocks hold {next_offset - first_offset} trajectories, "
+                f"out has room for {out.shape[1]}"
+            )
+        return out
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 

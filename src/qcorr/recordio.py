@@ -15,16 +15,24 @@ order with channel-major float64 sample arrays:
 
 Round trips are bit-exact. Both directions move the payload between the
 file and one contiguous array through its buffer, so neither holds a second
-copy of it. read_records can read any range of trajectory rows, so a
-reader can stream a file through a bounded footprint; read_header checks the
-container without reading the payload.
+copy of it. simulate_records never holds the whole payload: after the
+header it writes each simulation batch's rows at their offset, from the
+process that simulated the batch, so a file of any size is written through
+one batch of samples per process. read_records can read any range of
+trajectory rows, so a reader can stream a file through a bounded footprint;
+read_header checks the container without reading the payload.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import struct
+import warnings
 from collections import namedtuple
+from contextlib import closing, suppress
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +43,14 @@ from .errors import (
     ValidationError,
     VersionMismatchError,
 )
-from .trajectory import RecordSet
+from .trajectory import (
+    RecordSet,
+    SimConfig,
+    TimestepWarning,
+    index_ranges,
+    map_batches,
+    simulate_range,
+)
 
 MAGIC = b"QCORR01"
 FORMAT_VERSION = 1
@@ -44,23 +59,80 @@ _CHANNEL = struct.Struct("<dddddd")
 _SEED = struct.Struct("<Q")
 
 
+def _header(dt: float, n_samples: int, channels, n_traj: int, master_seed: int) -> bytes:
+    """The container header that precedes the payload, as written to the file."""
+    parts = [MAGIC, _FIXED_HEADER.pack(FORMAT_VERSION, dt, n_samples, len(channels), n_traj)]
+    for ch in channels:
+        ax = ch.axis_vector
+        parts.append(_CHANNEL.pack(ax[0], ax[1], ax[2], ch.tau, ch.eta, ch.phase_k))
+    parts.append(_SEED.pack(master_seed))
+    return b"".join(parts)
+
+
 def write_records(path, records: RecordSet) -> None:
     """Write a RecordSet to path in the container format above."""
     samples = np.ascontiguousarray(records.samples, dtype="<f8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_FIXED_HEADER.pack(
-            FORMAT_VERSION,
-            records.dt,
-            records.n_samples,
-            records.n_channels,
-            records.n_traj,
-        ))
-        for ch in records.channels:
-            ax = ch.axis_vector
-            fh.write(_CHANNEL.pack(ax[0], ax[1], ax[2], ch.tau, ch.eta, ch.phase_k))
-        fh.write(_SEED.pack(records.master_seed))
+        fh.write(_header(records.dt, records.n_samples, records.channels, records.n_traj,
+                         records.master_seed))
         fh.write(samples.reshape(-1).view(np.uint8))
+
+
+def _pwrite_all(fd: int, data: np.ndarray, offset: int) -> None:
+    """Write the bytes of a contiguous array at offset of fd, looping on short writes."""
+    view = memoryview(np.ascontiguousarray(data, dtype="<f8").reshape(-1).view(np.uint8))
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+
+
+def _write_batch(config: SimConfig, fd: int, payload_offset: int, bounds) -> tuple:
+    """Simulate batch bounds = (lo, hi) and write its rows; (trajectories, clipped steps)."""
+    lo, hi = bounds
+    records = simulate_range(config, lo, hi)
+    _pwrite_all(fd, records.samples, payload_offset + lo * records.samples[0].nbytes)
+    return hi - lo, records.clipped_steps
+
+
+def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -> int:
+    """Simulate config's ensemble straight into a record file; returns the clipped steps.
+
+    The file is byte-identical to write_records(path, simulate_ensemble(config)).
+    The header is written first; then every batch of index_ranges is
+    simulated with one worker, by map_batches, and its rows are written at
+    their offset by the process that simulated them. A process therefore
+    holds one batch of samples at a time, and with several workers the
+    calling process holds none. States are not simulated: the container
+    stores none. path must be seekable. On any error a regular output file
+    is removed before the error propagates, so no partial file is left for
+    read_header to accept. progress is called as in simulate_range.
+    """
+    if config.store_states:
+        with warnings.catch_warnings():
+            # The caller has seen any warning about this config's dt already.
+            warnings.simplefilter("ignore", TimestepWarning)
+            config = replace(config, store_states=False)
+    header = _header(config.dt, config.n_samples, config.channels, config.n_traj,
+                     config.master_seed)
+    clipped = done = 0
+    with open(path, "wb") as fh:
+        try:
+            fh.write(header)
+            fh.flush()
+            task = partial(_write_batch, config, fh.fileno(), len(header))
+            bounds = index_ranges(0, config.n_traj, config.batch_size)
+            with closing(map_batches(task, bounds, workers)) as batches:
+                for n_done, n_clip in batches:
+                    clipped += n_clip
+                    done += n_done
+                    if progress is not None:
+                        progress(done, config.n_traj)
+        except BaseException:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                with suppress(OSError):
+                    os.unlink(path)
+            raise
+    return clipped
 
 
 class RecordHeader(namedtuple("RecordHeader", "dt n_samples channels n_traj master_seed")):

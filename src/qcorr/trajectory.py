@@ -38,15 +38,17 @@ and the function's per-batch results cross a pipe. simulate_range's batches
 write their rows in place into anonymous shared memory mappings holding the
 range's samples (and states) and return per-batch counts; the replica scans
 simulate and estimate each batch in the worker, so their samples never
-leave it.
+leave it, and recordio.simulate_records writes each batch's rows into the
+record file from the process that simulated it.
 
 Layout: a batch keeps its states as one contiguous (3, batch) array, one row
 per Bloch component, so every operation of the kernel runs over contiguous
-memory. The batch's draws are copied once, one whole trajectory per row, into
-a trajectory-major buffer; a few steps at a time they are transposed into a
-small time-major (steps, channels, batch) block that the kernel reads, and
-the samples it writes into a block of the same shape are transposed straight
-into the batch's rows of the range's sample array.
+memory. Each trajectory's draws are copied once, transposed to channel-major,
+into that trajectory's own sample row; a few steps at a time they are
+gathered into a small time-major (steps, channels, batch) block that the
+kernel reads, and the samples it writes into a block of the same shape are
+transposed back over the draws they were made from. A batch therefore holds
+nothing beyond its rows and those two blocks.
 """
 
 from __future__ import annotations
@@ -258,9 +260,11 @@ def _simulate_batch(config: SimConfig, start: int, stop: int, samples, states) -
     axes, taus, phase_ks = _channel_arrays(config.channels)
     lam, r_st = config.model.lam, config.model.r_st
 
-    noise = np.empty((batch, n_steps, n_ch))
+    # Each trajectory's draws wait in its own sample row; a block of steps
+    # reads its draws from the rows before the samples made from them
+    # overwrite them.
     for j in range(batch):
-        noise[j] = trajectory_draws(config.master_seed, start + j, n_steps, n_ch)
+        samples[j] = trajectory_draws(config.master_seed, start + j, n_steps, n_ch).T
 
     r = np.empty((3, batch))
     r[:] = np.asarray(config.r_init, dtype=float)[:, None]
@@ -273,7 +277,7 @@ def _simulate_batch(config: SimConfig, start: int, stop: int, samples, states) -
         steps = range(k0, min(k0 + _BLOCK_STEPS, n_steps))
         xi_block = xi[:len(steps)]
         out_block = out[:len(steps)]
-        xi_block[:] = noise[:, steps.start:steps.stop].transpose(1, 2, 0)
+        xi_block[:] = samples[:, :, steps.start:steps.stop].transpose(2, 1, 0)
         for k, xi_k, out_k in zip(steps, xi_block, out_block):
             r, n_clip = _step_batch(r, lam, r_st, axes, taus, phase_ks, config.dt, xi_k, out_k)
             clipped += n_clip

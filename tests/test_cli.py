@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 import tracemalloc
 import warnings
 from importlib import resources
@@ -10,7 +12,16 @@ import pytest
 
 import qcorr.cli as cli_module
 import qcorr.config as config_module
-from qcorr import MeasurementChannel, RecordSet, TimestepWarning, empirical, write_records
+import qcorr.trajectory as trajectory_module
+from qcorr import (
+    MeasurementChannel,
+    RecordSet,
+    TimestepWarning,
+    empirical,
+    parse_config,
+    simulate_ensemble,
+    write_records,
+)
 from qcorr.cli import main
 from qcorr.recordio import FORMAT_VERSION
 
@@ -62,6 +73,13 @@ def workspace(tmp_path):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def sim_config(tmp, **sim):
+    """CONFIG with the given sim keys replaced, written to tmp/config.json."""
+    path = tmp / "config.json"
+    path.write_text(json.dumps(dict(CONFIG, sim=dict(CONFIG["sim"], **sim))))
+    return path
 
 
 class TestSimulate:
@@ -124,6 +142,102 @@ class TestSimulate:
                    "--out", str(tmp / "x.qcr")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestStreamedSimulate:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_file_equals_write_records_of_the_ensemble(self, tmp_path, capsys, workers):
+        # 17 trajectories in batches of 8: the one-trajectory tail is folded
+        # into the second batch, and no batch divides the count.
+        config = sim_config(tmp_path, batch_size=8, n_traj=17)
+        out, expected = tmp_path / "records.qcr", tmp_path / "expected.qcr"
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        records = simulate_ensemble(parse_config(config).sim)
+        write_records(expected, records)
+        assert out.read_bytes() == expected.read_bytes()
+        assert f"(clip fraction {records.clip_fraction:.3e})" in capsys.readouterr().out
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_run_leaves_no_record_file(self, tmp_path, capsys, monkeypatch, workers):
+        # Trajectory 0 diverges in the first of five batches; with two
+        # workers later batches, the last included, may be written first.
+        draws = trajectory_module.trajectory_draws
+
+        def poisoned(seed, index, n_steps, n_channels):
+            block = draws(seed, index, n_steps, n_channels)
+            if index == 0:
+                block[5, 0] = np.nan
+            return block
+
+        monkeypatch.setattr(trajectory_module, "trajectory_draws", poisoned)
+        config = sim_config(tmp_path, batch_size=8, n_traj=40)
+        out = tmp_path / "records.qcr"
+        out.write_bytes(b"an earlier file")
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     "--workers", str(workers)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: integration diverged at step 5, trajectory 0"]
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_memory_bounded_at_any_budget(self, tmp_path):
+        def peak(n_traj):
+            config = sim_config(tmp_path, batch_size=64, n_traj=n_traj, t_total_us=0.5)
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", str(config),
+                             "--out", str(tmp_path / "records.qcr")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)  # first-call allocations
+        small, large = peak(256), peak(1024)
+        assert small > 64 * 2 * 50 * 8  # one batch of samples is held
+        assert large == pytest.approx(small, rel=0.1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_counts_up_to_the_trajectory_count(self, tmp_path, capsys, workers):
+        config = sim_config(tmp_path, batch_size=8, n_traj=30)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.qcr"),
+                     "--workers", str(workers), "--progress"]) == 0
+        counts = [part.strip() for part in capsys.readouterr().err.split("\r") if part.strip()]
+        assert counts == [f"{n}/30 trajectories" for n in (8, 16, 24, 30)]
+
+    def test_states_are_not_simulated(self, tmp_path, monkeypatch):
+        simulate_batch = trajectory_module._simulate_batch
+        states_seen = []
+
+        def spy(config, start, stop, samples, states):
+            states_seen.append(states)
+            return simulate_batch(config, start, stop, samples, states)
+
+        monkeypatch.setattr(trajectory_module, "_simulate_batch", spy)
+        lean = tmp_path / "lean.qcr"
+        assert main(["simulate", "--config", str(sim_config(tmp_path, batch_size=8, n_traj=20)),
+                     "--out", str(lean)]) == 0
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            config = sim_config(tmp_path, batch_size=8, n_traj=20, store_states=True)
+            out = tmp_path / "records.qcr"
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert states_seen == [None] * 6
+        assert out.read_bytes() == lean.read_bytes()
+        # The config's dt warning is given once, not again for the stateless copy.
+        assert len([w for w in seen if issubclass(w.category, TimestepWarning)]) == 1
+
+    def test_unseekable_output_refused(self, workspace, capsys):
+        tmp, config, _ = workspace
+        read_end, write_end = os.pipe()
+        try:
+            assert main(["simulate", "--config", str(config), "--out", f"/dev/fd/{write_end}",
+                         "--n-traj", "4"]) == 1
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert capsys.readouterr().err.strip().splitlines() == ["error: [Errno 29] Illegal seek"]
 
 
 class TestAnalytic:

@@ -188,6 +188,20 @@ class TestWindowMeans:
         with pytest.raises(ValidationError, match="at least one block"):
             window_means([], specs)
 
+    def test_out_is_filled_in_place_and_exactly(self):
+        records = noise_only_records(n_traj=10, n_samples=50)
+        specs = [([(0, 0.0)], Window(0.1, 0.1)), ([(0, 0.0), (0, 0.05)], Window(0.1, 0.05))]
+        blocks = split_records(records, 4)
+        out = np.empty((2, 10), dtype=np.longdouble)
+        assert window_means(blocks, specs, out=out) is out
+        assert np.array_equal(out, window_means(blocks, specs))
+        with pytest.raises(ValidationError, match="hold 10 trajectories, out has room for 11"):
+            window_means(blocks, specs, out=np.empty((2, 11), dtype=np.longdouble))
+        with pytest.raises(ValidationError, match="more than the 9 trajectories"):
+            window_means(blocks, specs, out=np.empty((2, 9), dtype=np.longdouble))
+        with pytest.raises(ValidationError, match="long-double array of 2 rows"):
+            window_means(blocks, specs, out=np.empty((2, 10)))
+
 
 class TestEstimateMeanSignal:
     def test_noise_only_mean_is_zero(self):
