@@ -244,14 +244,16 @@ def window_mean_state(model: EnsembleModel, r_in, window, dt: float) -> np.ndarr
     evaluation from this state (module docstring). The model is
     time-homogeneous, so the state is propagated to the first placement
     once and then stepped bin by bin with the one-bin map: two matrix
-    exponentials for any window length.
+    exponentials and one running sum of states for any window length.
     """
     i0, i1 = window.bins(dt)
     step = ordered_propagator(model, 0.0, dt)
-    states = [propagate_ensemble(model, r_in, 0.0, i0 * dt)]
+    state = propagate_ensemble(model, r_in, 0.0, i0 * dt)
+    total = state.copy()
     for _ in range(i1 - i0):
-        states.append(step.apply(states[-1]))
-    return np.mean(states, axis=0)
+        state = step.apply(state)
+        total += state
+    return total / (i1 - i0 + 1)
 
 
 def _event_propagators(model: EnsembleModel, spec: CorrelatorSpec):

@@ -200,17 +200,17 @@ def _do_analytic(args) -> int:
 def _do_estimate(args) -> int:
     entries = _spec_entries(args.spec, None)
     # Every spec and the trajectory count are checked against the header
-    # before any payload is read; the payload then streams through
-    # window_means one block of trajectories at a time.
+    # before any payload is read; the payload is then read and estimated one
+    # block of trajectories at a time, straight into the columns of means.
     header = read_header(args.records)
     resolved = [resolve_spec(gaps, window, header.dt, header.n_channels, header.n_samples)
                 for gaps, window in entries]
     require_standard_error(header.n_traj)
-    rows_per_block = block_rows(header.n_channels, header.n_samples)
-    blocks = (read_records(args.records, lo, min(lo + rows_per_block, header.n_traj))
-              for lo in range(0, header.n_traj, rows_per_block))
-    means = window_means(blocks, entries,
-                         out=np.empty((len(entries), header.n_traj), dtype=np.longdouble))
+    means = np.empty((len(resolved), header.n_traj), dtype=np.longdouble)
+    step = block_rows(header.n_channels, header.n_samples)
+    for lo in range(0, header.n_traj, step):
+        hi = min(lo + step, header.n_traj)
+        window_means(read_records(args.records, lo, hi).samples, resolved, means[:, lo:hi])
     rows = []
     for traj_means, (window_bins, events) in zip(means, resolved):
         est = estimate_from_means(traj_means, header.dt, window_bins, events)
@@ -283,13 +283,28 @@ _VALUE_COLUMNS = {"value", "std_error", "chain", "factorized", "brute_force",
 
 
 def _read_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [dict(zip(header, row)) for row in reader]
+    """(header, rows as dicts) of a CSV; a short row's missing fields read None."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            header, rows = reader.fieldnames, list(reader)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise QcorrError(f"{path}: {exc}") from None
+    if not header:
+        raise QcorrError(f"{path} has no header line")
+    return header, rows
+
+
+def _float(row, column: str, path) -> float:
+    try:
+        return float(row[column])
+    except (TypeError, ValueError):
+        raise QcorrError(f"{path}: {column} {row[column]!r} is not a number") from None
 
 
 def _do_compare(args) -> int:
+    if not (0.0 < args.max_sigma < math.inf):
+        raise QcorrError(f"--max-sigma must be positive and finite, got {args.max_sigma}")
     a_header, a_rows = _read_csv(args.analytic)
     e_header, e_rows = _read_csv(args.empirical)
     if "value" not in a_header:
@@ -299,8 +314,9 @@ def _do_compare(args) -> int:
     keys = [c for c in a_header if c in set(e_header) and c not in _VALUE_COLUMNS]
     if not keys:
         raise QcorrError("the two files share no key columns to join on")
-    analytic = {tuple(row[k] for k in keys): float(row["value"]) for row in a_rows}
-    worst = 0.0
+    analytic = {tuple(row[k] for k in keys): _float(row, "value", args.analytic)
+                for row in a_rows}
+    sigmas = []
     matched = set()
     unmatched_empirical = 0
     failures = 0
@@ -310,18 +326,21 @@ def _do_compare(args) -> int:
             unmatched_empirical += 1
             continue
         matched.add(key)
-        delta = float(row["value"]) - analytic[key]
-        se = float(row["std_error"])
+        delta = _float(row, "value", args.empirical) - analytic[key]
+        se = _float(row, "std_error", args.empirical)
         sigma = abs(delta) / se if se > 0 else float("inf") if delta else 0.0
-        worst = max(worst, sigma)
-        if sigma > args.max_sigma:
+        if not math.isfinite(se):
+            sigma = float("nan")  # no error bar to measure delta against
+        sigmas.append(sigma)
+        if not sigma <= args.max_sigma:  # a NaN sigma is a mismatch too
             failures += 1
             print(f"MISMATCH {dict(zip(keys, key))}: |delta|/se = {sigma:.2f}")
     if not matched:
         raise QcorrError("no rows matched between the two files")
     unmatched_analytic = sum(tuple(row[k] for k in keys) not in matched for row in a_rows)
+    # np.max, unlike max, keeps a NaN sigma in the summary.
     print(f"compared {len(e_rows) - unmatched_empirical} rows on {keys}: "
-          f"max |delta|/se = {worst:.3f} (threshold {args.max_sigma}); "
+          f"max |delta|/se = {np.max(sigmas):.3f} (threshold {args.max_sigma}); "
           f"unmatched rows: {unmatched_analytic} analytic, {unmatched_empirical} empirical")
     return 0 if failures == 0 else 1
 

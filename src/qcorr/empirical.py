@@ -6,12 +6,13 @@ earliest event inside a time window [t_a, t_a + T]; the remaining events sit
 at fixed gaps from t1. Window placements within one trajectory are strongly
 correlated through the shared qubit path, so standard errors are computed by
 first averaging the window products inside each trajectory and then taking
-the spread of those per-trajectory means across the ensemble; window_means
-computes them for many specs in one cache-blocked pass over the
-trajectories, block by block, so a record file can stream through. Reported
-values come from extended-precision accumulation: individual noise factors
-have standard deviation sqrt(tau/dt) per sample, so long sums of their
-products shed float64 digits otherwise.
+the spread of those per-trajectory means across the ensemble. window_means
+computes them for many specs, resolved once by the caller (resolve_spec),
+in one cache-blocked pass over one block of trajectories; a caller streams
+a record file through it one block at a time. Reported values come from
+extended-precision accumulation: individual noise factors have standard
+deviation sqrt(tau/dt) per sample, so long sums of their products shed
+float64 digits otherwise.
 
 Requested times snap to the nearest sample bin (never further than dt/2) and
 the snapped grid is reported back on the estimate. Estimates carry enough of
@@ -180,81 +181,51 @@ def _block_means(samples: np.ndarray, resolved, order, out: np.ndarray) -> None:
         last_bins, last_events = bins, events
 
 
-def window_means(blocks, specs, out=None) -> np.ndarray:
-    """Per-trajectory window means of every (gaps, window) spec in one pass.
+def window_means(samples: np.ndarray, resolved, out=None) -> np.ndarray:
+    """Per-trajectory window means of every resolved spec in one pass over samples.
 
-    blocks is an iterable of RecordSets holding consecutive trajectories of
-    one ensemble (a single RecordSet in a list, or the offset reads of a
-    record file). Every spec is checked against the first block's shape
-    once; the trajectories are then walked in blocks of about BLOCK_BYTES of
-    samples, and every spec's products are formed while a block is in
-    cache. Row j of the returned (len(specs), n_traj) long-double array is
-    spec j's mean over its window of the product of samples at its gaps
-    from t1, summed in extended precision per trajectory; its ensemble mean
-    is the correlator estimate (estimate_from_means).
+    samples is one (n_traj, n_channels, n_samples) block of records, the
+    samples of a RecordSet; resolved holds (window_bins, events) pairs as
+    resolve_spec returns them. The trajectories are walked in passes of
+    about BLOCK_BYTES of samples, and every spec's products are formed while
+    a pass is in cache. Row j of the returned (len(resolved), n_traj)
+    long-double array is spec j's mean over its window of the product of
+    samples at its gaps from t1, summed in extended precision per
+    trajectory; its ensemble mean is the correlator estimate
+    (estimate_from_means).
 
-    out, when given, is that long-double array, allocated by a caller that
-    knows n_traj (say from a record header): each block's means are written
-    straight into its columns, so they are held once, and blocks that do
-    not fill out exactly are refused. Without it the per-block means are
-    joined after the last block.
+    out, when given, is that long-double array (say a column slice of means
+    a caller allocated for a whole record file); it is filled and returned.
     """
-    specs = list(specs)
-    if out is not None and (out.dtype != np.longdouble or out.ndim != 2
-                            or out.shape[0] != len(specs)):
+    n_traj, n_channels, n_samples = samples.shape
+    for j, ((i0, i1), events) in enumerate(resolved):
+        if i1 + events[-1][1] >= n_samples:
+            raise ValidationError(
+                f"spec {j}: window bins [{i0}, {i1}] plus largest gap {events[-1][1]} "
+                f"run past the {n_samples} samples of the block"
+            )
+    shape = (len(resolved), n_traj)
+    if out is None:
+        out = np.empty(shape, dtype=np.longdouble)
+    elif out.dtype != np.longdouble or out.shape != shape:
         raise ValidationError(
-            f"out must be a long-double array of {len(specs)} rows, got {out.dtype} {out.shape}"
+            f"out must be a long-double array of shape {shape}, got {out.dtype} {out.shape}"
         )
-    parts = []
-    resolved = order = shape = None
-    first_offset = next_offset = None
-    for records in blocks:
-        if resolved is None:
-            shape = (records.dt, records.n_channels, records.n_samples)
-            resolved = [resolve_spec(gaps, window, *shape) for gaps, window in specs]
-            order = sorted(range(len(specs)), key=resolved.__getitem__)
-            rows = block_rows(records.n_channels, records.n_samples)
-            first_offset = records.traj_offset
-        elif (records.dt, records.n_channels, records.n_samples) != shape:
-            raise ValidationError("record blocks differ in dt, channel count or sample count")
-        elif records.traj_offset != next_offset:
-            raise ValidationError(
-                f"record block starts at trajectory {records.traj_offset}, "
-                f"expected {next_offset}"
-            )
-        next_offset = records.traj_offset + records.n_traj
-        if out is None:
-            means = np.empty((len(specs), records.n_traj), dtype=np.longdouble)
-            parts.append(means)
-        else:
-            means = out[:, records.traj_offset - first_offset:next_offset - first_offset]
-            if means.shape[1] != records.n_traj:
-                raise ValidationError(
-                    f"record blocks hold more than the {out.shape[1]} trajectories of out"
-                )
-        for lo in range(0, records.n_traj, rows):
-            _block_means(records.samples[lo:lo + rows], resolved, order, means[:, lo:lo + rows])
-        del records, means  # let the next block be read into the memory of this one
-    if resolved is None:
-        raise ValidationError("window_means needs at least one block of records")
-    if out is not None:
-        if next_offset - first_offset != out.shape[1]:
-            raise ValidationError(
-                f"record blocks hold {next_offset - first_offset} trajectories, "
-                f"out has room for {out.shape[1]}"
-            )
-        return out
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    order = sorted(range(len(resolved)), key=resolved.__getitem__)
+    rows = block_rows(n_channels, n_samples)
+    for lo in range(0, n_traj, rows):
+        _block_means(samples[lo:lo + rows], resolved, order, out[:, lo:lo + rows])
+    return out
 
 
 def trajectory_window_means(records: RecordSet, gaps, window: Window) -> np.ndarray:
-    """Per-trajectory window means of one spec: window_means of one block.
+    """Per-trajectory window means of one spec: one row of window_means.
 
     The ensemble mean of the returned array is the correlator estimate
-    (estimate_from_means); scans use this to pool statistics across grid
-    points trajectory by trajectory.
+    (estimate_from_means).
     """
-    return window_means([records], [(gaps, window)])[0]
+    spec = resolve_spec(gaps, window, records.dt, records.n_channels, records.n_samples)
+    return window_means(records.samples, [spec])[0]
 
 
 def _pooled(m: int, total, total_sq, dt: float, window_bins: tuple, events: tuple):
@@ -298,10 +269,8 @@ def estimate_correlator(records: RecordSet, gaps, window: Window) -> CorrelatorE
     first gap 0; equal gaps on the same channel estimate the discretized
     equal-time singular term tau/dt plus the smooth part.
     """
-    window_bins, events = resolve_spec(gaps, window, records.dt, records.n_channels,
-                                       records.n_samples)
-    return estimate_from_means(trajectory_window_means(records, gaps, window), records.dt,
-                               window_bins, events)
+    spec = resolve_spec(gaps, window, records.dt, records.n_channels, records.n_samples)
+    return estimate_from_means(window_means(records.samples, [spec])[0], records.dt, *spec)
 
 
 def merge_estimates(parts) -> CorrelatorEstimate:

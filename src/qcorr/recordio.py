@@ -25,6 +25,7 @@ read_header checks the container without reading the payload.
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 import struct
@@ -39,6 +40,7 @@ import numpy as np
 from .bloch import MeasurementChannel
 from .errors import (
     MagicMismatchError,
+    RecordFormatError,
     TruncatedRecordError,
     ValidationError,
     VersionMismatchError,
@@ -152,8 +154,9 @@ class RecordHeader(namedtuple("RecordHeader", "dt n_samples channels n_traj mast
 def _read_header(fh) -> RecordHeader:
     """Parse and check the header at the start of fh, leaving fh at the payload.
 
-    Raises MagicMismatchError, VersionMismatchError or TruncatedRecordError;
-    the file's size must match the payload the header implies.
+    Raises MagicMismatchError, VersionMismatchError or TruncatedRecordError,
+    and RecordFormatError for a dt that is not positive and finite; the
+    file's size must match the payload the header implies.
     """
     def take(n: int, what: str) -> bytes:
         offset = fh.tell()
@@ -173,6 +176,8 @@ def _read_header(fh) -> RecordHeader:
     )
     if version != FORMAT_VERSION:
         raise VersionMismatchError(f"unsupported format version {version}")
+    if not (0.0 < dt < math.inf):
+        raise RecordFormatError(f"header dt must be positive and finite, got {dt}")
     channels = []
     for _ in range(n_channels):
         ax0, ax1, ax2, tau, eta, phase_k = _CHANNEL.unpack(

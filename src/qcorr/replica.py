@@ -20,13 +20,13 @@ structure of this setup:
   state; its summary compares the Monte Carlo average over the dt32 grid
   against that constant.
 
-Both scans share one Monte Carlo loop over simulation batches. The process
-that simulates a batch (a forked worker with several workers) estimates its
-whole grid in one window_means pass and returns only estimates, so memory
-stays bounded by one batch per process at any trajectory budget. Per-point
-estimates are pooled with exact moment algebra and the summary pools grid
-points trajectory by trajectory, respecting their correlation through the
-shared records.
+Both scans share one Monte Carlo loop over simulation batches. Every grid
+point is resolved once; the process that simulates a batch (a forked worker
+with several workers) estimates those resolved points in one window_means
+call and returns only estimates, so memory stays bounded by one batch per
+process at any trajectory budget. Per-point estimates are pooled with exact
+moment algebra and the summary pools grid points trajectory by trajectory,
+respecting their correlation through the shared records.
 """
 
 from __future__ import annotations
@@ -143,14 +143,16 @@ class FourTimeSummary:
     n_traj: int
 
 
-def _batch_estimates(sim: SimConfig, specs, events, window_bins, bounds) -> list:
+def _batch_estimates(sim: SimConfig, resolved, bounds) -> list:
     """Estimates of every point, then of their per-trajectory average, over one batch.
 
     Runs in the process that simulates the batch: no sample leaves it.
+    resolved holds every point's (window_bins, events).
     """
-    means = window_means([simulate_range(sim, *bounds)], specs)
+    means = window_means(simulate_range(sim, *bounds).samples, resolved)
     # The grid average per trajectory respects the points' correlation
     # through the shared records; it is labelled with every point's events.
+    (window_bins, _), events = resolved[0], [e for _, e in resolved]
     labelled = [*zip(means, events), (np.mean(means, axis=0), tuple(events))]
     return [estimate_from_means(m, sim.dt, window_bins, e) for m, e in labelled]
 
@@ -159,21 +161,20 @@ def _monte_carlo(config: ReplicaConfig, model, channels, window: Window, points)
     """(value, std_error) of every point and of their per-trajectory average.
 
     points are (channel, gap_us) lists from a t1 in window. All are resolved
-    first, also without include_mc (then every pair is NaN), so a bad grid is
-    refused before any batch is simulated. Each batch's estimates
+    once, first, also without include_mc (then every pair is NaN), so a bad
+    grid is refused before any batch is simulated. Each batch's estimates
     (_batch_estimates) are pooled in batch order with merge_estimates.
     """
     dt = config.dt
-    events = [resolve_events(gaps, dt, len(channels)) for gaps in points]
     window_bins = window.bins(dt)
+    resolved = [(window_bins, resolve_events(gaps, dt, len(channels))) for gaps in points]
     if not config.include_mc:
         nan = (float("nan"), float("nan"))
         return [nan] * len(points), nan
-    t_total = window.t_a + window.length + (max(e[-1][1] for e in events) + 2) * dt
+    t_total = window.t_a + window.length + (max(e[-1][1] for _, e in resolved) + 2) * dt
     sim = SimConfig(model=model, channels=channels, r_init=config.r_init, t_total=t_total,
                     dt=dt, n_traj=config.n_traj, master_seed=config.master_seed)
-    task = partial(_batch_estimates, sim, [(gaps, window) for gaps in points], events,
-                   window_bins)
+    task = partial(_batch_estimates, sim, resolved)
     batches = map_batches(task, index_ranges(0, sim.n_traj, sim.batch_size), config.workers)
     mc = [(p.value, p.std_error) for p in map(merge_estimates, zip(*batches))]
     return mc[:-1], mc[-1]

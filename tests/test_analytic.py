@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -396,6 +397,22 @@ class TestWindowMeanState:
         r_window = window_mean_state(model, r_in, window, dt)
         assert len(calls) == 2
         np.testing.assert_allclose(r_window, per_placement, rtol=0.0, atol=1e-14)
+
+    def test_memory_stays_flat_across_window_lengths(self):
+        model, _ = random_window_system(np.random.default_rng(5), "nonunital")
+        dt = 0.001
+
+        def peak(n_bins):
+            tracemalloc.start()
+            try:
+                window_mean_state(model, (0.3, -0.5, 0.6), Window(0.0, (n_bins - 0.5) * dt), dt)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-call allocations
+        short, long = peak(2000), peak(20000)
+        assert long < 1.5 * short
 
 
 class TestSingularSpec:

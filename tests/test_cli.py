@@ -390,6 +390,53 @@ class TestEstimateAndCompare:
         emp.write_text("events,value,std_error\ny@2,0.5,0.1\n")
         assert main(["compare", "--analytic", str(ana), "--empirical", str(emp)]) == 1
 
+    @pytest.mark.parametrize("value, std_error", [
+        ("nan", "0.1"), ("0.5", "nan"), ("0.5", "inf"), ("inf", "0.1"),
+    ])
+    def test_compare_counts_a_non_finite_sigma_as_a_mismatch(self, tmp_path, capsys,
+                                                              value, std_error):
+        ana, emp = tmp_path / "a.csv", tmp_path / "e.csv"
+        ana.write_text("events,value\nx@1,0.5\ny@2,0.1\n")
+        emp.write_text(f"events,value,std_error\nx@1,{value},{std_error}\ny@2,0.1,0.1\n")
+        assert main(["compare", "--analytic", str(ana), "--empirical", str(emp)]) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCH {'events': 'x@1'}" in out and "y@2" not in out
+        assert "max |delta|/se = nan" in out or "max |delta|/se = inf" in out
+
+    @pytest.mark.parametrize("analytic, empirical, extra, named", [
+        ("events,value\nx@1,0.5\n", "", [], "e.csv has no header line"),
+        ("", "events,value,std_error\nx@1,0.5,0.1\n", [], "a.csv has no header line"),
+        ("events,value\nx@1,0.5\n", "events,value,std_error\nx@1,abc,0.1\n", [],
+         "e.csv: value 'abc' is not a number"),
+        ("events,value\nx@1,half\n", "events,value,std_error\nx@1,0.5,0.1\n", [],
+         "a.csv: value 'half' is not a number"),
+        ("events,value\nx@1,0.5\n", "events,value,std_error\nx@1,0.5\n", [],
+         "e.csv: std_error None is not a number"),
+        ("events,value\nx@1,0.5\n", "events,value,std_error\nx@1,0.5,0.1\n",
+         ["--max-sigma", "nan"], "--max-sigma must be positive and finite, got nan"),
+        ("events,value\nx@1,0.5\n", "events,value,std_error\nx@1,0.5,0.1\n",
+         ["--max-sigma", "0"], "--max-sigma must be positive and finite, got 0.0"),
+        ("events,value\nx@1,0.5\n", "events,value,std_error\nx@1,0.5,0.1\n",
+         ["--max-sigma=-1"], "--max-sigma must be positive and finite, got -1.0"),
+        ("events,value\nx@1,0.5\n", "events,value,std_error\nx@1,0.5,0.1\n",
+         ["--max-sigma", "inf"], "--max-sigma must be positive and finite, got inf"),
+        ("events,value\nx@1,0.5\n", b"events,value\xff\n", [], "e.csv: 'utf-8' codec"),
+        ("events,value\nx@1,0.5\n", "events,value,std_error\nx@1,0.5," + "9" * 200000,
+         [], "e.csv: field larger than field limit"),
+    ], ids=["empty-empirical", "empty-analytic", "empirical-not-a-number",
+            "analytic-not-a-number", "short-row", "max-sigma-nan", "max-sigma-zero",
+            "max-sigma-negative", "max-sigma-inf", "not-utf-8", "field-too-large"])
+    def test_malformed_compare_input_exits_with_one_named_error(self, tmp_path, capsys,
+                                                                analytic, empirical, extra,
+                                                                named):
+        ana, emp = tmp_path / "a.csv", tmp_path / "e.csv"
+        ana.write_text(analytic)
+        emp.write_bytes(empirical if isinstance(empirical, bytes) else empirical.encode())
+        assert main(["compare", "--analytic", str(ana), "--empirical", str(emp)] + extra) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+        assert captured.out == ""
 
     def test_coinciding_cross_channel_events_refused_by_both_commands(self, workspace, capsys):
         tmp, config, _ = workspace
@@ -447,6 +494,19 @@ class TestStreamedEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * payload
+
+    def test_each_spec_is_resolved_once(self, tmp_path, monkeypatch):
+        # 20 trajectories in blocks of 4: five window_means calls share the
+        # specs resolved against the header.
+        records = synthetic_records(tmp_path / "records.qcr", n_traj=20, n_samples=200)
+        spec = write_specs(tmp_path / "specs.json", PINNED_SPECS)
+        monkeypatch.setattr(empirical, "BLOCK_BYTES", 4 * 2 * 200 * 8)
+        calls = []
+        for module in (cli_module, empirical):
+            monkeypatch.setattr(module, "resolve_spec", lambda *a, resolve=module.resolve_spec:
+                                calls.append(a) or resolve(*a))
+        assert main(["estimate", "--records", str(records), "--spec", str(spec)]) == 0
+        assert len(calls) == len(PINNED_SPECS)
 
     @pytest.mark.parametrize("n_traj, specs, named", [
         (50, [(0.2, 0.3, [(0, 0.0), (1, 0.2)]), (0.3, 0.2, [(0, 0.0), (1, 0.2)])],

@@ -20,7 +20,7 @@ from qcorr import (
     simulate_range,
     two_time_correlator,
 )
-from qcorr.empirical import resolve_events, window_means
+from qcorr.empirical import resolve_events, resolve_spec, window_means
 
 PHI = 3 * np.pi / 10
 TAU = 0.65
@@ -110,6 +110,15 @@ class TestEstimateCorrelator:
         with pytest.raises(ValidationError, match="channels 0 and 1 snap to one bin"):
             estimate_correlator(records, [(0, 0.0), (0, 0.0), (1, 0.0)], Window(0.0, 0.1))
 
+    def test_spec_is_resolved_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(empirical, "resolve_spec", lambda *a, resolve=empirical.resolve_spec:
+                            calls.append(a) or resolve(*a))
+        records = noise_only_records(n_traj=10, n_samples=50)
+        estimate_correlator(records, [(0, 0.0)], Window(0.1, 0.1))
+        empirical.trajectory_window_means(records, [(0, 0.0)], Window(0.1, 0.1))
+        assert len(calls) == 2
+
     def test_single_trajectory_rejected(self):
         records = noise_only_records(n_traj=1, n_samples=50)
         with pytest.raises(ValidationError):
@@ -124,14 +133,6 @@ def full_array_window_means(records, gaps, window):
     for ch, g in events:
         product *= records.samples[:, ch, i0 + g:i1 + g + 1]
     return product.sum(axis=1, dtype=np.longdouble) / product.shape[1]
-
-
-def split_records(records, rows):
-    """Consecutive RecordSets of at most rows trajectories each."""
-    return [RecordSet(samples=records.samples[lo:lo + rows], dt=records.dt,
-                      channels=records.channels, master_seed=records.master_seed,
-                      traj_offset=records.traj_offset + lo)
-            for lo in range(0, records.n_traj, rows)]
 
 
 @st.composite
@@ -167,40 +168,39 @@ class TestWindowMeans:
                             dt=DT, channels=channels[:n_channels], master_seed=1)
         specs = (data.draw(shared_prefix_specs(n_channels, n_samples))
                  + data.draw(shared_prefix_specs(n_channels, n_samples)))
-        # Blocks of rows trajectories, walked by window_means in passes of
-        # block_traj trajectories: neither need divide n_traj.
+        resolved = [resolve_spec(gaps, window, DT, n_channels, n_samples)
+                    for gaps, window in specs]
+        # Blocks of rows trajectories, each walked by window_means in passes
+        # of block_traj trajectories: neither need divide n_traj.
+        means = np.empty((len(specs), n_traj), dtype=np.longdouble)
         with mock.patch.object(empirical, "BLOCK_BYTES", block_traj * 8 * n_channels * n_samples):
-            means = window_means(split_records(records, rows), specs)
-        assert means.shape == (len(specs), n_traj) and means.dtype == np.longdouble
+            for lo in range(0, n_traj, rows):
+                window_means(records.samples[lo:lo + rows], resolved, means[:, lo:lo + rows])
+            whole = window_means(records.samples, resolved)
+        assert whole.shape == (len(specs), n_traj) and whole.dtype == np.longdouble
+        assert np.array_equal(whole, means)
         for row, (gaps, window) in zip(means, specs):
             assert np.array_equal(row, full_array_window_means(records, gaps, window))
 
-    def test_blocks_must_be_consecutive_and_alike(self):
-        records = noise_only_records(n_traj=10, n_samples=50)
-        specs = [([(0, 0.0)], Window(0.1, 0.1))]
-        first, second = split_records(records, 5)
-        with pytest.raises(ValidationError, match="starts at trajectory 0, expected 10"):
-            window_means([second, first], specs)
-        short = RecordSet(samples=second.samples[:, :, :40], dt=DT, channels=second.channels,
-                          master_seed=0, traj_offset=5)
-        with pytest.raises(ValidationError, match="differ"):
-            window_means([first, short], specs)
-        with pytest.raises(ValidationError, match="at least one block"):
-            window_means([], specs)
-
     def test_out_is_filled_in_place_and_exactly(self):
-        records = noise_only_records(n_traj=10, n_samples=50)
-        specs = [([(0, 0.0)], Window(0.1, 0.1)), ([(0, 0.0), (0, 0.05)], Window(0.1, 0.05))]
-        blocks = split_records(records, 4)
+        samples = noise_only_records(n_traj=10, n_samples=50).samples
+        resolved = [resolve_spec([(0, 0.0)], Window(0.1, 0.1), DT, 2, 50),
+                    resolve_spec([(0, 0.0), (0, 0.05)], Window(0.1, 0.05), DT, 2, 50)]
         out = np.empty((2, 10), dtype=np.longdouble)
-        assert window_means(blocks, specs, out=out) is out
-        assert np.array_equal(out, window_means(blocks, specs))
-        with pytest.raises(ValidationError, match="hold 10 trajectories, out has room for 11"):
-            window_means(blocks, specs, out=np.empty((2, 11), dtype=np.longdouble))
-        with pytest.raises(ValidationError, match="more than the 9 trajectories"):
-            window_means(blocks, specs, out=np.empty((2, 9), dtype=np.longdouble))
-        with pytest.raises(ValidationError, match="long-double array of 2 rows"):
-            window_means(blocks, specs, out=np.empty((2, 10)))
+        assert window_means(samples, resolved, out) is out
+        assert np.array_equal(out, window_means(samples, resolved))
+        for out in (np.empty((2, 10)), np.empty((2, 9), dtype=np.longdouble),
+                    np.empty((2, 11), dtype=np.longdouble), np.empty((1, 10), dtype=np.longdouble)):
+            with pytest.raises(ValidationError, match=r"long-double array of shape \(2, 10\)"):
+                window_means(samples, resolved, out)
+
+    def test_spec_past_the_block_refused_by_index(self):
+        samples = noise_only_records(n_traj=10, n_samples=50).samples
+        fits = resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.29), DT, 2, 50)
+        past = resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.3), DT, 2, 51)
+        with pytest.raises(ValidationError, match=r"spec 1: window bins \[10, 40\] plus "
+                                                  r"largest gap 10 run past the 50 samples"):
+            window_means(samples, [fits, past])
 
 
 class TestEstimateMeanSignal:

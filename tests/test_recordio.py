@@ -6,6 +6,7 @@ import pytest
 from qcorr import (
     MagicMismatchError,
     MeasurementChannel,
+    RecordFormatError,
     RecordSet,
     TruncatedRecordError,
     ValidationError,
@@ -13,7 +14,7 @@ from qcorr import (
     read_records,
     write_records,
 )
-from qcorr.recordio import FORMAT_VERSION, MAGIC, read_header
+from qcorr.recordio import FORMAT_VERSION, MAGIC, _header, read_header
 
 
 def sample_records(n_traj=3, n_channels=2, n_samples=17, seed=0):
@@ -129,6 +130,16 @@ class TestOffsetReads:
         write_records(path, sample_records())
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(error):
+            read(path)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
+    @pytest.mark.parametrize("read", [read_records, read_header], ids=["records", "header"])
+    def test_header_dt_must_be_positive_and_finite(self, tmp_path, dt, read):
+        records = sample_records()
+        path = tmp_path / "records.qcr"
+        path.write_bytes(_header(dt, records.n_samples, records.channels, records.n_traj,
+                                 records.master_seed) + records.samples.astype("<f8").tobytes())
+        with pytest.raises(RecordFormatError, match=f"dt must be positive and finite, got {dt}"):
             read(path)
 
 

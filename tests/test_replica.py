@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qcorr.empirical as empirical_module
 import qcorr.replica as replica_module
 import qcorr.trajectory as trajectory_module
 from qcorr import (
@@ -249,6 +250,16 @@ class TestScanBitsPinned:
             scan(config, **grid)
             assert len(taken) == 3  # one call per batch
             assert long_double_sha256(np.concatenate(taken, axis=1)) == expected
+
+    def test_each_point_is_resolved_once(self, monkeypatch, batches_of):
+        # Three batches estimate the points resolved once before the first.
+        batches_of(200)
+        calls = []
+        for module in (replica_module, empirical_module):
+            monkeypatch.setattr(module, "resolve_events", lambda *a, resolve=module.resolve_events:
+                                calls.append(a) or resolve(*a))
+        four_time_scan(ReplicaConfig(**self.CONFIG), **self.FOUR_TIME_GRID)
+        assert len(calls) == len(self.FOUR_TIME_GRID["dt32_values"])
 
 
 class TestScanWorkers:
