@@ -9,10 +9,15 @@ first averaging the window products inside each trajectory and then taking
 the spread of those per-trajectory means across the ensemble. window_means
 computes them for many specs, resolved once by the caller (resolve_spec),
 in one cache-blocked pass over one block of trajectories; a caller streams
-a record file through it one block at a time. Reported values come from
-extended-precision accumulation: individual noise factors have standard
-deviation sqrt(tau/dt) per sample, so long sums of their products shed
-float64 digits otherwise.
+a record file through it one block at a time.
+
+Each trajectory's window is summed in float64: a window holds W products
+(tens to a few hundred), and a float64 sum of W terms in any order is off
+by at most about (W - 1) * 2**-53 * sum|terms| (Higham, SIAM J. Sci.
+Comput. 14, 783 (1993)), about 1e-15 of a standard error. The ensemble
+sums, over 1e4-1e6 per-trajectory means of noise products with standard
+deviation sqrt(tau/dt) per factor, are the long ones: they run in
+extended precision (estimate_from_means, merge_estimates).
 
 Requested times snap to the nearest sample bin (never further than dt/2) and
 the snapped grid is reported back on the estimate. Estimates carry enough of
@@ -161,7 +166,8 @@ def _block_means(samples: np.ndarray, resolved, order, out: np.ndarray) -> None:
     share window bins and leading events are adjacent: chain holds the
     products of the last spec's event prefixes, and a prefix product whose
     key (window bins and events) matches is reused instead of recomputed.
-    Products are formed in event order, as 1 * x1 * x2 * ... would be.
+    Products are formed in event order, as 1 * x1 * x2 * ... would be, and
+    each row of a spec's window is summed in float64.
     """
     chain = []
     last_bins, last_events = None, ()
@@ -177,7 +183,7 @@ def _block_means(samples: np.ndarray, resolved, order, out: np.ndarray) -> None:
         for ch, g in events[shared:]:
             x = samples[:, ch, i0 + g:i1 + g + 1]
             chain.append(chain[-1] * x if chain else x)
-        out[j] = chain[-1].sum(axis=1, dtype=np.longdouble) / (i1 - i0 + 1)
+        out[j] = chain[-1].sum(axis=1) / (i1 - i0 + 1)
         last_bins, last_events = bins, events
 
 
@@ -189,16 +195,29 @@ def window_means(samples: np.ndarray, resolved, out=None) -> np.ndarray:
     resolve_spec returns them. The trajectories are walked in passes of
     about BLOCK_BYTES of samples, and every spec's products are formed while
     a pass is in cache. Row j of the returned (len(resolved), n_traj)
-    long-double array is spec j's mean over its window of the product of
-    samples at its gaps from t1, summed in extended precision per
-    trajectory; its ensemble mean is the correlator estimate
-    (estimate_from_means).
+    float64 array is spec j's mean over its window of the product of
+    samples at its gaps from t1, summed in float64 per trajectory (see the
+    module docstring for its error bound); its ensemble mean is the
+    correlator estimate (estimate_from_means, which sums in extended
+    precision).
 
-    out, when given, is that long-double array (say a column slice of means
-    a caller allocated for a whole record file); it is filled and returned.
+    out, when given, is that float64 array (say a column slice of means a
+    caller allocated for a whole record file); it is filled and returned.
+    A spec with a channel index outside the block's channels, or whose
+    window plus largest gap runs past its samples, is refused by its index.
     """
     n_traj, n_channels, n_samples = samples.shape
+    # One set of every channel keeps the common case to one cheap check;
+    # only a call that fails it looks for the spec to name.
+    in_range = {ch for _, events in resolved for ch, _ in events} <= set(range(n_channels))
     for j, ((i0, i1), events) in enumerate(resolved):
+        if not in_range:
+            bad = [ch for ch, _ in events if not 0 <= ch < n_channels]
+            if bad:
+                raise ValidationError(
+                    f"spec {j}: channel index {bad[0]} out of range for the "
+                    f"{n_channels} channels of the block"
+                )
         if i1 + events[-1][1] >= n_samples:
             raise ValidationError(
                 f"spec {j}: window bins [{i0}, {i1}] plus largest gap {events[-1][1]} "
@@ -206,10 +225,10 @@ def window_means(samples: np.ndarray, resolved, out=None) -> np.ndarray:
             )
     shape = (len(resolved), n_traj)
     if out is None:
-        out = np.empty(shape, dtype=np.longdouble)
-    elif out.dtype != np.longdouble or out.shape != shape:
+        out = np.empty(shape)
+    elif out.dtype != np.float64 or out.shape != shape:
         raise ValidationError(
-            f"out must be a long-double array of shape {shape}, got {out.dtype} {out.shape}"
+            f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}"
         )
     order = sorted(range(len(resolved)), key=resolved.__getitem__)
     rows = block_rows(n_channels, n_samples)
@@ -255,11 +274,15 @@ def estimate_from_means(traj_means: np.ndarray, dt: float, window_bins: tuple,
     """Estimate from one spec's per-trajectory window means (a row of window_means).
 
     dt, window_bins and events label the estimate for merge_estimates: the
-    snapped specification the means were taken over.
+    snapped specification the means were taken over. The sum and sum of
+    squares over the ensemble run in extended precision, on a long-double
+    copy of the means.
     """
     require_standard_error(len(traj_means))
-    return _pooled(len(traj_means), traj_means.sum(), np.square(traj_means).sum(),
-                   dt, window_bins, events)
+    ext = traj_means.astype(np.longdouble)
+    total = ext.sum()
+    np.square(ext, out=ext)
+    return _pooled(len(ext), total, ext.sum(), dt, window_bins, events)
 
 
 def estimate_correlator(records: RecordSet, gaps, window: Window) -> CorrelatorEstimate:

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per top-level requirement, one printed verdict each.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The Monte Carlo checks
-[A4]-[A6] dominate the runtime (a few minutes on two cores); everything else
+[A4]-[A6] dominate the runtime (a few minutes on two cores) and carry the
+`slow` marker, so `pytest -m "not slow"` leaves them out; everything else
 finishes in seconds. All randomness is seeded, so verdicts are reproducible.
 """
 
@@ -146,6 +147,7 @@ def test_a3_short_gap_pair_correlator_constant():
     )
 
 
+@pytest.mark.slow
 def test_a4_monte_carlo_two_time_correlator():
     # The spec-level error target (std_error <= 0.02 with a T = 0.5 us
     # window at dt = 0.01 us) fixes the trajectory budget: the per-sample
@@ -191,6 +193,7 @@ def test_a4_monte_carlo_two_time_correlator():
     )
 
 
+@pytest.mark.slow
 def test_a5_three_time_correlator_flat_in_first_gap():
     phis = (np.pi / 10, 3 * np.pi / 10, 7 * np.pi / 10)
     dt = 0.01
@@ -224,6 +227,7 @@ def test_a5_three_time_correlator_flat_in_first_gap():
     )
 
 
+@pytest.mark.slow
 def test_a6_four_time_correlator_flat_in_middle_gap():
     phis = (np.pi / 10, 3 * np.pi / 10, 7 * np.pi / 10)
     dt32_grid = tuple(np.linspace(0.5, 2.3, 10) / GAMMA)

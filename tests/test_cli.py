@@ -58,7 +58,11 @@ PINNED_SPECS = [
     (0.1, 0.1, [(0, 0.0), (0, 0.0)]),
     (0.3, 0.5, [(0, 0.0), (1, 0.3), (0, 0.6), (1, 0.9)]),
 ]
-PINNED_ESTIMATE_SHA256 = "865a02ea82b42a015916d57dc0e70a5ccbbf772d063692aa09a524fa1c20bce9"
+# Re-recorded when each trajectory's window came to be summed in float64
+# instead of long double (the ensemble sums stayed long double): 4 of the 8
+# values moved, by at most 2.1e-16 of their standard error; no standard
+# error moved.
+PINNED_ESTIMATE_SHA256 = "5a1eef0e31a72c24c50185e773b6c4eb720c2ff59f4ad1e98c61bde339ebfc6a"
 
 
 @pytest.fixture
@@ -340,9 +344,8 @@ class TestEstimateAndCompare:
         assert a_csv.read_bytes() == b_csv.read_bytes()
 
     def test_estimate_csv_bytes_pinned(self, workspace):
-        # sha256 of the CSV recorded before estimation was streamed block by
-        # block; the specs share event prefixes under different windows and
-        # include single-event and coinciding same-channel entries.
+        # The specs share event prefixes under different windows and include
+        # single-event and coinciding same-channel entries.
         tmp, config, _ = workspace
         records = tmp / "records.qcr"
         assert main(["simulate", "--config", str(config), "--out", str(records),
@@ -379,8 +382,26 @@ class TestEstimateAndCompare:
         emp = tmp_path / "e.csv"
         ana.write_text("events,value\nx@1,0.5\nz@3,0.1\n")
         emp.write_text("events,value,std_error\nx@1,0.5,0.1\ny@2,0.5,0.1\n")
-        assert main(["compare", "--analytic", str(ana), "--empirical", str(emp)]) == 0
+        assert main(["compare", "--analytic", str(ana), "--empirical", str(emp)]) == 1
         assert "unmatched rows: 1 analytic, 1 empirical" in capsys.readouterr().out
+        # One side's extra row alone fails too.
+        emp.write_text("events,value,std_error\nx@1,0.5,0.1\nz@3,0.1,0.1\ny@2,0.5,0.1\n")
+        assert main(["compare", "--analytic", str(ana), "--empirical", str(emp)]) == 1
+        assert "unmatched rows: 0 analytic, 1 empirical" in capsys.readouterr().out
+        emp.write_text("events,value,std_error\nx@1,0.5,0.1\n")
+        assert main(["compare", "--analytic", str(ana), "--empirical", str(emp)]) == 1
+        assert "unmatched rows: 1 analytic, 0 empirical" in capsys.readouterr().out
+
+    def test_compare_prints_the_sigma_distribution(self, tmp_path, capsys):
+        ana, emp = tmp_path / "a.csv", tmp_path / "e.csv"
+        sigmas = (0.0, 3.5, 1.0, 2.0, 0.5, 3.0, 1.5, 2.5, 0.25, 0.75)
+        ana.write_text("events,value\n" + "".join(f"p@{i},1.0\n" for i in range(10)))
+        emp.write_text("events,value,std_error\n"
+                       + "".join(f"p@{i},{1.0 + s / 10},0.1\n" for i, s in enumerate(sigmas)))
+        assert main(["compare", "--analytic", str(ana), "--empirical", str(emp)]) == 0
+        assert ("compared 10 rows on ['events']: max |delta|/se = 3.500 (threshold 4.0), "
+                "median 1.000, 90th percentile 3.000; unmatched rows: 0 analytic, 0 empirical"
+                in capsys.readouterr().out)
 
     def test_compare_with_no_shared_rows_fails(self, workspace, capsys):
         tmp, config, spec = workspace

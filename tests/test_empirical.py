@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from qcorr import (
     simulate_range,
     two_time_correlator,
 )
-from qcorr.empirical import resolve_events, resolve_spec, window_means
+from qcorr.empirical import estimate_from_means, resolve_events, resolve_spec, window_means
 
 PHI = 3 * np.pi / 10
 TAU = 0.65
@@ -132,7 +133,7 @@ def full_array_window_means(records, gaps, window):
     product = np.ones((records.n_traj, i1 - i0 + 1))
     for ch, g in events:
         product *= records.samples[:, ch, i0 + g:i1 + g + 1]
-    return product.sum(axis=1, dtype=np.longdouble) / product.shape[1]
+    return product.sum(axis=1) / product.shape[1]
 
 
 @st.composite
@@ -172,12 +173,12 @@ class TestWindowMeans:
                     for gaps, window in specs]
         # Blocks of rows trajectories, each walked by window_means in passes
         # of block_traj trajectories: neither need divide n_traj.
-        means = np.empty((len(specs), n_traj), dtype=np.longdouble)
+        means = np.empty((len(specs), n_traj))
         with mock.patch.object(empirical, "BLOCK_BYTES", block_traj * 8 * n_channels * n_samples):
             for lo in range(0, n_traj, rows):
                 window_means(records.samples[lo:lo + rows], resolved, means[:, lo:lo + rows])
             whole = window_means(records.samples, resolved)
-        assert whole.shape == (len(specs), n_traj) and whole.dtype == np.longdouble
+        assert whole.shape == (len(specs), n_traj) and whole.dtype == np.float64
         assert np.array_equal(whole, means)
         for row, (gaps, window) in zip(means, specs):
             assert np.array_equal(row, full_array_window_means(records, gaps, window))
@@ -186,12 +187,12 @@ class TestWindowMeans:
         samples = noise_only_records(n_traj=10, n_samples=50).samples
         resolved = [resolve_spec([(0, 0.0)], Window(0.1, 0.1), DT, 2, 50),
                     resolve_spec([(0, 0.0), (0, 0.05)], Window(0.1, 0.05), DT, 2, 50)]
-        out = np.empty((2, 10), dtype=np.longdouble)
+        out = np.empty((2, 10))
         assert window_means(samples, resolved, out) is out
         assert np.array_equal(out, window_means(samples, resolved))
-        for out in (np.empty((2, 10)), np.empty((2, 9), dtype=np.longdouble),
-                    np.empty((2, 11), dtype=np.longdouble), np.empty((1, 10), dtype=np.longdouble)):
-            with pytest.raises(ValidationError, match=r"long-double array of shape \(2, 10\)"):
+        for out in (np.empty((2, 10), dtype=np.longdouble), np.empty((2, 10), dtype=np.float32),
+                    np.empty((2, 9)), np.empty((2, 11)), np.empty((1, 10))):
+            with pytest.raises(ValidationError, match=r"float64 array of shape \(2, 10\)"):
                 window_means(samples, resolved, out)
 
     def test_spec_past_the_block_refused_by_index(self):
@@ -201,6 +202,62 @@ class TestWindowMeans:
         with pytest.raises(ValidationError, match=r"spec 1: window bins \[10, 40\] plus "
                                                   r"largest gap 10 run past the 50 samples"):
             window_means(samples, [fits, past])
+
+    @pytest.mark.parametrize("ch", [2, -1])
+    def test_channel_out_of_range_refused_by_index(self, ch):
+        samples = np.zeros((3, 2, 50))
+        with pytest.raises(ValidationError, match=rf"spec 0: channel index {ch} out of range "
+                                                  r"for the 2 channels of the block"):
+            window_means(samples, [((0, 5), ((ch, 0),))])
+        fits = ((0, 5), ((0, 0), (1, 3)))
+        with pytest.raises(ValidationError, match=rf"spec 1: channel index {ch} out of range"):
+            window_means(samples, [fits, ((0, 5), ((0, 0), (ch, 3)))])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 5), st.integers(1, 3))
+    def test_window_sums_keep_the_float64_summation_bound(self, data, n_traj, n_channels):
+        # A float64 sum of W terms in any order is within (W - 1) 2**-53
+        # sum|terms| of the exact sum; the division by W adds one rounding.
+        # So each mean lies that close to the mean of the exactly summed
+        # (math.fsum) float64 products.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        n_samples = 340
+        samples = 8.0 * rng.standard_normal((n_traj, n_channels, n_samples))
+        channel = st.integers(0, n_channels - 1)
+        resolved = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            gaps = sorted(data.draw(st.lists(st.integers(0, 39), max_size=3)))
+            events = ((data.draw(channel), 0),) + tuple((data.draw(channel), g) for g in gaps)
+            width = data.draw(st.integers(1, 300))
+            i0 = data.draw(st.integers(0, n_samples - width - events[-1][1]))
+            resolved.append(((i0, i0 + width - 1), events))
+        for row, ((i0, i1), events) in zip(window_means(samples, resolved), resolved):
+            width = i1 - i0 + 1
+            for mean, trajectory in zip(row, samples):
+                terms = np.ones(width)
+                for ch, g in events:
+                    terms = terms * trajectory[ch, i0 + g:i1 + g + 1]
+                exact = math.fsum(terms) / width
+                bound = (width - 1) * 2.0 ** -53 * math.fsum(np.abs(terms)) / width
+                assert abs(mean - exact) <= bound + np.spacing(abs(exact))
+
+
+class TestEnsembleSums:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 1000) | st.integers(40000, 70000),
+           st.floats(1e-3, 1e6), st.floats(-1e3, 1e3))
+    def test_float64_means_pool_as_their_long_double_values(self, seed, n_traj, scale, offset):
+        # The ensemble sums lose nothing to float64 means: the estimate
+        # equals the one from the same values held in long double, summed
+        # as estimate_from_means did when window_means returned long doubles.
+        means = scale * (offset + np.random.default_rng(seed).standard_normal(n_traj))
+        ext = means.astype(np.longdouble)
+        spec = (DT, (10, 20), ((0, 0), (1, 5)))
+        old = empirical._pooled(n_traj, ext.sum(), np.square(ext).sum(), *spec)
+        new = estimate_from_means(means, *spec)
+        assert means.dtype == np.float64
+        assert ((new.value, new.std_error, new.sum_means, new.sumsq_means)
+                == (old.value, old.std_error, old.sum_means, old.sumsq_means))
 
 
 class TestEstimateMeanSignal:

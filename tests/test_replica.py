@@ -194,11 +194,10 @@ def scan_sha256(rows, summary=None) -> str:
     return hashlib.sha256(np.array(fields, dtype=np.float64).tobytes()).hexdigest()
 
 
-def long_double_sha256(rows) -> str:
-    """sha256 of long-double values as float64 leading parts and remainders."""
-    hi = rows.astype(np.float64)
-    lo = (rows - hi).astype(np.float64)
-    return hashlib.sha256(hi.tobytes() + lo.tobytes()).hexdigest()
+def means_sha256(means) -> str:
+    """sha256 of float64 per-trajectory window means."""
+    assert means.dtype == np.float64
+    return hashlib.sha256(means.tobytes()).hexdigest()
 
 
 @pytest.fixture
@@ -222,12 +221,15 @@ class TestScanBitsPinned:
     CONFIG = dict(phi=0.9, n_traj=601, master_seed=4711, include_mc=True)
     THREE_TIME_GRID = dict(dt21_values=(0.3, 1.2), dt32_values=(0.5, 0.8))
     FOUR_TIME_GRID = dict(dt32_values=(0.7, 1.0, 1.3))
-    THREE_TIME_SHA256 = "47cef4dab22921237fbc5550d832541f0658eae0b46de9bfddec0668117a1684"
-    FOUR_TIME_SHA256 = "0a9f6803ad14b24f1e0898ab8110d15fc52e23c00996ab246695a5cb3239e920"
-    # Recorded when each scan still took its per-trajectory means shard by
-    # shard in the calling process; the rows do not depend on the blocking.
-    THREE_TIME_ROWS_SHA256 = "b4f22862cc118f647b31d838cdcf477b3ad6a6413c268a940558792af520dd49"
-    FOUR_TIME_ROWS_SHA256 = "53a9c2933412d0f7c504f78195ad024eb21ff4149d174bff57aa7be97e377dda"
+    # All four re-recorded when each trajectory's window came to be summed
+    # in float64 instead of long double (the ensemble sums stayed long
+    # double): the scan values moved by at most 2.9e-16 of their standard
+    # error and the standard errors not at all; the per-trajectory means by
+    # at most 9.9e-16 of their spread over the trajectories.
+    THREE_TIME_SHA256 = "a1e6d9e62303665e44b5e6ae57edf6fa16626d3107226d97f175c1ad266a183c"
+    FOUR_TIME_SHA256 = "7c547846a76807e4fe0803715a5bb8d65c110ef337ff2ebf3d7cddfef9afd551"
+    THREE_TIME_ROWS_SHA256 = "578b1a76e76a2162c3c89ffc7696fff6bb2b864bf5f2a77310fe570033ef3cac"
+    FOUR_TIME_ROWS_SHA256 = "3b00f02f7c8f4a2924755f0e76771dac92f4b8c916977c7a8332d54aaf5e0d4e"
 
     def test_scan_rows_and_summary_pinned(self, batches_of):
         batches_of(200)
@@ -249,7 +251,7 @@ class TestScanBitsPinned:
                                 lambda *a: taken.append(window_means(*a)) or taken[-1])
             scan(config, **grid)
             assert len(taken) == 3  # one call per batch
-            assert long_double_sha256(np.concatenate(taken, axis=1)) == expected
+            assert means_sha256(np.concatenate(taken, axis=1)) == expected
 
     def test_each_point_is_resolved_once(self, monkeypatch, batches_of):
         # Three batches estimate the points resolved once before the first.
