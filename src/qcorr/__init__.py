@@ -21,7 +21,6 @@ from .analytic import (
     window_mean_state,
 )
 from .bloch import (
-    AffinePropagator,
     EnsembleModel,
     MeasurementChannel,
     build_ensemble_model,
@@ -72,7 +71,6 @@ from .trajectory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinePropagator",
     "BRUTE_FORCE_MAX_EVENTS",
     "ConfigError",
     "CorrelatorEstimate",

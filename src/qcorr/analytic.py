@@ -1,35 +1,36 @@
 """Exact multi-time output-signal correlators of monitored qubits.
 
 An N-time correlator is the ensemble average of a time-ordered product of
-output samples, one per event (channel, time). chain_correlator evaluates it
-as a forward transfer product over the unnormalised qubit operator
-(c I + v . sigma) / 2, held as the homogeneous pair (c, v) and started from
-(1, r_in). Each gap applies the ensemble-averaged affine map r -> P r + q of
-the model, and each event on a channel with axis n and phase-backaction
-strength k applies the quantum Bayesian event map
-rho -> {sigma_n, rho}/2 - (i k/2) [sigma_n, rho]:
+output samples, one per event (channel, time). It is a product of linear
+maps on the unnormalised qubit operator (c I + v . sigma) / 2, held as the
+homogeneous 4-vector (v, c) (Korotkov, PRB 60, 5737 (1999)).
+chain_correlator starts from (r_in, 1), applies one 4x4 map per gap and one
+per event, and returns the final c:
 
-    gap:    (c, v) -> (c, P v + c q)
-    event:  (c, v) -> (n . v, c n + k n x v)
+    gap:    G = [[P, q], [0, 1]]           (v, c) -> (P v + c q, c)
+    event:  E = [[k [n]x, n], [n^T, 0]]    (v, c) -> (k n x v + c n, n . v)
 
-The correlator is the final c. The k term is the phase kick the output noise
-gives the state (Korotkov, PRB 63, 115403 (2001)); with k = 0 the event map
-is the projective +-1 collapse, which brute_force_correlator sums literally
-over all 2^N outcomes as the k = 0 oracle.
+G is the model's ensemble evolution r -> P r + q over the gap
+(bloch.ordered_propagator). E is the quantum Bayesian event map
+rho -> {sigma_n, rho}/2 - (i k/2) [sigma_n, rho] of a channel with axis n
+and phase-backaction strength k. The k term is the phase kick the output
+noise gives the state (Korotkov, PRB 63, 115403 (2001)); with k = 0 the
+event map is the projective +-1 collapse, which brute_force_correlator sums
+literally over all 2^N outcomes as the k = 0 oracle.
 
 Factorization is a corollary. For a unital model (q = 0) without phase
-backaction the state splits into two threads that never mix: a gap acts on
-v alone, and an event turns c into the vector c n and v into the scalar
-n . v. The final c follows one thread. For even N it starts from c = 1 and
-is the product of two-time correlators K(t_i, t_k) = n_k . P(t_i -> t_k) n_i
+backaction the state splits into two threads that never mix: G acts on v
+alone, and E turns c into the vector c n and v into the scalar n . v. The
+final c follows one thread. For even N it starts from c = 1 and is the
+product of two-time correlators K(t_i, t_k) = n_k . P(t_i -> t_k) n_i
 over the pairs (1, 2), (3, 4), ...; for odd N it starts from r_in and is the
 mean signal at the first event times the pairs (2, 3), (4, 5), ... The
 evolution inside the unpaired gaps drops out, as does the initial state for
 even N.
 
-Window averages are one evaluation. The event maps act linearly on the
-unnormalised state (Korotkov, PRB 60, 5737 (1999)), so every route (chain,
-factorized, brute force) is affine in the state r(t1) at the earliest event.
+Window averages are one evaluation. The maps act linearly on the
+unnormalised state, so every route (chain, factorized, brute force) is
+affine in the state r(t1) at the earliest event.
 The mean of a route over the placements t1 = i dt of an averaging window is
 therefore the route evaluated once, from window_mean_state: the ensemble
 state averaged over those placements, taken as r_in at t_in = t1 = 0 with
@@ -48,13 +49,7 @@ from itertools import product as outcome_product
 
 import numpy as np
 
-from .bloch import (
-    EnsembleModel,
-    as_bloch,
-    ordered_propagator,
-    propagate_ensemble,
-    validate_state,
-)
+from .bloch import EnsembleModel, ordered_propagator, validate_state
 from .errors import (
     FactorizationInapplicableError,
     SpecSizeError,
@@ -233,8 +228,8 @@ def two_time_correlator(model: EnsembleModel, channels,
     n_i = _axis(channels, channel_i)
     n_k = _axis(channels, channel_k)
     _require_no_kick_before_last(channels, (channel_i, channel_k))
-    prop = ordered_propagator(model, t_i, t_k)
-    return float(n_k @ (prop.matrix @ n_i))
+    gap = ordered_propagator(model, t_i, t_k)
+    return float(n_k @ (gap[:3, :3] @ n_i))
 
 
 def window_mean_state(model: EnsembleModel, r_in, window, dt: float) -> np.ndarray:
@@ -243,23 +238,33 @@ def window_mean_state(model: EnsembleModel, r_in, window, dt: float) -> np.ndarr
     Every route is affine in the state at t1, so its window average is one
     evaluation from this state (module docstring). The model is
     time-homogeneous, so the state is propagated to the first placement
-    once and then stepped bin by bin with the one-bin map: two matrix
+    once and then stepped bin by bin with the one-bin gap map: two matrix
     exponentials and one running sum of states for any window length.
     """
     i0, i1 = window.bins(dt)
     step = ordered_propagator(model, 0.0, dt)
-    state = propagate_ensemble(model, r_in, 0.0, i0 * dt)
+    state = ordered_propagator(model, 0.0, i0 * dt) @ np.append(validate_state(r_in), 1.0)
     total = state.copy()
     for _ in range(i1 - i0):
-        state = step.apply(state)
+        state = step @ state
         total += state
-    return total / (i1 - i0 + 1)
+    return total[:3] / (i1 - i0 + 1)
 
 
-def _event_propagators(model: EnsembleModel, spec: CorrelatorSpec):
-    """Affine maps over the gaps (t_in -> t_1), (t_1 -> t_2), ..."""
+def _gap_maps(model: EnsembleModel, spec: CorrelatorSpec):
+    """4x4 gap maps G over (t_in -> t_1), (t_1 -> t_2), ..."""
     times = (spec.t_in,) + spec.times
     return [ordered_propagator(model, a, b) for a, b in zip(times, times[1:])]
+
+
+def _event_map(channels, index: int) -> np.ndarray:
+    """4x4 event map E = [[k [n]x, n], [n^T, 0]] of a channel (module docstring)."""
+    n = _axis(channels, index)
+    event = np.zeros((4, 4))
+    event[:3, :3] = channels[index].phase_k * cross_matrix(n)
+    event[:3, 3] = n
+    event[3, :3] = n
+    return event
 
 
 def brute_force_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec) -> float:
@@ -277,13 +282,15 @@ def brute_force_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec)
         )
     axes = [_axis(channels, ch) for ch in spec.channel_indices]
     _require_no_kick_before_last(channels, spec.channel_indices)
-    props = _event_propagators(model, spec)
-    r_first = props[0].apply(as_bloch(spec.r_in))
+    gaps = [(g[:3, :3], g[:3, 3]) for g in _gap_maps(model, spec)]
+    p, q = gaps[0]
+    r_first = p @ np.asarray(spec.r_in) + q
     total = 0.0
     for outcomes in outcome_product((1.0, -1.0), repeat=n):
         weight = 0.5 * (1.0 + outcomes[0] * float(axes[0] @ r_first))
         for k in range(1, n):
-            conditioned = props[k].apply(outcomes[k - 1] * axes[k - 1])
+            p, q = gaps[k]
+            conditioned = p @ (outcomes[k - 1] * axes[k - 1]) + q
             weight *= 0.5 * (1.0 + outcomes[k] * float(axes[k] @ conditioned))
         total += weight * float(np.prod(outcomes))
     return total
@@ -291,12 +298,11 @@ def brute_force_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec)
 
 def chain_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec) -> float:
     """Correlator via the O(N) forward transfer product; covers every model."""
-    c, v = 1.0, as_bloch(spec.r_in)
-    for prop, ch in zip(_event_propagators(model, spec), spec.channel_indices):
-        n = _axis(channels, ch)
-        v = prop.matrix @ v + c * prop.offset
-        c, v = float(n @ v), c * n + channels[ch].phase_k * (cross_matrix(n) @ v)
-    return c
+    events = [_event_map(channels, ch) for ch in spec.channel_indices]
+    state = np.append(spec.r_in, 1.0)
+    for gap, event in zip(_gap_maps(model, spec), events):
+        state = event @ (gap @ state)
+    return float(state[3])
 
 
 def _factorized_value(model: EnsembleModel, channels, spec: CorrelatorSpec) -> float:
@@ -306,8 +312,8 @@ def _factorized_value(model: EnsembleModel, channels, spec: CorrelatorSpec) -> f
     n = spec.n_events
 
     def pair(i: int, k: int) -> float:
-        prop = ordered_propagator(model, times[i], times[k])
-        return float(axes[k] @ (prop.matrix @ axes[i]))
+        gap = ordered_propagator(model, times[i], times[k])
+        return float(axes[k] @ (gap[:3, :3] @ axes[i]))
 
     if n % 2 == 0:
         value = 1.0

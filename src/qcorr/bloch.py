@@ -180,38 +180,18 @@ def build_ensemble_model(
     return EnsembleModel(lam, np.linalg.solve(lam, drift))
 
 
-@dataclass(frozen=True, eq=False)
-class AffinePropagator:
-    """Affine solution map r(t1) = P r(t0) + q of an ensemble model."""
+def ordered_propagator(model: EnsembleModel, t0: float, t1: float) -> np.ndarray:
+    """Exact 4x4 gap map G of the model from t0 to t1 (t0 <= t1).
 
-    matrix: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        q = np.asarray(self.offset, dtype=float)
-        if m.shape != (3, 3) or q.shape != (3,):
-            raise ValidationError("AffinePropagator needs a 3x3 matrix and a 3-vector offset")
-        m.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "offset", q)
-
-    def apply(self, r) -> np.ndarray:
-        return self.matrix @ as_bloch(r) + self.offset
-
-
-def ordered_propagator(model: EnsembleModel, t0: float, t1: float) -> AffinePropagator:
-    """Exact propagator of the model from t0 to t1 (t0 <= t1).
-
-    The model is time-homogeneous, so the map depends on t1 - t0 alone.
+    (r(t1), 1) = G (r(t0), 1); see linalg.affine_flow. The model is
+    time-homogeneous, so the map depends on t1 - t0 alone.
     """
     if t1 < t0:
         raise ValidationError(f"ordered_propagator requires t0 <= t1, got {t0} > {t1}")
-    return AffinePropagator(*affine_flow(model.lam, model.r_st, t1 - t0))
+    return affine_flow(model.lam, model.r_st, t1 - t0)
 
 
 def propagate_ensemble(model: EnsembleModel, r0, t0: float, t1: float) -> np.ndarray:
     """Ensemble-averaged state at t1 given state r0 at t0."""
     r0 = validate_state(r0)
-    return ordered_propagator(model, t0, t1).apply(r0)
+    return (ordered_propagator(model, t0, t1) @ np.append(r0, 1.0))[:3]

@@ -302,6 +302,17 @@ def _float(row, column: str, path) -> float:
         raise QcorrError(f"{path}: {column} {row[column]!r} is not a number") from None
 
 
+def _by_key(path, rows, keys) -> dict:
+    """The rows of a CSV by their key columns' values; a repeated key is refused."""
+    keyed = {}
+    for row in rows:
+        key = tuple(row[k] for k in keys)
+        if key in keyed:
+            raise QcorrError(f"{path}: key {dict(zip(keys, key))} appears more than once")
+        keyed[key] = row
+    return keyed
+
+
 def _do_compare(args) -> int:
     if not (0.0 < args.max_sigma < math.inf):
         raise QcorrError(f"--max-sigma must be positive and finite, got {args.max_sigma}")
@@ -314,18 +325,15 @@ def _do_compare(args) -> int:
     keys = [c for c in a_header if c in set(e_header) and c not in _VALUE_COLUMNS]
     if not keys:
         raise QcorrError("the two files share no key columns to join on")
-    analytic = {tuple(row[k] for k in keys): _float(row, "value", args.analytic)
-                for row in a_rows}
+    analytic = {key: _float(row, "value", args.analytic)
+                for key, row in _by_key(args.analytic, a_rows, keys).items()}
     sigmas = []
-    matched = set()
     unmatched_empirical = 0
     failures = 0
-    for row in e_rows:
-        key = tuple(row[k] for k in keys)
+    for key, row in _by_key(args.empirical, e_rows, keys).items():
         if key not in analytic:
             unmatched_empirical += 1
             continue
-        matched.add(key)
         delta = _float(row, "value", args.empirical) - analytic[key]
         se = _float(row, "std_error", args.empirical)
         sigma = abs(delta) / se if se > 0 else float("inf") if delta else 0.0
@@ -335,13 +343,13 @@ def _do_compare(args) -> int:
         if not sigma <= args.max_sigma:  # a NaN sigma is a mismatch too
             failures += 1
             print(f"MISMATCH {dict(zip(keys, key))}: |delta|/se = {sigma:.2f}")
-    if not matched:
+    if not sigmas:
         raise QcorrError("no rows matched between the two files")
-    unmatched_analytic = sum(tuple(row[k] for k in keys) not in matched for row in a_rows)
+    unmatched_analytic = len(analytic) - len(sigmas)
     # Each is a sigma of some point (the smallest at or above that share of
     # them); numpy, unlike max, keeps a NaN sigma in the summary.
     median, p90, worst = np.percentile(sigmas, (50, 90, 100), method="inverted_cdf")
-    print(f"compared {len(e_rows) - unmatched_empirical} rows on {keys}: "
+    print(f"compared {len(sigmas)} rows on {keys}: "
           f"max |delta|/se = {worst:.3f} (threshold {args.max_sigma}), "
           f"median {median:.3f}, 90th percentile {p90:.3f}; "
           f"unmatched rows: {unmatched_analytic} analytic, {unmatched_empirical} empirical")

@@ -29,6 +29,7 @@ batches equal the single-pass result up to floating-point reassociation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,10 @@ BLOCK_BYTES = 4 * 2 ** 20
 
 def snap(value: float, dt: float) -> int:
     """Index of the sample bin nearest to a time: the one grid rule of qcorr."""
-    return int(round(value / dt))
+    bins = value / dt
+    if not math.isfinite(bins):
+        raise ValidationError(f"time {value} us has no bin on the dt={dt} grid")
+    return int(round(bins))
 
 
 @dataclass(frozen=True)
@@ -56,10 +60,10 @@ class Window:
     length: float
 
     def __post_init__(self):
-        if not (self.length > 0.0):
-            raise ValidationError(f"window length must be positive, got {self.length}")
-        if self.t_a < 0.0:
-            raise ValidationError(f"window start must be nonnegative, got {self.t_a}")
+        if not (0.0 < self.length < math.inf):
+            raise ValidationError(f"window length must be positive and finite, got {self.length}")
+        if not (0.0 <= self.t_a < math.inf):
+            raise ValidationError(f"window start must be nonnegative and finite, got {self.t_a}")
 
     def bins(self, dt: float) -> tuple:
         """Inclusive bin range (i0, i1) of t1: both window edges snapped.

@@ -1,11 +1,18 @@
 """Small dense linear-algebra kernels: matrix exponential and affine flows.
 
-The generators handled here are 3x3 real matrices that are generally
-non-normal (dissipation plus rotation), so the exponential uses scaling and
-squaring around a fixed-order diagonal Pade approximant instead of any
-eigendecomposition. Affine flows dr/dt = L (r - r_st) with constant L are
-integrated exactly by exponentiating the homogeneous 4x4 augmentation, which
-remains valid when L is singular.
+The generators handled here are real and generally non-normal (dissipation
+plus rotation), so the exponential uses scaling and squaring around a
+fixed-order diagonal Pade approximant instead of any eigendecomposition.
+
+Every exact map of qcorr is a 4x4 array acting on the homogeneous state
+(v, c): a Bloch vector v with c = 1, or the unnormalised pair that a
+correlator carries. The map of an affine flow dr/dt = L (r - r_st) with
+constant L over a gap dt is the gap map
+
+    G = expm(dt [[L, -L r_st], [0, 0]]) = [[P, q], [0, 1]],
+
+so r -> P r + q becomes (v, c) -> G (v, c), without a pseudoinverse even
+when L is singular.
 """
 
 from __future__ import annotations
@@ -69,19 +76,22 @@ def expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def affine_flow(lam: np.ndarray, r_st: np.ndarray, dt: float):
-    """Exact solution map of dr/dt = lam (r - r_st) over a time span dt.
+def affine_flow(lam: np.ndarray, r_st: np.ndarray, dt: float) -> np.ndarray:
+    """Gap map G of dr/dt = lam (r - r_st) over a time span dt.
 
-    Returns (P, q) with r(t0 + dt) = P r(t0) + q. Computed from the 4x4
-    homogeneous augmentation so singular lam needs no pseudoinverse.
+    (r(t0 + dt), 1) = G (r(t0), 1): G[:3, :3] is the linear part P and
+    G[:3, 3] the offset q of r -> P r + q; the last row is (0, 0, 0, 1).
     """
     lam = np.asarray(lam, dtype=float)
     r_st = np.asarray(r_st, dtype=float)
     aug = np.zeros((4, 4))
     aug[:3, :3] = lam
     aug[:3, 3] = -lam @ r_st
-    e = expm(aug * dt)
-    return np.ascontiguousarray(e[:3, :3]), np.ascontiguousarray(e[:3, 3])
+    g = expm(aug * dt)
+    # The exact last row keeps c through any number of gaps; the Pade solve
+    # leaves G[3, 3] an ulp or two below 1.
+    g[3] = (0.0, 0.0, 0.0, 1.0)
+    return g
 
 
 def cross_matrix(axis: np.ndarray) -> np.ndarray:

@@ -29,14 +29,13 @@ import math
 import os
 import stat
 import struct
-import warnings
 from collections import namedtuple
 from contextlib import closing, suppress
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
+from . import trajectory
 from .bloch import MeasurementChannel
 from .errors import (
     MagicMismatchError,
@@ -45,14 +44,7 @@ from .errors import (
     ValidationError,
     VersionMismatchError,
 )
-from .trajectory import (
-    RecordSet,
-    SimConfig,
-    TimestepWarning,
-    index_ranges,
-    map_batches,
-    simulate_range,
-)
+from .trajectory import RecordSet, SimConfig, index_ranges, map_batches
 
 MAGIC = b"QCORR01"
 FORMAT_VERSION = 1
@@ -91,9 +83,10 @@ def _pwrite_all(fd: int, data: np.ndarray, offset: int) -> None:
 def _write_batch(config: SimConfig, fd: int, payload_offset: int, bounds) -> tuple:
     """Simulate batch bounds = (lo, hi) and write its rows; (trajectories, clipped steps)."""
     lo, hi = bounds
-    records = simulate_range(config, lo, hi)
-    _pwrite_all(fd, records.samples, payload_offset + lo * records.samples[0].nbytes)
-    return hi - lo, records.clipped_steps
+    samples = np.empty((hi - lo, config.n_channels, config.n_samples))
+    clipped = trajectory._simulate_batch(config, lo, hi, samples, None)
+    _pwrite_all(fd, samples, payload_offset + lo * samples[0].nbytes)
+    return hi - lo, clipped
 
 
 def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -> int:
@@ -109,11 +102,6 @@ def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -
     is removed before the error propagates, so no partial file is left for
     read_header to accept. progress is called as in simulate_range.
     """
-    if config.store_states:
-        with warnings.catch_warnings():
-            # The caller has seen any warning about this config's dt already.
-            warnings.simplefilter("ignore", TimestepWarning)
-            config = replace(config, store_states=False)
     header = _header(config.dt, config.n_samples, config.channels, config.n_traj,
                      config.master_seed)
     clipped = done = 0

@@ -49,14 +49,15 @@ def density_matrix_correlator_oracle(model, channels, spec):
     Carries the unnormalised operator rho = (c I + v . sigma) / 2 and applies
     rho -> {sigma_n, rho}/2 - (i k/2) [sigma_n, rho] at each event on a
     channel with axis n and phase_k = k; the correlator is tr rho at the end.
-    Gaps apply the model's affine map to (tr rho, Bloch part), v -> P v + c q.
+    Gaps apply the model's gap map G = [[P, q], [0, 1]] to (Bloch part,
+    tr rho), v -> P v + c q.
     """
     rho = density_matrix(spec.r_in)
     t = spec.t_in
     for ch, t_event in spec.events:
-        prop = ordered_propagator(model, t, t_event)
+        gap = ordered_propagator(model, t, t_event)
         c = np.trace(rho).real
-        v = prop.matrix @ bloch_components(rho) + c * prop.offset
+        v = gap[:3, :3] @ bloch_components(rho) + c * gap[:3, 3]
         rho = density_matrix(v) + (c - 1.0) * np.eye(2) / 2.0
         sigma_n = sum(a * p for a, p in zip(channels[ch].axis_vector, PAULIS))
         k = channels[ch].phase_k

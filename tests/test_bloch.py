@@ -172,14 +172,14 @@ class TestEnsembleModel:
 class TestOrderedPropagator:
     def test_zero_span_is_identity(self):
         model = EnsembleModel(np.diag([-1.0, -1.0, 0.0]))
-        prop = ordered_propagator(model, 0.7, 0.7)
-        assert np.array_equal(prop.matrix, np.eye(3))
-        assert np.array_equal(prop.offset, np.zeros(3))
+        gap = ordered_propagator(model, 0.7, 0.7)
+        assert np.array_equal(gap[:3, :3], np.eye(3))
+        assert np.array_equal(gap[:3, 3], np.zeros(3))
 
     def test_constant_dephasing(self):
         model = EnsembleModel(np.diag([-1.0, -1.0, 0.0]))
-        prop = ordered_propagator(model, 0.0, 1.0)
-        assert np.allclose(prop.matrix,
+        gap = ordered_propagator(model, 0.0, 1.0)
+        assert np.allclose(gap[:3, :3],
                            np.diag([np.exp(-1.0), np.exp(-1.0), 1.0]), rtol=1e-13)
 
     def test_reversed_times_rejected(self):
@@ -197,15 +197,21 @@ class TestOrderedPropagator:
         full = ordered_propagator(model, t0, t2)
         p01 = ordered_propagator(model, t0, t1)
         p12 = ordered_propagator(model, t1, t2)
-        assert np.allclose(full.matrix, p12.matrix @ p01.matrix, rtol=0, atol=1e-12)
-        assert np.allclose(full.offset, p12.matrix @ p01.offset + p12.offset, rtol=0, atol=1e-12)
+        assert np.allclose(full[:3, :3], p12[:3, :3] @ p01[:3, :3], rtol=0, atol=1e-12)
+        assert np.allclose(full[:3, 3], p12[:3, :3] @ p01[:3, 3] + p12[:3, 3],
+                           rtol=0, atol=1e-12)
+
+    def test_unital_propagator_has_zero_offset(self, rng):
+        model, _ = random_model(rng, unital=True)
+        gap = ordered_propagator(model, 0.0, 2.0)
+        assert np.linalg.norm(gap[:3, 3]) <= 1e-10
 
 
 class TestPropagateEnsemble:
     def test_z_dephasing_decays_transverse(self):
         model = EnsembleModel(np.diag([-1.0, -1.0, 0.0]))
         # The affine map itself is linear, so probe it beyond the unit ball.
-        out = ordered_propagator(model, 0.0, 1.0).apply((1.0, 0.0, 0.5))
+        out = (ordered_propagator(model, 0.0, 1.0) @ (1.0, 0.0, 0.5, 1.0))[:3]
         assert np.allclose(out, [np.exp(-1.0), 0.0, 0.5], rtol=1e-12)
         assert out[0] == pytest.approx(0.3679, abs=5e-5)
         inside = propagate_ensemble(model, (0.8, 0.0, 0.5), 0.0, 1.0)
@@ -256,10 +262,3 @@ class TestPropagateEnsemble:
         out = propagate_ensemble(model, r0, 0.0, dt)
         expected = rk4_affine_oracle(model.lam, model.r_st, r0, dt, n_steps=8000)
         assert np.allclose(out, expected, rtol=1e-9, atol=1e-9)
-
-
-class TestAffinePropagator:
-    def test_unital_propagator_has_zero_offset(self, rng):
-        model, _ = random_model(rng, unital=True)
-        prop = ordered_propagator(model, 0.0, 2.0)
-        assert np.linalg.norm(prop.offset) <= 1e-10

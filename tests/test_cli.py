@@ -64,6 +64,33 @@ PINNED_SPECS = [
 # error moved.
 PINNED_ESTIMATE_SHA256 = "5a1eef0e31a72c24c50185e773b6c4eb720c2ff59f4ad1e98c61bde339ebfc6a"
 
+PRESETS = resources.files("qcorr").joinpath("presets")
+FOUR_EVENT_SPEC = {
+    "initial": {"r": [0.6, 0.0, 0.8], "t_us": 0.2},
+    "events": [{"channel": 0, "t_us": 0.5}, {"channel": 1, "t_us": 0.9},
+               {"channel": 0, "t_us": 1.4}, {"channel": 1, "t_us": 1.8}],
+}
+# Non-unital and Rabi-driven, with phase backaction on channel 0.
+DRIVEN_CONFIG = dict(
+    CONFIG,
+    channels=[{"axis": [0.0, 0.0, 1.0], "tau_us": 0.65, "phase_k": 0.8},
+              {"axis": CONFIG["channels"][1]["axis"], "tau_us": 0.9, "eta": 0.7}],
+    hamiltonian={"rabi_axis": [0.0, 1.0, 0.0], "rabi_freq_rad_per_us": 3.0},
+    environment={"lambda": [[-0.4, 0.0, 0.0], [0.0, -0.4, 0.0], [0.0, 0.0, -0.8]],
+                 "r_st": [0.0, 0.0, -0.5]},
+)
+# The kick sits before the last event of every entry but the last, which
+# brute force therefore evaluates too.
+DRIVEN_SPECS = SPECS + [FOUR_EVENT_SPEC, {
+    "events": [{"channel": 1, "t_us": 0.3}, {"channel": 0, "t_us": 0.7}],
+}]
+# sha256 of `qcorr analytic --out` bytes. Recorded before and after the gap
+# and event maps became 4x4 arrays on (v, c). Preset: value and chain moved
+# by at most 1.4e-16 relative, brute_force by 1.7e-16, factorized and the
+# key columns unchanged. Driven: unchanged.
+PRESET_ANALYTIC_SHA256 = "8adf62e48f88dcf9cc84ea5c70baa8b0147f30fbd8e98b549d7dfcbe666355d5"
+DRIVEN_ANALYTIC_SHA256 = "3949816dc80ca8297a87178ecf402efc8f7ac986e32c04beb955bab2b7d90b71"
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -305,6 +332,21 @@ class TestAnalytic:
             float(last_only["chain"]), abs=1e-12)
         assert "chain=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("config, specs, expected", [
+        (json.loads(PRESETS.joinpath("two_detector_sim.json").read_text()),
+         json.loads(PRESETS.joinpath("two_detector_specs.json").read_text())
+         + [FOUR_EVENT_SPEC], PRESET_ANALYTIC_SHA256),
+        (DRIVEN_CONFIG, DRIVEN_SPECS, DRIVEN_ANALYTIC_SHA256),
+    ], ids=["preset", "driven"])
+    def test_csv_bytes_pinned(self, tmp_path, config, specs, expected):
+        config_path, spec_path = tmp_path / "config.json", tmp_path / "specs.json"
+        config_path.write_text(json.dumps(config))
+        spec_path.write_text(json.dumps(specs))
+        out = tmp_path / "analytic.csv"
+        assert main(["analytic", "--config", str(config_path), "--spec", str(spec_path),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
     @pytest.mark.parametrize("entry, message", [
         ({"gaps": [{"channel": 0, "dt_us": 0.0}]},
          "spec[0].window: missing required key"),
@@ -444,9 +486,15 @@ class TestEstimateAndCompare:
         ("events,value\nx@1,0.5\n", b"events,value\xff\n", [], "e.csv: 'utf-8' codec"),
         ("events,value\nx@1,0.5\n", "events,value,std_error\nx@1,0.5," + "9" * 200000,
          [], "e.csv: field larger than field limit"),
+        # Joined by the last of its rows, the 0.5 row would go unchecked.
+        ("events,value\nx@1,0.5\nx@1,9.0\n", "events,value,std_error\nx@1,9.0,0.1\n", [],
+         "a.csv: key {'events': 'x@1'} appears more than once"),
+        ("events,value\nx@1,9.0\n", "events,value,std_error\nx@1,9.0,0.1\nx@1,0.5,0.1\n", [],
+         "e.csv: key {'events': 'x@1'} appears more than once"),
     ], ids=["empty-empirical", "empty-analytic", "empirical-not-a-number",
             "analytic-not-a-number", "short-row", "max-sigma-nan", "max-sigma-zero",
-            "max-sigma-negative", "max-sigma-inf", "not-utf-8", "field-too-large"])
+            "max-sigma-negative", "max-sigma-inf", "not-utf-8", "field-too-large",
+            "analytic-repeated-key", "empirical-repeated-key"])
     def test_malformed_compare_input_exits_with_one_named_error(self, tmp_path, capsys,
                                                                 analytic, empirical, extra,
                                                                 named):

@@ -11,14 +11,17 @@ from qcorr import (
     EstimateMismatchError,
     MeasurementChannel,
     RecordSet,
+    ReplicaConfig,
     SimConfig,
     ValidationError,
     Window,
     build_ensemble_model,
     estimate_correlator,
+    four_time_scan,
     merge_estimates,
     simulate_ensemble,
     simulate_range,
+    three_time_scan,
     two_time_correlator,
 )
 from qcorr.empirical import estimate_from_means, resolve_events, resolve_spec, window_means
@@ -53,6 +56,22 @@ def replica_records(n_traj=3000, seed=5, t_total=3.6):
         t_total=t_total, dt=DT, n_traj=n_traj, master_seed=seed,
     )
     return config, simulate_ensemble(config)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: Window(math.nan, 0.5).bins(0.01),
+     "window start must be nonnegative and finite, got nan"),
+    (lambda: Window(0.0, math.inf).bins(0.01),
+     "window length must be positive and finite, got inf"),
+    (lambda: resolve_events([(0, 0.0), (1, math.nan)], 0.01, 2), "time nan us has no bin"),
+    (lambda: three_time_scan(ReplicaConfig(phi=1.0, include_mc=False), dt21_values=(math.nan,)),
+     "time nan us has no bin"),
+    (lambda: four_time_scan(ReplicaConfig(phi=1.0, include_mc=False, t_a=math.inf)),
+     "window start must be nonnegative and finite, got inf"),
+], ids=["window-start", "window-length", "gap", "three-time-grid", "four-time-window"])
+def test_non_finite_time_refused_by_name(call, named):
+    with pytest.raises(ValidationError, match=named):
+        call()
 
 
 class TestEstimateCorrelator:

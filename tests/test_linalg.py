@@ -59,25 +59,26 @@ def test_expm_matches_rk4_oracle(seed, dt):
 def test_affine_flow_singular_generator():
     # lam annihilates e_z: that component must stay frozen, q handles r_st.
     lam = np.diag([-1.0, -1.0, 0.0])
-    p, q = affine_flow(lam, np.zeros(3), 1.0)
+    g = affine_flow(lam, np.zeros(3), 1.0)
+    p, q = g[:3, :3], g[:3, 3]
+    assert np.array_equal(g[3], [0.0, 0.0, 0.0, 1.0])
     assert np.allclose(p, np.diag([np.exp(-1.0), np.exp(-1.0), 1.0]), rtol=1e-13)
     assert np.allclose(q, 0.0, atol=1e-15)
 
 
 def test_affine_flow_zero_generator_is_identity():
-    p, q = affine_flow(np.zeros((3, 3)), np.array([0.3, 0.2, 0.9]), 2.0)
-    assert np.allclose(p, np.eye(3), atol=1e-15)
-    assert np.allclose(q, 0.0, atol=1e-15)
+    g = affine_flow(np.zeros((3, 3)), np.array([0.3, 0.2, 0.9]), 2.0)
+    assert np.allclose(g, np.eye(4), atol=1e-15)
 
 
 def test_affine_flow_relaxation_toward_fixed_point():
     gamma = 0.8
     lam = -gamma * np.eye(3)
     r_st = np.array([0.0, 0.0, 1.0])
-    p, q = affine_flow(lam, r_st, 1.7)
+    g = affine_flow(lam, r_st, 1.7)
     # From r0 = 0 the solution is (1 - exp(-gamma t)) r_st.
     expected = (1.0 - np.exp(-gamma * 1.7)) * r_st
-    assert np.allclose(p @ np.zeros(3) + q, expected, rtol=1e-13, atol=1e-14)
+    assert np.allclose((g @ (0.0, 0.0, 0.0, 1.0))[:3], expected, rtol=1e-13, atol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,9 +89,10 @@ def test_affine_flow_matches_rk4_oracle(seed):
     r_st = rng.uniform(-0.5, 0.5, size=3)
     r0 = rng.uniform(-0.8, 0.8, size=3)
     dt = float(rng.uniform(0.1, 2.0))
-    p, q = affine_flow(lam, r_st, dt)
+    g = affine_flow(lam, r_st, dt)
     expected = rk4_affine_oracle(lam, r_st, r0, dt, n_steps=6000)
-    assert np.allclose(p @ r0 + q, expected, rtol=1e-9, atol=1e-9)
+    assert np.array_equal(g[3], [0.0, 0.0, 0.0, 1.0])
+    assert np.allclose(g[:3, :3] @ r0 + g[:3, 3], expected, rtol=1e-9, atol=1e-9)
 
 
 def test_cross_matrix_matches_numpy_cross(rng):

@@ -14,7 +14,6 @@ from qcorr import (
     ValidationError,
     build_ensemble_model,
     measurement_dephasing_generator,
-    ordered_propagator,
     propagate_ensemble,
     simulate_ensemble,
     simulate_range,
@@ -138,7 +137,7 @@ class TestSimConfig:
 
 def test_array_holding_dataclasses_compare_by_identity_and_hash():
     model, channels = single_channel_setup()
-    for obj in (model, ordered_propagator(model, 0.0, 0.3), make_config(model, channels),
+    for obj in (model, make_config(model, channels),
                 RecordSet(np.zeros((2, 1, 3)), 0.01, channels, master_seed=1)):
         twin = replace(obj)
         assert obj == obj and obj != twin
