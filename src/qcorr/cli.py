@@ -11,6 +11,7 @@ import argparse
 import csv
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -33,21 +34,29 @@ from .config import (
 # estimate_correlator is unused here but stays importable from this module:
 # perfbench/layers.py traces it under this name.
 from .empirical import (  # noqa: F401
+    ResolvedSpecs,
     Window,
     block_rows,
+    ensemble_sums,
     estimate_correlator,
-    estimate_from_means,
+    pool_sums,
     require_standard_error,
     resolve_events,
     resolve_spec,
     window_means,
 )
-from .errors import ConfigError, FactorizationInapplicableError, QcorrError, ValidationError
+from .errors import (
+    ConfigError,
+    FactorizationInapplicableError,
+    QcorrError,
+    RecordFormatError,
+    ValidationError,
+)
 # write_records and simulate_ensemble are unused here but stay importable from
 # this module: perfbench/layers.py traces them under this name.
 from .recordio import read_header, read_records, simulate_records, write_records  # noqa: F401
 from .replica import ReplicaConfig, four_time_scan, three_time_scan
-from .trajectory import simulate_ensemble  # noqa: F401
+from .trajectory import index_ranges, map_batches, simulate_ensemble  # noqa: F401
 
 FLOAT_FMT = ".17g"
 
@@ -197,23 +206,43 @@ def _do_analytic(args) -> int:
     return 0
 
 
+def _block_sums(path, specs: ResolvedSpecs, dt: float, bounds) -> tuple:
+    """ensemble_sums of every spec's window means over trajectories bounds = (lo, hi).
+
+    A spec whose sum of squares over the block is not finite, as it is
+    whenever one of its means is (a NaN or infinite sample in its window),
+    is refused by name with the block's range.
+    """
+    lo, hi = bounds
+    fold = ensemble_sums(window_means(read_records(path, lo, hi).samples, specs))
+    finite = np.isfinite(fold[2])
+    if not finite.all():
+        j = int(np.flatnonzero(~finite)[0])
+        events, start, length = _window_key(specs[j][1], specs[j][0], dt)
+        raise RecordFormatError(
+            f"{path}: spec {j} (events {events}, window start {_fmt(start)} us, "
+            f"length {_fmt(length)} us) has a non-finite window mean in "
+            f"trajectories [{lo}, {hi})"
+        )
+    return fold
+
+
 def _do_estimate(args) -> int:
     entries = _spec_entries(args.spec, None)
     # Every spec and the trajectory count are checked against the header
-    # before any payload is read; the payload is then read and estimated one
-    # block of trajectories at a time, straight into the columns of means.
+    # before any payload is read; the payload is then read one block of
+    # trajectories at a time, and each block's window means are folded into
+    # per-spec long-double sums before the next block is read.
     header = read_header(args.records)
-    resolved = [resolve_spec(gaps, window, header.dt, header.n_channels, header.n_samples)
-                for gaps, window in entries]
+    specs = ResolvedSpecs(
+        resolve_spec(gaps, window, header.dt, header.n_channels, header.n_samples)
+        for gaps, window in entries
+    )
     require_standard_error(header.n_traj)
-    means = np.empty((len(resolved), header.n_traj))
-    step = block_rows(header.n_channels, header.n_samples)
-    for lo in range(0, header.n_traj, step):
-        hi = min(lo + step, header.n_traj)
-        window_means(read_records(args.records, lo, hi).samples, resolved, means[:, lo:hi])
+    task = partial(_block_sums, args.records, specs, header.dt)
+    bounds = index_ranges(0, header.n_traj, block_rows(header.n_channels, header.n_samples))
     rows = []
-    for traj_means, (window_bins, events) in zip(means, resolved):
-        est = estimate_from_means(traj_means, header.dt, window_bins, events)
+    for est in pool_sums(map_batches(task, bounds, workers=1), header.dt, specs):
         key, w0, wlen = _window_key(est.events, est.window_bins, est.dt)
         rows.append((key, w0, wlen, est.value, est.std_error,
                      est.n_traj, est.n_window_samples))

@@ -7,9 +7,8 @@ at fixed gaps from t1. Window placements within one trajectory are strongly
 correlated through the shared qubit path, so standard errors are computed by
 first averaging the window products inside each trajectory and then taking
 the spread of those per-trajectory means across the ensemble. window_means
-computes them for many specs, resolved once by the caller (resolve_spec),
-in one cache-blocked pass over one block of trajectories; a caller streams
-a record file through it one block at a time.
+computes them for many specs, resolved once by the caller (resolve_spec,
+ResolvedSpecs), in one cache-blocked pass over one block of trajectories.
 
 Each trajectory's window is summed in float64: a window holds W products
 (tens to a few hundred), and a float64 sum of W terms in any order is off
@@ -17,14 +16,19 @@ by at most about (W - 1) * 2**-53 * sum|terms| (Higham, SIAM J. Sci.
 Comput. 14, 783 (1993)), about 1e-15 of a standard error. The ensemble
 sums, over 1e4-1e6 per-trajectory means of noise products with standard
 deviation sqrt(tau/dt) per factor, are the long ones: they run in
-extended precision (estimate_from_means, merge_estimates).
+extended precision. ensemble_sums folds one block of means into long-double
+sums and sums of squares as soon as window_means returns it, so a caller
+streams a record file or a simulation one block at a time and keeps O(specs)
+numbers between blocks; pool_sums adds the folds of disjoint blocks in the
+order given and turns the totals into estimates.
 
 Requested times snap to the nearest sample bin (never further than dt/2) and
 the snapped grid is reported back on the estimate. Estimates carry enough of
-the snapped specification to be safely poolable: merge_estimates combines
-estimates of the same specification computed on disjoint trajectory subsets
-using exact pooled-moment algebra, so estimates pooled over trajectory
-batches equal the single-pass result up to floating-point reassociation.
+the snapped specification, and their unrounded long-double sums, to be
+safely poolable: merge_estimates combines estimates of the same
+specification computed on disjoint trajectory subsets through the same
+pool_sums, so estimates pooled over trajectory batches equal the
+single-pass result up to extended-precision reassociation.
 """
 
 from __future__ import annotations
@@ -82,8 +86,8 @@ class CorrelatorEstimate:
     events holds the snapped (channel_index, gap_in_bins) pairs and
     window_bins the snapped inclusive bin range of t1; together with dt they
     identify the specification for merging. sum_means/sumsq_means keep the
-    exact pooled-moment bookkeeping: sum and sum of squares of the
-    per-trajectory window means.
+    exact pooled-moment bookkeeping: the long-double sum and sum of squares
+    of the per-trajectory window means, unrounded.
     """
 
     value: float
@@ -93,8 +97,8 @@ class CorrelatorEstimate:
     dt: float
     window_bins: tuple
     events: tuple
-    sum_means: float
-    sumsq_means: float
+    sum_means: np.longdouble
+    sumsq_means: np.longdouble
 
     @property
     def snapped_gaps_us(self) -> tuple:
@@ -163,7 +167,46 @@ def block_rows(n_channels: int, n_samples: int) -> int:
     return max(1, BLOCK_BYTES // (8 * n_channels * n_samples))
 
 
-def _block_means(samples: np.ndarray, resolved, order, out: np.ndarray) -> None:
+class ResolvedSpecs(tuple):
+    """Resolved (window_bins, events) specs, sorted and scanned once.
+
+    window_means visits specs in sorted order, so that specs sharing window
+    bins and leading events are adjacent, and checks every spec against the
+    shape of its block. Built once, this tuple holds that order, the range
+    of channels the specs read and their last sample index, so a caller
+    that streams many blocks through one spec list pays for the sort and
+    the scan once and each block costs three integer comparisons.
+    window_means wraps any other sequence of resolved specs itself.
+    """
+
+    def __new__(cls, resolved):
+        self = super().__new__(cls, resolved)
+        self.order = sorted(range(len(self)), key=self.__getitem__)
+        channels = [ch for _, events in self for ch, _ in events]
+        self.channel_range = (min(channels, default=0), max(channels, default=0))
+        self.last_sample = max((i1 + events[-1][1] for (_, i1), events in self), default=-1)
+        return self
+
+    def check(self, n_channels: int, n_samples: int) -> None:
+        """Refuse, by its index, the first spec a block of this shape cannot hold."""
+        low, high = self.channel_range
+        if 0 <= low and high < n_channels and self.last_sample < n_samples:
+            return
+        for j, ((i0, i1), events) in enumerate(self):
+            bad = [ch for ch, _ in events if not 0 <= ch < n_channels]
+            if bad:
+                raise ValidationError(
+                    f"spec {j}: channel index {bad[0]} out of range for the "
+                    f"{n_channels} channels of the block"
+                )
+            if i1 + events[-1][1] >= n_samples:
+                raise ValidationError(
+                    f"spec {j}: window bins [{i0}, {i1}] plus largest gap {events[-1][1]} "
+                    f"run past the {n_samples} samples of the block"
+                )
+
+
+def _block_means(samples: np.ndarray, specs: ResolvedSpecs, out: np.ndarray) -> None:
     """Write spec j's window means over the rows of samples into out[j].
 
     Specs are visited in sorted (window_bins, events) order, so specs that
@@ -175,8 +218,8 @@ def _block_means(samples: np.ndarray, resolved, order, out: np.ndarray) -> None:
     """
     chain = []
     last_bins, last_events = None, ()
-    for j in order:
-        bins, events = resolved[j]
+    for j in specs.order:
+        bins, events = specs[j]
         shared = 0
         if bins == last_bins:
             while (shared < min(len(chain), len(events))
@@ -191,53 +234,30 @@ def _block_means(samples: np.ndarray, resolved, order, out: np.ndarray) -> None:
         last_bins, last_events = bins, events
 
 
-def window_means(samples: np.ndarray, resolved, out=None) -> np.ndarray:
+def window_means(samples: np.ndarray, resolved) -> np.ndarray:
     """Per-trajectory window means of every resolved spec in one pass over samples.
 
     samples is one (n_traj, n_channels, n_samples) block of records, the
     samples of a RecordSet; resolved holds (window_bins, events) pairs as
-    resolve_spec returns them. The trajectories are walked in passes of
-    about BLOCK_BYTES of samples, and every spec's products are formed while
-    a pass is in cache. Row j of the returned (len(resolved), n_traj)
-    float64 array is spec j's mean over its window of the product of
-    samples at its gaps from t1, summed in float64 per trajectory (see the
-    module docstring for its error bound); its ensemble mean is the
-    correlator estimate (estimate_from_means, which sums in extended
-    precision).
+    resolve_spec returns them, ideally as a ResolvedSpecs built once for
+    every block. The trajectories are walked in passes of about BLOCK_BYTES
+    of samples, and every spec's products are formed while a pass is in
+    cache. Row j of the returned (len(resolved), n_traj) float64 array is
+    spec j's mean over its window of the product of samples at its gaps
+    from t1, summed in float64 per trajectory (see the module docstring for
+    its error bound); its ensemble mean is the correlator estimate
+    (ensemble_sums and pool_sums, which sum in extended precision).
 
-    out, when given, is that float64 array (say a column slice of means a
-    caller allocated for a whole record file); it is filled and returned.
     A spec with a channel index outside the block's channels, or whose
     window plus largest gap runs past its samples, is refused by its index.
     """
+    specs = resolved if isinstance(resolved, ResolvedSpecs) else ResolvedSpecs(resolved)
     n_traj, n_channels, n_samples = samples.shape
-    # One set of every channel keeps the common case to one cheap check;
-    # only a call that fails it looks for the spec to name.
-    in_range = {ch for _, events in resolved for ch, _ in events} <= set(range(n_channels))
-    for j, ((i0, i1), events) in enumerate(resolved):
-        if not in_range:
-            bad = [ch for ch, _ in events if not 0 <= ch < n_channels]
-            if bad:
-                raise ValidationError(
-                    f"spec {j}: channel index {bad[0]} out of range for the "
-                    f"{n_channels} channels of the block"
-                )
-        if i1 + events[-1][1] >= n_samples:
-            raise ValidationError(
-                f"spec {j}: window bins [{i0}, {i1}] plus largest gap {events[-1][1]} "
-                f"run past the {n_samples} samples of the block"
-            )
-    shape = (len(resolved), n_traj)
-    if out is None:
-        out = np.empty(shape)
-    elif out.dtype != np.float64 or out.shape != shape:
-        raise ValidationError(
-            f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}"
-        )
-    order = sorted(range(len(resolved)), key=resolved.__getitem__)
+    specs.check(n_channels, n_samples)
+    out = np.empty((len(specs), n_traj))
     rows = block_rows(n_channels, n_samples)
     for lo in range(0, n_traj, rows):
-        _block_means(samples[lo:lo + rows], resolved, order, out[:, lo:lo + rows])
+        _block_means(samples[lo:lo + rows], specs, out[:, lo:lo + rows])
     return out
 
 
@@ -252,7 +272,7 @@ def trajectory_window_means(records: RecordSet, gaps, window: Window) -> np.ndar
 
 
 def _pooled(m: int, total, total_sq, dt: float, window_bins: tuple, events: tuple):
-    """Estimate from the sum and sum of squares of m per-trajectory means."""
+    """Estimate from the long-double sum and sum of squares of m per-trajectory means."""
     var = max(float((total_sq - total * total / m) / (m - 1)), 0.0)
     return CorrelatorEstimate(
         value=float(total / m),
@@ -262,8 +282,8 @@ def _pooled(m: int, total, total_sq, dt: float, window_bins: tuple, events: tupl
         dt=dt,
         window_bins=window_bins,
         events=events,
-        sum_means=float(total),
-        sumsq_means=float(total_sq),
+        sum_means=total,
+        sumsq_means=total_sq,
     )
 
 
@@ -273,20 +293,48 @@ def require_standard_error(n_traj: int) -> None:
         raise ValidationError("estimation needs at least 2 trajectories for a standard error")
 
 
+def ensemble_sums(means: np.ndarray) -> tuple:
+    """(trajectories, sums, sums of squares) of the rows of one block of window means.
+
+    means is (rows, n_traj), as window_means returns it. The fold runs in
+    extended precision on one long-double copy of the block: a row sum, an
+    in-place square and a second row sum. Folds of disjoint blocks add up
+    to the folds of their union (pool_sums).
+    """
+    ext = means.astype(np.longdouble)
+    sums = ext.sum(axis=1)
+    np.square(ext, out=ext)
+    return means.shape[1], sums, ext.sum(axis=1)
+
+
+def pool_sums(folds, dt: float, labels) -> list:
+    """Estimate of every row of the folds (ensemble_sums) of disjoint blocks.
+
+    The folds are added in the order given, in extended precision, and
+    never rounded. labels holds each row's (window_bins, events): with dt
+    they label its estimate for merge_estimates.
+    """
+    n = 0
+    total = np.zeros(len(labels), dtype=np.longdouble)
+    total_sq = np.zeros_like(total)
+    for m, sums, sumsqs in folds:
+        n += m
+        total += sums
+        total_sq += sumsqs
+    require_standard_error(n)
+    return [_pooled(n, s, s2, dt, *label) for s, s2, label in zip(total, total_sq, labels)]
+
+
 def estimate_from_means(traj_means: np.ndarray, dt: float, window_bins: tuple,
                         events: tuple) -> CorrelatorEstimate:
     """Estimate from one spec's per-trajectory window means (a row of window_means).
 
     dt, window_bins and events label the estimate for merge_estimates: the
-    snapped specification the means were taken over. The sum and sum of
-    squares over the ensemble run in extended precision, on a long-double
-    copy of the means.
+    snapped specification the means were taken over. The row is pooled as
+    one block: pool_sums of its ensemble_sums.
     """
-    require_standard_error(len(traj_means))
-    ext = traj_means.astype(np.longdouble)
-    total = ext.sum()
-    np.square(ext, out=ext)
-    return _pooled(len(ext), total, ext.sum(), dt, window_bins, events)
+    (est,) = pool_sums([ensemble_sums(traj_means[np.newaxis])], dt, [(window_bins, events)])
+    return est
 
 
 def estimate_correlator(records: RecordSet, gaps, window: Window) -> CorrelatorEstimate:
@@ -303,8 +351,9 @@ def estimate_correlator(records: RecordSet, gaps, window: Window) -> CorrelatorE
 def merge_estimates(parts) -> CorrelatorEstimate:
     """Pool estimates of one specification over disjoint trajectory subsets.
 
-    Exact pooled mean and pooled variance; associative and commutative up to
-    floating-point reassociation.
+    Exact pooled mean and pooled variance: pool_sums of the parts'
+    unrounded long-double sums, in the order given; associative and
+    commutative up to extended-precision reassociation.
     """
     parts = list(parts)
     if not parts:
@@ -315,9 +364,7 @@ def merge_estimates(parts) -> CorrelatorEstimate:
             raise EstimateMismatchError(
                 f"cannot merge estimates of different specs: {p.spec_key()} != {key}"
             )
-    total = np.longdouble(0.0)
-    total_sq = np.longdouble(0.0)
-    for p in parts:
-        total += np.longdouble(p.sum_means)
-        total_sq += np.longdouble(p.sumsq_means)
-    return _pooled(sum(p.n_traj for p in parts), total, total_sq, *key)
+    dt, window_bins, events = key
+    folds = ((p.n_traj, [p.sum_means], [p.sumsq_means]) for p in parts)
+    (est,) = pool_sums(folds, dt, [(window_bins, events)])
+    return est

@@ -22,11 +22,13 @@ structure of this setup:
 
 Both scans share one Monte Carlo loop over simulation batches. Every grid
 point is resolved once; the process that simulates a batch (a forked worker
-with several workers) estimates those resolved points in one window_means
-call and returns only estimates, so memory stays bounded by one batch per
-process at any trajectory budget. Per-point estimates are pooled with exact
-moment algebra and the summary pools grid points trajectory by trajectory,
-respecting their correlation through the shared records.
+with several workers) takes the window means of those resolved points in one
+window_means call and returns only their estimates, which carry the batch's
+unrounded long-double sums (ensemble_sums, pool_sums), so memory stays
+bounded by one batch per process at any trajectory budget. The caller pools
+them in batch order (merge_estimates adds those sums through pool_sums, the
+pooling path of qcorr estimate). The summary pools grid points trajectory by
+trajectory, respecting their correlation through the shared records.
 """
 
 from __future__ import annotations
@@ -42,10 +44,12 @@ from .bloch import MeasurementChannel, build_ensemble_model
 # estimate_correlator and trajectory_window_means are unused here but stay
 # importable from this module: perfbench/layers.py traces them under this name.
 from .empirical import (  # noqa: F401
+    ResolvedSpecs,
     Window,
+    ensemble_sums,
     estimate_correlator,
-    estimate_from_means,
     merge_estimates,
+    pool_sums,
     resolve_events,
     snap,
     trajectory_window_means,
@@ -143,18 +147,17 @@ class FourTimeSummary:
     n_traj: int
 
 
-def _batch_estimates(sim: SimConfig, resolved, bounds) -> list:
+def _batch_estimates(sim: SimConfig, specs: ResolvedSpecs, labels, bounds) -> list:
     """Estimates of every point, then of their per-trajectory average, over one batch.
 
     Runs in the process that simulates the batch: no sample leaves it.
-    resolved holds every point's (window_bins, events).
+    specs holds every point's (window_bins, events), labels those and the
+    grid average's.
     """
-    means = window_means(simulate_range(sim, *bounds).samples, resolved)
+    means = window_means(simulate_range(sim, *bounds).samples, specs)
     # The grid average per trajectory respects the points' correlation
-    # through the shared records; it is labelled with every point's events.
-    (window_bins, _), events = resolved[0], [e for _, e in resolved]
-    labelled = [*zip(means, events), (np.mean(means, axis=0), tuple(events))]
-    return [estimate_from_means(m, sim.dt, window_bins, e) for m, e in labelled]
+    # through the shared records.
+    return pool_sums([ensemble_sums(np.vstack((means, np.mean(means, axis=0))))], sim.dt, labels)
 
 
 def _monte_carlo(config: ReplicaConfig, model, channels, window: Window, points) -> tuple:
@@ -163,18 +166,22 @@ def _monte_carlo(config: ReplicaConfig, model, channels, window: Window, points)
     points are (channel, gap_us) lists from a t1 in window. All are resolved
     once, first, also without include_mc (then every pair is NaN), so a bad
     grid is refused before any batch is simulated. Each batch's estimates
-    (_batch_estimates) are pooled in batch order with merge_estimates.
+    (_batch_estimates) are pooled in batch order with merge_estimates, which
+    adds their unrounded long-double sums.
     """
     dt = config.dt
     window_bins = window.bins(dt)
-    resolved = [(window_bins, resolve_events(gaps, dt, len(channels))) for gaps in points]
+    specs = ResolvedSpecs((window_bins, resolve_events(gaps, dt, len(channels)))
+                          for gaps in points)
     if not config.include_mc:
         nan = (float("nan"), float("nan"))
         return [nan] * len(points), nan
-    t_total = window.t_a + window.length + (max(e[-1][1] for _, e in resolved) + 2) * dt
+    t_total = window.t_a + window.length + (max(e[-1][1] for _, e in specs) + 2) * dt
     sim = SimConfig(model=model, channels=channels, r_init=config.r_init, t_total=t_total,
                     dt=dt, n_traj=config.n_traj, master_seed=config.master_seed)
-    task = partial(_batch_estimates, sim, resolved)
+    # The grid average is labelled with every point's events.
+    labels = [*specs, (window_bins, tuple(events for _, events in specs))]
+    task = partial(_batch_estimates, sim, specs, labels)
     batches = map_batches(task, index_ranges(0, sim.n_traj, sim.batch_size), config.workers)
     mc = [(p.value, p.std_error) for p in map(merge_estimates, zip(*batches))]
     return mc[:-1], mc[-1]

@@ -23,7 +23,7 @@ from qcorr import (
     write_records,
 )
 from qcorr.cli import main
-from qcorr.recordio import FORMAT_VERSION
+from qcorr.recordio import FORMAT_VERSION, read_header
 
 CONFIG = {
     "channels": [
@@ -576,6 +576,74 @@ class TestStreamedEstimate:
                                 calls.append(a) or resolve(*a))
         assert main(["estimate", "--records", str(records), "--spec", str(spec)]) == 0
         assert len(calls) == len(PINNED_SPECS)
+
+    def test_specs_are_sorted_once_per_run(self, tmp_path, monkeypatch):
+        # 20 trajectories in blocks of 4: five window_means calls share one
+        # sort and scan of the resolved specs.
+        records = synthetic_records(tmp_path / "records.qcr", n_traj=20, n_samples=200)
+        spec = write_specs(tmp_path / "specs.json", PINNED_SPECS)
+        monkeypatch.setattr(empirical, "BLOCK_BYTES", 4 * 2 * 200 * 8)
+        built = []
+
+        class Counted(empirical.ResolvedSpecs):
+            def __new__(cls, resolved):
+                built.append(cls)
+                return super().__new__(cls, resolved)
+
+        for module in (cli_module, empirical):
+            monkeypatch.setattr(module, "ResolvedSpecs", Counted)
+        blocks = []
+        window_means = cli_module.window_means
+        monkeypatch.setattr(cli_module, "window_means",
+                            lambda *a: blocks.append(a) or window_means(*a))
+        assert main(["estimate", "--records", str(records), "--spec", str(spec)]) == 0
+        assert len(blocks) == 5 and len(built) == 1
+
+    def test_memory_bounded_at_any_budget(self, tmp_path, monkeypatch):
+        # Blocks of 64 trajectories: the estimate holds one block of samples,
+        # its window means and O(specs) sums, whatever the trajectory count.
+        spec = write_specs(tmp_path / "specs.json", PINNED_SPECS)
+        block_bytes = 64 * 2 * 200 * 8
+        monkeypatch.setattr(empirical, "BLOCK_BYTES", block_bytes)
+
+        def peak(n_traj):
+            records = synthetic_records(tmp_path / "records.qcr", n_traj=n_traj, n_samples=200)
+            tracemalloc.start()
+            try:
+                assert main(["estimate", "--records", str(records), "--spec", str(spec),
+                             "--out", str(tmp_path / "estimates.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)  # first-call allocations
+        small, large = peak(1024), peak(4096)
+        assert small > block_bytes  # one block of samples is held
+        assert large == pytest.approx(small, rel=0.1)
+
+    def test_non_finite_sample_refused_with_spec_and_block(self, tmp_path, capsys):
+        # A preset record with one NaN at trajectory 3, channel 1, bin 120:
+        # only the preset's four-event spec (spec 1) reads that bin.
+        records, out = tmp_path / "records.qcr", tmp_path / "estimates.csv"
+        assert main(["simulate", "--config", str(PRESETS.joinpath("two_detector_sim.json")),
+                     "--out", str(records), "--n-traj", "50"]) == 0
+        header = read_header(records)
+        payload = 50 * header.n_channels * header.n_samples * 8
+        offset = records.stat().st_size - payload
+        offset += ((3 * header.n_channels + 1) * header.n_samples + 120) * 8
+        data = bytearray(records.read_bytes())
+        data[offset:offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        records.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["estimate", "--records", str(records),
+                     "--spec", str(PRESETS.joinpath("two_detector_specs.json")),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "spec 1 (events 0@0;1@0.20000000000000001;" in err[0]
+        assert "non-finite window mean in trajectories [0, 50)" in err[0]
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("n_traj, specs, named", [
         (50, [(0.2, 0.3, [(0, 0.0), (1, 0.2)]), (0.3, 0.2, [(0, 0.0), (1, 0.2)])],

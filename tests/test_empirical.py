@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcorr import empirical
@@ -24,7 +25,15 @@ from qcorr import (
     three_time_scan,
     two_time_correlator,
 )
-from qcorr.empirical import estimate_from_means, resolve_events, resolve_spec, window_means
+from qcorr.empirical import (
+    ResolvedSpecs,
+    ensemble_sums,
+    estimate_from_means,
+    pool_sums,
+    resolve_events,
+    resolve_spec,
+    window_means,
+)
 
 PHI = 3 * np.pi / 10
 TAU = 0.65
@@ -191,28 +200,17 @@ class TestWindowMeans:
         resolved = [resolve_spec(gaps, window, DT, n_channels, n_samples)
                     for gaps, window in specs]
         # Blocks of rows trajectories, each walked by window_means in passes
-        # of block_traj trajectories: neither need divide n_traj.
-        means = np.empty((len(specs), n_traj))
+        # of block_traj trajectories: neither need divide n_traj. The blocks
+        # share one ResolvedSpecs; the whole array gets the list.
+        sorted_once = ResolvedSpecs(resolved)
         with mock.patch.object(empirical, "BLOCK_BYTES", block_traj * 8 * n_channels * n_samples):
-            for lo in range(0, n_traj, rows):
-                window_means(records.samples[lo:lo + rows], resolved, means[:, lo:lo + rows])
+            means = np.concatenate([window_means(records.samples[lo:lo + rows], sorted_once)
+                                    for lo in range(0, n_traj, rows)], axis=1)
             whole = window_means(records.samples, resolved)
         assert whole.shape == (len(specs), n_traj) and whole.dtype == np.float64
         assert np.array_equal(whole, means)
         for row, (gaps, window) in zip(means, specs):
             assert np.array_equal(row, full_array_window_means(records, gaps, window))
-
-    def test_out_is_filled_in_place_and_exactly(self):
-        samples = noise_only_records(n_traj=10, n_samples=50).samples
-        resolved = [resolve_spec([(0, 0.0)], Window(0.1, 0.1), DT, 2, 50),
-                    resolve_spec([(0, 0.0), (0, 0.05)], Window(0.1, 0.05), DT, 2, 50)]
-        out = np.empty((2, 10))
-        assert window_means(samples, resolved, out) is out
-        assert np.array_equal(out, window_means(samples, resolved))
-        for out in (np.empty((2, 10), dtype=np.longdouble), np.empty((2, 10), dtype=np.float32),
-                    np.empty((2, 9)), np.empty((2, 11)), np.empty((1, 10))):
-            with pytest.raises(ValidationError, match=r"float64 array of shape \(2, 10\)"):
-                window_means(samples, resolved, out)
 
     def test_spec_past_the_block_refused_by_index(self):
         samples = noise_only_records(n_traj=10, n_samples=50).samples
@@ -391,6 +389,47 @@ class TestMergeEstimates:
         assert merged.value == pytest.approx(single.value, rel=1e-12, abs=1e-15)
         assert merged.std_error == pytest.approx(single.std_error, rel=1e-12)
         assert merged.n_traj == single.n_traj
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 100), st.integers(2, 400),
+           st.floats(0.0, 1e4), st.floats(1e-3, 1e3))
+    @example(seed=1, n_parts=100, part=400, offset=1e4, spread=1.0)
+    def test_parts_pool_their_unrounded_sums(self, seed, n_parts, part, offset, spread):
+        # The variance is the difference of two sums that agree in about
+        # log10((mean/spread)**2) leading digits, so a relative error eps in
+        # the sums costs about eps (mean/spread)**2 in the standard error.
+        # Pooling adds each part's long-double sums unrounded: the merged
+        # standard error stays within that scale (times sqrt(n_parts) for
+        # the running sums) of the exact one of the float64 means, plus the
+        # float64 rounding of the result. Rounding each part's sums to
+        # float64 first costs the float64 eps instead.
+        means = spread * (offset + np.random.default_rng(seed).standard_normal(n_parts * part))
+        spec = (DT, (10, 20), ((0, 0), (1, 5)))
+        merged = merge_estimates(estimate_from_means(p, *spec) for p in np.split(means, n_parts))
+        exact = [Fraction(x) for x in means.tolist()]
+        total = sum(exact)
+        var = (sum(x * x for x in exact) - total * total / len(exact)) / (len(exact) - 1)
+        exact_se = math.sqrt(var / len(exact))
+        ratio = float(np.mean(means)) ** 2 / float(np.var(means))
+        eps = float(np.finfo(np.longdouble).eps)
+        bound = 2.0 * math.sqrt(n_parts) * eps * (1.0 + ratio) + 8 * 2.0 ** -53
+        assert merged.n_traj == len(means)
+        assert abs(merged.std_error - exact_se) <= bound * exact_se
+
+    def test_folds_of_blocks_pool_as_merged_block_estimates(self):
+        # pool_sums over block folds and merge_estimates over block
+        # estimates add the same long-double sums in the same order.
+        records = noise_only_records(n_traj=230, n_samples=60)
+        resolved = ResolvedSpecs([resolve_spec([(0, 0.0)], Window(0.1, 0.2), DT, 2, 60),
+                                  resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.2), DT, 2, 60)])
+        blocks = [window_means(records.samples[lo:lo + 50], resolved) for lo in range(0, 230, 50)]
+        pooled = pool_sums(map(ensemble_sums, blocks), DT, resolved)
+        for j, est in enumerate(pooled):
+            merged = merge_estimates(estimate_from_means(b[j], DT, *resolved[j]) for b in blocks)
+            assert est == merged and est.n_traj == 230
+            single = estimate_from_means(np.concatenate(blocks, axis=1)[j], DT, *resolved[j])
+            assert est.value == pytest.approx(single.value, rel=1e-15, abs=1e-17)
+            assert est.std_error == pytest.approx(single.std_error, rel=1e-15)
 
     def test_mismatched_specs_rejected(self):
         records = noise_only_records(n_traj=100, n_samples=60)
