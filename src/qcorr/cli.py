@@ -156,14 +156,12 @@ def _do_simulate(args) -> int:
     if args.progress:
         def progress(done, total):
             print(f"\r{done}/{total} trajectories", end="", file=sys.stderr, flush=True)
-    clipped = simulate_records(out, sim, workers=args.workers, progress=progress)
+    simulate_records(out, sim, workers=args.workers, progress=progress)
     if args.progress:
         print(file=sys.stderr)
-    clip_fraction = clipped / float(sim.n_traj * sim.n_samples)
     print(
         f"wrote {sim.n_traj} trajectories x {sim.n_channels} channels "
-        f"x {sim.n_samples} samples to {out} "
-        f"(clip fraction {clip_fraction:.3e})"
+        f"x {sim.n_samples} samples to {out}"
     )
     return 0
 

@@ -76,21 +76,26 @@ def expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def affine_flow(lam: np.ndarray, r_st: np.ndarray, dt: float) -> np.ndarray:
+def affine_flow(lam: np.ndarray, r_st: np.ndarray, dt: float, applied=None) -> np.ndarray:
     """Gap map G of dr/dt = lam (r - r_st) over a time span dt.
 
     (r(t0 + dt), 1) = G (r(t0), 1): G[:3, :3] is the linear part P and
     G[:3, 3] the offset q of r -> P r + q; the last row is (0, 0, 0, 1).
+    applied, when given, is a 3x3 part of lam that the caller applies by
+    other means: G is then the map of the rest, dr/dt = lam (r - r_st) -
+    applied r.
     """
     lam = np.asarray(lam, dtype=float)
     r_st = np.asarray(r_st, dtype=float)
     aug = np.zeros((4, 4))
-    aug[:3, :3] = lam
+    aug[:3, :3] = lam if applied is None else lam - applied
     aug[:3, 3] = -lam @ r_st
     g = expm(aug * dt)
-    # The exact last row keeps c through any number of gaps; the Pade solve
-    # leaves G[3, 3] an ulp or two below 1.
-    g[3] = (0.0, 0.0, 0.0, 1.0)
+    # A zero row of the generator (always the last, the c row) leaves its
+    # coordinate fixed. Exact identity rows keep it through any number of
+    # gaps; the Pade solve leaves their diagonal an ulp or two below 1.
+    fixed = ~aug.any(axis=1)
+    g[fixed] = np.eye(4)[fixed]
     return g
 
 

@@ -80,17 +80,17 @@ def _pwrite_all(fd: int, data: np.ndarray, offset: int) -> None:
         view, offset = view[written:], offset + written
 
 
-def _write_batch(config: SimConfig, fd: int, payload_offset: int, bounds) -> tuple:
-    """Simulate batch bounds = (lo, hi) and write its rows; (trajectories, clipped steps)."""
+def _write_batch(config: SimConfig, fd: int, payload_offset: int, bounds) -> int:
+    """Simulate batch bounds = (lo, hi) and write its rows; returns its trajectory count."""
     lo, hi = bounds
     samples = np.empty((hi - lo, config.n_channels, config.n_samples))
-    clipped = trajectory._simulate_batch(config, lo, hi, samples, None)
+    trajectory._simulate_batch(config, lo, hi, samples, None)
     _pwrite_all(fd, samples, payload_offset + lo * samples[0].nbytes)
-    return hi - lo, clipped
+    return hi - lo
 
 
-def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -> int:
-    """Simulate config's ensemble straight into a record file; returns the clipped steps.
+def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -> None:
+    """Simulate config's ensemble straight into a record file.
 
     The file is byte-identical to write_records(path, simulate_ensemble(config)).
     The header is written first; then every batch of index_ranges is
@@ -104,7 +104,7 @@ def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -
     """
     header = _header(config.dt, config.n_samples, config.channels, config.n_traj,
                      config.master_seed)
-    clipped = done = 0
+    done = 0
     with open(path, "wb") as fh:
         try:
             fh.write(header)
@@ -112,8 +112,7 @@ def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -
             task = partial(_write_batch, config, fh.fileno(), len(header))
             bounds = index_ranges(0, config.n_traj, config.batch_size)
             with closing(map_batches(task, bounds, workers)) as batches:
-                for n_done, n_clip in batches:
-                    clipped += n_clip
+                for n_done in batches:
                     done += n_done
                     if progress is not None:
                         progress(done, config.n_traj)
@@ -122,7 +121,6 @@ def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -
                 with suppress(OSError):
                     os.unlink(path)
             raise
-    return clipped
 
 
 class RecordHeader(namedtuple("RecordHeader", "dt n_samples channels n_traj master_seed")):

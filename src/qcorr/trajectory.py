@@ -1,54 +1,32 @@
 """Stochastic trajectory integration of continuously monitored qubits.
 
-The qubit state follows the Ito-form stochastic evolution
+Each step is a quantum Bayesian update (Korotkov, PRB 60, 5737 (1999)) in
+Kraus-map form (Rouchon & Ralph, PRA 91, 012118 (2015)). With r the state
+before the step, channel l records the bin-averaged sample
 
-    dr = L (r - r_st) dt
-         + sum_l [ (n_l - (n_l . r) r) / sqrt(tau_l)
-                   + (phase_k_l / sqrt(tau_l)) (n_l x r) ] dW_l
+    I_l = n_l . r + sqrt(tau_l / dt + max(1 - (n_l . r)^2, 0)) xi_l
 
-driven by one Wiener increment per channel and step, while each channel
-records the bin-averaged output sample
+from one standard-normal draw per channel and step: the variance of the
+bin's +-1 mixture, so E[I_l^2] = tau_l / dt + 1 in every state. Each channel
+in turn then applies M = exp(a (1 - i k) sigma_n), a = I_l dt / (2 tau_l),
+k = phase_k, and renormalises: with u = n . r and t = tanh 2a, n . r becomes
+(u + t) / (1 + u t), and the perpendicular part is scaled by
+sech 2a / (1 + u t) and turned about n by k I_l dt / tau_l. Last, the rest
+of the generator, lam minus the (1 + k^2) / (2 tau_l) dephasing the maps
+supply on average, moves r by its exact affine flow (linalg.affine_flow):
+Rabi drive, environment and the (1 / eta_l - 1) share of the dephasing. A
+model whose rest would push states out of the Bloch ball is refused when
+its SimConfig is built. So nothing is ever clipped, ideal monitoring keeps
+pure states pure to rounding, and a state on the sole measured axis stays
+there bit for bit.
 
-    I_l[k] = n_l . r(t_k) + sqrt(tau_l) dW_l / dt
-
-whose noise part has variance tau_l / dt per bin. The same increment dW_l
-drives both the state update and the sample, which is what correlates the
-records with the conditioned state.
-
-Integration is explicit Euler-Maruyama plus a radial correction: the raw
-Euler step inflates |r|^2 by the realized quadratic variation |B|^2 of the
-noise displacement instead of its Ito mean sum_l |b_l|^2 dt, a spurious
-O(sqrt(dt)) random walk of the state norm that a plain clip to the unit ball
-turns into a strong systematic bias of ensemble means. Each step therefore
-rescales the norm to remove (|B|^2 - sum_l |b_l|^2 dt) before clipping any
-state still outside the unit ball back onto it. Clipping is not rare: on the
-two-detector preset (2000 trajectories) `qcorr simulate` reports a clip
-fraction of 0.32 of all steps at dt = 0.01 us and 0.27 at dt = 0.005 us, so
-it barely falls with dt. The count is kept in run metadata (clipped_steps).
-Tangential dynamics is untouched Euler-Maruyama.
-
-Trajectories are embarrassingly parallel: states and noise streams are owned
-by one batch at a time and each batch writes its own rows of the result, so
-output never depends on worker count or scheduling. Batching is by fixed
-batch_size (not by worker count) and the per-step arithmetic is written as
-elementwise operations, making every trajectory's path bit-identical no
-matter how it is batched. map_batches runs any per-batch function over the
-batches, in this process or in forked worker processes; only batch bounds
-and the function's per-batch results cross a pipe. simulate_range's batches
-write their rows in place into anonymous shared memory mappings holding the
-range's samples (and states) and return per-batch counts; the replica scans
-simulate and estimate each batch in the worker, so their samples never
-leave it, and recordio.simulate_records writes each batch's rows into the
-record file from the process that simulated it.
-
-Layout: a batch keeps its states as one contiguous (3, batch) array, one row
-per Bloch component, so every operation of the kernel runs over contiguous
-memory. Each trajectory's draws are copied once, transposed to channel-major,
-into that trajectory's own sample row; a few steps at a time they are
-gathered into a small time-major (steps, channels, batch) block that the
-kernel reads, and the samples it writes into a block of the same shape are
-transposed back over the draws they were made from. A batch therefore holds
-nothing beyond its rows and those two blocks.
+Output never depends on worker count, scheduling or batch size: each
+trajectory owns its noise stream, batches are cut at fixed multiples of
+batch_size and write their own rows, and every step is elementwise over the
+batch axis. map_batches runs a per-batch function here or in forked
+workers; only batch bounds and per-batch results cross a pipe. A batch
+holds its rows, two small time-major (steps, channels, batch) blocks that
+carry draws in and samples out, and its (batch,) scratch rows.
 """
 
 from __future__ import annotations
@@ -57,24 +35,23 @@ import math
 import mmap
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .bloch import EnsembleModel, MeasurementChannel, validate_state
+from .bloch import EnsembleModel, MeasurementChannel, measurement_dephasing_generator, validate_state
 from .errors import IntegrationDivergedError, ValidationError
+from .linalg import affine_flow
 from .noise import check_seed, trajectory_draws
 
 DT_ERROR_FRACTION = 0.05
 DT_WARN_FRACTION = 0.01
 DEFAULT_BATCH_SIZE = 8192
-# Steps per transposed noise/sample block. A block writes 16 consecutive
-# samples (two 64-byte cache lines) of each record row at a time; 4-step
-# blocks made the 20000 x 400 preset about 10% slower on a 2-vCPU x86 VM.
-# Each batch in flight holds two (steps, channels, batch) blocks, 2 MiB each
-# at batch 8192 and two channels, so much longer blocks show up in peak
-# memory.
+# Steps per transposed noise/sample block: 16 consecutive samples (two 64-byte
+# cache lines) of each record row at a time; 4-step blocks made the 20000 x 400
+# preset about 10% slower on a 2-vCPU x86 VM. Each batch in flight holds two
+# (steps, channels, batch) blocks, 2 MiB each at batch 8192 and two channels.
 _BLOCK_STEPS = 16
 
 
@@ -129,6 +106,13 @@ class SimConfig:
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         check_seed(self.master_seed)
+        # The step's flow of lam - event_dephasing must not stretch the Bloch
+        # ball (as lam = 0 with a measured channel would): no quantum map does.
+        rest = self.model.lam - event_dephasing(channels)
+        top = float(np.linalg.eigvalsh(0.5 * (rest + rest.T))[-1])
+        if top > 1e-12 * (1.0 + float(np.abs(self.model.lam).max())):
+            raise ValidationError(f"model generator lacks its channels' measurement dephasing: lam "
+                                  f"minus it stretches the Bloch ball at rate {top:.6g}/us")
 
     @property
     def n_samples(self) -> int:
@@ -145,7 +129,8 @@ class RecordSet:
 
     samples has shape (n_traj, n_channels, n_samples); row i holds trajectory
     traj_offset + i of the ensemble, bit-identical however the ensemble was
-    cut into ranges.
+    cut into ranges. clipped_steps is always 0, as no step clips; the
+    benchmark tracer reads it until runs report their own health.
     """
 
     samples: np.ndarray
@@ -174,91 +159,110 @@ class RecordSet:
     def n_samples(self) -> int:
         return self.samples.shape[2]
 
-    @property
-    def clip_fraction(self) -> float:
-        return self.clipped_steps / float(self.n_traj * self.n_samples)
 
+def event_dephasing(channels) -> np.ndarray:
+    """The part of lam that the event maps supply: the dephasing at eta = 1.
 
-def _channel_arrays(channels):
-    axes = np.array([ch.axis_vector for ch in channels])
-    taus = np.array([ch.tau for ch in channels])
-    phase_ks = np.array([ch.phase_k for ch in channels])
-    return axes, taus, phase_ks
-
-
-def _step_batch(r, lam, r_st, axes, taus, phase_ks, dt, xi, out_samples):
-    """Advance a batch of states one step and record their output samples.
-
-    r has shape (3, batch), one state per column; xi and out_samples have
-    shape (n_channels, batch). All contractions are written elementwise over
-    the batch axis so the result of a column never depends on the other
-    columns present in the batch. Returns (new_r, n_clipped).
+    The Bayesian update dephases by 1 / (2 tau), the phase kick by phase_k^2 / (2 tau).
     """
-    n_channels = axes.shape[0]
-    sqrt_dt = math.sqrt(dt)
-    x, y, z = r
-
-    u0 = x - r_st[0]
-    u1 = y - r_st[1]
-    u2 = z - r_st[2]
-    drift = np.empty_like(r)
-    for j in range(3):
-        drift[j] = (lam[j, 0] * u0 + lam[j, 1] * u1 + lam[j, 2] * u2) * dt
-
-    disp = np.zeros_like(r)          # realized noise displacement B
-    qvar = np.zeros(r.shape[1])      # sum_l |b_l|^2 dt
-    for c in range(n_channels):
-        n = axes[c]
-        inv_sqrt_tau = 1.0 / math.sqrt(taus[c])
-        nr = n[0] * x + n[1] * y + n[2] * z
-        out_samples[c] = nr + math.sqrt(taus[c] / dt) * xi[c]
-        # b_c = (n - (n.r) r) / sqrt(tau) + (phase_k / sqrt(tau)) (n x r)
-        b0 = (n[0] - nr * x) * inv_sqrt_tau
-        b1 = (n[1] - nr * y) * inv_sqrt_tau
-        b2 = (n[2] - nr * z) * inv_sqrt_tau
-        if phase_ks[c] != 0.0:
-            k_tau = phase_ks[c] * inv_sqrt_tau
-            b0 = b0 + k_tau * (n[1] * z - n[2] * y)
-            b1 = b1 + k_tau * (n[2] * x - n[0] * z)
-            b2 = b2 + k_tau * (n[0] * y - n[1] * x)
-        dw = sqrt_dt * xi[c]
-        disp[0] += b0 * dw
-        disp[1] += b1 * dw
-        disp[2] += b2 * dw
-        qvar += (b0 * b0 + b1 * b1 + b2 * b2) * dt
-
-    new_r = r + drift + disp
-
-    # Remove the spurious radial quadratic variation |B|^2 - sum |b|^2 dt.
-    norm2 = new_r[0] ** 2 + new_r[1] ** 2 + new_r[2] ** 2
-    spur = disp[0] ** 2 + disp[1] ** 2 + disp[2] ** 2 - qvar
-    target = np.maximum(norm2 - spur, 0.0)
-    nontrivial = norm2 > 1e-24
-    scale = np.ones_like(norm2)
-    np.divide(target, norm2, out=scale, where=nontrivial)
-    np.sqrt(scale, out=scale)
-    new_r *= scale
-
-    norm2 = new_r[0] ** 2 + new_r[1] ** 2 + new_r[2] ** 2
-    outside = norm2 > 1.0
-    n_clipped = int(np.count_nonzero(outside))
-    if n_clipped:
-        new_r[:, outside] /= np.sqrt(norm2[outside])
-    return new_r, n_clipped
+    return measurement_dephasing_generator(replace(ch, eta=1.0) for ch in channels)
 
 
-def _simulate_batch(config: SimConfig, start: int, stop: int, samples, states) -> int:
+class _BayesStep:
+    """The Bayesian step of one batch: states r (3, batch), one per column.
+
+    A step updates r in place, elementwise, writing only into arrays allocated here.
+    """
+
+    def __init__(self, config: SimConfig, batch: int):
+        # Per channel: n, its nonzero components (i, n_i), dt/tau and phase_k.
+        self.channels = [(ch.axis_vector, [(i, n_i) for i, n_i in enumerate(ch.axis) if n_i != 0.0],
+                          config.dt / ch.tau, ch.phase_k) for ch in config.channels]
+        self.tau_dt = np.array([[ch.tau / config.dt] for ch in config.channels])
+        g = affine_flow(config.model.lam, config.model.r_st, config.dt,
+                        applied=event_dephasing(config.channels))
+        self.flow = None if np.array_equal(g, np.eye(4)) else g[:3]
+        self.r = np.repeat(np.asarray(config.r_init, dtype=float)[:, None], batch, axis=1)
+        self.u, self.spread = np.empty((2, len(self.channels), batch))
+        self.work = np.empty((7, batch))  # four scratch rows, then a spare (3, batch)
+
+    def _project(self, nonzero, out) -> None:
+        """out = n . r over the nonzero components of n."""
+        for m, (i, n_i) in enumerate(nonzero):
+            np.multiply(self.r[i], n_i, out=out if m == 0 else self.work[3])
+            if m:
+                np.add(out, self.work[3], out=out)
+
+    def __call__(self, xi, out) -> None:
+        """Write the samples of r into out, then step r; xi, out: (n_channels, batch)."""
+        r, u, spread, spare = self.r, self.u, self.spread, self.work[4:]
+        a, b, c, d = self.work[:4]
+        for l, (_, nonzero, _, _) in enumerate(self.channels):
+            self._project(nonzero, u[l])
+        np.multiply(u, u, out=spread)
+        np.subtract(1.0, spread, out=spread)
+        np.maximum(spread, 0.0, out=spread)
+        np.add(spread, self.tau_dt, out=spread)
+        np.sqrt(spread, out=spread)
+        np.multiply(spread, xi, out=spread)
+        np.add(u, spread, out=out)
+        for l, (n, nonzero, dt_tau, phase_k) in enumerate(self.channels):
+            if l:
+                self._project(nonzero, u[l])
+            # e = exp(2a), w = (1 + u) e^2 + (1 - u): the new n . r, (u + t) / (1 + u t)
+            # = ((1 + u) e^2 - (1 - u)) / w, into b; the perpendicular scale 2 e / w into c.
+            np.multiply(out[l], dt_tau, out=a)
+            np.exp(a, out=a)
+            np.add(u[l], 1.0, out=b)
+            np.multiply(b, a, out=b)
+            np.multiply(b, a, out=b)
+            np.subtract(1.0, u[l], out=c)
+            np.add(b, c, out=d)
+            np.subtract(b, c, out=b)
+            np.divide(b, d, out=b)
+            np.multiply(a, 2.0, out=c)
+            np.divide(c, d, out=c)
+            if phase_k != 0.0:
+                # Turn by k I dt / tau: c becomes c cos, spare (c sin) n x r.
+                for i in range(3):
+                    j, k = (i + 1) % 3, (i + 2) % 3
+                    np.multiply(r[k], n[j], out=spare[i])
+                    np.multiply(r[j], n[k], out=a)
+                    np.subtract(spare[i], a, out=spare[i])
+                np.multiply(out[l], phase_k * dt_tau, out=a)
+                np.sin(a, out=d)
+                np.cos(a, out=a)
+                np.multiply(d, c, out=d)
+                np.multiply(c, a, out=c)
+                np.multiply(spare, d, out=spare)
+            # r' = c (r - u n) + b n: exact on a coordinate axis, where r_i - u n_i = 0.
+            for i, n_i in nonzero:
+                np.multiply(u[l], n_i, out=a)
+                np.subtract(r[i], a, out=r[i])
+            np.multiply(r, c, out=r)
+            for i, n_i in nonzero:
+                np.multiply(b, n_i, out=a)
+                np.add(r[i], a, out=r[i])
+            if phase_k != 0.0:
+                np.add(r, spare, out=r)
+        if self.flow is not None:
+            for j in range(3):
+                spare[j] = self.flow[j, 3]
+                for i in range(3):
+                    np.multiply(r[i], self.flow[j, i], out=a)
+                    np.add(spare[j], a, out=spare[j])
+            r[:] = spare
+
+
+def _simulate_batch(config: SimConfig, start: int, stop: int, samples, states) -> None:
     """Simulate trajectories [start, stop) into their rows of samples and states.
 
     samples has shape (stop - start, n_channels, n_samples) and states, unless
     None, (stop - start, n_samples + 1, 3); row i holds trajectory start + i.
-    Returns the number of clipped steps.
     """
     n_steps = config.n_samples
     n_ch = config.n_channels
     batch = stop - start
-    axes, taus, phase_ks = _channel_arrays(config.channels)
-    lam, r_st = config.model.lam, config.model.r_st
 
     # Each trajectory's draws wait in its own sample row; a block of steps
     # reads its draws from the rows before the samples made from them
@@ -266,28 +270,26 @@ def _simulate_batch(config: SimConfig, start: int, stop: int, samples, states) -
     for j in range(batch):
         samples[j] = trajectory_draws(config.master_seed, start + j, n_steps, n_ch).T
 
-    r = np.empty((3, batch))
-    r[:] = np.asarray(config.r_init, dtype=float)[:, None]
+    step = _BayesStep(config, batch)
     if states is not None:
-        states[:, 0, :] = r.T
+        states[:, 0, :] = step.r.T
     xi = np.empty((_BLOCK_STEPS, n_ch, batch))
     out = np.empty((_BLOCK_STEPS, n_ch, batch))
-    clipped = 0
     for k0 in range(0, n_steps, _BLOCK_STEPS):
         steps = range(k0, min(k0 + _BLOCK_STEPS, n_steps))
         xi_block = xi[:len(steps)]
         out_block = out[:len(steps)]
         xi_block[:] = samples[:, :, steps.start:steps.stop].transpose(2, 1, 0)
         for k, xi_k, out_k in zip(steps, xi_block, out_block):
-            r, n_clip = _step_batch(r, lam, r_st, axes, taus, phase_ks, config.dt, xi_k, out_k)
-            clipped += n_clip
+            step(xi_k, out_k)
             if states is not None:
-                states[:, k + 1, :] = r.T
-            if not np.all(np.isfinite(r)):
-                bad = int(np.flatnonzero(~np.isfinite(r).all(axis=0))[0])
-                raise IntegrationDivergedError(step_index=k, trajectory_index=start + bad)
+                states[:, k + 1, :] = step.r.T
+        # A non-finite draw or state makes its step's sample (and a state,
+        # every later one) non-finite: the first bad sample names the step.
+        if not math.isfinite(out_block.sum()):
+            k, _, j = np.argwhere(~np.isfinite(out_block))[0]
+            raise IntegrationDivergedError(step_index=k0 + int(k), trajectory_index=start + int(j))
         samples[:, :, steps.start:steps.stop] = out_block.transpose(2, 1, 0)
-    return clipped
 
 
 def index_ranges(start: int, stop: int, step: int) -> list:
@@ -303,12 +305,12 @@ def index_ranges(start: int, stop: int, step: int) -> list:
     return ranges
 
 
-def _run_batch(config, start, samples, states, bounds) -> tuple:
-    """Simulate batch bounds = (lo, hi) into its rows; (trajectories, clipped steps)."""
+def _run_batch(config, start, samples, states, bounds) -> int:
+    """Simulate batch bounds = (lo, hi) into its rows; returns its trajectory count."""
     lo, hi = bounds
     rows = slice(lo - start, hi - start)
-    batch_states = None if states is None else states[rows]
-    return hi - lo, _simulate_batch(config, lo, hi, samples[rows], batch_states)
+    _simulate_batch(config, lo, hi, samples[rows], None if states is None else states[rows])
+    return hi - lo
 
 
 _attached = None
@@ -394,11 +396,9 @@ def simulate_range(config: SimConfig, start: int, stop: int,
     empty = np.empty if _pool_size(workers, len(bounds)) == 1 else _shared_empty
     samples = empty((total, config.n_channels, config.n_samples))
     states = empty((total, config.n_samples + 1, 3)) if config.store_states else None
-    clipped = 0
     done = 0
     run = partial(_run_batch, config, start, samples, states)
-    for n_done, n_clip in map_batches(run, bounds, workers):
-        clipped += n_clip
+    for n_done in map_batches(run, bounds, workers):
         done += n_done
         if progress is not None:
             progress(done, total)
@@ -408,7 +408,6 @@ def simulate_range(config: SimConfig, start: int, stop: int,
         dt=config.dt,
         channels=config.channels,
         master_seed=config.master_seed,
-        clipped_steps=clipped,
         states=states,
         traj_offset=start,
     )

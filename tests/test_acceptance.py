@@ -257,7 +257,8 @@ def test_a6_four_time_correlator_flat_in_middle_gap():
 
 
 def test_a7_purity_scaling_and_ensemble_consistency():
-    # Purity: ideal single-channel monitoring, defect must halve with dt.
+    # Purity: ideal single-channel monitoring keeps pure states pure. Every
+    # event map does so exactly, so the defect must be rounding at every dt.
     ch = MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0)
     model = build_ensemble_model([ch])
     defects = []
@@ -268,9 +269,8 @@ def test_a7_purity_scaling_and_ensemble_consistency():
         )
         records = simulate_ensemble(config, workers=2)
         norms = np.linalg.norm(records.states, axis=2)
-        defects.append(np.abs(norms - 1.0).max(axis=1).mean())
-    ratios = [defects[0] / defects[1], defects[1] / defects[2]]
-    purity_ok = all(1.5 <= r <= 3.0 for r in ratios)
+        defects.append(float(np.abs(norms - 1.0).max()))
+    purity_ok = max(defects) <= 1e-12
 
     # Ensemble mean vs the exact propagation, 4 standard errors everywhere.
     phi = 3 * np.pi / 10
@@ -291,10 +291,10 @@ def test_a7_purity_scaling_and_ensemble_consistency():
         worst_sigma = max(worst_sigma, float(sigmas.max()))
     ensemble_ok = worst_sigma <= 4.0
     verdict(
-        "[A7] purity defect ~dt and ensemble mean consistency",
+        "[A7] purity kept to rounding and ensemble mean consistency",
         purity_ok and ensemble_ok,
-        f"defect ratios under dt halving {['%.2f' % r for r in ratios]} "
-        f"(within [1.5, 3]), worst ensemble deviation {worst_sigma:.2f} se "
+        f"max ||r| - 1| at dt 0.02, 0.01, 0.005: {['%.1e' % d for d in defects]} "
+        f"(<= 1e-12), worst ensemble deviation {worst_sigma:.2f} se "
         f"(<= 4) over {config.n_samples} times x 3 components",
     )
 
@@ -447,11 +447,10 @@ def test_a11_non_unital_environment_matches_monte_carlo():
             t_total=window.t_a + window.length + 2 * dt, dt=dt,
             n_traj=50_000, master_seed=55,
         )
-        parts, clipped = [], 0
+        parts = []
         for lo, hi in index_ranges(0, sim.n_traj, 16384):
             records = simulate_range(sim, lo, hi, workers=2)
             parts.append(estimate_correlator(records, [(0, 0.0)], window))
-            clipped += records.clipped_steps
             del records
         est = merge_estimates(parts)
         r_window = window_mean_state(model, (1.0, 0.0, 0.0), window, dt)
@@ -459,9 +458,41 @@ def test_a11_non_unital_environment_matches_monte_carlo():
         sigma = abs(est.value - exact) / est.std_error
         ok = ok and sigma <= 4.0
         details.append(f"{label}: exact {exact:.4f}, MC {est.value:.4f} +- "
-                       f"{est.std_error:.4f} ({sigma:.1f} se), clip fraction "
-                       f"{clipped / (sim.n_traj * sim.n_samples):.4f}")
+                       f"{est.std_error:.4f} ({sigma:.1f} se)")
     verdict(
         "[A11] non-unital environment: chain vs Monte Carlo (5e4 trajectories per point)",
         ok, "; ".join(details) + f", {time.time() - start:.0f}s",
+    )
+
+
+def test_a12_correlator_exceeding_one_matches_monte_carlo():
+    # One z channel with phase backaction and a Rabi drive about x, r_in = x:
+    # the kick makes the same-channel pair correlator exceed the collapse
+    # bound |K| <= 1. Budget fixed before the first run: 2e5 trajectories at
+    # dt 0.01 us, seed 12012, 4 se.
+    dt, gap = 0.01, 0.12
+    window = Window(0.0, 0.5)
+    channels = (MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0, phase_k=1.0),)
+    model = build_ensemble_model(channels, rabi_axis=(1.0, 0.0, 0.0), rabi_freq=6.0)
+    sim = SimConfig(
+        model=model, channels=channels, r_init=(1.0, 0.0, 0.0),
+        t_total=window.t_a + window.length + gap + 2 * dt, dt=dt,
+        n_traj=200_000, master_seed=12012,
+    )
+    start = time.time()
+    parts = []
+    for lo, hi in index_ranges(0, sim.n_traj, 32768):
+        records = simulate_range(sim, lo, hi, workers=2)
+        parts.append(estimate_correlator(records, [(0, 0.0), (0, gap)], window))
+        del records
+    est = merge_estimates(parts)
+    r_window = window_mean_state(model, (1.0, 0.0, 0.0), window, dt)
+    exact = chain_correlator(model, channels, CorrelatorSpec(((0, 0.0), (0, gap)), r_window))
+    sigma = abs(est.value - exact) / est.std_error
+    margin = (est.value - 1.0) / est.std_error
+    verdict(
+        "[A12] correlator exceeding one: chain vs Monte Carlo (2e5 trajectories)",
+        sigma <= 4.0 and margin > 4.0,
+        f"chain {exact:.4f}, MC {est.value:.4f} +- {est.std_error:.4f} ({sigma:.1f} se, <= 4), "
+        f"above 1 by {margin:.1f} se (> 4), {time.time() - start:.1f}s",
     )

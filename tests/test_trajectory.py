@@ -12,14 +12,24 @@ from qcorr import (
     SimConfig,
     TimestepWarning,
     ValidationError,
+    Window,
     build_ensemble_model,
+    estimate_correlator,
     measurement_dephasing_generator,
     propagate_ensemble,
     simulate_ensemble,
     simulate_range,
 )
 from qcorr.linalg import cross_matrix
-from qcorr.trajectory import _channel_arrays, _step_batch, index_ranges
+from qcorr.trajectory import _BayesStep, event_dephasing, index_ranges
+
+from conftest import (
+    PAULIS,
+    bloch_components,
+    density_matrix,
+    random_unit_vector,
+    rk4_affine_oracle,
+)
 
 Z = MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0)
 X = MeasurementChannel((1.0, 0.0, 0.0), tau=0.65, eta=1.0)
@@ -30,13 +40,22 @@ def single_channel_setup(tau=0.65, eta=1.0):
     return build_ensemble_model([ch]), (ch,)
 
 
+def kernel(model, channels, dt, states):
+    """The step of a batch holding the given states, one per column."""
+    states = np.asarray(states, dtype=float).reshape(3, -1)
+    config = SimConfig(model=model, channels=tuple(channels), r_init=(0.0, 0.0, 0.0),
+                       t_total=dt, dt=dt, n_traj=1, master_seed=0)
+    step = _BayesStep(config, states.shape[1])
+    step.r[:] = states
+    return step
+
+
 def one_step(r, model, channels, dt, draws):
-    """One kernel step of a single state: (new_state, samples, n_clipped)."""
+    """One kernel step of a single state: (new_state, samples)."""
+    step = kernel(model, channels, dt, r)
     out = np.empty((len(channels), 1))
-    new_r, n_clipped = _step_batch(
-        np.asarray(r, dtype=float).reshape(3, 1), model.lam, model.r_st,
-        *_channel_arrays(channels), dt, np.asarray(draws, dtype=float).reshape(-1, 1), out)
-    return new_r[:, 0], out[:, 0], n_clipped
+    step(np.asarray(draws, dtype=float).reshape(-1, 1), out)
+    return step.r[:, 0].copy(), out[:, 0]
 
 
 def make_config(model, channels, **kwargs):
@@ -84,22 +103,19 @@ def golden_config(case):
     )
 
 
-# case -> (sha256 of samples, sha256 of states, clipped steps)
+# case -> (sha256 of samples, sha256 of states)
 GOLDEN = {
     "phase_backaction": (
-        "3246b55d5dfd2fa61098a9421cbf9aac499ac6c316ee3723513a9ef3ea781b2f",
-        "954103729821682d69adf62fa5c1fc46aa65bb68d77bbb116b4c586d1e8cb98a",
-        0,
+        "30c3a70b7d43660d1ce4aff09e70b04c95a13256f02360544b2862ab69a3aff1",
+        "083cc0a250bd2299540811da28c752a2f7103c8ed38f5706dbfa446c0f89d725",
     ),
     "rabi_nonunital": (
-        "d80ff19392cd9094fe4ffe2cdc56284b41197b62defe830bbefd6944f212a540",
-        "0e4cb9e49288154f61470c4f437b9da4ad8726be6385d863e8817566b232a1dc",
-        0,
+        "ecfe1e7ed4c86c94ae5c92fa583d676971ec96240df84cfbd60390d55c36c7b8",
+        "1dac2e4acf310a39a5dd5bfcd01069c43133492e0c1ce7cf05ddec365a74aeaf",
     ),
     "unital_preset": (
-        "dffde65c69795867da90767882d545bd0464ab7aa06c0f90a89ea5c757cc4dfd",
-        "7af09afd08ce3d3927879990d7d139fae0fc653a74ec20a0d11bf032042765d3",
-        813,
+        "86f9615d5ef1559ffaa037b168935394b7a0c5e982fd379b3794435fd517b952",
+        "6e6a64fdb40580093aa9cf8a8d01df166caf21d2b050446d4bb92648d70a073e",
     ),
 }
 
@@ -146,51 +162,85 @@ def test_array_holding_dataclasses_compare_by_identity_and_hash():
 
 class TestItoStep:
     def test_qnd_fixed_point_is_exact(self):
-        # State on the sole measured axis: backaction and drift both vanish.
+        # State on the sole measured axis: the event map and the rest flow
+        # both leave it in place.
         model, channels = single_channel_setup(eta=0.7)
         r = np.array([0.0, 0.0, 1.0])
         for draw in (0.0, 1.3, -2.1):
-            new_r, outputs, clipped = one_step(r, model, channels, 0.005, [draw])
+            new_r, outputs = one_step(r, model, channels, 0.005, [draw])
             assert np.array_equal(new_r, r)
-            assert not clipped
             assert outputs[0] == pytest.approx(1.0 + np.sqrt(0.65 / 0.005) * draw)
 
-    def test_zero_draws_follow_drift_with_purification_rescale(self):
-        # With all draws zero the step is the drift displacement times a
-        # radial factor sqrt(1 + sum_l |b_l|^2 dt / |y|^2) that carries the
-        # deterministic part of the Ito norm growth.
-        model, channels = single_channel_setup()
+    @pytest.mark.parametrize("seed", range(6))
+    def test_step_equals_kraus_oracle(self, seed):
+        # Every channel's sample comes from the state before the step, with
+        # the variance of the bin's +-1 mixture; then each channel in turn
+        # applies M = exp(a (1 - i k) sigma_n), a = I dt / (2 tau), to the
+        # density matrix. With eta = 1 and no drive nothing else moves.
+        rng = np.random.default_rng(seed)
+        channels = tuple(
+            MeasurementChannel(tuple(random_unit_vector(rng)), tau=float(rng.uniform(0.3, 2.0)),
+                               phase_k=float(rng.choice([0.0, rng.uniform(-2.0, 2.0)])))
+            for _ in range(int(rng.integers(1, 4))))
+        dt = float(rng.uniform(0.002, 0.01)) * min(ch.tau for ch in channels)
+        r = random_unit_vector(rng) * rng.uniform(0.0, 1.0) ** 0.25
+        draws = rng.normal(size=len(channels)) * 2.0
+        new_r, samples = one_step(r, build_ensemble_model(channels), channels, dt, draws)
+
+        rho = density_matrix(r)
+        for ch, xi, sample in zip(channels, draws, samples):
+            u = ch.axis_vector @ r
+            assert sample == pytest.approx(u + np.sqrt(ch.tau / dt + 1.0 - u * u) * xi,
+                                           rel=1e-14, abs=1e-14)
+            sigma_n = sum(c * p for c, p in zip(ch.axis_vector, PAULIS))
+            a = (1.0 - 1j * ch.phase_k) * sample * dt / (2.0 * ch.tau)
+            kraus = np.cosh(a) * np.eye(2) + np.sinh(a) * sigma_n
+            rho = kraus @ rho @ kraus.conj().T
+            rho /= np.trace(rho).real
+        assert np.abs(new_r - bloch_components(rho)).max() <= 1e-13
+
+    def test_zero_samples_leave_only_the_rest_flow(self):
+        # A sample of 0 makes every event map the identity, so the step is
+        # the flow of lam minus the maps' dephasing: Rabi drive, environment
+        # and the (1/eta - 1) share of each channel's dephasing.
+        channels = (
+            MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=0.6, phase_k=0.7),
+            MeasurementChannel((0.6, 0.0, 0.8), tau=0.9, eta=0.8),
+        )
+        model = build_ensemble_model(
+            channels, rabi_axis=(1.0, 0.0, 0.0), rabi_freq=3.0,
+            env_lambda=-0.4 * np.diag([0.5, 0.5, 1.0]), env_rst=(0.0, 0.0, 0.7))
         dt = 0.005
-        r = np.array([0.6, 0.0, 0.3])
-        y = r + (model.lam @ r) * dt
-        nr = r[2]
-        b = (np.array([0.0, 0.0, 1.0]) - nr * r) / np.sqrt(0.65)
-        expected = y * np.sqrt(1.0 + (b @ b) * dt / (y @ y))
-        new_r, outputs, clipped = one_step(r, model, channels, dt, [0.0])
-        assert np.allclose(new_r, expected, rtol=1e-13, atol=1e-14)
-        assert outputs[0] == pytest.approx(nr)
-        assert not clipped
+        r = np.array([0.3, -0.5, 0.6])
+        draws = [-(ch.axis_vector @ r) / np.sqrt(ch.tau / dt + 1.0 - (ch.axis_vector @ r) ** 2)
+                 for ch in channels]
+        # Channel 1's sample is read before channel 0's map moves the state.
+        new_r, samples = one_step(r, model, channels, dt, draws)
+        assert np.abs(samples).max() <= 1e-15
+        rest = np.zeros((4, 4))
+        rest[:3, :3] = model.lam - event_dephasing(channels)
+        rest[:3, 3] = -model.lam @ model.r_st
+        expected = rk4_affine_oracle(rest, np.zeros(4), np.append(r, 1.0), dt, n_steps=50)
+        assert np.abs(new_r - expected[:3]).max() <= 1e-12
 
     def test_zero_state_stays_zero_with_zero_draws(self):
         model, channels = single_channel_setup()
-        new_r, outputs, _ = one_step(np.zeros(3), model, channels, 0.005, [0.0])
+        new_r, outputs = one_step(np.zeros(3), model, channels, 0.005, [0.0])
         assert np.array_equal(new_r, np.zeros(3))
         assert outputs[0] == 0.0
 
     def test_output_statistics_at_mixed_state(self):
-        # Mean 0 +- 4 sqrt(tau/dt)/sqrt(n), variance tau/dt within 1%.
+        # Mean 0 +- 4 sigma/sqrt(n); the variance is the +-1 mixture's
+        # tau/dt + 1, within 1%.
         model, channels = single_channel_setup()
         dt = 0.005
         n = 1_000_000
-        rng = np.random.default_rng(3)
-        draws = rng.standard_normal(n)
-        axes, taus, phase_ks = _channel_arrays(channels)
-        r = np.zeros((3, n))
+        step = kernel(model, channels, dt, np.zeros((3, n)))
         out = np.empty((1, n))
-        _step_batch(r, model.lam, model.r_st, axes, taus, phase_ks, dt, draws[None, :], out)
-        noise_scale = np.sqrt(0.65 / dt)
-        assert abs(out.mean()) < 4.0 * noise_scale / np.sqrt(n)
-        assert out.var() == pytest.approx(0.65 / dt, rel=0.01)
+        step(np.random.default_rng(3).standard_normal((1, n)), out)
+        variance = 0.65 / dt + 1.0
+        assert abs(out.mean()) < 4.0 * np.sqrt(variance / n)
+        assert out.var() == pytest.approx(variance, rel=0.01)
 
     def test_phase_backaction_rotates_about_axis(self):
         ch = MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0, phase_k=0.8)
@@ -198,12 +248,19 @@ class TestItoStep:
         r = np.array([0.5, 0.0, 0.0])
         draw = 1.7
         dt = 0.004
-        new_r, _, _ = one_step(r, model, (ch,), dt, [draw])
-        # The phase term tilts the step out of the xz plane along n x r = y.
+        new_r, _ = one_step(r, model, (ch,), dt, [draw])
+        # The kick turns the state out of the xz plane along n x r = y.
         assert new_r[1] != 0.0
-        new_r0, _, _ = one_step(r, model, (MeasurementChannel((0, 0, 1), 0.65, 1.0),),
-                                dt, [draw])
+        new_r0, _ = one_step(r, model, (MeasurementChannel((0, 0, 1), 0.65, 1.0),), dt, [draw])
         assert new_r0[1] == 0.0
+
+
+class TestRefusedModels:
+    def test_generator_without_measurement_dephasing_refused(self):
+        # lam = 0 with a measured channel: the rest of the generator would
+        # undo the maps' dephasing, which no quantum map does.
+        with pytest.raises(ValidationError, match="measurement dephasing"):
+            make_config(EnsembleModel(np.zeros((3, 3))), (Z,))
 
 
 class TestSimulateTrajectory:
@@ -229,22 +286,20 @@ class TestSimulateTrajectory:
         assert rec.samples[0].shape == (1, 160)
         assert rec.n_samples == 160
 
-    def test_purity_defect_shrinks_linearly_with_dt(self):
-        # Ideal single-channel monitoring keeps pure states pure; the
-        # integrator's defect max_t ||r|-1| must scale ~dt.
+    def test_pure_states_stay_pure_to_rounding(self):
+        # Ideal single-channel monitoring keeps pure states pure; every
+        # event map does so exactly, so the defect max_t ||r|-1| is
+        # rounding at any dt.
         model, channels = single_channel_setup()
-        defect = {}
-        for dt, n_traj in ((0.02, 160), (0.01, 160), (0.005, 160)):
+        for dt in (0.02, 0.01, 0.005):
             config = SimConfig(
                 model=model, channels=channels, r_init=(1.0, 0.0, 0.0),
-                t_total=2.0, dt=dt, n_traj=n_traj, master_seed=11,
+                t_total=2.0, dt=dt, n_traj=160, master_seed=11,
                 store_states=True,
             )
             records = simulate_ensemble(config)
             norms = np.linalg.norm(records.states, axis=2)
-            defect[dt] = np.abs(norms - 1.0).max(axis=1).mean()
-        assert 1.5 <= defect[0.02] / defect[0.01] <= 3.0
-        assert 1.5 <= defect[0.01] / defect[0.005] <= 3.0
+            assert np.abs(norms - 1.0).max() <= 1e-12, dt
 
 
 class TestSimulateEnsemble:
@@ -291,15 +346,15 @@ class TestSimulateEnsemble:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_fixed_seed_bits_are_pinned(self, case, workers):
-        # sha256 of samples, states and the clip count, recorded with the
-        # (batch, 3) kernel (rabi_nonunital with the (3, batch) one); batch_size 7 cuts the 23 trajectories into
-        # uneven batches and the 101 steps end in a partial block.
+        # sha256 of samples and states, recorded with the Bayesian kernel;
+        # batch_size 7 cuts the 23 trajectories into uneven batches and the
+        # 101 steps end in a partial block.
         config = golden_config(case)
         records = simulate_range(config, 0, config.n_traj, workers=workers)
-        samples_sha, states_sha, clipped = GOLDEN[case]
+        samples_sha, states_sha = GOLDEN[case]
         assert sha256(records.samples) == samples_sha
         assert sha256(records.states) == states_sha
-        assert records.clipped_steps == clipped
+        assert records.clipped_steps == 0
         lean = simulate_range(replace(config, store_states=False), 0, config.n_traj,
                               workers=workers)
         assert sha256(lean.samples) == samples_sha
@@ -383,22 +438,38 @@ class TestSimulateEnsemble:
         ]
         for rho in lag1:
             assert abs(rho) <= 4.0 / np.sqrt(n)
-        expected_var = [ch.tau / config.dt for ch in config.channels]
+        # The +-1 mixture's variance: tau/dt plus the outcome spread 1 - (n.r)^2.
+        expected_var = [ch.tau / config.dt + 1.0 - np.mean((records.states[:, :-1, :] @ axis) ** 2)
+                        for ch, axis in zip(config.channels, axes)]
         got_var = [float(np.var(r)) for r in residuals]
         assert got_var == pytest.approx(expected_var, rel=0.02)
         assert abs(eps.mean()) < 4.0 * np.sqrt(expected_var[0] / eps.size)
 
     def test_interior_dynamics_never_clips(self):
-        # Inefficient monitoring from a mixed state stays well inside the
-        # ball; the projection counter must stay essentially silent.
+        # Inefficient monitoring from a mixed state stays strictly inside
+        # the ball, and nothing is ever clipped.
         ch = MeasurementChannel((0.0, 0.0, 1.0), tau=1.3, eta=0.5)
         model = build_ensemble_model([ch])
         config = SimConfig(
             model=model, channels=(ch,), r_init=(0.0, 0.0, 0.5),
-            t_total=3.0, dt=0.01, n_traj=300, master_seed=23,
+            t_total=3.0, dt=0.01, n_traj=300, master_seed=23, store_states=True,
         )
         records = simulate_ensemble(config)
-        assert records.clip_fraction < 1e-3
+        assert records.clipped_steps == 0
+        assert np.linalg.norm(records.states, axis=2).max() < 1.0
+
+    def test_same_channel_coincident_product_is_tau_over_dt_plus_one(self):
+        # E[I^2] of the +-1 mixture's sample is tau/dt + 1 in every state, so
+        # the coincident product 0@0;0@0 estimates it exactly. A8's model;
+        # budget fixed before the first run: 4000 trajectories, seed 8106.
+        ch = MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0)
+        config = SimConfig(
+            model=build_ensemble_model([ch]), channels=(ch,), r_init=(1.0, 0.0, 0.0),
+            t_total=2.0, dt=0.01, n_traj=4000, master_seed=8106,
+        )
+        est = estimate_correlator(simulate_ensemble(config), [(0, 0.0), (0, 0.0)],
+                                  Window(1.0, 0.5))
+        assert abs(est.value - (ch.tau / config.dt + 1.0)) <= 4.0 * est.std_error
 
     def test_states_stay_in_ball(self):
         config = ReplicaLikeConfig(n_traj=200)
