@@ -7,20 +7,26 @@ at fixed gaps from t1. Window placements within one trajectory are strongly
 correlated through the shared qubit path, so standard errors are computed by
 first averaging the window products inside each trajectory and then taking
 the spread of those per-trajectory means across the ensemble. window_means
-computes them for many specs, resolved once by the caller (resolve_spec,
-ResolvedSpecs), in one cache-blocked pass over one block of trajectories.
+computes them for many specs, resolved once by the caller (resolve_spec),
+in one cache-blocked pass over one block of trajectories. ResolvedSpecs
+builds their evaluation plan once: the sorted order, which leading-event
+products a spec shares with the spec before it, and the columns of its
+own events. Per block, a spec's last event and its window sum are one
+np.einsum("ij,ij->i") over the product of its other events and the last
+event's samples: numpy's own summation loop, with no BLAS call and no
+temporary product array.
 
 Each trajectory's window is summed in float64: a window holds W products
-(tens to a few hundred), and a float64 sum of W terms in any order is off
-by at most about (W - 1) * 2**-53 * sum|terms| (Higham, SIAM J. Sci.
-Comput. 14, 783 (1993)), about 1e-15 of a standard error. The ensemble
-sums, over 1e4-1e6 per-trajectory means of noise products with standard
-deviation sqrt(tau/dt) per factor, are the long ones: they run in
-extended precision. ensemble_sums folds one block of means into long-double
-sums and sums of squares as soon as window_means returns it, so a caller
-streams a record file or a simulation one block at a time and keeps O(specs)
-numbers between blocks; pool_sums adds the folds of disjoint blocks in the
-order given and turns the totals into estimates.
+(tens to a few hundred), and a float64 sum of W terms in any order, the
+einsum loop's included, is off by at most about (W - 1) * 2**-53 *
+sum|terms| (Higham, SIAM J. Sci. Comput. 14, 783 (1993)), about 1e-15 of a
+standard error. The ensemble sums, over 1e4-1e6 per-trajectory means of
+noise products with standard deviation sqrt(tau/dt) per factor, are the
+long ones: they run in extended precision. ensemble_sums folds one block
+of means into long-double sums and sums of squares as soon as window_means
+returns it, so a caller streams a record file or a simulation one block at
+a time and keeps O(specs) numbers between blocks; pool_sums adds the folds
+of disjoint blocks in the order given and turns the totals into estimates.
 
 Requested times snap to the nearest sample bin (never further than dt/2) and
 the snapped grid is reported back on the estimate. Estimates carry enough of
@@ -168,23 +174,41 @@ def block_rows(n_channels: int, n_samples: int) -> int:
 
 
 class ResolvedSpecs(tuple):
-    """Resolved (window_bins, events) specs, sorted and scanned once.
+    """Resolved (window_bins, events) specs with their evaluation plan, built once.
 
     window_means visits specs in sorted order, so that specs sharing window
     bins and leading events are adjacent, and checks every spec against the
-    shape of its block. Built once, this tuple holds that order, the range
+    shape of its block. Built once, this tuple holds that plan and the range
     of channels the specs read and their last sample index, so a caller
     that streams many blocks through one spec list pays for the sort and
-    the scan once and each block costs three integer comparisons.
+    the prefix comparisons once and each block's check costs three integer
+    comparisons. plan holds, per spec in sorted order, (j, keep, heads,
+    last): j is its index, keep how many cached prefix products of the
+    previous spec's head events it reuses, heads the (channel, columns) of
+    the head events it multiplies on, and last the (channel, columns) of its
+    last event. widths is the (specs, 1) column of window lengths W.
     window_means wraps any other sequence of resolved specs itself.
     """
 
     def __new__(cls, resolved):
         self = super().__new__(cls, resolved)
-        self.order = sorted(range(len(self)), key=self.__getitem__)
+        self.plan = []
+        cached_bins, cached_heads = None, ()
+        for j in sorted(range(len(self)), key=self.__getitem__):
+            bins, events = self[j]
+            keep = 0
+            if bins == cached_bins:
+                limit = min(len(cached_heads), len(events) - 1)
+                while keep < limit and cached_heads[keep] == events[keep]:
+                    keep += 1
+            i0, i1 = bins
+            columns = [(ch, slice(i0 + g, i1 + g + 1)) for ch, g in events]
+            self.plan.append((j, keep, columns[keep:-1], columns[-1]))
+            cached_bins, cached_heads = bins, events[:-1]
         channels = [ch for _, events in self for ch, _ in events]
         self.channel_range = (min(channels, default=0), max(channels, default=0))
         self.last_sample = max((i1 + events[-1][1] for (_, i1), events in self), default=-1)
+        self.widths = np.array([i1 - i0 + 1 for (i0, i1), _ in self], dtype=float)[:, None]
         return self
 
     def check(self, n_channels: int, n_samples: int) -> None:
@@ -209,29 +233,25 @@ class ResolvedSpecs(tuple):
 def _block_means(samples: np.ndarray, specs: ResolvedSpecs, out: np.ndarray) -> None:
     """Write spec j's window means over the rows of samples into out[j].
 
-    Specs are visited in sorted (window_bins, events) order, so specs that
-    share window bins and leading events are adjacent: chain holds the
-    products of the last spec's event prefixes, and a prefix product whose
-    key (window bins and events) matches is reused instead of recomputed.
-    Products are formed in event order, as 1 * x1 * x2 * ... would be, and
-    each row of a spec's window is summed in float64.
+    Runs specs.plan: chain holds the products of the previous spec's head
+    events (all but the last), formed in event order as 1 * x1 * x2 * ...
+    would be; a spec keeps the shared ones and multiplies on its own. Its
+    last event's product and the float64 sum over each row of its window
+    are one np.einsum("ij,ij->i") (numpy's own loop: optimize is off, so no
+    BLAS call and no (rows, W) temporary); a one-event spec is a plain row
+    sum. One division by the window lengths ends the block.
     """
     chain = []
-    last_bins, last_events = None, ()
-    for j in specs.order:
-        bins, events = specs[j]
-        shared = 0
-        if bins == last_bins:
-            while (shared < min(len(chain), len(events))
-                   and last_events[shared] == events[shared]):
-                shared += 1
-        del chain[shared:]
-        i0, i1 = bins
-        for ch, g in events[shared:]:
-            x = samples[:, ch, i0 + g:i1 + g + 1]
+    for j, keep, heads, (ch, columns) in specs.plan:
+        del chain[keep:]
+        for head_ch, head_columns in heads:
+            x = samples[:, head_ch, head_columns]
             chain.append(chain[-1] * x if chain else x)
-        out[j] = chain[-1].sum(axis=1) / (i1 - i0 + 1)
-        last_bins, last_events = bins, events
+        if chain:
+            np.einsum("ij,ij->i", chain[-1], samples[:, ch, columns], out=out[j])
+        else:
+            np.add.reduce(samples[:, ch, columns], axis=1, out=out[j])
+    out /= specs.widths
 
 
 def window_means(samples: np.ndarray, resolved) -> np.ndarray:
@@ -240,13 +260,16 @@ def window_means(samples: np.ndarray, resolved) -> np.ndarray:
     samples is one (n_traj, n_channels, n_samples) block of records, the
     samples of a RecordSet; resolved holds (window_bins, events) pairs as
     resolve_spec returns them, ideally as a ResolvedSpecs built once for
-    every block. The trajectories are walked in passes of about BLOCK_BYTES
-    of samples, and every spec's products are formed while a pass is in
-    cache. Row j of the returned (len(resolved), n_traj) float64 array is
-    spec j's mean over its window of the product of samples at its gaps
-    from t1, summed in float64 per trajectory (see the module docstring for
-    its error bound); its ensemble mean is the correlator estimate
-    (ensemble_sums and pool_sums, which sum in extended precision).
+    every block, whose plan every pass runs (_block_means). The
+    trajectories are walked in passes of about BLOCK_BYTES of samples, and
+    every spec's window sums are formed while a pass is in cache. Row j of
+    the returned (len(resolved), n_traj) float64 array is spec j's mean
+    over its window of the product of samples at its gaps from t1, summed
+    in float64 per trajectory (see the module docstring for its error
+    bound); a trajectory's mean does not depend on how the trajectories are
+    split into blocks or passes. Its ensemble mean is the correlator
+    estimate (ensemble_sums and pool_sums, which sum in extended
+    precision).
 
     A spec with a channel index outside the block's channels, or whose
     window plus largest gap runs past its samples, is refused by its index.

@@ -15,12 +15,14 @@ order with channel-major float64 sample arrays:
 
 Round trips are bit-exact. Both directions move the payload between the
 file and one contiguous array through its buffer, so neither holds a second
-copy of it. simulate_records never holds the whole payload: after the
-header it writes each simulation batch's rows at their offset, from the
-process that simulated the batch, so a file of any size is written through
-one batch of samples per process. read_records can read any range of
-trajectory rows, so a reader can stream a file through a bounded footprint;
-read_header checks the container without reading the payload.
+copy of it. simulate_records never holds the whole payload: after a
+zeroed placeholder of the header it writes each simulation batch's rows at
+their offset, from the process that simulated the batch, so a file of any
+size is written through one batch of samples per process. The header goes
+in last, so every reader refuses the zeroed magic of a run that never got
+there. read_records can read any range of trajectory rows, so a reader can
+stream a file through a bounded footprint; read_header checks the container
+without reading the payload.
 """
 
 from __future__ import annotations
@@ -72,9 +74,9 @@ def write_records(path, records: RecordSet) -> None:
         fh.write(samples.reshape(-1).view(np.uint8))
 
 
-def _pwrite_all(fd: int, data: np.ndarray, offset: int) -> None:
-    """Write the bytes of a contiguous array at offset of fd, looping on short writes."""
-    view = memoryview(np.ascontiguousarray(data, dtype="<f8").reshape(-1).view(np.uint8))
+def _pwrite_all(fd: int, data, offset: int) -> None:
+    """Write the bytes of a C-contiguous buffer at offset of fd, looping on short writes."""
+    view = memoryview(data).cast("B")
     while view:
         written = os.pwrite(fd, view, offset)
         view, offset = view[written:], offset + written
@@ -85,7 +87,7 @@ def _write_batch(config: SimConfig, fd: int, payload_offset: int, bounds) -> int
     lo, hi = bounds
     samples = np.empty((hi - lo, config.n_channels, config.n_samples))
     trajectory._simulate_batch(config, lo, hi, samples, None)
-    _pwrite_all(fd, samples, payload_offset + lo * samples[0].nbytes)
+    _pwrite_all(fd, samples.astype("<f8", copy=False), payload_offset + lo * samples[0].nbytes)
     return hi - lo
 
 
@@ -93,21 +95,25 @@ def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -
     """Simulate config's ensemble straight into a record file.
 
     The file is byte-identical to write_records(path, simulate_ensemble(config)).
-    The header is written first; then every batch of index_ranges is
-    simulated with one worker, by map_batches, and its rows are written at
-    their offset by the process that simulated them. A process therefore
-    holds one batch of samples at a time, and with several workers the
-    calling process holds none. States are not simulated: the container
-    stores none. path must be seekable. On any error a regular output file
-    is removed before the error propagates, so no partial file is left for
-    read_header to accept. progress is called as in simulate_range.
+    A zeroed placeholder of the header is written first; then every batch
+    of index_ranges is simulated with one worker, by map_batches, and its
+    rows are written at their offset by the process that simulated them;
+    the header is written over the placeholder after the last batch. A
+    process therefore holds one batch of samples at a time, and with
+    several workers the calling process holds none. With several workers
+    batches can land out of order, so a run killed without an exception
+    (SIGKILL, out of memory) can leave a file of full length: its zeroed
+    magic makes read_header refuse it as unfinished. States are not
+    simulated: the container stores none. path must be seekable. On any
+    error a regular output file is removed before the error propagates.
+    progress is called as in simulate_range, before the header is written.
     """
     header = _header(config.dt, config.n_samples, config.channels, config.n_traj,
                      config.master_seed)
     done = 0
     with open(path, "wb") as fh:
         try:
-            fh.write(header)
+            fh.write(bytes(len(header)))
             fh.flush()
             task = partial(_write_batch, config, fh.fileno(), len(header))
             bounds = index_ranges(0, config.n_traj, config.batch_size)
@@ -116,6 +122,7 @@ def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -
                     done += n_done
                     if progress is not None:
                         progress(done, config.n_traj)
+            _pwrite_all(fh.fileno(), header, 0)
         except BaseException:
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 with suppress(OSError):
@@ -140,9 +147,11 @@ class RecordHeader(namedtuple("RecordHeader", "dt n_samples channels n_traj mast
 def _read_header(fh) -> RecordHeader:
     """Parse and check the header at the start of fh, leaving fh at the payload.
 
-    Raises MagicMismatchError, VersionMismatchError or TruncatedRecordError,
-    and RecordFormatError for a dt that is not positive and finite; the
-    file's size must match the payload the header implies.
+    Raises MagicMismatchError (saying unfinished for the zeroed magic that
+    simulate_records leaves until its last batch), VersionMismatchError or
+    TruncatedRecordError, and RecordFormatError for a dt that is not
+    positive and finite; the file's size must match the payload the header
+    implies.
     """
     def take(n: int, what: str) -> bytes:
         offset = fh.tell()
@@ -155,6 +164,11 @@ def _read_header(fh) -> RecordHeader:
         return chunk
 
     magic = take(len(MAGIC), "magic")
+    if magic == bytes(len(MAGIC)):
+        raise MagicMismatchError(
+            "unfinished record file: its magic is zeroed, as simulate_records "
+            "leaves it until every batch is written"
+        )
     if magic != MAGIC:
         raise MagicMismatchError(f"bad magic {magic!r}, expected {MAGIC!r}")
     version, dt, n_samples, n_channels, n_traj = _FIXED_HEADER.unpack(

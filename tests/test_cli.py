@@ -14,12 +14,14 @@ import qcorr.cli as cli_module
 import qcorr.config as config_module
 import qcorr.trajectory as trajectory_module
 from qcorr import (
+    MagicMismatchError,
     MeasurementChannel,
     RecordSet,
     TimestepWarning,
     empirical,
     parse_config,
     simulate_ensemble,
+    simulate_records,
     write_records,
 )
 from qcorr.cli import main
@@ -62,8 +64,11 @@ PINNED_SPECS = [
 # instead of long double (the ensemble sums stayed long double): 4 of the 8
 # values moved, by at most 2.1e-16 of their standard error; no standard
 # error moved. Re-recorded again when the Euler step gave way to the
-# Bayesian step, which changes every record bit.
-PINNED_ESTIMATE_SHA256 = "8fa55afb1525060e80fce125c4d53bb604371ce56306983beff7296b2864cab2"
+# Bayesian step, which changes every record bit. Re-recorded when each
+# spec's last event and window sum became one einsum (a new summation
+# order inside each window): 5 of the 8 values moved, by at most 3.4e-16
+# of their standard error; no standard error moved.
+PINNED_ESTIMATE_SHA256 = "d9bd477f3906b600396808f7d4bd37dee38051c2d69a9946e930985cc4992443"
 
 PRESETS = resources.files("qcorr").joinpath("presets")
 FOUR_EVENT_SPEC = {
@@ -215,6 +220,27 @@ class TestStreamedSimulate:
         assert err == ["error: integration diverged at step 5, trajectory 0"]
         assert not out.exists()
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unfinished_file_refused_until_the_last_batch(self, tmp_path, workers):
+        # Whatever batches have landed, a run killed now would leave a file
+        # that read_header refuses as unfinished; the finished file is the
+        # one write_records makes.
+        config = parse_config(sim_config(tmp_path, batch_size=8, n_traj=30)).sim
+        out, expected = tmp_path / "records.qcr", tmp_path / "expected.qcr"
+        seen = []
+
+        def progress(done, total):
+            if done < total:
+                with pytest.raises(MagicMismatchError, match="unfinished record file"):
+                    read_header(out)
+                seen.append(done)
+
+        simulate_records(out, config, workers=workers, progress=progress)
+        assert seen == [8, 16, 24]
+        write_records(expected, simulate_ensemble(config))
+        assert out.read_bytes() == expected.read_bytes()
+        assert read_header(out).n_traj == 30
 
     def test_memory_bounded_at_any_budget(self, tmp_path):
         def peak(n_traj):

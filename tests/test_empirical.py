@@ -155,13 +155,20 @@ class TestEstimateCorrelator:
 
 
 def full_array_window_means(records, gaps, window):
-    """The per-trajectory window means formed over the whole record at once."""
+    """The per-trajectory window means formed over the whole record at once.
+
+    All events but the last are multiplied in event order; the last one's
+    product and the row sum are one einsum (a plain row sum for one event).
+    """
     events = resolve_events(gaps, records.dt, records.n_channels)
     i0, i1 = window.bins(records.dt)
-    product = np.ones((records.n_traj, i1 - i0 + 1))
-    for ch, g in events:
-        product *= records.samples[:, ch, i0 + g:i1 + g + 1]
-    return product.sum(axis=1) / product.shape[1]
+    *heads, last = [records.samples[:, ch, i0 + g:i1 + g + 1] for ch, g in events]
+    if not heads:
+        return np.add.reduce(last, axis=1) / last.shape[1]
+    product = heads[0]
+    for x in heads[1:]:
+        product = product * x
+    return np.einsum("ij,ij->i", product, last) / last.shape[1]
 
 
 @st.composite

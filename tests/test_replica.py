@@ -235,11 +235,18 @@ class TestScanBitsPinned:
     # standard error by 1.4e-16 relative and the summary's spread by 1.2e-16
     # relative; the per-trajectory means did not move. All four re-recorded
     # when the Euler step gave way to the Bayesian step, which changes every
-    # record bit; the analytic columns did not move.
-    THREE_TIME_SHA256 = "dd2f3449f88cd5ba176a36e92316cec981b0e2fb1e28c739fa9d6307a5497295"
-    FOUR_TIME_SHA256 = "2f4e7144750deaed0c9f0d0b6d6d69a8f83ca69a091307546fee92c731522427"
-    THREE_TIME_ROWS_SHA256 = "f0a244180e22d50e5c36c9f5746e215fabcf4d61684276ec52db555791427f13"
-    FOUR_TIME_ROWS_SHA256 = "97a20ee1f1618ef11441d371aeef441cd592300d3191d4776d8b789a4029d340"
+    # record bit; the analytic columns did not move. All four re-recorded
+    # when each spec's last event and window sum became one einsum (a new
+    # summation order inside each window): 7 of the 8 Monte Carlo values
+    # (the summary mean included) moved, by at most 2.8e-16 of their
+    # standard error, one standard error by 1.4e-16 relative and the
+    # summary's spread by 3.4e-16 relative; 2835 of the 4207
+    # per-trajectory means moved, by at most 1.8e-15 of their spread over
+    # the trajectories; the analytic columns did not move.
+    THREE_TIME_SHA256 = "652a80d06b00660c82230d3eafa50a1a6416f463560ccadff9562e591e588ab9"
+    FOUR_TIME_SHA256 = "1031a53e1090e944f1491b6cb322c355b6c1aed93758acb16eb38e6b01739c6b"
+    THREE_TIME_ROWS_SHA256 = "eb7a86cb8780488b28614f0845be022a6d43c58a66964532ae51d30534f7c1e8"
+    FOUR_TIME_ROWS_SHA256 = "12efbe49dac14745498b4a44f71fc2863f5608b0d2e62fe8faab386bf9eb1f40"
 
     def test_scan_rows_and_summary_pinned(self, batches_of):
         batches_of(200)
