@@ -11,12 +11,10 @@ factorization valid for unital evolution without phase backaction.
 from .analytic import (
     BRUTE_FORCE_MAX_EVENTS,
     CorrelatorSpec,
-    SingularSpec,
     brute_force_correlator,
     chain_correlator,
     factorized_correlator,
     mean_signal,
-    singular_corrections,
     two_time_correlator,
     window_mean_state,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "RunSetup",
     "ScanRow",
     "SimConfig",
-    "SingularSpec",
     "SpecSizeError",
     "TimestepWarning",
     "TruncatedRecordError",
@@ -115,7 +112,6 @@ __all__ = [
     "simulate_ensemble",
     "simulate_range",
     "simulate_records",
-    "singular_corrections",
     "three_time_scan",
     "trajectory_draws",
     "trajectory_generator",

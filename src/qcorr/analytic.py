@@ -34,12 +34,13 @@ affine in the state r(t1) at the earliest event.
 The mean of a route over the placements t1 = i dt of an averaging window is
 therefore the route evaluated once, from window_mean_state: the ensemble
 state averaged over those placements, taken as r_in at t_in = t1 = 0 with
-the later events at their gaps from t1.
+the later events at their gaps from t1. window_mean_spec builds that spec
+from a resolved windowed spec; qcorr analytic and the replica scans both
+evaluate it.
 
-Coinciding event times are meaningful only between two events of the same
-channel, where the white output noise contributes a delta-function term
-tau_l * delta(0) (discretized as tau_l / dt) times the correlator with the
-pair removed; singular_corrections enumerates those terms.
+No route evaluates coinciding event times. In the records a same-channel
+pair in one bin carries the white noise's second moment tau/dt + 1, which
+only the Monte Carlo estimator measures.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ class CorrelatorSpec:
     """Ordered list of correlator events plus the initial condition.
 
     events is a sequence of (channel_index, time_us) with strictly increasing
-    times; coinciding times are only representable through SingularSpec. The
-    qubit is prepared in r_in at t_in <= first event time.
+    times. The qubit is prepared in r_in at t_in <= first event time.
     """
 
     events: tuple
@@ -81,7 +81,7 @@ class CorrelatorSpec:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValidationError(
                 f"event times must be strictly increasing, got {times}; "
-                "coinciding times are only legal through SingularSpec"
+                "no exact route evaluates coinciding events"
             )
         if any(ch < 0 for ch, _ in events):
             raise ValidationError("channel indices must be nonnegative")
@@ -102,72 +102,6 @@ class CorrelatorSpec:
     @property
     def channel_indices(self) -> tuple:
         return tuple(ch for ch, _ in self.events)
-
-
-@dataclass(frozen=True)
-class SingularSpec:
-    """Event list that may contain coinciding-time same-channel pairs.
-
-    pairs holds the indices i of events for which event i and i+1 coincide in
-    time on the same channel. At most two same-channel events may share one
-    time value; a third makes the would-be singular weight vanish and is
-    rejected instead of silently dropped.
-    """
-
-    events: tuple
-    pairs: tuple
-    r_in: tuple = (0.0, 0.0, 0.0)
-    t_in: float = 0.0
-
-    def __post_init__(self):
-        events = tuple((int(ch), float(t)) for ch, t in self.events)
-        if not events:
-            raise ValidationError("SingularSpec needs at least one event")
-        times = [t for _, t in events]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValidationError(f"event times must be nondecreasing, got {times}")
-        if times[0] < self.t_in:
-            raise ValidationError(f"first event time {times[0]} precedes t_in={self.t_in}")
-        per_time_channel = {}
-        for ch, t in events:
-            per_time_channel[(t, ch)] = per_time_channel.get((t, ch), 0) + 1
-        for (t, ch), count in per_time_channel.items():
-            if count > 2:
-                raise ValidationError(
-                    f"{count} events of channel {ch} coincide at t={t}: "
-                    "Gaussian noise leaves no singular contribution from three or "
-                    "more coinciding same-channel times; split the spec instead"
-                )
-        pairs = tuple(sorted(int(i) for i in self.pairs))
-        for i in pairs:
-            if not (0 <= i < len(events) - 1):
-                raise ValidationError(f"pair index {i} out of range")
-            (ch_a, t_a), (ch_b, t_b) = events[i], events[i + 1]
-            if t_a != t_b or ch_a != ch_b:
-                raise ValidationError(
-                    f"events {i} and {i + 1} are not a coinciding same-channel pair"
-                )
-        if any(b - a < 2 for a, b in zip(pairs, pairs[1:])):
-            raise ValidationError("coinciding pairs must not overlap")
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "pairs", pairs)
-        r_in = validate_state(self.r_in)
-        object.__setattr__(self, "r_in", tuple(float(c) for c in r_in))
-
-    @classmethod
-    def from_events(cls, events, r_in=(0.0, 0.0, 0.0), t_in=0.0) -> "SingularSpec":
-        """Identify coinciding same-channel pairs among sorted events."""
-        events = sorted(((int(ch), float(t)) for ch, t in events), key=lambda e: e[1])
-        pairs = []
-        i = 0
-        while i < len(events) - 1:
-            (ch_a, t_a), (ch_b, t_b) = events[i], events[i + 1]
-            if t_a == t_b and ch_a == ch_b:
-                pairs.append(i)
-                i += 2
-            else:
-                i += 1
-        return cls(tuple(events), tuple(pairs), r_in, t_in)
 
 
 def _axis(channels, index: int) -> np.ndarray:
@@ -249,6 +183,17 @@ def window_mean_state(model: EnsembleModel, r_in, window, dt: float) -> np.ndarr
         state = step @ state
         total += state
     return total[:3] / (i1 - i0 + 1)
+
+
+def window_mean_spec(model: EnsembleModel, r_init, events, window, dt: float) -> CorrelatorSpec:
+    """Exact spec of a resolved windowed spec: its window average is one evaluation.
+
+    events are (channel_index, gap_in_bins) from an earliest time t1 that
+    runs over the bins of window. The events sit at g dt from t1 = 0, and
+    the qubit starts there in window_mean_state(model, r_init, window, dt).
+    """
+    return CorrelatorSpec(tuple((ch, g * dt) for ch, g in events),
+                          window_mean_state(model, r_init, window, dt), 0.0)
 
 
 def _gap_maps(model: EnsembleModel, spec: CorrelatorSpec):
@@ -341,41 +286,3 @@ def factorized_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec) 
         )
     _require_no_phase_backaction(channels)
     return _factorized_value(model, channels, spec)
-
-
-def singular_corrections(channels, spec: SingularSpec):
-    """Delta-function terms of a correlator with coinciding same-channel pairs.
-
-    Returns a list of (weight, reduced_spec) where weight is the product of
-    tau over the removed pairs; each term multiplies one formal delta(0) per
-    removed pair, to be discretized as 1/dt by the consumer. reduced_spec is
-    None when removal empties the event list (the remaining factor is 1).
-    Only removals that leave strictly ordered remaining events are emitted;
-    pair subsets whose residue still contains a coincidence are accounted for
-    by the higher-order term that removes them too.
-    """
-    terms = []
-    n_pairs = len(spec.pairs)
-    for mask in range(1, 2 ** n_pairs):
-        chosen = [spec.pairs[i] for i in range(n_pairs) if mask >> i & 1]
-        removed = set()
-        weight = 1.0
-        for i in chosen:
-            ch = spec.events[i][0]
-            if not (0 <= ch < len(channels)):
-                raise ValidationError(
-                    f"channel index {ch} out of range for {len(channels)} channels"
-                )
-            weight *= channels[ch].tau
-            removed.update((i, i + 1))
-        remaining = [e for j, e in enumerate(spec.events) if j not in removed]
-        if not remaining:
-            terms.append((weight, None))
-            continue
-        times = [t for _, t in remaining]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            continue
-        terms.append(
-            (weight, CorrelatorSpec(tuple(remaining), spec.r_in, spec.t_in))
-        )
-    return terms

@@ -20,7 +20,7 @@ from .analytic import (
     brute_force_correlator,
     chain_correlator,
     factorized_correlator,
-    window_mean_state,
+    window_mean_spec,
 )
 from .config import (
     _integer,
@@ -176,12 +176,9 @@ def _do_analytic(args) -> int:
             spec = entry
             key = (_events_key(entry.events), float("nan"), float("nan"))
         else:
-            # Events at their snapped gaps from t1 = 0, started from the state
-            # averaged over the window's placements of t1 (analytic docstring).
             gaps, window = entry
             events = resolve_events(gaps, dt, len(channels))
-            spec = CorrelatorSpec(tuple((ch, g * dt) for ch, g in events),
-                                  window_mean_state(model, r_init, window, dt), 0.0)
+            spec = window_mean_spec(model, r_init, events, window, dt)
             key = _window_key(events, window.bins(dt), dt)
         chain = chain_correlator(model, channels, spec)
         try:

@@ -11,18 +11,20 @@ Two scans reproduce the characteristic three- and four-time correlator
 structure of this setup:
 
 * three_time_scan tabulates K over event channels (phi, z, phi) at gaps
-  (dt21, dt32) from a windowed earliest time. Analytically the value is the
+  (dt21, dt32) from a windowed earliest time. The factorization makes it the
   window-averaged mean phi signal times the two-time correlator over the
   last gap, independent of dt21.
 * four_time_scan tabulates K over (z, phi, z, phi) at gaps (dt21, dt32,
-  dt43). Analytically it is the product of the two-time correlators over the
-  first and last gaps, independent of dt32, the window, and the initial
-  state; its summary compares the Monte Carlo average over the dt32 grid
-  against that constant.
+  dt43). The factorization makes it the product of the two-time correlators
+  over the first and last gaps, independent of dt32, the window, and the
+  initial state; its summary compares the Monte Carlo average over the dt32
+  grid against the average of the rows' analytic values.
 
-Both scans share one Monte Carlo loop over simulation batches. Every grid
-point is resolved once; the process that simulates a batch (a forked worker
-with several workers) takes the window means of those resolved points in one
+Both scans resolve every grid point once. A point's analytic value is the
+factorized value that qcorr analytic reports for the same windowed spec
+(analytic.window_mean_spec); its Monte Carlo value comes from one loop over
+simulation batches: the process that simulates a batch (a forked worker with
+several workers) takes the window means of the resolved points in one
 window_means call and returns only their estimates, which carry the batch's
 unrounded long-double sums (ensemble_sums, pool_sums), so memory stays
 bounded by one batch per process at any trajectory budget. The caller pools
@@ -39,10 +41,16 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import mean_signal, two_time_correlator, window_mean_state
+# mean_signal, two_time_correlator, estimate_correlator and
+# trajectory_window_means are unused here but stay importable from this
+# module: perfbench/layers.py traces them under this name.
+from .analytic import (  # noqa: F401
+    factorized_correlator,
+    mean_signal,
+    two_time_correlator,
+    window_mean_spec,
+)
 from .bloch import MeasurementChannel, build_ensemble_model
-# estimate_correlator and trajectory_window_means are unused here but stay
-# importable from this module: perfbench/layers.py traces them under this name.
 from .empirical import (  # noqa: F401
     ResolvedSpecs,
     Window,
@@ -137,7 +145,7 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class FourTimeSummary:
-    """Grid-averaged four-time correlator against the analytic constant."""
+    """Grid-averaged four-time correlator against the grid-averaged analytic value."""
 
     phi: float
     mc_mean: float
@@ -160,22 +168,37 @@ def _batch_estimates(sim: SimConfig, specs: ResolvedSpecs, labels, bounds) -> li
     return pool_sums([ensemble_sums(np.vstack((means, np.mean(means, axis=0))))], sim.dt, labels)
 
 
-def _monte_carlo(config: ReplicaConfig, model, channels, window: Window, points) -> tuple:
-    """(value, std_error) of every point and of their per-trajectory average.
+def _snapped(values, name: str, dt: float) -> list:
+    """Sorted distinct gaps (us) of a grid, each snapped to a bin; an empty grid is refused."""
+    gaps = sorted({snap(v, dt) * dt for v in values})
+    if not gaps:
+        raise ValidationError(f"{name} is empty: a scan needs at least one gap")
+    return gaps
+
+
+def _evaluate(config: ReplicaConfig, window: Window, points) -> tuple:
+    """Analytic value and (value, std_error) of every point, and the latter of their average.
 
     points are (channel, gap_us) lists from a t1 in window. All are resolved
-    once, first, also without include_mc (then every pair is NaN), so a bad
-    grid is refused before any batch is simulated. Each batch's estimates
-    (_batch_estimates) are pooled in batch order with merge_estimates, which
-    adds their unrounded long-double sums.
+    once, first, also without include_mc (then every Monte Carlo pair is
+    NaN), so a bad grid is refused before any batch is simulated. A point's
+    analytic value is the factorized value of its window_mean_spec. Each
+    batch's estimates (_batch_estimates) are pooled in batch order with
+    merge_estimates, which adds their unrounded long-double sums.
     """
+    model, channels = replica_model(config)
     dt = config.dt
     window_bins = window.bins(dt)
     specs = ResolvedSpecs((window_bins, resolve_events(gaps, dt, len(channels)))
                           for gaps in points)
+    analytic = [
+        factorized_correlator(model, channels,
+                              window_mean_spec(model, config.r_init, events, window, dt))
+        for _, events in specs
+    ]
     if not config.include_mc:
         nan = (float("nan"), float("nan"))
-        return [nan] * len(points), nan
+        return analytic, [nan] * len(points), nan
     t_total = window.t_a + window.length + (max(e[-1][1] for _, e in specs) + 2) * dt
     sim = SimConfig(model=model, channels=channels, r_init=config.r_init, t_total=t_total,
                     dt=dt, n_traj=config.n_traj, master_seed=config.master_seed)
@@ -184,7 +207,7 @@ def _monte_carlo(config: ReplicaConfig, model, channels, window: Window, points)
     task = partial(_batch_estimates, sim, specs, labels)
     batches = map_batches(task, index_ranges(0, sim.n_traj, sim.batch_size), config.workers)
     mc = [(p.value, p.std_error) for p in map(merge_estimates, zip(*batches))]
-    return mc[:-1], mc[-1]
+    return analytic, mc[:-1], mc[-1]
 
 
 def default_three_time_grid(gamma: float = DEFAULT_GAMMA):
@@ -199,35 +222,26 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
     """Tabulate the (phi, z, phi) three-time correlator on a gap grid.
 
     Returns rows over the cartesian product of the snapped dt21 and dt32
-    grids. The analytic column varies only with dt32.
+    grids. The analytic column varies only with dt32, up to rounding.
     """
-    model, channels = replica_model(config)
     window = Window(config.t_a, DEFAULT_THREE_TIME_WINDOW if config.window_len is None
                     else config.window_len)
     if dt21_values is None:
         dt21_values = default_three_time_grid(config.gamma)
     if dt32_values is None:
         dt32_values = default_three_time_grid(config.gamma)
-    dt = config.dt
-    gaps21 = sorted({snap(v, dt) * dt for v in dt21_values})
-    gaps32 = sorted({snap(v, dt) * dt for v in dt32_values})
-
-    mean_phi = mean_signal(model, channels, CHANNEL_PHI, 0.0,
-                           window_mean_state(model, config.r_init, window, dt))
-    analytic = {
-        g32: mean_phi * two_time_correlator(model, channels, CHANNEL_Z, 0.0, CHANNEL_PHI, g32)
-        for g32 in gaps32
-    }
+    gaps21 = _snapped(dt21_values, "dt21_values", config.dt)
+    gaps32 = _snapped(dt32_values, "dt32_values", config.dt)
 
     points = [(g21, g32) for g21 in gaps21 for g32 in gaps32]
-    mc, _ = _monte_carlo(config, model, channels, window, [
+    analytic, mc, _ = _evaluate(config, window, [
         [(CHANNEL_PHI, 0.0), (CHANNEL_Z, g21), (CHANNEL_PHI, g21 + g32)]
         for g21, g32 in points
     ])
     return [
         ScanRow(phi=config.phi, dt21=g21, dt32=g32, dt43=float("nan"),
-                analytic=analytic[g32], mc_value=mc_value, mc_se=mc_se)
-        for (g21, g32), (mc_value, mc_se) in zip(points, mc)
+                analytic=value, mc_value=mc_value, mc_se=mc_se)
+        for (g21, g32), value, (mc_value, mc_se) in zip(points, analytic, mc)
     ]
 
 
@@ -237,31 +251,25 @@ def four_time_scan(config: ReplicaConfig, dt32_values=None):
     dt21 and dt43 are both 0.15/gamma. Returns (rows, summary) where the
     summary averages the Monte Carlo values over the dt32 grid, with both the
     spread across grid points and the trajectory-pooled standard error of the
-    grid average.
+    grid average, and the analytic values over the same grid.
     """
-    model, channels = replica_model(config)
     window = Window(config.t_a, DEFAULT_FOUR_TIME_WINDOW if config.window_len is None
                     else config.window_len)
     if dt32_values is None:
         dt32_values = default_four_time_grid(config.gamma)
     dt = config.dt
     g21 = g43 = snap(0.15 / config.gamma, dt) * dt
-    gaps32 = sorted({snap(v, dt) * dt for v in dt32_values})
+    gaps32 = _snapped(dt32_values, "dt32_values", dt)
 
-    analytic = (
-        two_time_correlator(model, channels, CHANNEL_Z, 0.0, CHANNEL_PHI, g21)
-        * two_time_correlator(model, channels, CHANNEL_Z, 0.0, CHANNEL_PHI, g43)
-    )
-
-    mc, (mc_mean, mc_pooled_se) = _monte_carlo(config, model, channels, window, [
+    analytic, mc, (mc_mean, mc_pooled_se) = _evaluate(config, window, [
         [(CHANNEL_Z, 0.0), (CHANNEL_PHI, g21), (CHANNEL_Z, g21 + g32),
          (CHANNEL_PHI, g21 + g32 + g43)]
         for g32 in gaps32
     ])
     rows = [
         ScanRow(phi=config.phi, dt21=g21, dt32=g32, dt43=g43,
-                analytic=analytic, mc_value=mc_value, mc_se=mc_se)
-        for g32, (mc_value, mc_se) in zip(gaps32, mc)
+                analytic=value, mc_value=mc_value, mc_se=mc_se)
+        for g32, value, (mc_value, mc_se) in zip(gaps32, analytic, mc)
     ]
 
     values = [row.mc_value for row in rows]
@@ -271,7 +279,7 @@ def four_time_scan(config: ReplicaConfig, dt32_values=None):
         mc_mean=mc_mean,
         mc_std=mc_std if config.include_mc else float("nan"),
         mc_pooled_se=mc_pooled_se,
-        analytic=analytic,
+        analytic=float(np.mean(analytic)),
         n_traj=config.n_traj if config.include_mc else 0,
     )
     return rows, summary

@@ -99,12 +99,14 @@ class SimConfig:
                 TimestepWarning,
                 stacklevel=3,  # past the generated __init__, to whoever built the config
             )
-        if self.n_traj < 1:
-            raise ValidationError(f"n_traj must be >= 1, got {self.n_traj}")
+        for name in ("n_traj", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        if not math.isfinite(self.t_total):
+            raise ValidationError(f"t_total must be finite, got {self.t_total}")
         if self.t_total < self.dt:
             raise ValidationError(f"t_total={self.t_total} shorter than one step dt={self.dt}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         check_seed(self.master_seed)
         # The step's flow of lam - event_dephasing must not stretch the Bloch
         # ball (as lam = 0 with a measured channel would): no quantum map does.

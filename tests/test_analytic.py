@@ -11,7 +11,6 @@ from qcorr import (
     EnsembleModel,
     FactorizationInapplicableError,
     MeasurementChannel,
-    SingularSpec,
     SpecSizeError,
     ValidationError,
     Window,
@@ -21,7 +20,6 @@ from qcorr import (
     factorized_correlator,
     mean_signal,
     propagate_ensemble,
-    singular_corrections,
     two_time_correlator,
     window_mean_state,
 )
@@ -38,10 +36,10 @@ from conftest import (
 PHI = 3 * np.pi / 10
 
 
-def replica_channels(phi=PHI, tau=0.65):
+def replica_channels(phi=PHI):
     return (
-        MeasurementChannel((0.0, 0.0, 1.0), tau=tau, eta=1.0),
-        MeasurementChannel((np.sin(phi), 0.0, np.cos(phi)), tau=tau, eta=1.0),
+        MeasurementChannel((0.0, 0.0, 1.0), tau=0.65, eta=1.0),
+        MeasurementChannel((np.sin(phi), 0.0, np.cos(phi)), tau=0.65, eta=1.0),
     )
 
 
@@ -413,55 +411,3 @@ class TestWindowMeanState:
         peak(10)  # first-call allocations
         short, long = peak(2000), peak(20000)
         assert long < 1.5 * short
-
-
-class TestSingularSpec:
-    def test_pair_detection(self):
-        spec = SingularSpec.from_events([(0, 1.0), (0, 1.0), (1, 2.0)])
-        assert spec.pairs == (0,)
-
-    def test_three_coinciding_same_channel_rejected(self):
-        with pytest.raises(ValidationError, match="three or more"):
-            SingularSpec.from_events([(0, 1.0), (0, 1.0), (0, 1.0)])
-
-    def test_mismatched_pair_index_rejected(self):
-        with pytest.raises(ValidationError):
-            SingularSpec(((0, 1.0), (1, 1.0)), pairs=(0,))
-
-
-class TestSingularCorrections:
-    def test_one_pair_weight_and_reduction(self):
-        channels = replica_channels(tau=0.65)
-        spec = SingularSpec.from_events(
-            [(0, 0.5), (1, 1.0), (1, 1.0), (0, 2.0)], r_in=(0, 0, 0.4))
-        terms = singular_corrections(channels, spec)
-        assert len(terms) == 1
-        weight, reduced = terms[0]
-        assert weight == pytest.approx(0.65)
-        assert reduced.events == ((0, 0.5), (0, 2.0))
-        assert reduced.r_in == (0.0, 0.0, 0.4)
-
-    def test_two_pairs_give_product_weight_and_empty_rest(self):
-        channels = replica_channels(tau=0.65)
-        spec = SingularSpec.from_events([(0, 1.0), (0, 1.0), (1, 2.0), (1, 2.0)])
-        terms = singular_corrections(channels, spec)
-        assert len(terms) == 1
-        weight, reduced = terms[0]
-        assert weight == pytest.approx(0.65 ** 2)
-        assert reduced is None  # the remaining factor is 1
-
-    def test_different_channel_coincidence_contributes_nothing(self):
-        channels = replica_channels()
-        spec = SingularSpec.from_events([(0, 1.0), (1, 1.0)])
-        assert spec.pairs == ()
-        assert singular_corrections(channels, spec) == []
-
-    def test_two_pairs_plus_spectators(self):
-        channels = replica_channels(tau=0.5)
-        spec = SingularSpec.from_events(
-            [(0, 0.4), (0, 1.0), (0, 1.0), (1, 2.0), (1, 2.0), (0, 3.0)])
-        terms = singular_corrections(channels, spec)
-        assert len(terms) == 1
-        weight, reduced = terms[0]
-        assert weight == pytest.approx(0.25)
-        assert reduced.events == ((0, 0.4), (0, 3.0))

@@ -12,14 +12,17 @@ import pytest
 
 import qcorr.cli as cli_module
 import qcorr.config as config_module
+import qcorr.replica as replica_module
 import qcorr.trajectory as trajectory_module
 from qcorr import (
     MagicMismatchError,
     MeasurementChannel,
     RecordSet,
+    ReplicaConfig,
     TimestepWarning,
     empirical,
     parse_config,
+    replica_model,
     simulate_ensemble,
     simulate_records,
     write_records,
@@ -388,6 +391,21 @@ class TestAnalytic:
         spec.write_text(json.dumps([entry]))
         assert main(["analytic", "--config", str(config), "--spec", str(spec)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+
+    def test_coinciding_same_channel_events_refused_by_name(self, tmp_path, capsys):
+        spec = tmp_path / "coinciding.json"
+        spec.write_text(json.dumps([{
+            "window": {"t_a_us": 0.5, "T_us": 0.3},
+            "gaps": [{"channel": 0, "dt_us": 0.0}, {"channel": 0, "dt_us": 0.0}],
+        }]))
+        out = tmp_path / "analytic.csv"
+        assert main(["analytic", "--config", str(PRESETS.joinpath("two_detector_sim.json")),
+                     "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "no exact route evaluates coinciding events" in err[0]
+        assert not out.exists()
 
 
 class TestEstimateAndCompare:
@@ -767,6 +785,46 @@ class TestReplicaCommands:
         assert len(srows) == 2
         for srow in srows:
             assert float(srow["analytic"]) > 0.0
+
+    @pytest.mark.parametrize("phi", [0.9, 1.3])
+    def test_analytic_columns_are_qcorr_analytic_factorized(self, tmp_path, phi):
+        # The same ReplicaConfig and grids, written as a config and a spec
+        # file: the scans' analytic column is qcorr analytic's factorized
+        # column, string for string.
+        config = ReplicaConfig(phi=phi, include_mc=False)
+        _, channels = replica_model(config)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "channels": [{"axis": list(ch.axis), "tau_us": ch.tau, "eta": ch.eta}
+                         for ch in channels],
+            "sim": {"dt_us": config.dt, "t_total_us": 1.0, "n_traj": 2, "seed": 0,
+                    "r_init": list(config.r_init)},
+        }))
+        z, p = replica_module.CHANNEL_Z, replica_module.CHANNEL_PHI
+        for command, window_len, events in (
+                ("replica-fig1", replica_module.DEFAULT_THREE_TIME_WINDOW,
+                 lambda r: [(p, 0.0), (z, r["dt21_us"]), (p, r["dt21_us"] + r["dt32_us"])]),
+                ("replica-fig2", replica_module.DEFAULT_FOUR_TIME_WINDOW,
+                 lambda r: [(z, 0.0), (p, r["dt21_us"]), (z, r["dt21_us"] + r["dt32_us"]),
+                            (p, r["dt21_us"] + r["dt32_us"] + r["dt43_us"])])):
+            scan = tmp_path / f"{command}.csv"
+            assert main([command, "--phi", repr(phi), "--no-mc", "--out", str(scan)]) == 0
+            rows = read_csv(scan)
+            spec = tmp_path / f"{command}_specs.json"
+            spec.write_text(json.dumps([
+                {"window": {"t_a_us": config.t_a, "T_us": window_len},
+                 "gaps": [{"channel": ch, "dt_us": gap}
+                          for ch, gap in events({k: float(v) for k, v in row.items()})]}
+                for row in rows
+            ]))
+            exact = tmp_path / f"{command}_analytic.csv"
+            assert main(["analytic", "--config", str(config_path), "--spec", str(spec),
+                         "--out", str(exact)]) == 0
+            exact_rows = read_csv(exact)
+            assert [r["analytic"] for r in rows] == [r["factorized"] for r in exact_rows]
+            for row, exact_row in zip(rows, exact_rows):
+                assert float(exact_row["chain"]) == pytest.approx(float(row["analytic"]),
+                                                                  rel=0, abs=1e-12)
 
     def test_fig1_small_mc_run(self, tmp_path):
         out = tmp_path / "fig1.csv"

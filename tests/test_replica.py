@@ -165,6 +165,20 @@ class TestScansWithMonteCarlo:
             scan(ReplicaConfig(phi=0.9, n_traj=600, include_mc=True), **grid)
         assert shards == []
 
+    @pytest.mark.parametrize("include_mc", [True, False])
+    @pytest.mark.parametrize("scan, grid, named", [
+        (three_time_scan, dict(dt21_values=(), dt32_values=(0.5,)), "dt21_values"),
+        (three_time_scan, dict(dt21_values=(0.5,), dt32_values=()), "dt32_values"),
+        (four_time_scan, dict(dt32_values=()), "dt32_values"),
+    ])
+    def test_empty_gap_grid_refused_before_any_batch(self, monkeypatch, scan, grid, named,
+                                                     include_mc):
+        batches = []
+        monkeypatch.setattr(replica_module, "simulate_range", lambda *a, **k: batches.append(a))
+        with pytest.raises(ValidationError, match=f"{named} is empty"):
+            scan(ReplicaConfig(phi=0.9, n_traj=600, include_mc=include_mc), **grid)
+        assert batches == []
+
     @pytest.mark.parametrize("n_traj", [0, 1])
     def test_single_trajectory_refused_before_any_batch(self, monkeypatch, n_traj):
         batches = []
@@ -242,9 +256,14 @@ class TestScanBitsPinned:
     # standard error, one standard error by 1.4e-16 relative and the
     # summary's spread by 3.4e-16 relative; 2835 of the 4207
     # per-trajectory means moved, by at most 1.8e-15 of their spread over
-    # the trajectories; the analytic columns did not move.
+    # the trajectories; the analytic columns did not move. FOUR_TIME_SHA256
+    # re-recorded when the scans' analytic column became the factorized value
+    # of the window-mean spec, and the summary's analytic the mean of the
+    # rows': 2 of the 3 row values moved by at most 4.4e-16 relative and the
+    # summary's by 2.9e-16; no Monte Carlo field moved, and no field of the
+    # three-time rows.
     THREE_TIME_SHA256 = "652a80d06b00660c82230d3eafa50a1a6416f463560ccadff9562e591e588ab9"
-    FOUR_TIME_SHA256 = "1031a53e1090e944f1491b6cb322c355b6c1aed93758acb16eb38e6b01739c6b"
+    FOUR_TIME_SHA256 = "6c9d32f3d0c3f3c4ef26c2d5509eb13b206d21c90db378dba9b00323e25dba2c"
     THREE_TIME_ROWS_SHA256 = "eb7a86cb8780488b28614f0845be022a6d43c58a66964532ae51d30534f7c1e8"
     FOUR_TIME_ROWS_SHA256 = "12efbe49dac14745498b4a44f71fc2863f5608b0d2e62fe8faab386bf9eb1f40"
 

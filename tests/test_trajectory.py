@@ -1,4 +1,5 @@
 import hashlib
+import math
 import multiprocessing
 from dataclasses import replace
 
@@ -144,6 +145,15 @@ class TestSimConfig:
         model, channels = single_channel_setup()
         with pytest.raises(ValidationError):
             make_config(model, channels, r_init=(1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_total", math.nan), ("t_total", math.inf),
+        ("n_traj", 2.5), ("n_traj", 4.0), ("batch_size", 2.5), ("batch_size", 0),
+    ])
+    def test_bad_number_refused_by_name(self, field, value):
+        model, channels = single_channel_setup()
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            make_config(model, channels, **{field: value})
 
     def test_n_samples_floor(self):
         model, channels = single_channel_setup()
