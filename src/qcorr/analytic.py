@@ -35,8 +35,8 @@ The mean of a route over the placements t1 = i dt of an averaging window is
 therefore the route evaluated once, from window_mean_state: the ensemble
 state averaged over those placements, taken as r_in at t_in = t1 = 0 with
 the later events at their gaps from t1. window_mean_spec builds that spec
-from a resolved windowed spec; qcorr analytic and the replica scans both
-evaluate it.
+from a resolved windowed spec and its window's state, which qcorr analytic
+and the replica scans build once per window.
 
 No route evaluates coinciding event times. In the records a same-channel
 pair in one bin carries the white noise's second moment tau/dt + 1, which
@@ -185,15 +185,14 @@ def window_mean_state(model: EnsembleModel, r_in, window, dt: float) -> np.ndarr
     return total[:3] / (i1 - i0 + 1)
 
 
-def window_mean_spec(model: EnsembleModel, r_init, events, window, dt: float) -> CorrelatorSpec:
+def window_mean_spec(r_window, events, dt: float) -> CorrelatorSpec:
     """Exact spec of a resolved windowed spec: its window average is one evaluation.
 
     events are (channel_index, gap_in_bins) from an earliest time t1 that
-    runs over the bins of window. The events sit at g dt from t1 = 0, and
-    the qubit starts there in window_mean_state(model, r_init, window, dt).
+    runs over the bins of a window. The events sit at g dt from t1 = 0, and
+    the qubit starts there in r_window, the window_mean_state of that window.
     """
-    return CorrelatorSpec(tuple((ch, g * dt) for ch, g in events),
-                          window_mean_state(model, r_init, window, dt), 0.0)
+    return CorrelatorSpec(tuple((ch, g * dt) for ch, g in events), r_window, 0.0)
 
 
 def _gap_maps(model: EnsembleModel, spec: CorrelatorSpec):

@@ -2,7 +2,11 @@
 
 Every float written to CSV uses 17 significant digits so values round-trip
 exactly; a fixed seed therefore yields byte-identical outputs across runs
-and worker counts.
+and worker counts. estimate checks every spec and the trajectory count
+against the record header before it reads any payload, then runs the Monte
+Carlo driver of the replica scans (empirical.estimate_batches) on the file:
+each batch of trajectory.DEFAULT_BATCH_SIZE trajectories is read in blocks
+of empirical.block_rows, each folded before the next is read.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import argparse
 import csv
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .analytic import (
     chain_correlator,
     factorized_correlator,
     window_mean_spec,
+    window_mean_state,
 )
 from .config import (
     _integer,
@@ -37,26 +42,26 @@ from .empirical import (  # noqa: F401
     ResolvedSpecs,
     Window,
     block_rows,
-    ensemble_sums,
+    estimate_batches,
     estimate_correlator,
-    pool_sums,
+    events_key,
+    merge_estimates,
     require_standard_error,
     resolve_events,
     resolve_spec,
-    window_means,
+    window_key,
 )
 from .errors import (
     ConfigError,
     FactorizationInapplicableError,
     QcorrError,
-    RecordFormatError,
     ValidationError,
 )
 # write_records and simulate_ensemble are unused here but stay importable from
 # this module: perfbench/layers.py traces them under this name.
 from .recordio import read_header, read_records, simulate_records, write_records  # noqa: F401
 from .replica import ReplicaConfig, four_time_scan, three_time_scan
-from .trajectory import index_ranges, map_batches, simulate_ensemble  # noqa: F401
+from .trajectory import DEFAULT_BATCH_SIZE, index_ranges, simulate_ensemble  # noqa: F401
 
 FLOAT_FMT = ".17g"
 
@@ -73,16 +78,6 @@ def _write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def _events_key(pairs) -> str:
-    return ";".join(f"{ch}@{format(t, FLOAT_FMT)}" for ch, t in pairs)
-
-
-def _window_key(events, window_bins, dt) -> tuple:
-    """(events, window_start_us, window_len_us) columns of a snapped windowed spec."""
-    i0, i1 = window_bins
-    return _events_key((ch, g * dt) for ch, g in events), i0 * dt, (i1 - i0) * dt
 
 
 def _channel_times(items, path: str, time_key: str) -> list:
@@ -171,15 +166,16 @@ def _do_analytic(args) -> int:
     model, channels, dt = setup.model, setup.channels, setup.sim.dt
     r_init = tuple(setup.sim.r_init)
     rows = []
+    window_state = cache(partial(window_mean_state, model, r_init))  # once per window
     for entry in _spec_entries(args.spec, r_init):
         if isinstance(entry, CorrelatorSpec):
             spec = entry
-            key = (_events_key(entry.events), float("nan"), float("nan"))
+            key = (events_key(entry.events), float("nan"), float("nan"))
         else:
             gaps, window = entry
             events = resolve_events(gaps, dt, len(channels))
-            spec = window_mean_spec(model, r_init, events, window, dt)
-            key = _window_key(events, window.bins(dt), dt)
+            spec = window_mean_spec(window_state(window, dt), events, dt)
+            key = window_key(dt, window.bins(dt), events)
         chain = chain_correlator(model, channels, spec)
         try:
             fact = factorized_correlator(model, channels, spec)
@@ -201,44 +197,25 @@ def _do_analytic(args) -> int:
     return 0
 
 
-def _block_sums(path, specs: ResolvedSpecs, dt: float, bounds) -> tuple:
-    """ensemble_sums of every spec's window means over trajectories bounds = (lo, hi).
-
-    A spec whose sum of squares over the block is not finite, as it is
-    whenever one of its means is (a NaN or infinite sample in its window),
-    is refused by name with the block's range.
-    """
-    lo, hi = bounds
-    fold = ensemble_sums(window_means(read_records(path, lo, hi).samples, specs))
-    finite = np.isfinite(fold[2])
-    if not finite.all():
-        j = int(np.flatnonzero(~finite)[0])
-        events, start, length = _window_key(specs[j][1], specs[j][0], dt)
-        raise RecordFormatError(
-            f"{path}: spec {j} (events {events}, window start {_fmt(start)} us, "
-            f"length {_fmt(length)} us) has a non-finite window mean in "
-            f"trajectories [{lo}, {hi})"
-        )
-    return fold
-
-
 def _do_estimate(args) -> int:
     entries = _spec_entries(args.spec, None)
-    # Every spec and the trajectory count are checked against the header
-    # before any payload is read; the payload is then read one block of
-    # trajectories at a time, and each block's window means are folded into
-    # per-spec long-double sums before the next block is read.
     header = read_header(args.records)
     specs = ResolvedSpecs(
         resolve_spec(gaps, window, header.dt, header.n_channels, header.n_samples)
         for gaps, window in entries
     )
     require_standard_error(header.n_traj)
-    task = partial(_block_sums, args.records, specs, header.dt)
-    bounds = index_ranges(0, header.n_traj, block_rows(header.n_channels, header.n_samples))
+    block = block_rows(header.n_channels, header.n_samples)
+
+    def load(lo, hi):  # trajectories [lo, hi), read block trajectories at a time
+        for start, stop in index_ranges(lo, hi, block):
+            yield read_records(args.records, start, stop).samples
+
+    batches = estimate_batches(load, specs, header.dt, header.n_traj, DEFAULT_BATCH_SIZE,
+                               source=args.records)
     rows = []
-    for est in pool_sums(map_batches(task, bounds, workers=1), header.dt, specs):
-        key, w0, wlen = _window_key(est.events, est.window_bins, est.dt)
+    for est in map(merge_estimates, zip(*batches)):
+        key, w0, wlen = window_key(*est.spec_key())
         rows.append((key, w0, wlen, est.value, est.std_error,
                      est.n_traj, est.n_window_samples))
         print(f"{key}: value={_fmt(est.value)} +- {_fmt(est.std_error)}")

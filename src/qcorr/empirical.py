@@ -22,30 +22,36 @@ einsum loop's included, is off by at most about (W - 1) * 2**-53 *
 sum|terms| (Higham, SIAM J. Sci. Comput. 14, 783 (1993)), about 1e-15 of a
 standard error. The ensemble sums, over 1e4-1e6 per-trajectory means of
 noise products with standard deviation sqrt(tau/dt) per factor, are the
-long ones: they run in extended precision. ensemble_sums folds one block
-of means into long-double sums and sums of squares as soon as window_means
-returns it, so a caller streams a record file or a simulation one block at
-a time and keeps O(specs) numbers between blocks; pool_sums adds the folds
-of disjoint blocks in the order given and turns the totals into estimates.
+long ones: they run in extended precision. estimate_batches is the one
+Monte Carlo driver, of qcorr estimate and the replica scans alike: each
+batch of trajectories (trajectory.map_batches runs them here or in forked
+workers) reads its source one block at a time, a record file in blocks of
+block_rows and a simulated batch as one block. ensemble_sums folds each
+block's means into long-double sums and sums of squares as soon as
+window_means returns them, so a batch keeps O(specs) numbers between
+blocks; pool_sums adds the folds in order and turns the totals into the
+batch's estimates.
 
 Requested times snap to the nearest sample bin (never further than dt/2) and
 the snapped grid is reported back on the estimate. Estimates carry enough of
 the snapped specification, and their unrounded long-double sums, to be
 safely poolable: merge_estimates combines estimates of the same
 specification computed on disjoint trajectory subsets through the same
-pool_sums, so estimates pooled over trajectory batches equal the
-single-pass result up to extended-precision reassociation.
+pool_sums, so estimates pooled over trajectory batches (as every caller
+of estimate_batches pools them) equal the single-pass result up to
+extended-precision reassociation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import EstimateMismatchError, ValidationError
-from .trajectory import RecordSet
+from .errors import EstimateMismatchError, RecordFormatError, ValidationError
+from .trajectory import RecordSet, index_ranges, map_batches
 
 # Trajectories per pass of window_means are chosen so that one block holds
 # about this many bytes of samples: small enough that every spec's slices of
@@ -78,9 +84,8 @@ class Window:
     def bins(self, dt: float) -> tuple:
         """Inclusive bin range (i0, i1) of t1: both window edges snapped.
 
-        Both sides of a comparison average over this grid:
-        window_means for the records and
-        analytic.window_mean_state for the exact routes.
+        Both sides of a comparison average over this grid: window_means
+        for the records and analytic.window_mean_state for the exact routes.
         """
         return snap(self.t_a, dt), snap(self.t_a + self.length, dt)
 
@@ -166,6 +171,17 @@ def resolve_spec(gaps, window: Window, dt: float, n_channels: int, n_samples: in
             f"record span of {n_samples} samples"
         )
     return (i0, i1), events
+
+
+def events_key(pairs) -> str:
+    """The "channel@time;..." key of (channel, time_us) pairs, times to 17 digits."""
+    return ";".join(f"{ch}@{t:.17g}" for ch, t in pairs)
+
+
+def window_key(dt: float, window_bins: tuple, events: tuple) -> tuple:
+    """(events, window start us, window length us) of a snapped windowed spec."""
+    i0, i1 = window_bins
+    return events_key((ch, g * dt) for ch, g in events), i0 * dt, (i1 - i0) * dt
 
 
 def block_rows(n_channels: int, n_samples: int) -> int:
@@ -285,11 +301,7 @@ def window_means(samples: np.ndarray, resolved) -> np.ndarray:
 
 
 def trajectory_window_means(records: RecordSet, gaps, window: Window) -> np.ndarray:
-    """Per-trajectory window means of one spec: one row of window_means.
-
-    The ensemble mean of the returned array is the correlator estimate
-    (estimate_from_means).
-    """
+    """Per-trajectory window means of one spec: the window_means row estimate_correlator pools."""
     spec = resolve_spec(gaps, window, records.dt, records.n_channels, records.n_samples)
     return window_means(records.samples, [spec])[0]
 
@@ -348,16 +360,42 @@ def pool_sums(folds, dt: float, labels) -> list:
     return [_pooled(n, s, s2, dt, *label) for s, s2, label in zip(total, total_sq, labels)]
 
 
-def estimate_from_means(traj_means: np.ndarray, dt: float, window_bins: tuple,
-                        events: tuple) -> CorrelatorEstimate:
-    """Estimate from one spec's per-trajectory window means (a row of window_means).
+def estimate_batches(load, specs: ResolvedSpecs, dt: float, n_traj: int, batch_size: int,
+                     workers: int = 1, grid_average: bool = False, source: str = "records"):
+    """Yield each batch's estimates of every spec, in batch order: the Monte Carlo driver.
 
-    dt, window_bins and events label the estimate for merge_estimates: the
-    snapped specification the means were taken over. The row is pooled as
-    one block: pool_sums of its ensemble_sums.
+    map_batches runs the batches index_ranges(0, n_traj, batch_size) on
+    workers processes. A batch folds (ensemble_sums) the window_means of
+    specs over each sample block that load(lo, hi) yields for its
+    trajectories [lo, hi), one block at a time, and returns pool_sums of
+    the folds; merge_estimates pools a spec's estimates over the batches.
+    grid_average adds the per-trajectory mean over all specs, which share
+    one window, labelled with all their events. A non-finite window mean is
+    refused by spec and batch range with a RecordFormatError naming source.
     """
-    (est,) = pool_sums([ensemble_sums(traj_means[np.newaxis])], dt, [(window_bins, events)])
-    return est
+    labels = list(specs)
+    if grid_average:
+        labels.append((specs[0][0], tuple(events for _, events in specs)))
+
+    def fold(bounds, samples):
+        means = window_means(samples, specs)
+        if grid_average:  # per trajectory: it keeps the specs' correlation
+            means = np.vstack((means, np.mean(means, axis=0)))
+        sums = ensemble_sums(means)
+        # A sum of squares is not finite exactly when one of its means is not.
+        bad = np.flatnonzero(~np.isfinite(sums[2][:len(specs)]))
+        if bad.size:
+            events, start, length = window_key(dt, *specs[bad[0]])
+            raise RecordFormatError(
+                f"{source}: spec {bad[0]} (events {events}, window start {start:.17g} us, "
+                f"length {length:.17g} us) has a non-finite window mean in "
+                f"trajectories [{bounds[0]}, {bounds[1]})")
+        return sums
+
+    def task(bounds):  # map holds no block past its fold
+        return pool_sums(map(partial(fold, bounds), load(*bounds)), dt, labels)
+
+    return map_batches(task, index_ranges(0, n_traj, batch_size), workers)
 
 
 def estimate_correlator(records: RecordSet, gaps, window: Window) -> CorrelatorEstimate:
@@ -368,7 +406,7 @@ def estimate_correlator(records: RecordSet, gaps, window: Window) -> CorrelatorE
     equal-time singular term tau/dt plus the smooth part.
     """
     spec = resolve_spec(gaps, window, records.dt, records.n_channels, records.n_samples)
-    return estimate_from_means(window_means(records.samples, [spec])[0], records.dt, *spec)
+    return pool_sums([ensemble_sums(window_means(records.samples, [spec]))], records.dt, [spec])[0]
 
 
 def merge_estimates(parts) -> CorrelatorEstimate:

@@ -30,7 +30,7 @@ _per_thread = threading.local()
 
 
 def check_seed(master_seed: int) -> int:
-    if not isinstance(master_seed, (int, np.integer)):
+    if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)):
         raise ValidationError(f"master_seed must be an integer, got {type(master_seed).__name__}")
     if not (0 <= int(master_seed) <= _UINT64_MAX):
         raise ValidationError("master_seed must fit in an unsigned 64-bit integer")

@@ -22,22 +22,21 @@ structure of this setup:
 
 Both scans resolve every grid point once. A point's analytic value is the
 factorized value that qcorr analytic reports for the same windowed spec
-(analytic.window_mean_spec); its Monte Carlo value comes from one loop over
-simulation batches: the process that simulates a batch (a forked worker with
-several workers) takes the window means of the resolved points in one
-window_means call and returns only their estimates, which carry the batch's
-unrounded long-double sums (ensemble_sums, pool_sums), so memory stays
-bounded by one batch per process at any trajectory budget. The caller pools
-them in batch order (merge_estimates adds those sums through pool_sums, the
-pooling path of qcorr estimate). The summary pools grid points trajectory by
-trajectory, respecting their correlation through the shared records.
+(analytic.window_mean_spec, from the window-mean state built once per
+scan). Its Monte Carlo value comes from empirical.estimate_batches, the
+driver of qcorr estimate too, with simulation batches as the source: the
+process that simulates a batch (a forked worker with several workers) takes
+the window means of the resolved points in one window_means call and
+returns only their estimates, so memory stays bounded by one batch per
+process at any trajectory budget. The caller pools them in batch order
+(merge_estimates). The summary pools grid points trajectory by trajectory,
+respecting their correlation through the shared records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -49,22 +48,21 @@ from .analytic import (  # noqa: F401
     mean_signal,
     two_time_correlator,
     window_mean_spec,
+    window_mean_state,
 )
 from .bloch import MeasurementChannel, build_ensemble_model
 from .empirical import (  # noqa: F401
     ResolvedSpecs,
     Window,
-    ensemble_sums,
+    estimate_batches,
     estimate_correlator,
     merge_estimates,
-    pool_sums,
     resolve_events,
     snap,
     trajectory_window_means,
-    window_means,
 )
 from .errors import ValidationError
-from .trajectory import SimConfig, index_ranges, map_batches, simulate_range
+from .trajectory import SimConfig, simulate_range
 
 DEFAULT_GAMMA = 1.0 / 1.3  # per-channel ensemble dephasing rate, 1/us
 DEFAULT_THREE_TIME_WINDOW = 0.2
@@ -102,6 +100,8 @@ class ReplicaConfig:
             raise ValidationError(f"eta must be in (0, 1], got {self.eta}")
         if not (0.0 < self.dt < math.inf):
             raise ValidationError(f"dt must be positive and finite, got {self.dt}")
+        if isinstance(self.workers, bool) or not isinstance(self.workers, (int, np.integer)):
+            raise ValidationError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
         if self.include_mc and self.n_traj < 2:
@@ -155,19 +155,6 @@ class FourTimeSummary:
     n_traj: int
 
 
-def _batch_estimates(sim: SimConfig, specs: ResolvedSpecs, labels, bounds) -> list:
-    """Estimates of every point, then of their per-trajectory average, over one batch.
-
-    Runs in the process that simulates the batch: no sample leaves it.
-    specs holds every point's (window_bins, events), labels those and the
-    grid average's.
-    """
-    means = window_means(simulate_range(sim, *bounds).samples, specs)
-    # The grid average per trajectory respects the points' correlation
-    # through the shared records.
-    return pool_sums([ensemble_sums(np.vstack((means, np.mean(means, axis=0))))], sim.dt, labels)
-
-
 def _snapped(values, name: str, dt: float) -> list:
     """Sorted distinct gaps (us) of a grid, each snapped to a bin; an empty grid is refused."""
     gaps = sorted({snap(v, dt) * dt for v in values})
@@ -182,30 +169,29 @@ def _evaluate(config: ReplicaConfig, window: Window, points) -> tuple:
     points are (channel, gap_us) lists from a t1 in window. All are resolved
     once, first, also without include_mc (then every Monte Carlo pair is
     NaN), so a bad grid is refused before any batch is simulated. A point's
-    analytic value is the factorized value of its window_mean_spec. Each
-    batch's estimates (_batch_estimates) are pooled in batch order with
-    merge_estimates, which adds their unrounded long-double sums.
+    analytic value is the factorized value of its window_mean_spec, all
+    from one window-mean state. Each batch's estimates (estimate_batches)
+    are pooled in batch order with merge_estimates.
     """
     model, channels = replica_model(config)
     dt = config.dt
-    window_bins = window.bins(dt)
-    specs = ResolvedSpecs((window_bins, resolve_events(gaps, dt, len(channels)))
+    specs = ResolvedSpecs((window.bins(dt), resolve_events(gaps, dt, len(channels)))
                           for gaps in points)
-    analytic = [
-        factorized_correlator(model, channels,
-                              window_mean_spec(model, config.r_init, events, window, dt))
-        for _, events in specs
-    ]
+    r_window = window_mean_state(model, config.r_init, window, dt)
+    analytic = [factorized_correlator(model, channels, window_mean_spec(r_window, events, dt))
+                for _, events in specs]
     if not config.include_mc:
         nan = (float("nan"), float("nan"))
         return analytic, [nan] * len(points), nan
     t_total = window.t_a + window.length + (max(e[-1][1] for _, e in specs) + 2) * dt
     sim = SimConfig(model=model, channels=channels, r_init=config.r_init, t_total=t_total,
                     dt=dt, n_traj=config.n_traj, master_seed=config.master_seed)
-    # The grid average is labelled with every point's events.
-    labels = [*specs, (window_bins, tuple(events for _, events in specs))]
-    task = partial(_batch_estimates, sim, specs, labels)
-    batches = map_batches(task, index_ranges(0, sim.n_traj, sim.batch_size), config.workers)
+
+    def load(lo, hi):  # the one sample block of batch [lo, hi), simulated
+        return [simulate_range(sim, lo, hi).samples]
+
+    batches = estimate_batches(load, specs, dt, sim.n_traj, sim.batch_size, config.workers,
+                               grid_average=True, source="simulation")
     mc = [(p.value, p.std_error) for p in map(merge_estimates, zip(*batches))]
     return analytic, mc[:-1], mc[-1]
 

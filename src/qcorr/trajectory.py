@@ -101,7 +101,7 @@ class SimConfig:
             )
         for name in ("n_traj", "batch_size"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if not math.isfinite(self.t_total):
             raise ValidationError(f"t_total must be finite, got {self.t_total}")

@@ -37,7 +37,7 @@ from qcorr import (
 )
 from qcorr.analytic import _factorized_value
 from qcorr.cli import main as cli_main
-from qcorr.trajectory import index_ranges
+from qcorr.empirical import ResolvedSpecs, estimate_batches, resolve_spec
 
 from conftest import random_event_spec, random_model, random_unit_vector
 
@@ -47,6 +47,19 @@ GAMMA = 1.0 / 1.3
 def verdict(tag, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} {tag}: {detail}")
     assert ok, f"{tag}: {detail}"
+
+
+def simulated_estimates(sim, gap_lists, window, workers=2):
+    """Estimates of every gap list over sim's ensemble, through the Monte Carlo driver.
+
+    Each batch of sim.batch_size trajectories is simulated and estimated in
+    one of the worker processes; the batches' estimates are pooled in order.
+    """
+    specs = ResolvedSpecs(resolve_spec(gaps, window, sim.dt, sim.n_channels, sim.n_samples)
+                          for gaps in gap_lists)
+    batches = estimate_batches(lambda lo, hi: [simulate_range(sim, lo, hi).samples], specs,
+                               sim.dt, sim.n_traj, sim.batch_size, workers, source="simulation")
+    return [merge_estimates(parts) for parts in zip(*batches)]
 
 
 def weighted_slope(x, y, se):
@@ -165,19 +178,12 @@ def test_a4_monte_carlo_two_time_correlator():
         master_seed=config.master_seed, batch_size=8192,
     )
     start = time.time()
-    parts = {g: [] for g in gaps_us}
-    for lo, hi in index_ranges(0, sim.n_traj, 16384):
-        records = simulate_range(sim, lo, hi, workers=2)
-        for g in gaps_us:
-            parts[g].append(
-                estimate_correlator(records, [(0, 0.0), (1, g)], window))
-        del records  # free this shard before the next one is simulated
+    estimates = simulated_estimates(sim, [[(0, 0.0), (1, g)] for g in gaps_us], window)
     elapsed = time.time() - start
     hits = 0
     max_se = 0.0
     details = []
-    for g in gaps_us:
-        est = merge_estimates(parts[g])
+    for g, est in zip(gaps_us, estimates):
         expected = two_time_correlator(model, channels, 0, 0.0, 1, g)
         ok = abs(est.value - expected) <= 4.0 * est.std_error
         hits += ok
@@ -395,12 +401,7 @@ def test_a10_phase_backaction_chain_matches_monte_carlo():
             t_total=window.t_a + window.length + gap + 2 * dt, dt=dt,
             n_traj=100_000, master_seed=seed,
         )
-        parts = []
-        for lo, hi in index_ranges(0, sim.n_traj, 16384):
-            records = simulate_range(sim, lo, hi, workers=2)
-            parts.append(estimate_correlator(records, [(0, 0.0), (1, gap)], window))
-            del records
-        est = merge_estimates(parts)
+        (est,) = simulated_estimates(sim, [[(0, 0.0), (1, gap)]], window)
         r_window = window_mean_state(model, (1.0, 0.0, 0.0), window, dt)
         exact = chain_correlator(model, channels, CorrelatorSpec(((0, 0.0), (1, gap)), r_window))
         sigma = abs(est.value - exact) / est.std_error
@@ -439,12 +440,7 @@ def test_a11_non_unital_environment_matches_monte_carlo():
             t_total=window.t_a + window.length + 2 * dt, dt=dt,
             n_traj=50_000, master_seed=55,
         )
-        parts = []
-        for lo, hi in index_ranges(0, sim.n_traj, 16384):
-            records = simulate_range(sim, lo, hi, workers=2)
-            parts.append(estimate_correlator(records, [(0, 0.0)], window))
-            del records
-        est = merge_estimates(parts)
+        (est,) = simulated_estimates(sim, [[(0, 0.0)]], window)
         r_window = window_mean_state(model, (1.0, 0.0, 0.0), window, dt)
         exact = chain_correlator(model, channels, CorrelatorSpec(((0, 0.0),), r_window))
         sigma = abs(est.value - exact) / est.std_error
@@ -472,12 +468,7 @@ def test_a12_correlator_exceeding_one_matches_monte_carlo():
         n_traj=200_000, master_seed=12012,
     )
     start = time.time()
-    parts = []
-    for lo, hi in index_ranges(0, sim.n_traj, 32768):
-        records = simulate_range(sim, lo, hi, workers=2)
-        parts.append(estimate_correlator(records, [(0, 0.0), (0, gap)], window))
-        del records
-    est = merge_estimates(parts)
+    (est,) = simulated_estimates(sim, [[(0, 0.0), (0, gap)]], window)
     r_window = window_mean_state(model, (1.0, 0.0, 0.0), window, dt)
     exact = chain_correlator(model, channels, CorrelatorSpec(((0, 0.0), (0, gap)), r_window))
     sigma = abs(est.value - exact) / est.std_error

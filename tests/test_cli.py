@@ -20,6 +20,7 @@ from qcorr import (
     RecordSet,
     ReplicaConfig,
     TimestepWarning,
+    Window,
     empirical,
     parse_config,
     replica_model,
@@ -364,6 +365,20 @@ class TestAnalytic:
             float(last_only["chain"]), abs=1e-12)
         assert "chain=" in capsys.readouterr().out
 
+    def test_window_mean_state_built_once_per_window(self, workspace, monkeypatch):
+        # The two SPECS share a window; a third spec brings a second one.
+        tmp, config, _ = workspace
+        spec = tmp / "windows.json"
+        spec.write_text(json.dumps(SPECS + [
+            {"window": {"t_a_us": 0.2, "T_us": 0.3}, "gaps": [{"channel": 1, "dt_us": 0.0}]},
+        ]))
+        windows = []
+        window_mean_state = cli_module.window_mean_state
+        monkeypatch.setattr(cli_module, "window_mean_state",
+                            lambda *a: windows.append(a[2]) or window_mean_state(*a))
+        assert main(["analytic", "--config", str(config), "--spec", str(spec)]) == 0
+        assert windows == [Window(0.5, 0.3), Window(0.2, 0.3)]
+
     @pytest.mark.parametrize("config, specs, expected", [
         (json.loads(PRESETS.joinpath("two_detector_sim.json").read_text()),
          json.loads(PRESETS.joinpath("two_detector_specs.json").read_text())
@@ -640,8 +655,8 @@ class TestStreamedEstimate:
         for module in (cli_module, empirical):
             monkeypatch.setattr(module, "ResolvedSpecs", Counted)
         blocks = []
-        window_means = cli_module.window_means
-        monkeypatch.setattr(cli_module, "window_means",
+        window_means = empirical.window_means
+        monkeypatch.setattr(empirical, "window_means",
                             lambda *a: blocks.append(a) or window_means(*a))
         assert main(["estimate", "--records", str(records), "--spec", str(spec)]) == 0
         assert len(blocks) == 5 and len(built) == 1

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 from fractions import Fraction
 from unittest import mock
 
@@ -11,6 +12,7 @@ from qcorr import empirical
 from qcorr import (
     EstimateMismatchError,
     MeasurementChannel,
+    RecordFormatError,
     RecordSet,
     ReplicaConfig,
     SimConfig,
@@ -20,15 +22,17 @@ from qcorr import (
     estimate_correlator,
     four_time_scan,
     merge_estimates,
+    read_records,
     simulate_ensemble,
     simulate_range,
+    simulate_records,
     three_time_scan,
     two_time_correlator,
 )
 from qcorr.empirical import (
     ResolvedSpecs,
     ensemble_sums,
-    estimate_from_means,
+    estimate_batches,
     pool_sums,
     resolve_events,
     resolve_spec,
@@ -45,6 +49,11 @@ def replica_channels():
         MeasurementChannel((0.0, 0.0, 1.0), tau=TAU, eta=1.0),
         MeasurementChannel((np.sin(PHI), 0.0, np.cos(PHI)), tau=TAU, eta=1.0),
     )
+
+
+def from_means(traj_means, dt, window_bins, events):
+    """Estimate from one spec's per-trajectory window means, pooled as one block."""
+    return pool_sums([ensemble_sums(traj_means[np.newaxis])], dt, [(window_bins, events)])[0]
 
 
 def noise_only_records(n_traj=4000, n_samples=300, seed=0):
@@ -273,12 +282,12 @@ class TestEnsembleSums:
     def test_float64_means_pool_as_their_long_double_values(self, seed, n_traj, scale, offset):
         # The ensemble sums lose nothing to float64 means: the estimate
         # equals the one from the same values held in long double, summed
-        # as estimate_from_means did when window_means returned long doubles.
+        # when window_means returned long doubles.
         means = scale * (offset + np.random.default_rng(seed).standard_normal(n_traj))
         ext = means.astype(np.longdouble)
         spec = (DT, (10, 20), ((0, 0), (1, 5)))
         old = empirical._pooled(n_traj, ext.sum(), np.square(ext).sum(), *spec)
-        new = estimate_from_means(means, *spec)
+        new = from_means(means, *spec)
         assert means.dtype == np.float64
         assert ((new.value, new.std_error, new.sum_means, new.sumsq_means)
                 == (old.value, old.std_error, old.sum_means, old.sumsq_means))
@@ -412,7 +421,7 @@ class TestMergeEstimates:
         # float64 first costs the float64 eps instead.
         means = spread * (offset + np.random.default_rng(seed).standard_normal(n_parts * part))
         spec = (DT, (10, 20), ((0, 0), (1, 5)))
-        merged = merge_estimates(estimate_from_means(p, *spec) for p in np.split(means, n_parts))
+        merged = merge_estimates(from_means(p, *spec) for p in np.split(means, n_parts))
         exact = [Fraction(x) for x in means.tolist()]
         total = sum(exact)
         var = (sum(x * x for x in exact) - total * total / len(exact)) / (len(exact) - 1)
@@ -432,9 +441,9 @@ class TestMergeEstimates:
         blocks = [window_means(records.samples[lo:lo + 50], resolved) for lo in range(0, 230, 50)]
         pooled = pool_sums(map(ensemble_sums, blocks), DT, resolved)
         for j, est in enumerate(pooled):
-            merged = merge_estimates(estimate_from_means(b[j], DT, *resolved[j]) for b in blocks)
+            merged = merge_estimates(from_means(b[j], DT, *resolved[j]) for b in blocks)
             assert est == merged and est.n_traj == 230
-            single = estimate_from_means(np.concatenate(blocks, axis=1)[j], DT, *resolved[j])
+            single = from_means(np.concatenate(blocks, axis=1)[j], DT, *resolved[j])
             assert est.value == pytest.approx(single.value, rel=1e-15, abs=1e-17)
             assert est.std_error == pytest.approx(single.std_error, rel=1e-15)
 
@@ -465,3 +474,55 @@ class TestMergeEstimates:
         merged = merge_estimates(parts)
         assert merged.value == pytest.approx(full.value, rel=1e-12, abs=1e-15)
         assert merged.std_error == pytest.approx(full.std_error, rel=1e-12)
+
+
+class TestEstimateBatches:
+    GAPS = ([(0, 0.0)], [(0, 0.0), (1, 0.1)], [(0, 0.0), (0, 0.2), (1, 0.4)])
+
+    def setup_method(self):
+        # 301 trajectories in batches of 100: the last batch holds 101.
+        channels = replica_channels()
+        self.config = SimConfig(
+            model=build_ensemble_model(channels), channels=channels,
+            r_init=(np.sin(PHI / 2), 0.0, np.cos(PHI / 2)),
+            t_total=1.2, dt=DT, n_traj=301, master_seed=31, batch_size=100,
+        )
+        self.specs = ResolvedSpecs(resolve_spec(gaps, Window(0.2, 0.3), DT, 2, 120)
+                                   for gaps in self.GAPS)
+
+    def simulated(self, lo, hi):
+        return [simulate_range(self.config, lo, hi).samples]
+
+    def pooled(self, load, **kwargs):
+        batches = estimate_batches(load, self.specs, DT, 301, 100, **kwargs)
+        return [merge_estimates(parts) for parts in zip(*batches)]
+
+    def test_record_file_and_simulation_give_identical_estimates(self, tmp_path):
+        # Each batch is read from the file, or simulated, as one block.
+        path = tmp_path / "records.qcr"
+        simulate_records(path, self.config)
+
+        def from_file(lo, hi):
+            yield read_records(path, lo, hi).samples
+
+        from_records = self.pooled(from_file)
+        assert from_records == self.pooled(self.simulated)
+        assert [est.n_traj for est in from_records] == [301] * len(self.GAPS)
+
+    def test_one_and_two_workers_give_identical_estimates(self):
+        runs = [self.pooled(self.simulated, workers=workers, grid_average=True)
+                for workers in (1, 2)]
+        assert runs[0] == runs[1] and len(runs[0]) == len(self.GAPS) + 1
+        assert multiprocessing.active_children() == []
+
+    def test_non_finite_window_mean_refused_by_spec_and_batch(self):
+        # One NaN at trajectory 150, channel 1, bin 30: of the specs' windows
+        # only spec 1's (channel 1 at bins 30-60) reads it, in batch [100, 200).
+        samples = np.ones((301, 2, 120))
+        samples[150, 1, 30] = np.nan
+        with pytest.raises(RecordFormatError) as refused:
+            self.pooled(lambda lo, hi: [samples[lo:hi]], source="memory")
+        assert str(refused.value) == (
+            "memory: spec 1 (events 0@0;1@0.10000000000000001, window start "
+            "0.20000000000000001 us, length 0.29999999999999999 us) has a non-finite "
+            "window mean in trajectories [100, 200)")

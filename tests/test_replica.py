@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qcorr.empirical as empirical_module
+import qcorr.linalg as linalg_module
 import qcorr.replica as replica_module
 import qcorr.trajectory as trajectory_module
 from qcorr import (
@@ -63,6 +64,18 @@ class TestReplicaModel:
             ReplicaConfig(phi=-0.1)
         with pytest.raises(ValidationError):
             ReplicaConfig(phi=3.5)
+
+
+@pytest.mark.parametrize("scan, expm_calls", [(three_time_scan, 130), (four_time_scan, 22)])
+def test_window_mean_state_built_once_per_scan(monkeypatch, scan, expm_calls):
+    # The default grids' 64 three-time and 10 four-time points share one
+    # window: its state takes two expm calls, and each point's factorized
+    # value two more (the mean at t1 and one pair, or two pairs).
+    calls = []
+    expm = linalg_module.expm
+    monkeypatch.setattr(linalg_module, "expm", lambda a: calls.append(a) or expm(a))
+    scan(ReplicaConfig(phi=0.9, include_mc=False))
+    assert len(calls) == expm_calls
 
 
 class TestThreeTimeScanAnalytic:
@@ -278,12 +291,12 @@ class TestScanBitsPinned:
     def test_per_trajectory_window_means_pinned(self, monkeypatch, batches_of):
         batches_of(200)
         config = ReplicaConfig(**self.CONFIG)
-        window_means = replica_module.window_means
+        window_means = empirical_module.window_means
         for scan, grid, expected in (
                 (three_time_scan, self.THREE_TIME_GRID, self.THREE_TIME_ROWS_SHA256),
                 (four_time_scan, self.FOUR_TIME_GRID, self.FOUR_TIME_ROWS_SHA256)):
             taken = []
-            monkeypatch.setattr(replica_module, "window_means",
+            monkeypatch.setattr(empirical_module, "window_means",
                                 lambda *a: taken.append(window_means(*a)) or taken[-1])
             scan(config, **grid)
             assert len(taken) == 3  # one call per batch

@@ -10,6 +10,7 @@ from qcorr import (
     EnsembleModel,
     MeasurementChannel,
     RecordSet,
+    ReplicaConfig,
     SimConfig,
     TimestepWarning,
     ValidationError,
@@ -22,6 +23,7 @@ from qcorr import (
     simulate_range,
 )
 from qcorr.linalg import cross_matrix
+from qcorr.noise import check_seed
 from qcorr.trajectory import _BayesStep, event_dephasing, index_ranges
 
 from conftest import (
@@ -159,6 +161,19 @@ class TestSimConfig:
         model, channels = single_channel_setup()
         config = make_config(model, channels, t_total=1.0, dt=0.003)
         assert config.n_samples == 333
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: make_config(*single_channel_setup(), n_traj=True), "n_traj"),
+    (lambda: make_config(*single_channel_setup(), batch_size=True), "batch_size"),
+    (lambda: make_config(*single_channel_setup(), master_seed=True), "master_seed"),
+    (lambda: check_seed(False), "master_seed"),
+    (lambda: ReplicaConfig(phi=0.5, workers=True), "workers"),
+], ids=["n_traj", "batch_size", "sim-seed", "check_seed", "replica-workers"])
+def test_bool_refused_where_an_integer_is_taken(build, field):
+    # bool is an int subclass: True would otherwise run as 1 and False as 0.
+    with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+        build()
 
 
 def test_array_holding_dataclasses_compare_by_identity_and_hash():
