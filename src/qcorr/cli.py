@@ -5,8 +5,10 @@ exactly; a fixed seed therefore yields byte-identical outputs across runs
 and worker counts. estimate checks every spec and the trajectory count
 against the record header before it reads any payload, then runs the Monte
 Carlo driver of the replica scans (empirical.estimate_batches) on the file:
-each batch of trajectory.DEFAULT_BATCH_SIZE trajectories is read in blocks
-of empirical.block_rows, each folded before the next is read.
+each batch of trajectory.batch_rows trajectories for the header's record
+shape is read in blocks of empirical.block_rows, each folded before the
+next is read. simulate takes the ensemble from the config's sim keys alone
+and writes it batch by batch (recordio.simulate_records).
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .errors import (
 # this module: perfbench/layers.py traces them under this name.
 from .recordio import read_header, read_records, simulate_records, write_records  # noqa: F401
 from .replica import ReplicaConfig, four_time_scan, three_time_scan
-from .trajectory import DEFAULT_BATCH_SIZE, index_ranges, simulate_ensemble  # noqa: F401
+from .trajectory import batch_rows, index_ranges, simulate_ensemble  # noqa: F401
 
 FLOAT_FMT = ".17g"
 
@@ -211,8 +213,8 @@ def _do_estimate(args) -> int:
         for start, stop in index_ranges(lo, hi, block):
             yield read_records(args.records, start, stop).samples
 
-    batches = estimate_batches(load, specs, header.dt, header.n_traj, DEFAULT_BATCH_SIZE,
-                               source=args.records)
+    batches = estimate_batches(load, specs, header.dt, header.n_traj,
+                               batch_rows(header.n_channels, header.n_samples), source=args.records)
     rows = []
     for est in map(merge_estimates, zip(*batches)):
         key, w0, wlen = window_key(*est.spec_key())

@@ -2,8 +2,10 @@
 
 Sections: channels[] (axis, tau_us, eta, phase_k), hamiltonian (rabi_axis,
 rabi_freq_rad_per_us), environment (lambda, r_st), sim (dt_us, t_total_us,
-n_traj, seed, r_init, store_states, batch_size), outputs (records).
-Unknown keys are rejected with the offending path in the message.
+n_traj, seed, r_init), outputs (records). The sim keys are the ensemble
+alone: simulation batches follow from the record shape
+(trajectory.batch_rows). Unknown keys are rejected with the offending path
+in the message.
 """
 
 from __future__ import annotations
@@ -137,19 +139,13 @@ def setup_from_json(raw) -> RunSetup:
     _require_keys(
         sim_raw, "config.sim",
         required=("dt_us", "t_total_us", "n_traj", "seed"),
-        optional=("r_init", "store_states", "batch_size"),
+        optional=("r_init",),
     )
     dt = _number(sim_raw["dt_us"], "config.sim.dt_us")
     t_total = _number(sim_raw["t_total_us"], "config.sim.t_total_us")
     n_traj = _integer(sim_raw["n_traj"], "config.sim.n_traj")
     seed = _integer(sim_raw["seed"], "config.sim.seed")
     r_init = _vector3(sim_raw.get("r_init", [0.0, 0.0, 1.0]), "config.sim.r_init")
-    store_states = sim_raw.get("store_states", False)
-    if not isinstance(store_states, bool):
-        raise ConfigError("config.sim.store_states: expected true or false")
-    batch_kwargs = {}
-    if "batch_size" in sim_raw:
-        batch_kwargs["batch_size"] = _integer(sim_raw["batch_size"], "config.sim.batch_size")
 
     outputs = {}
     if "outputs" in raw:
@@ -175,8 +171,6 @@ def setup_from_json(raw) -> RunSetup:
             dt=dt,
             n_traj=n_traj,
             master_seed=seed,
-            store_states=store_states,
-            **batch_kwargs,
         )
     except ValidationError as exc:
         raise ConfigError(f"config: {exc}") from exc

@@ -4,6 +4,8 @@ Every failure mode callers are expected to branch on gets its own class;
 generic misuse raises ValidationError (a ValueError subclass).
 """
 
+import numbers
+
 
 class QcorrError(Exception):
     """Base class for all qcorr errors."""
@@ -11,6 +13,15 @@ class QcorrError(Exception):
 
 class ValidationError(QcorrError, ValueError):
     """Invalid argument, configuration value, or domain-object state."""
+
+
+def check_integer(value, name: str, minimum: int | None = None) -> int:
+    """value as an int; refused by name if a bool, not an integer or below minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 class SpecSizeError(ValidationError):

@@ -22,7 +22,7 @@ import threading
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 
 _UINT64_MAX = 2 ** 64 - 1
 _ZERO_WORDS = (0, 0, 0, 0)
@@ -30,11 +30,10 @@ _per_thread = threading.local()
 
 
 def check_seed(master_seed: int) -> int:
-    if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)):
-        raise ValidationError(f"master_seed must be an integer, got {type(master_seed).__name__}")
-    if not (0 <= int(master_seed) <= _UINT64_MAX):
+    seed = check_integer(master_seed, "master_seed")
+    if not (0 <= seed <= _UINT64_MAX):
         raise ValidationError("master_seed must fit in an unsigned 64-bit integer")
-    return int(master_seed)
+    return seed
 
 
 def _key(master_seed: int, trajectory_index: int) -> tuple:

@@ -45,6 +45,7 @@ from .errors import (
     TruncatedRecordError,
     ValidationError,
     VersionMismatchError,
+    check_integer,
 )
 from .trajectory import RecordSet, SimConfig, index_ranges, map_batches
 
@@ -106,7 +107,8 @@ def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -
     magic makes read_header refuse it as unfinished. States are not
     simulated: the container stores none. path must be seekable. On any
     error a regular output file is removed before the error propagates.
-    progress is called as in simulate_range, before the header is written.
+    progress, when given, is called as progress(trajectories_done, n_traj)
+    after each finished batch, before the header is written.
     """
     header = _header(config.dt, config.n_samples, config.channels, config.n_traj,
                      config.master_seed)
@@ -209,8 +211,8 @@ def read_records(path, start: int = 0, stop: int | None = None) -> RecordSet:
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)
-        if stop is None:
-            stop = header.n_traj
+        start = check_integer(start, "start")
+        stop = header.n_traj if stop is None else check_integer(stop, "stop")
         if not (0 <= start <= stop <= header.n_traj):
             raise ValidationError(
                 f"trajectory range [{start}, {stop}) outside the file's "

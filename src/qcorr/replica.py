@@ -61,7 +61,7 @@ from .empirical import (  # noqa: F401
     snap,
     trajectory_window_means,
 )
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .trajectory import SimConfig, simulate_range
 
 DEFAULT_GAMMA = 1.0 / 1.3  # per-channel ensemble dephasing rate, 1/us
@@ -100,10 +100,7 @@ class ReplicaConfig:
             raise ValidationError(f"eta must be in (0, 1], got {self.eta}")
         if not (0.0 < self.dt < math.inf):
             raise ValidationError(f"dt must be positive and finite, got {self.dt}")
-        if isinstance(self.workers, bool) or not isinstance(self.workers, (int, np.integer)):
-            raise ValidationError(f"workers must be an integer, got {self.workers!r}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
+        check_integer(self.workers, "workers", 1)
         if self.include_mc and self.n_traj < 2:
             raise ValidationError(f"n_traj must be >= 2 for a standard error, got {self.n_traj}")
         if self.window_len is not None and not (0.0 < self.window_len < math.inf):

@@ -22,9 +22,9 @@ there bit for bit.
 
 Output never depends on worker count, scheduling or batch size: each
 trajectory owns its noise stream, batches are cut at fixed multiples of
-batch_size and write their own rows, and every step is elementwise over the
-batch axis. map_batches runs a per-batch function here or in forked
-workers; only batch bounds and per-batch results cross a pipe. A batch
+batch_rows (a function of the record shape alone) and write their own
+rows, and every step is elementwise over the batch axis. map_batches runs a
+per-batch function here or in forked workers; only batch bounds and per-batch results cross a pipe. A batch
 holds its rows, two small time-major (steps, channels, batch) blocks that
 carry draws in and samples out, and its (batch,) scratch rows.
 """
@@ -36,18 +36,18 @@ import mmap
 import os
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .bloch import EnsembleModel, MeasurementChannel, measurement_dephasing_generator, validate_state
-from .errors import IntegrationDivergedError, ValidationError
+from .errors import IntegrationDivergedError, ValidationError, check_integer
 from .linalg import affine_flow
 from .noise import check_seed, trajectory_draws
 
 DT_ERROR_FRACTION = 0.05
 DT_WARN_FRACTION = 0.01
 DEFAULT_BATCH_SIZE = 8192
+BATCH_BYTES = 256 * 2 ** 20  # DEFAULT_BATCH_SIZE rows of up to 32 KiB
 # Steps per transposed noise/sample block: 16 consecutive samples (two 64-byte
 # cache lines) of each record row at a time; 4-step blocks made the 20000 x 400
 # preset about 10% slower on a 2-vCPU x86 VM. Each batch in flight holds two
@@ -59,9 +59,15 @@ class TimestepWarning(UserWarning):
     """dt is coarse relative to the fastest measurement time."""
 
 
+def batch_rows(n_channels: int, n_samples: int) -> int:
+    """Trajectories per batch: DEFAULT_BATCH_SIZE, fewer where a batch's samples would
+    pass BATCH_BYTES, but never fewer than 2 (a batch's estimate needs a standard error)."""
+    return max(2, min(DEFAULT_BATCH_SIZE, BATCH_BYTES // (8 * n_channels * n_samples)))
+
+
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Everything needed to reproduce an ensemble of signal records."""
+    """The ensemble: all that fixes its records (batch_size follows from their shape)."""
 
     model: EnsembleModel
     channels: tuple
@@ -70,8 +76,6 @@ class SimConfig:
     dt: float
     n_traj: int
     master_seed: int
-    store_states: bool = False
-    batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self):
         channels = tuple(self.channels)
@@ -99,10 +103,7 @@ class SimConfig:
                 TimestepWarning,
                 stacklevel=3,  # past the generated __init__, to whoever built the config
             )
-        for name in ("n_traj", "batch_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        check_integer(self.n_traj, "n_traj", 1)
         if not math.isfinite(self.t_total):
             raise ValidationError(f"t_total must be finite, got {self.t_total}")
         if self.t_total < self.dt:
@@ -123,6 +124,11 @@ class SimConfig:
     @property
     def n_channels(self) -> int:
         return len(self.channels)
+
+    @property
+    def batch_size(self) -> int:
+        """Trajectories per simulation batch: batch_rows of the record shape."""
+        return batch_rows(self.n_channels, self.n_samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,14 +313,6 @@ def index_ranges(start: int, stop: int, step: int) -> list:
     return ranges
 
 
-def _run_batch(config, start, samples, states, bounds) -> int:
-    """Simulate batch bounds = (lo, hi) into its rows; returns its trajectory count."""
-    lo, hi = bounds
-    rows = slice(lo - start, hi - start)
-    _simulate_batch(config, lo, hi, samples[rows], None if states is None else states[rows])
-    return hi - lo
-
-
 _attached = None
 
 
@@ -337,9 +335,7 @@ def _available_cpus() -> int:
 
 def _pool_size(workers: int, n_batches: int) -> int:
     """Processes that map_batches runs n_batches batches in (1: this one)."""
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    return min(workers, _available_cpus(), n_batches)
+    return min(check_integer(workers, "workers", 1), _available_cpus(), n_batches)
 
 
 def map_batches(fn, batches, workers: int = 1):
@@ -378,43 +374,37 @@ def _shared_empty(shape) -> np.ndarray:
 
 
 def simulate_range(config: SimConfig, start: int, stop: int,
-                   workers: int = 1, progress=None) -> RecordSet:
+                   workers: int = 1, states: bool = False) -> RecordSet:
     """Simulate the trajectory index range [start, stop) of the ensemble.
 
     The range is cut into batches of config.batch_size aligned to multiples
     of batch_size in the global index space (index_ranges); workers only changes
     how batches are scheduled (map_batches), never what they compute, so the
     result is bit-identical for any worker count. With several worker
-    processes the batches write their rows into shared memory. progress,
-    when given, is called as progress(trajectories_done, range_size) after
-    each finished batch.
+    processes the batches write their rows into shared memory. With states,
+    the RecordSet also holds every trajectory's Bloch vector before each
+    step and after the last, shape (stop - start, n_samples + 1, 3).
     """
+    start, stop = check_integer(start, "start"), check_integer(stop, "stop")
     if not (0 <= start < stop <= config.n_traj):
         raise ValidationError(
             f"range [{start}, {stop}) invalid for an ensemble of {config.n_traj}"
         )
-    total = stop - start
     bounds = index_ranges(start, stop, config.batch_size)
     empty = np.empty if _pool_size(workers, len(bounds)) == 1 else _shared_empty
-    samples = empty((total, config.n_channels, config.n_samples))
-    states = empty((total, config.n_samples + 1, 3)) if config.store_states else None
-    done = 0
-    run = partial(_run_batch, config, start, samples, states)
-    for n_done in map_batches(run, bounds, workers):
-        done += n_done
-        if progress is not None:
-            progress(done, total)
+    samples = empty((stop - start, config.n_channels, config.n_samples))
+    states = empty((stop - start, config.n_samples + 1, 3)) if states else None
 
-    return RecordSet(
-        samples=samples,
-        dt=config.dt,
-        channels=config.channels,
-        master_seed=config.master_seed,
-        states=states,
-        traj_offset=start,
-    )
+    def run(bounds):  # batch [lo, hi) into its rows
+        rows = slice(bounds[0] - start, bounds[1] - start)
+        _simulate_batch(config, *bounds, samples[rows], None if states is None else states[rows])
+
+    for _ in map_batches(run, bounds, workers):
+        pass
+    return RecordSet(samples, config.dt, config.channels, config.master_seed,
+                     states=states, traj_offset=start)
 
 
-def simulate_ensemble(config: SimConfig, workers: int = 1, progress=None) -> RecordSet:
+def simulate_ensemble(config: SimConfig, workers: int = 1, states: bool = False) -> RecordSet:
     """Simulate all config.n_traj trajectories; see simulate_range."""
-    return simulate_range(config, 0, config.n_traj, workers=workers, progress=progress)
+    return simulate_range(config, 0, config.n_traj, workers=workers, states=states)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcorr import EnsembleModel, MeasurementChannel, ReplicaConfig, replica_model
+from qcorr import EnsembleModel, MeasurementChannel, ReplicaConfig, replica_model, trajectory
 from qcorr.bloch import ordered_propagator
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -129,6 +129,19 @@ def random_event_spec(rng, channels, n_events, t_span=5.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def batch_cap(monkeypatch):
+    """Set the most trajectories per batch (DEFAULT_BATCH_SIZE, 8192) for one test.
+
+    Batches follow from the record shape (trajectory.batch_rows); a small
+    cap cuts a small ensemble into several batches.
+    """
+    def cap(rows):
+        monkeypatch.setattr(trajectory, "DEFAULT_BATCH_SIZE", rows)
+
+    return cap
 
 
 @pytest.fixture(scope="session")

@@ -175,7 +175,7 @@ def test_a4_monte_carlo_two_time_correlator():
     sim = SimConfig(
         model=model, channels=channels, r_init=config.r_init,
         t_total=t_total, dt=config.dt, n_traj=config.n_traj,
-        master_seed=config.master_seed, batch_size=8192,
+        master_seed=config.master_seed,
     )
     start = time.time()
     estimates = simulated_estimates(sim, [[(0, 0.0), (1, g)] for g in gaps_us], window)
@@ -269,9 +269,9 @@ def test_a7_purity_scaling_and_ensemble_consistency():
     for dt in (0.02, 0.01, 0.005):
         config = SimConfig(
             model=model, channels=(ch,), r_init=(1.0, 0.0, 0.0),
-            t_total=2.0, dt=dt, n_traj=400, master_seed=7004, store_states=True,
+            t_total=2.0, dt=dt, n_traj=400, master_seed=7004,
         )
-        records = simulate_ensemble(config, workers=2)
+        records = simulate_ensemble(config, workers=2, states=True)
         norms = np.linalg.norm(records.states, axis=2)
         defects.append(float(np.abs(norms - 1.0).max()))
     purity_ok = max(defects) <= 1e-12
@@ -283,9 +283,8 @@ def test_a7_purity_scaling_and_ensemble_consistency():
     config = SimConfig(
         model=rmodel, channels=rchannels, r_init=rconfig.r_init,
         t_total=2.0, dt=0.005, n_traj=20_000, master_seed=7005,
-        store_states=True, batch_size=8192,
     )
-    records = simulate_ensemble(config, workers=2)
+    records = simulate_ensemble(config, workers=2, states=True)
     mean = records.states.mean(axis=0)
     se = records.states.std(axis=0, ddof=1) / np.sqrt(config.n_traj)
     worst_sigma = 0.0
@@ -324,14 +323,15 @@ def test_a8_equal_time_singular_term():
     )
 
 
-def test_a9_pipeline_determinism(tmp_path):
+def test_a9_pipeline_determinism(tmp_path, batch_cap):
     phi = 3 * np.pi / 10
     config = ReplicaConfig(phi=phi, include_mc=False)
     model, channels = replica_model(config)
     sim = SimConfig(
         model=model, channels=channels, r_init=config.r_init,
-        t_total=2.5, dt=0.01, n_traj=2000, master_seed=9007, batch_size=256,
+        t_total=2.5, dt=0.01, n_traj=2000, master_seed=9007,
     )
+    batch_cap(256)
     window = Window(1.0, 0.5)
     gaps = [(0, 0.0), (1, 0.5)]
 

@@ -187,10 +187,12 @@ class TestSimulate:
 
 class TestStreamedSimulate:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_file_equals_write_records_of_the_ensemble(self, tmp_path, capsys, workers):
+    def test_file_equals_write_records_of_the_ensemble(self, tmp_path, capsys, batch_cap,
+                                                       workers):
         # 17 trajectories in batches of 8: the one-trajectory tail is folded
         # into the second batch, and no batch divides the count.
-        config = sim_config(tmp_path, batch_size=8, n_traj=17)
+        batch_cap(8)
+        config = sim_config(tmp_path, n_traj=17)
         out, expected = tmp_path / "records.qcr", tmp_path / "expected.qcr"
         assert main(["simulate", "--config", str(config), "--out", str(out),
                      "--workers", str(workers)]) == 0
@@ -203,7 +205,8 @@ class TestStreamedSimulate:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_run_leaves_no_record_file(self, tmp_path, capsys, monkeypatch, workers):
+    def test_failed_run_leaves_no_record_file(self, tmp_path, capsys, monkeypatch, batch_cap,
+                                              workers):
         # Trajectory 0 diverges in the first of five batches; with two
         # workers later batches, the last included, may be written first.
         draws = trajectory_module.trajectory_draws
@@ -215,7 +218,8 @@ class TestStreamedSimulate:
             return block
 
         monkeypatch.setattr(trajectory_module, "trajectory_draws", poisoned)
-        config = sim_config(tmp_path, batch_size=8, n_traj=40)
+        batch_cap(8)
+        config = sim_config(tmp_path, n_traj=40)
         out = tmp_path / "records.qcr"
         out.write_bytes(b"an earlier file")
         assert main(["simulate", "--config", str(config), "--out", str(out),
@@ -226,11 +230,12 @@ class TestStreamedSimulate:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_unfinished_file_refused_until_the_last_batch(self, tmp_path, workers):
+    def test_unfinished_file_refused_until_the_last_batch(self, tmp_path, batch_cap, workers):
         # Whatever batches have landed, a run killed now would leave a file
         # that read_header refuses as unfinished; the finished file is the
         # one write_records makes.
-        config = parse_config(sim_config(tmp_path, batch_size=8, n_traj=30)).sim
+        batch_cap(8)
+        config = parse_config(sim_config(tmp_path, n_traj=30)).sim
         out, expected = tmp_path / "records.qcr", tmp_path / "expected.qcr"
         seen = []
 
@@ -246,9 +251,11 @@ class TestStreamedSimulate:
         assert out.read_bytes() == expected.read_bytes()
         assert read_header(out).n_traj == 30
 
-    def test_memory_bounded_at_any_budget(self, tmp_path):
+    def test_memory_bounded_at_any_budget(self, tmp_path, batch_cap):
+        batch_cap(64)
+
         def peak(n_traj):
-            config = sim_config(tmp_path, batch_size=64, n_traj=n_traj, t_total_us=0.5)
+            config = sim_config(tmp_path, n_traj=n_traj, t_total_us=0.5)
             tracemalloc.start()
             try:
                 assert main(["simulate", "--config", str(config),
@@ -263,14 +270,16 @@ class TestStreamedSimulate:
         assert large == pytest.approx(small, rel=0.1)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_progress_counts_up_to_the_trajectory_count(self, tmp_path, capsys, workers):
-        config = sim_config(tmp_path, batch_size=8, n_traj=30)
+    def test_progress_counts_up_to_the_trajectory_count(self, tmp_path, capsys, batch_cap,
+                                                        workers):
+        batch_cap(8)
+        config = sim_config(tmp_path, n_traj=30)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.qcr"),
                      "--workers", str(workers), "--progress"]) == 0
         counts = [part.strip() for part in capsys.readouterr().err.split("\r") if part.strip()]
         assert counts == [f"{n}/30 trajectories" for n in (8, 16, 24, 30)]
 
-    def test_states_are_not_simulated(self, tmp_path, monkeypatch):
+    def test_states_are_not_simulated(self, tmp_path, monkeypatch, batch_cap):
         simulate_batch = trajectory_module._simulate_batch
         states_seen = []
 
@@ -279,18 +288,40 @@ class TestStreamedSimulate:
             return simulate_batch(config, start, stop, samples, states)
 
         monkeypatch.setattr(trajectory_module, "_simulate_batch", spy)
-        lean = tmp_path / "lean.qcr"
-        assert main(["simulate", "--config", str(sim_config(tmp_path, batch_size=8, n_traj=20)),
-                     "--out", str(lean)]) == 0
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            config = sim_config(tmp_path, batch_size=8, n_traj=20, store_states=True)
-            out = tmp_path / "records.qcr"
-            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-        assert states_seen == [None] * 6
-        assert out.read_bytes() == lean.read_bytes()
-        # The config's dt warning is given once, not again for the stateless copy.
-        assert len([w for w in seen if issubclass(w.category, TimestepWarning)]) == 1
+        batch_cap(8)
+        assert main(["simulate", "--config", str(sim_config(tmp_path, n_traj=20)),
+                     "--out", str(tmp_path / "records.qcr")]) == 0
+        assert states_seen == [None] * 3
+
+    @pytest.mark.parametrize("key, value", [("store_states", True), ("batch_size", 7)])
+    def test_settings_that_fix_no_record_bit_are_refused(self, tmp_path, capsys, key, value):
+        # The sim keys are the ensemble alone: batches follow from the record
+        # shape, and the record file stores no states.
+        out = tmp_path / "records.qcr"
+        assert main(["simulate", "--config", str(sim_config(tmp_path, **{key: value})),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config.sim.{key}: unknown key")
+        assert not out.exists()
+
+    def test_long_rows_are_batched_within_the_byte_budget(self, tmp_path, monkeypatch):
+        # With a 16 KiB budget a 2 x 220-sample row (3520 bytes) fits 4 times,
+        # so 30 trajectories run in 8 batches and no batch passes the budget.
+        monkeypatch.setattr(trajectory_module, "BATCH_BYTES", 16 * 1024)
+        simulate_batch = trajectory_module._simulate_batch
+        batch_bytes = []
+
+        def spy(config, start, stop, samples, states):
+            batch_bytes.append(samples.nbytes)
+            return simulate_batch(config, start, stop, samples, states)
+
+        monkeypatch.setattr(trajectory_module, "_simulate_batch", spy)
+        config = parse_config(sim_config(tmp_path, n_traj=30)).sim
+        out, expected = tmp_path / "records.qcr", tmp_path / "expected.qcr"
+        simulate_records(out, config)
+        assert batch_bytes == [4 * 3520] * 7 + [2 * 3520]
+        write_records(expected, simulate_ensemble(config))
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_unseekable_output_refused(self, workspace, capsys):
         tmp, config, _ = workspace

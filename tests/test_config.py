@@ -40,14 +40,13 @@ def test_full_config_sections(tmp_path):
             "r_st": [0.0, 0.0, 0.2],
         },
         "sim": {"dt_us": 0.005, "t_total_us": 1.0, "n_traj": 10, "seed": 1,
-                "r_init": [0.0, 0.0, 0.0], "store_states": True},
+                "r_init": [0.0, 0.0, 0.0]},
         "outputs": {"records": "out.qcr"},
     }
     path = tmp_path / "config.json"
     path.write_text(as_text(cfg))
     setup = parse_config(path)
     assert not setup.model.unital
-    assert setup.sim.store_states
     assert setup.outputs["records"] == "out.qcr"
     lam = setup.model.lam
     # Rotation about y at 2 rad/us: antisymmetric part (lam - lam.T)[0, 2]

@@ -479,13 +479,15 @@ class TestMergeEstimates:
 class TestEstimateBatches:
     GAPS = ([(0, 0.0)], [(0, 0.0), (1, 0.1)], [(0, 0.0), (0, 0.2), (1, 0.4)])
 
-    def setup_method(self):
+    @pytest.fixture(autouse=True)
+    def setup(self, batch_cap):
         # 301 trajectories in batches of 100: the last batch holds 101.
+        batch_cap(100)
         channels = replica_channels()
         self.config = SimConfig(
             model=build_ensemble_model(channels), channels=channels,
             r_init=(np.sin(PHI / 2), 0.0, np.cos(PHI / 2)),
-            t_total=1.2, dt=DT, n_traj=301, master_seed=31, batch_size=100,
+            t_total=1.2, dt=DT, n_traj=301, master_seed=31,
         )
         self.specs = ResolvedSpecs(resolve_spec(gaps, Window(0.2, 0.3), DT, 2, 120)
                                    for gaps in self.GAPS)

@@ -228,18 +228,16 @@ def means_sha256(means) -> str:
 
 
 @pytest.fixture
-def batches_of(monkeypatch):
-    """Make the scans simulate in batches of the given size; return the configs made."""
+def sim_configs(monkeypatch):
+    """The SimConfigs that the scans make, in order."""
     made = []
 
-    def patch(batch_size):
-        def sim_config(**kwargs):
-            made.append(trajectory_module.SimConfig(batch_size=batch_size, **kwargs))
-            return made[-1]
-        monkeypatch.setattr(replica_module, "SimConfig", sim_config)
-        return made
+    def sim_config(**kwargs):
+        made.append(trajectory_module.SimConfig(**kwargs))
+        return made[-1]
 
-    return patch
+    monkeypatch.setattr(replica_module, "SimConfig", sim_config)
+    return made
 
 
 class TestScanBitsPinned:
@@ -280,16 +278,16 @@ class TestScanBitsPinned:
     THREE_TIME_ROWS_SHA256 = "eb7a86cb8780488b28614f0845be022a6d43c58a66964532ae51d30534f7c1e8"
     FOUR_TIME_ROWS_SHA256 = "12efbe49dac14745498b4a44f71fc2863f5608b0d2e62fe8faab386bf9eb1f40"
 
-    def test_scan_rows_and_summary_pinned(self, batches_of):
-        batches_of(200)
+    def test_scan_rows_and_summary_pinned(self, batch_cap):
+        batch_cap(200)
         config = ReplicaConfig(**self.CONFIG)
         rows = three_time_scan(config, **self.THREE_TIME_GRID)
         assert scan_sha256(rows) == self.THREE_TIME_SHA256
         rows, summary = four_time_scan(config, **self.FOUR_TIME_GRID)
         assert scan_sha256(rows, summary) == self.FOUR_TIME_SHA256
 
-    def test_per_trajectory_window_means_pinned(self, monkeypatch, batches_of):
-        batches_of(200)
+    def test_per_trajectory_window_means_pinned(self, monkeypatch, batch_cap):
+        batch_cap(200)
         config = ReplicaConfig(**self.CONFIG)
         window_means = empirical_module.window_means
         for scan, grid, expected in (
@@ -302,9 +300,9 @@ class TestScanBitsPinned:
             assert len(taken) == 3  # one call per batch
             assert means_sha256(np.concatenate(taken, axis=1)) == expected
 
-    def test_each_point_is_resolved_once(self, monkeypatch, batches_of):
+    def test_each_point_is_resolved_once(self, monkeypatch, batch_cap):
         # Three batches estimate the points resolved once before the first.
-        batches_of(200)
+        batch_cap(200)
         calls = []
         for module in (replica_module, empirical_module):
             monkeypatch.setattr(module, "resolve_events", lambda *a, resolve=module.resolve_events:
@@ -314,8 +312,8 @@ class TestScanBitsPinned:
 
 
 class TestScanWorkers:
-    def test_scans_bit_identical_at_one_and_two_workers(self, batches_of):
-        batches_of(200)
+    def test_scans_bit_identical_at_one_and_two_workers(self, batch_cap):
+        batch_cap(200)
         digests = []
         for workers in (1, 2):
             config = ReplicaConfig(phi=0.9, n_traj=601, master_seed=4711, workers=workers)
@@ -325,9 +323,9 @@ class TestScanWorkers:
         assert digests[0] == digests[1]
         assert multiprocessing.active_children() == []
 
-    def _peak_bytes(self, batches_of, n_traj, workers):
+    def _peak_bytes(self, batch_cap, sim_configs, n_traj, workers):
         """(tracemalloc peak of a four-time scan in batches of 256, one batch's sample bytes)."""
-        made = batches_of(256)
+        batch_cap(256)
         config = ReplicaConfig(phi=0.9, n_traj=n_traj, master_seed=77, t_a=0.2, window_len=0.1,
                                workers=workers)
         tracemalloc.start()
@@ -336,19 +334,19 @@ class TestScanWorkers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        sim = made[-1]
+        sim = sim_configs[-1]
         return peak, sim.batch_size * sim.n_channels * sim.n_samples * 8
 
-    def test_memory_bounded_at_any_budget_with_one_worker(self, batches_of):
-        self._peak_bytes(batches_of, 256, 1)  # first-call allocations
-        small, batch_bytes = self._peak_bytes(batches_of, 1024, 1)
-        large, _ = self._peak_bytes(batches_of, 4096, 1)
+    def test_memory_bounded_at_any_budget_with_one_worker(self, batch_cap, sim_configs):
+        self._peak_bytes(batch_cap, sim_configs, 256, 1)  # first-call allocations
+        small, batch_bytes = self._peak_bytes(batch_cap, sim_configs, 1024, 1)
+        large, _ = self._peak_bytes(batch_cap, sim_configs, 4096, 1)
         assert small > batch_bytes  # the batch is simulated here
         assert large == pytest.approx(small, rel=0.1)
 
     @pytest.mark.skipif(trajectory_module._available_cpus() < 2,
                         reason="needs two CPUs for two workers")
-    def test_samples_stay_in_the_workers(self, batches_of):
-        self._peak_bytes(batches_of, 512, 2)  # first-call allocations
-        peak, batch_bytes = self._peak_bytes(batches_of, 4096, 2)
+    def test_samples_stay_in_the_workers(self, batch_cap, sim_configs):
+        self._peak_bytes(batch_cap, sim_configs, 512, 2)  # first-call allocations
+        peak, batch_bytes = self._peak_bytes(batch_cap, sim_configs, 4096, 2)
         assert peak < batch_bytes

@@ -24,7 +24,8 @@ from qcorr import (
 )
 from qcorr.linalg import cross_matrix
 from qcorr.noise import check_seed
-from qcorr.trajectory import _BayesStep, event_dephasing, index_ranges
+from qcorr.recordio import read_records, write_records
+from qcorr.trajectory import _BayesStep, batch_rows, event_dephasing, index_ranges, map_batches
 
 from conftest import (
     PAULIS,
@@ -102,7 +103,7 @@ def golden_config(case):
     model, channels, r_init = golden_model(case)
     return SimConfig(
         model=model, channels=channels, r_init=r_init, t_total=0.5075, dt=0.005,
-        n_traj=23, master_seed=31337, store_states=True, batch_size=7,
+        n_traj=23, master_seed=31337,
     )
 
 
@@ -150,7 +151,7 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("t_total", math.nan), ("t_total", math.inf),
-        ("n_traj", 2.5), ("n_traj", 4.0), ("batch_size", 2.5), ("batch_size", 0),
+        ("n_traj", 2.5), ("n_traj", 4.0),
     ])
     def test_bad_number_refused_by_name(self, field, value):
         model, channels = single_channel_setup()
@@ -165,15 +166,43 @@ class TestSimConfig:
 
 @pytest.mark.parametrize("build, field", [
     (lambda: make_config(*single_channel_setup(), n_traj=True), "n_traj"),
-    (lambda: make_config(*single_channel_setup(), batch_size=True), "batch_size"),
     (lambda: make_config(*single_channel_setup(), master_seed=True), "master_seed"),
     (lambda: check_seed(False), "master_seed"),
     (lambda: ReplicaConfig(phi=0.5, workers=True), "workers"),
-], ids=["n_traj", "batch_size", "sim-seed", "check_seed", "replica-workers"])
+], ids=["n_traj", "sim-seed", "check_seed", "replica-workers"])
 def test_bool_refused_where_an_integer_is_taken(build, field):
     # bool is an int subclass: True would otherwise run as 1 and False as 0.
     with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
         build()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cfg, path: list(map_batches(len, [(0, 2), (2, 4)], workers=True)),
+     "workers must be an integer, got True"),
+    (lambda cfg, path: list(map_batches(len, [(0, 2), (2, 4)], workers=2.0)),
+     "workers must be an integer, got 2.0"),
+    (lambda cfg, path: simulate_ensemble(cfg, workers=2.0), "workers must be an integer, got 2.0"),
+    (lambda cfg, path: simulate_range(cfg, 0, 2.5), "stop must be an integer, got 2.5"),
+    (lambda cfg, path: simulate_range(cfg, True, 3), "start must be an integer, got True"),
+    (lambda cfg, path: read_records(path, 0, 2.5), "stop must be an integer, got 2.5"),
+    (lambda cfg, path: read_records(path, False), "start must be an integer, got False"),
+], ids=["map-bool-workers", "map-float-workers", "simulate-float-workers", "range-float-stop",
+        "range-bool-start", "read-float-stop", "read-bool-start"])
+def test_batch_api_refuses_a_non_integer_by_name(tmp_path, call, message):
+    config = make_config(*single_channel_setup())
+    path = tmp_path / "records.qcr"
+    write_records(path, simulate_ensemble(config))
+    with pytest.raises(ValidationError) as refused:
+        call(config, path)
+    assert str(refused.value) == message
+
+
+def test_batch_rows_follow_the_record_shape():
+    # 8192 rows up to 32 KiB a row (benchmark's widest: 2 x 800 samples),
+    # then as many as 256 MiB holds, and never fewer than 2.
+    assert batch_rows(2, 800) == batch_rows(1, 4096) == 8192
+    assert batch_rows(2, 80_000) == 2 ** 28 // (8 * 2 * 80_000) == 209
+    assert batch_rows(4, 10 ** 8) == 2
 
 
 def test_array_holding_dataclasses_compare_by_identity_and_hash():
@@ -291,9 +320,9 @@ class TestRefusedModels:
 class TestSimulateTrajectory:
     def test_deterministic_repeat(self):
         model, channels = single_channel_setup()
-        config = make_config(model, channels, store_states=True)
-        a = simulate_range(config, 2, 3)
-        b = simulate_range(config, 2, 3)
+        config = make_config(model, channels)
+        a = simulate_range(config, 2, 3, states=True)
+        b = simulate_range(config, 2, 3, states=True)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.states, b.states)
 
@@ -320,9 +349,8 @@ class TestSimulateTrajectory:
             config = SimConfig(
                 model=model, channels=channels, r_init=(1.0, 0.0, 0.0),
                 t_total=2.0, dt=dt, n_traj=160, master_seed=11,
-                store_states=True,
             )
-            records = simulate_ensemble(config)
+            records = simulate_ensemble(config, states=True)
             norms = np.linalg.norm(records.states, axis=2)
             assert np.abs(norms - 1.0).max() <= 1e-12, dt
 
@@ -330,30 +358,32 @@ class TestSimulateTrajectory:
 class TestSimulateEnsemble:
     def test_single_trajectory_reduction(self):
         model, channels = single_channel_setup()
-        config = make_config(model, channels, n_traj=1, store_states=True)
-        ens = simulate_ensemble(config)
-        solo = simulate_range(config, 0, 1)
+        config = make_config(model, channels, n_traj=1)
+        ens = simulate_ensemble(config, states=True)
+        solo = simulate_range(config, 0, 1, states=True)
         assert np.array_equal(ens.samples[0], solo.samples[0])
         assert np.array_equal(ens.states[0], solo.states[0])
 
-    def test_rows_independent_of_batch_size(self):
+    def test_rows_independent_of_batch_size(self, batch_cap):
         model, channels = single_channel_setup()
-        base = make_config(model, channels, n_traj=9, batch_size=1000)
-        odd = make_config(model, channels, n_traj=9, batch_size=2)
-        a = simulate_ensemble(base)
-        b = simulate_ensemble(odd)
+        config = make_config(model, channels, n_traj=9)
+        batch_cap(1000)
+        a = simulate_ensemble(config)
+        batch_cap(2)
+        b = simulate_ensemble(config)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, batch_cap):
+        batch_cap(8)
         model, channels = single_channel_setup()
-        config = make_config(model, channels, n_traj=40, batch_size=8)
+        config = make_config(model, channels, n_traj=40)
         serial = simulate_ensemble(config, workers=1)
         pooled = simulate_ensemble(config, workers=4)
         assert np.array_equal(serial.samples, pooled.samples)
         assert serial.clipped_steps == pooled.clipped_steps
         assert multiprocessing.active_children() == []
 
-    def test_one_available_cpu_starts_no_process(self, monkeypatch):
+    def test_one_available_cpu_starts_no_process(self, monkeypatch, batch_cap):
         import concurrent.futures
 
         import qcorr.trajectory as trajectory
@@ -363,29 +393,30 @@ class TestSimulateEnsemble:
 
         monkeypatch.setattr(trajectory, "_available_cpus", lambda: 1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        batch_cap(7)
         config = golden_config("unital_preset")
-        records = simulate_range(config, 0, config.n_traj, workers=3)
+        records = simulate_range(config, 0, config.n_traj, workers=3, states=True)
         assert sha256(records.samples) == GOLDEN["unital_preset"][0]
         assert sha256(records.states) == GOLDEN["unital_preset"][1]
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("case", sorted(GOLDEN))
-    def test_fixed_seed_bits_are_pinned(self, case, workers):
+    def test_fixed_seed_bits_are_pinned(self, case, workers, batch_cap):
         # sha256 of samples and states, recorded with the Bayesian kernel;
-        # batch_size 7 cuts the 23 trajectories into uneven batches and the
-        # 101 steps end in a partial block.
+        # batches of 7 cut the 23 trajectories unevenly and the 101 steps
+        # end in a partial block.
+        batch_cap(7)
         config = golden_config(case)
-        records = simulate_range(config, 0, config.n_traj, workers=workers)
+        records = simulate_range(config, 0, config.n_traj, workers=workers, states=True)
         samples_sha, states_sha = GOLDEN[case]
         assert sha256(records.samples) == samples_sha
         assert sha256(records.states) == states_sha
         assert records.clipped_steps == 0
-        lean = simulate_range(replace(config, store_states=False), 0, config.n_traj,
-                              workers=workers)
+        lean = simulate_range(config, 0, config.n_traj, workers=workers)
         assert sha256(lean.samples) == samples_sha
         assert lean.states is None
 
-    def test_nonfinite_draw_names_step_and_trajectory(self, monkeypatch):
+    def test_nonfinite_draw_names_step_and_trajectory(self, monkeypatch, batch_cap):
         # With 2 workers the poisoned draws reach the forked processes, and
         # the error they raise comes back pickled.
         import qcorr.trajectory as trajectory
@@ -400,7 +431,8 @@ class TestSimulateEnsemble:
 
         monkeypatch.setattr(trajectory, "trajectory_draws", poisoned)
         model, channels = single_channel_setup()
-        config = make_config(model, channels, n_traj=16, batch_size=5)
+        batch_cap(5)
+        config = make_config(model, channels, n_traj=16)
         for workers in (1, 2):
             with pytest.raises(IntegrationDivergedError) as info:
                 simulate_ensemble(config, workers=workers)
@@ -408,37 +440,28 @@ class TestSimulateEnsemble:
             assert str(info.value) == "integration diverged at step 19, trajectory 12"
             assert multiprocessing.active_children() == []
 
-    def test_range_matches_full_run(self):
+    def test_range_matches_full_run(self, batch_cap):
+        batch_cap(7)
         model, channels = single_channel_setup()
-        config = make_config(model, channels, n_traj=30, batch_size=7)
+        config = make_config(model, channels, n_traj=30)
         full = simulate_ensemble(config)
         part = simulate_range(config, 10, 20)
         assert np.array_equal(part.samples, full.samples[10:20])
         assert part.traj_offset == 10
 
-    def test_index_ranges_align_and_fold_a_single_tail(self):
+    def test_index_ranges_align_and_fold_a_single_tail(self, batch_cap):
         assert index_ranges(0, 10, 4) == [(0, 4), (4, 8), (8, 10)]
         assert index_ranges(5, 13, 4) == [(5, 8), (8, 13)]
         assert index_ranges(3, 4, 8) == [(3, 4)]
         model, channels = single_channel_setup()
-        config = make_config(model, channels, n_traj=9, batch_size=4)
-        assert np.array_equal(simulate_range(config, 0, 9).samples,
-                              simulate_ensemble(make_config(model, channels, n_traj=9)).samples)
-
-    def test_progress_callback_counts_up(self):
-        model, channels = single_channel_setup()
-        config = make_config(model, channels, n_traj=10, batch_size=3)
-        for workers in (1, 2):
-            seen = []
-            simulate_ensemble(config, workers=workers,
-                              progress=lambda done, total: seen.append((done, total)))
-            assert len(seen) == 3  # one call per batch
-            assert seen[-1] == (10, 10)
-            assert [d for d, _ in seen] == sorted(d for d, _ in seen)
+        config = make_config(model, channels, n_traj=9)
+        one_batch = simulate_ensemble(config).samples
+        batch_cap(4)
+        assert np.array_equal(simulate_range(config, 0, 9).samples, one_batch)
 
     def test_ensemble_mean_matches_analytic_propagation(self):
         config = ReplicaLikeConfig()
-        records = simulate_ensemble(config)
+        records = simulate_ensemble(config, states=True)
         times = np.arange(config.n_samples + 1) * config.dt
         mean = records.states.mean(axis=0)
         se = records.states.std(axis=0, ddof=1) / np.sqrt(config.n_traj)
@@ -448,7 +471,7 @@ class TestSimulateEnsemble:
 
     def test_whiteness_of_output_residuals(self):
         config = ReplicaLikeConfig(n_traj=400)
-        records = simulate_ensemble(config)
+        records = simulate_ensemble(config, states=True)
         # Residual after removing the conditioned mean is the raw bin noise.
         residuals = []
         axes = np.array([ch.axis_vector for ch in config.channels])
@@ -477,9 +500,9 @@ class TestSimulateEnsemble:
         model = build_ensemble_model([ch])
         config = SimConfig(
             model=model, channels=(ch,), r_init=(0.0, 0.0, 0.5),
-            t_total=3.0, dt=0.01, n_traj=300, master_seed=23, store_states=True,
+            t_total=3.0, dt=0.01, n_traj=300, master_seed=23,
         )
-        records = simulate_ensemble(config)
+        records = simulate_ensemble(config, states=True)
         assert records.clipped_steps == 0
         assert np.linalg.norm(records.states, axis=2).max() < 1.0
 
@@ -498,7 +521,7 @@ class TestSimulateEnsemble:
 
     def test_states_stay_in_ball(self):
         config = ReplicaLikeConfig(n_traj=200)
-        records = simulate_ensemble(config)
+        records = simulate_ensemble(config, states=True)
         norms = np.linalg.norm(records.states, axis=2)
         assert norms.max() <= 1.0 + 1e-12
 
@@ -514,5 +537,4 @@ def ReplicaLikeConfig(n_traj=2000):
         model=model, channels=channels,
         r_init=(np.sin(phi / 2), 0.0, np.cos(phi / 2)),
         t_total=2.0, dt=0.008, n_traj=n_traj, master_seed=99,
-        store_states=True,
     )
