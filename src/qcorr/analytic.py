@@ -143,6 +143,12 @@ def mean_signal(model: EnsembleModel, channels, channel_index: int, t: float,
     return chain_correlator(model, channels, spec)
 
 
+def _pair_value(model: EnsembleModel, n_i, t_i: float, n_k, t_k: float) -> float:
+    """The closed form n_k . P(t_i -> t_k) n_i of a two-time pair, unchecked."""
+    gap = ordered_propagator(model, t_i, t_k)
+    return float(n_k @ (gap[:3, :3] @ n_i))
+
+
 def two_time_correlator(model: EnsembleModel, channels,
                         channel_i: int, t_i: float,
                         channel_k: int, t_k: float) -> float:
@@ -162,8 +168,7 @@ def two_time_correlator(model: EnsembleModel, channels,
     n_i = _axis(channels, channel_i)
     n_k = _axis(channels, channel_k)
     _require_no_kick_before_last(channels, (channel_i, channel_k))
-    gap = ordered_propagator(model, t_i, t_k)
-    return float(n_k @ (gap[:3, :3] @ n_i))
+    return _pair_value(model, n_i, t_i, n_k, t_k)
 
 
 def window_mean_state(model: EnsembleModel, r_in, window, dt: float) -> np.ndarray:
@@ -254,11 +259,6 @@ def _factorized_value(model: EnsembleModel, channels, spec: CorrelatorSpec) -> f
     axes = [_axis(channels, ch) for ch in spec.channel_indices]
     times = spec.times
     n = spec.n_events
-
-    def pair(i: int, k: int) -> float:
-        gap = ordered_propagator(model, times[i], times[k])
-        return float(axes[k] @ (gap[:3, :3] @ axes[i]))
-
     if n % 2 == 0:
         value = 1.0
         start = 0
@@ -267,7 +267,7 @@ def _factorized_value(model: EnsembleModel, channels, spec: CorrelatorSpec) -> f
                             spec.r_in, spec.t_in)
         start = 1
     for i in range(start, n - 1, 2):
-        value *= pair(i, i + 1)
+        value *= _pair_value(model, axes[i], times[i], axes[i + 1], times[i + 1])
     return value
 
 

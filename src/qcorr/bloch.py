@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_positive
 from .linalg import affine_flow, cross_matrix
 
 UNIT_AXIS_TOL = 1e-9
@@ -75,8 +75,7 @@ class MeasurementChannel:
         norm = float(np.linalg.norm(axis))
         if abs(norm - 1.0) > UNIT_AXIS_TOL:
             raise ValidationError(f"channel axis must be unit length, got norm {norm:.12g}")
-        if not (self.tau > 0.0):
-            raise ValidationError(f"channel tau must be positive, got {self.tau}")
+        check_positive(self.tau, "channel tau")
         if not (0.0 < self.eta <= 1.0):
             raise ValidationError(f"channel eta must be in (0, 1], got {self.eta}")
         if not np.isfinite(self.phase_k):

@@ -164,9 +164,8 @@ def _do_simulate(args) -> int:
 
 
 def _do_analytic(args) -> int:
-    setup = parse_config(args.config)
-    model, channels, dt = setup.model, setup.channels, setup.sim.dt
-    r_init = tuple(setup.sim.r_init)
+    sim = parse_config(args.config).sim
+    model, channels, dt, r_init = sim.model, sim.channels, sim.dt, sim.r_init
     rows = []
     window_state = cache(partial(window_mean_state, model, r_init))  # once per window
     for entry in _spec_entries(args.spec, r_init):

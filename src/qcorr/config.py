@@ -16,17 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import EnsembleModel, MeasurementChannel, build_ensemble_model
+from .bloch import MeasurementChannel, build_ensemble_model
 from .errors import ConfigError, ValidationError
 from .trajectory import SimConfig
 
 
 @dataclass(frozen=True)
 class RunSetup:
-    """Validated contents of a run-configuration file."""
+    """Validated contents of a run-configuration file: the ensemble and its outputs."""
 
-    channels: tuple
-    model: EnsembleModel
     sim: SimConfig
     outputs: dict
 
@@ -174,7 +172,7 @@ def setup_from_json(raw) -> RunSetup:
         )
     except ValidationError as exc:
         raise ConfigError(f"config: {exc}") from exc
-    return RunSetup(channels=channels, model=model, sim=sim, outputs=outputs)
+    return RunSetup(sim=sim, outputs=outputs)
 
 
 def load_config(text: str, source: str = "<config>") -> RunSetup:

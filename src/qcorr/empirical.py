@@ -50,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import EstimateMismatchError, RecordFormatError, ValidationError
+from .errors import EstimateMismatchError, RecordFormatError, ValidationError, check_positive
 from .trajectory import RecordSet, index_ranges, map_batches
 
 # Trajectories per pass of window_means are chosen so that one block holds
@@ -62,7 +62,7 @@ BLOCK_BYTES = 4 * 2 ** 20
 
 def snap(value: float, dt: float) -> int:
     """Index of the sample bin nearest to a time: the one grid rule of qcorr."""
-    bins = value / dt
+    bins = value / check_positive(dt, "dt")
     if not math.isfinite(bins):
         raise ValidationError(f"time {value} us has no bin on the dt={dt} grid")
     return int(round(bins))
@@ -76,8 +76,7 @@ class Window:
     length: float
 
     def __post_init__(self):
-        if not (0.0 < self.length < math.inf):
-            raise ValidationError(f"window length must be positive and finite, got {self.length}")
+        check_positive(self.length, "window length")
         if not (0.0 <= self.t_a < math.inf):
             raise ValidationError(f"window start must be nonnegative and finite, got {self.t_a}")
 

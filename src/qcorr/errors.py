@@ -4,6 +4,7 @@ Every failure mode callers are expected to branch on gets its own class;
 generic misuse raises ValidationError (a ValueError subclass).
 """
 
+import math
 import numbers
 
 
@@ -22,6 +23,13 @@ def check_integer(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_positive(value, name: str) -> float:
+    """value as a float; refused by name unless positive and finite."""
+    if not (0.0 < value < math.inf):
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
 class SpecSizeError(ValidationError):

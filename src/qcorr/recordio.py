@@ -15,14 +15,15 @@ order with channel-major float64 sample arrays:
 
 Round trips are bit-exact. Both directions move the payload between the
 file and one contiguous array through its buffer, so neither holds a second
-copy of it. simulate_records never holds the whole payload: after a
-zeroed placeholder of the header it writes each simulation batch's rows at
-their offset, from the process that simulated the batch, so a file of any
-size is written through one batch of samples per process. The header goes
-in last, so every reader refuses the zeroed magic of a run that never got
-there. read_records can read any range of trajectory rows, so a reader can
-stream a file through a bounded footprint; read_header checks the container
-without reading the payload.
+copy of it. simulate_records, the way to simulate an ensemble in
+parallel, never holds the whole payload: after a zeroed placeholder of the
+header, each of map_batches' processes simulates one batch at a time
+(trajectory.simulate_range) and writes its rows at their offset, so a file
+of any size is written through one batch of samples per process. The
+header goes in last, so every reader refuses the zeroed magic of a run
+that never got there. read_records can read any range of trajectory rows,
+so a reader can stream a file through a bounded footprint; read_header
+checks the container without reading the payload.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from functools import partial
 
 import numpy as np
 
-from . import trajectory
 from .bloch import MeasurementChannel
 from .errors import (
     MagicMismatchError,
@@ -47,7 +47,7 @@ from .errors import (
     VersionMismatchError,
     check_integer,
 )
-from .trajectory import RecordSet, SimConfig, index_ranges, map_batches
+from .trajectory import RecordSet, SimConfig, index_ranges, map_batches, simulate_range
 
 MAGIC = b"QCORR01"
 FORMAT_VERSION = 1
@@ -85,20 +85,18 @@ def _pwrite_all(fd: int, data, offset: int) -> None:
 
 def _write_batch(config: SimConfig, fd: int, payload_offset: int, bounds) -> int:
     """Simulate batch bounds = (lo, hi) and write its rows; returns its trajectory count."""
-    lo, hi = bounds
-    samples = np.empty((hi - lo, config.n_channels, config.n_samples))
-    trajectory._simulate_batch(config, lo, hi, samples, None)
-    _pwrite_all(fd, samples.astype("<f8", copy=False), payload_offset + lo * samples[0].nbytes)
-    return hi - lo
+    samples = simulate_range(config, *bounds).samples.astype("<f8", copy=False)
+    _pwrite_all(fd, samples, payload_offset + bounds[0] * samples[0].nbytes)
+    return len(samples)
 
 
 def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -> None:
     """Simulate config's ensemble straight into a record file.
 
     The file is byte-identical to write_records(path, simulate_ensemble(config)).
-    A zeroed placeholder of the header is written first; then every batch
-    of index_ranges is simulated with one worker, by map_batches, and its
-    rows are written at their offset by the process that simulated them;
+    A zeroed placeholder of the header is written first; then map_batches
+    runs every batch of index_ranges on one of up to workers processes,
+    which simulates it (simulate_range) and writes its rows at their offset;
     the header is written over the placeholder after the last batch. A
     process therefore holds one batch of samples at a time, and with
     several workers the calling process holds none. With several workers

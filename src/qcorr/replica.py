@@ -61,7 +61,7 @@ from .empirical import (  # noqa: F401
     snap,
     trajectory_window_means,
 )
-from .errors import ValidationError, check_integer
+from .errors import ValidationError, check_integer, check_positive
 from .trajectory import SimConfig, simulate_range
 
 DEFAULT_GAMMA = 1.0 / 1.3  # per-channel ensemble dephasing rate, 1/us
@@ -94,17 +94,15 @@ class ReplicaConfig:
     def __post_init__(self):
         if not (0.0 <= self.phi <= math.pi):
             raise ValidationError(f"phi must lie in [0, pi], got {self.phi}")
-        if not (self.gamma > 0.0):
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
+        check_positive(self.gamma, "gamma")
         if not (0.0 < self.eta <= 1.0):
             raise ValidationError(f"eta must be in (0, 1], got {self.eta}")
-        if not (0.0 < self.dt < math.inf):
-            raise ValidationError(f"dt must be positive and finite, got {self.dt}")
+        check_positive(self.dt, "dt")
         check_integer(self.workers, "workers", 1)
         if self.include_mc and self.n_traj < 2:
             raise ValidationError(f"n_traj must be >= 2 for a standard error, got {self.n_traj}")
-        if self.window_len is not None and not (0.0 < self.window_len < math.inf):
-            raise ValidationError(f"window_len must be positive and finite, got {self.window_len}")
+        if self.window_len is not None:
+            check_positive(self.window_len, "window_len")
 
     @property
     def r_init(self) -> tuple:

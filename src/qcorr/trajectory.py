@@ -23,16 +23,17 @@ there bit for bit.
 Output never depends on worker count, scheduling or batch size: each
 trajectory owns its noise stream, batches are cut at fixed multiples of
 batch_rows (a function of the record shape alone) and write their own
-rows, and every step is elementwise over the batch axis. map_batches runs a
-per-batch function here or in forked workers; only batch bounds and per-batch results cross a pipe. A batch
-holds its rows, two small time-major (steps, channels, batch) blocks that
-carry draws in and samples out, and its (batch,) scratch rows.
+rows, and every step is elementwise over the batch axis. simulate_range runs
+its batches in the calling process; simulate_records and estimate_batches
+run theirs through map_batches, here or in forked workers that return only
+counts or estimates. A batch holds its rows, two small time-major (steps,
+channels, batch) blocks that carry draws in and samples out, and its
+(batch,) scratch rows.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import EnsembleModel, MeasurementChannel, measurement_dephasing_generator, validate_state
-from .errors import IntegrationDivergedError, ValidationError, check_integer
+from .errors import IntegrationDivergedError, ValidationError, check_integer, check_positive
 from .linalg import affine_flow
 from .noise import check_seed, trajectory_draws
 
@@ -87,8 +88,7 @@ class SimConfig:
         object.__setattr__(self, "channels", channels)
         r_init = validate_state(self.r_init)
         object.__setattr__(self, "r_init", tuple(float(c) for c in r_init))
-        if not (self.dt > 0.0):
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        check_positive(self.dt, "dt")
         min_tau = min(ch.tau for ch in channels)
         ratio = self.dt / min_tau
         if ratio > DT_ERROR_FRACTION:
@@ -333,20 +333,15 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_size(workers: int, n_batches: int) -> int:
-    """Processes that map_batches runs n_batches batches in (1: this one)."""
-    return min(check_integer(workers, "workers", 1), _available_cpus(), n_batches)
-
-
 def map_batches(fn, batches, workers: int = 1):
     """Yield fn(bounds) for every batch bounds = (lo, hi), in batch order.
 
-    With workers > 1 the batches run in min(workers, available CPUs,
-    batches) forked processes, otherwise one after another in this process.
-    Fork hands fn to the workers as it is, so it may hold arrays on shared
-    mappings; only the bounds and fn's results are pickled.
+    The batches run in min(workers, available CPUs, batches) forked
+    processes, or one after another in this process when that is 1. Fork
+    hands fn to the workers as it is; only the bounds and fn's results are
+    pickled, so fn returns counts or estimates, never samples.
     """
-    n_procs = _pool_size(workers, len(batches))
+    n_procs = min(check_integer(workers, "workers", 1), _available_cpus(), len(batches))
     if n_procs == 1:
         yield from map(fn, batches)
         return
@@ -364,47 +359,30 @@ def map_batches(fn, batches, workers: int = 1):
             raise
 
 
-def _shared_empty(shape) -> np.ndarray:
-    """Uninitialised float64 array on an anonymous shared mapping.
-
-    Forked workers write into the same pages; the array keeps its mapping
-    alive, and the mapping is unmapped once the array is gone.
-    """
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
-
-
-def simulate_range(config: SimConfig, start: int, stop: int,
-                   workers: int = 1, states: bool = False) -> RecordSet:
-    """Simulate the trajectory index range [start, stop) of the ensemble.
+def simulate_range(config: SimConfig, start: int, stop: int, states: bool = False) -> RecordSet:
+    """Simulate the trajectory index range [start, stop) of the ensemble in this process.
 
     The range is cut into batches of config.batch_size aligned to multiples
-    of batch_size in the global index space (index_ranges); workers only changes
-    how batches are scheduled (map_batches), never what they compute, so the
-    result is bit-identical for any worker count. With several worker
-    processes the batches write their rows into shared memory. With states,
-    the RecordSet also holds every trajectory's Bloch vector before each
-    step and after the last, shape (stop - start, n_samples + 1, 3).
+    of batch_size in the global index space (index_ranges), so every row is
+    bit-identical to the same row of the full run. With states, the
+    RecordSet also holds every trajectory's Bloch vector before each step
+    and after the last, shape (stop - start, n_samples + 1, 3). A parallel
+    ensemble is written with recordio.simulate_records and read back.
     """
     start, stop = check_integer(start, "start"), check_integer(stop, "stop")
     if not (0 <= start < stop <= config.n_traj):
         raise ValidationError(
             f"range [{start}, {stop}) invalid for an ensemble of {config.n_traj}"
         )
-    bounds = index_ranges(start, stop, config.batch_size)
-    empty = np.empty if _pool_size(workers, len(bounds)) == 1 else _shared_empty
-    samples = empty((stop - start, config.n_channels, config.n_samples))
-    states = empty((stop - start, config.n_samples + 1, 3)) if states else None
-
-    def run(bounds):  # batch [lo, hi) into its rows
-        rows = slice(bounds[0] - start, bounds[1] - start)
-        _simulate_batch(config, *bounds, samples[rows], None if states is None else states[rows])
-
-    for _ in map_batches(run, bounds, workers):
-        pass
+    samples = np.empty((stop - start, config.n_channels, config.n_samples))
+    states = np.empty((stop - start, config.n_samples + 1, 3)) if states else None
+    for lo, hi in index_ranges(start, stop, config.batch_size):
+        rows = slice(lo - start, hi - start)
+        _simulate_batch(config, lo, hi, samples[rows], None if states is None else states[rows])
     return RecordSet(samples, config.dt, config.channels, config.master_seed,
                      states=states, traj_offset=start)
 
 
-def simulate_ensemble(config: SimConfig, workers: int = 1, states: bool = False) -> RecordSet:
+def simulate_ensemble(config: SimConfig, states: bool = False) -> RecordSet:
     """Simulate all config.n_traj trajectories; see simulate_range."""
-    return simulate_range(config, 0, config.n_traj, workers=workers, states=states)
+    return simulate_range(config, 0, config.n_traj, states=states)

@@ -30,10 +30,10 @@ from qcorr import (
     replica_model,
     simulate_ensemble,
     simulate_range,
+    simulate_records,
     three_time_scan,
     two_time_correlator,
     window_mean_state,
-    write_records,
 )
 from qcorr.analytic import _factorized_value
 from qcorr.cli import main as cli_main
@@ -271,7 +271,7 @@ def test_a7_purity_scaling_and_ensemble_consistency():
             model=model, channels=(ch,), r_init=(1.0, 0.0, 0.0),
             t_total=2.0, dt=dt, n_traj=400, master_seed=7004,
         )
-        records = simulate_ensemble(config, workers=2, states=True)
+        records = simulate_ensemble(config, states=True)
         norms = np.linalg.norm(records.states, axis=2)
         defects.append(float(np.abs(norms - 1.0).max()))
     purity_ok = max(defects) <= 1e-12
@@ -284,7 +284,7 @@ def test_a7_purity_scaling_and_ensemble_consistency():
         model=rmodel, channels=rchannels, r_init=rconfig.r_init,
         t_total=2.0, dt=0.005, n_traj=20_000, master_seed=7005,
     )
-    records = simulate_ensemble(config, workers=2, states=True)
+    records = simulate_ensemble(config, states=True)
     mean = records.states.mean(axis=0)
     se = records.states.std(axis=0, ddof=1) / np.sqrt(config.n_traj)
     worst_sigma = 0.0
@@ -311,7 +311,7 @@ def test_a8_equal_time_singular_term():
         model=model, channels=(ch,), r_init=(1.0, 0.0, 0.0),
         t_total=2.0, dt=dt, n_traj=4000, master_seed=8006,
     )
-    records = simulate_ensemble(config, workers=2)
+    records = simulate_ensemble(config)
     est = estimate_correlator(records, [(0, 0.0), (0, 0.0)], Window(1.0, 0.5))
     expected = ch.tau / dt
     within = abs(est.value - expected) / expected
@@ -337,9 +337,8 @@ def test_a9_pipeline_determinism(tmp_path, batch_cap):
 
     outputs = []
     for run, workers in ((0, 1), (1, 8), (2, 1)):
-        records = simulate_ensemble(sim, workers=workers)
         path = tmp_path / f"run{run}.qcr"
-        write_records(path, records)
+        simulate_records(path, sim, workers=workers)
         est = estimate_correlator(read_records(path), gaps, window)
         outputs.append((path.read_bytes(), est.value, est.std_error))
     byte_match = outputs[0][0] == outputs[1][0] == outputs[2][0]

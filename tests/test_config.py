@@ -19,12 +19,12 @@ def as_text(obj):
 
 def test_minimal_config_defaults():
     setup = load_config(as_text(MINIMAL))
-    assert len(setup.channels) == 1
-    assert setup.channels[0].eta == 1.0
-    assert setup.channels[0].phase_k == 0.0
+    assert len(setup.sim.channels) == 1
+    assert setup.sim.channels[0].eta == 1.0
+    assert setup.sim.channels[0].phase_k == 0.0
     assert setup.sim.r_init == (0.0, 0.0, 1.0)
     assert setup.sim.n_traj == 100
-    assert setup.model.unital
+    assert setup.sim.model.unital
     assert setup.outputs == {}
 
 
@@ -46,9 +46,9 @@ def test_full_config_sections(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(as_text(cfg))
     setup = parse_config(path)
-    assert not setup.model.unital
+    assert not setup.sim.model.unital
     assert setup.outputs["records"] == "out.qcr"
-    lam = setup.model.lam
+    lam = setup.sim.model.lam
     # Rotation about y at 2 rad/us: antisymmetric part (lam - lam.T)[0, 2]
     # is twice the rate.
     assert np.allclose((lam - lam.T)[0, 2], 4.0)
@@ -118,8 +118,8 @@ def test_preset_config_parses():
     from importlib import resources
     text = resources.files("qcorr").joinpath("presets/two_detector_sim.json").read_text()
     setup = load_config(text, source="two_detector_sim.json")
-    assert len(setup.channels) == 2
-    assert setup.model.unital
+    assert len(setup.sim.channels) == 2
+    assert setup.sim.model.unital
     assert np.linalg.norm(setup.sim.r_init) == pytest.approx(1.0)
 
 

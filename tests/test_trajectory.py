@@ -24,7 +24,7 @@ from qcorr import (
 )
 from qcorr.linalg import cross_matrix
 from qcorr.noise import check_seed
-from qcorr.recordio import read_records, write_records
+from qcorr.recordio import read_records, simulate_records, write_records
 from qcorr.trajectory import _BayesStep, batch_rows, event_dephasing, index_ranges, map_batches
 
 from conftest import (
@@ -181,13 +181,12 @@ def test_bool_refused_where_an_integer_is_taken(build, field):
      "workers must be an integer, got True"),
     (lambda cfg, path: list(map_batches(len, [(0, 2), (2, 4)], workers=2.0)),
      "workers must be an integer, got 2.0"),
-    (lambda cfg, path: simulate_ensemble(cfg, workers=2.0), "workers must be an integer, got 2.0"),
     (lambda cfg, path: simulate_range(cfg, 0, 2.5), "stop must be an integer, got 2.5"),
     (lambda cfg, path: simulate_range(cfg, True, 3), "start must be an integer, got True"),
     (lambda cfg, path: read_records(path, 0, 2.5), "stop must be an integer, got 2.5"),
     (lambda cfg, path: read_records(path, False), "start must be an integer, got False"),
-], ids=["map-bool-workers", "map-float-workers", "simulate-float-workers", "range-float-stop",
-        "range-bool-start", "read-float-stop", "read-bool-start"])
+], ids=["map-bool-workers", "map-float-workers", "range-float-stop", "range-bool-start",
+        "read-float-stop", "read-bool-start"])
 def test_batch_api_refuses_a_non_integer_by_name(tmp_path, call, message):
     config = make_config(*single_channel_setup())
     path = tmp_path / "records.qcr"
@@ -373,17 +372,18 @@ class TestSimulateEnsemble:
         b = simulate_ensemble(config)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_worker_count_invariance(self, batch_cap):
+    def test_worker_count_invariance(self, batch_cap, tmp_path):
         batch_cap(8)
         model, channels = single_channel_setup()
         config = make_config(model, channels, n_traj=40)
-        serial = simulate_ensemble(config, workers=1)
-        pooled = simulate_ensemble(config, workers=4)
+        serial = simulate_ensemble(config)
+        simulate_records(tmp_path / "pooled.qcr", config, workers=4)
+        pooled = read_records(tmp_path / "pooled.qcr")
         assert np.array_equal(serial.samples, pooled.samples)
         assert serial.clipped_steps == pooled.clipped_steps
         assert multiprocessing.active_children() == []
 
-    def test_one_available_cpu_starts_no_process(self, monkeypatch, batch_cap):
+    def test_one_available_cpu_starts_no_process(self, monkeypatch, batch_cap, tmp_path):
         import concurrent.futures
 
         import qcorr.trajectory as trajectory
@@ -395,28 +395,28 @@ class TestSimulateEnsemble:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         batch_cap(7)
         config = golden_config("unital_preset")
-        records = simulate_range(config, 0, config.n_traj, workers=3, states=True)
-        assert sha256(records.samples) == GOLDEN["unital_preset"][0]
+        simulate_records(tmp_path / "records.qcr", config, workers=3)
+        assert sha256(read_records(tmp_path / "records.qcr").samples) == GOLDEN["unital_preset"][0]
+        records = simulate_range(config, 0, config.n_traj, states=True)
         assert sha256(records.states) == GOLDEN["unital_preset"][1]
 
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("case", sorted(GOLDEN))
-    def test_fixed_seed_bits_are_pinned(self, case, workers, batch_cap):
+    def test_fixed_seed_bits_are_pinned(self, case, batch_cap):
         # sha256 of samples and states, recorded with the Bayesian kernel;
         # batches of 7 cut the 23 trajectories unevenly and the 101 steps
         # end in a partial block.
         batch_cap(7)
         config = golden_config(case)
-        records = simulate_range(config, 0, config.n_traj, workers=workers, states=True)
+        records = simulate_range(config, 0, config.n_traj, states=True)
         samples_sha, states_sha = GOLDEN[case]
         assert sha256(records.samples) == samples_sha
         assert sha256(records.states) == states_sha
         assert records.clipped_steps == 0
-        lean = simulate_range(config, 0, config.n_traj, workers=workers)
+        lean = simulate_range(config, 0, config.n_traj)
         assert sha256(lean.samples) == samples_sha
         assert lean.states is None
 
-    def test_nonfinite_draw_names_step_and_trajectory(self, monkeypatch, batch_cap):
+    def test_nonfinite_draw_names_step_and_trajectory(self, monkeypatch, batch_cap, tmp_path):
         # With 2 workers the poisoned draws reach the forked processes, and
         # the error they raise comes back pickled.
         import qcorr.trajectory as trajectory
@@ -433,9 +433,10 @@ class TestSimulateEnsemble:
         model, channels = single_channel_setup()
         batch_cap(5)
         config = make_config(model, channels, n_traj=16)
-        for workers in (1, 2):
+        for run in (lambda: simulate_ensemble(config),
+                    lambda: simulate_records(tmp_path / "records.qcr", config, workers=2)):
             with pytest.raises(IntegrationDivergedError) as info:
-                simulate_ensemble(config, workers=workers)
+                run()
             assert (info.value.step_index, info.value.trajectory_index) == (19, 12)
             assert str(info.value) == "integration diverged at step 19, trajectory 12"
             assert multiprocessing.active_children() == []
