@@ -51,11 +51,7 @@ from itertools import product as outcome_product
 import numpy as np
 
 from .bloch import EnsembleModel, ordered_propagator, validate_state
-from .errors import (
-    FactorizationInapplicableError,
-    SpecSizeError,
-    ValidationError,
-)
+from .errors import FactorizationInapplicableError, SpecSizeError, ValidationError, check_integer
 from .linalg import cross_matrix
 
 BRUTE_FORCE_MAX_EVENTS = 16
@@ -74,7 +70,7 @@ class CorrelatorSpec:
     t_in: float = 0.0
 
     def __post_init__(self):
-        events = tuple((int(ch), float(t)) for ch, t in self.events)
+        events = tuple((check_integer(ch, "channel index"), float(t)) for ch, t in self.events)
         if not events:
             raise ValidationError("CorrelatorSpec needs at least one event")
         times = [t for _, t in events]

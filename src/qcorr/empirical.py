@@ -50,7 +50,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import EstimateMismatchError, RecordFormatError, ValidationError, check_positive
+from .errors import (EstimateMismatchError, RecordFormatError, ValidationError, check_integer,
+                     check_positive)
 from .trajectory import RecordSet, index_ranges, map_batches
 
 # Trajectories per pass of window_means are chosen so that one block holds
@@ -131,7 +132,7 @@ def resolve_events(gaps, dt: float, n_channels: int) -> tuple:
     events = []
     previous = None
     for ch, gap in gaps:
-        ch = int(ch)
+        ch = check_integer(ch, "channel index")
         if not (0 <= ch < n_channels):
             raise ValidationError(
                 f"channel index {ch} out of range for {n_channels} channels"

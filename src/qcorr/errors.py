@@ -18,7 +18,7 @@ class ValidationError(QcorrError, ValueError):
 
 def check_integer(value, name: str, minimum: int | None = None) -> int:
     """value as an int; refused by name if a bool, not an integer or below minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")

@@ -23,12 +23,12 @@ there bit for bit.
 Output never depends on worker count, scheduling or batch size: each
 trajectory owns its noise stream, batches are cut at fixed multiples of
 batch_rows (a function of the record shape alone) and write their own
-rows, and every step is elementwise over the batch axis. simulate_range runs
-its batches in the calling process; simulate_records and estimate_batches
-run theirs through map_batches, here or in forked workers that return only
-counts or estimates. A batch holds its rows, two small time-major (steps,
-channels, batch) blocks that carry draws in and samples out, and its
-(batch,) scratch rows.
+rows, and every step is elementwise over the batch axis. _simulate_batch
+has two callers: simulate_range, which fills its rows of the returned
+array in the calling process, and recordio.simulate_records, which fills
+one buffer per map_batches process and writes it out. A batch holds its
+rows, two small time-major (steps, channels, batch) blocks that carry draws
+in and samples out, and its (batch,) scratch rows.
 """
 
 from __future__ import annotations

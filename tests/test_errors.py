@@ -1,9 +1,11 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from qcorr import (
+    CorrelatorSpec,
     MeasurementChannel,
     ReplicaConfig,
     ValidationError,
@@ -59,3 +61,41 @@ def test_bad_time_step_or_rate_refused_by_name(call, message):
     with pytest.raises(ValidationError) as refused:
         call()
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CorrelatorSpec(((1.9, 0.5),)), "channel index must be an integer, got 1.9"),
+    (lambda: CorrelatorSpec(((True, 0.5),)), "channel index must be an integer, got True"),
+    (lambda: resolve_events([(0.7, 0.0)], 0.01, 2), "channel index must be an integer, got 0.7"),
+    (lambda: resolve_events([(0, 0.0), (True, 0.3)], 0.01, 2),
+     "channel index must be an integer, got True"),
+], ids=["spec-float", "spec-bool", "resolve-float", "resolve-bool"])
+def test_non_integer_channel_index_refused_by_name(call, message):
+    # Truncating 1.9 to channel 1 would evaluate a correlator nobody asked for.
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+def test_numpy_integer_channel_index_accepted():
+    assert CorrelatorSpec(((np.int64(1), 0.5),)).events == ((1, 0.5),)
+    assert resolve_events([(np.int64(1), 0.0), (0, 0.3)], 0.01, 2) == ((1, 0), (0, 30))
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "n must be an integer, got True"),
+    (2.0, "n must be an integer, got 2.0"),
+    (np.float64(2.0), "n must be an integer, got np.float64(2.0)"),
+    (1, "n must be >= 2, got 1"),
+    (np.int64(1), "n must be >= 2, got 1"),
+], ids=["bool", "float", "numpy-float", "int-below", "numpy-int-below"])
+def test_check_integer_refusals_hold_for_every_type(value, message):
+    with pytest.raises(ValidationError) as refused:
+        errors.check_integer(value, "n", 2)
+    assert str(refused.value) == message
+
+
+def test_check_integer_returns_a_python_int():
+    for value in (3, np.int64(3), np.uint8(3)):
+        checked = errors.check_integer(value, "n", 2)
+        assert checked == 3 and type(checked) is int
