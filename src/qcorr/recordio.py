@@ -15,15 +15,15 @@ order with channel-major float64 sample arrays:
 
 Round trips are bit-exact. Both directions move the payload between the
 file and one contiguous array through its buffer, so neither holds a second
-copy of it. Both writers rewrite a file in place, sized first, so an
-existing file's cached pages are reused; they zero the header first and
-write it last, so every reader refuses the zeroed magic of a run that never
-got there. simulate_records, the way to simulate an ensemble in parallel,
-never holds the whole payload: each of map_batches' processes simulates
-its batches into one buffer, kept for the whole run, and writes their rows
-at their offset. read_records can read any range of trajectory rows, so a
-reader can stream a file through a bounded footprint; read_header checks
-the container without reading the payload.
+copy of it. simulate_records, the way to simulate an ensemble in
+parallel, never holds the whole payload: after a zeroed placeholder of the
+header, each of map_batches' processes simulates its batches into one
+buffer, kept for the whole run, and writes their rows at their offset, so a
+file of any size is written through one batch of samples per process. The
+header goes in last, so every reader refuses the zeroed magic of a run
+that never got there. read_records can read any range of trajectory rows,
+so a reader can stream a file through a bounded footprint; read_header
+checks the container without reading the payload.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import os
 import stat
 import struct
 from collections import namedtuple
-from contextlib import closing, contextmanager, suppress
+from contextlib import closing, suppress
 from functools import partial
 
 import numpy as np
@@ -67,85 +67,75 @@ def _header(dt: float, n_samples: int, channels, n_traj: int, master_seed: int) 
     return b"".join(parts)
 
 
-@contextmanager
-def _rewritten(path, header: bytes, size: int):
-    """Yield a write descriptor on path, opened without truncation and, if a regular file,
-    sized first, between a zeroed header and the header; a failure removes a regular file."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    regular = stat.S_ISREG(os.fstat(fd).st_mode)
-    try:
-        if regular:
-            os.ftruncate(fd, size)
-        _pwrite_all(fd, bytes(len(header)), 0)
-        yield fd
-        _pwrite_all(fd, header, 0)
-    except BaseException:
-        if regular:
-            with suppress(OSError):
-                os.unlink(path)
-        raise
-    finally:
-        os.close(fd)
-
-
 def write_records(path, records: RecordSet) -> None:
-    """Write a RecordSet to path in the container format above, rewriting it in place."""
+    """Write a RecordSet to path in the container format above."""
     samples = np.ascontiguousarray(records.samples, dtype="<f8")
-    header = _header(records.dt, records.n_samples, records.channels, records.n_traj,
-                     records.master_seed)
-    with _rewritten(path, header, len(header) + samples.nbytes) as fd:
-        _pwrite_all(fd, samples, len(header))
+    with open(path, "wb") as fh:
+        fh.write(_header(records.dt, records.n_samples, records.channels, records.n_traj,
+                         records.master_seed))
+        fh.write(samples.reshape(-1).view(np.uint8))
 
 
 def _pwrite_all(fd: int, data, offset: int) -> None:
     """Write the bytes of a C-contiguous buffer at offset of fd, looping on short writes."""
-    view = memoryview(data)
-    view = view.cast("B") if view.nbytes else b""  # cast refuses a shape with a zero
+    view = memoryview(data).cast("B")
     while view:
         written = os.pwrite(fd, view, offset)
         view, offset = view[written:], offset + written
 
 
-def _write_batch(config: SimConfig, fd: int, offset: int, rows: int, buffer: list, bounds) -> int:
-    """Simulate batch bounds = (lo, hi) into this process's one buffer of rows trajectories
-    (made by its first batch) and write them there; returns the trajectory count."""
+def _write_batch(config: SimConfig, fd: int, payload_offset: int, buffer, bounds) -> int:
+    """Simulate batch bounds = (lo, hi) into the first rows of buffer and write them at
+    their offset; returns the batch's trajectory count."""
     lo, hi = bounds
-    if not buffer:
-        buffer.append(np.empty((rows, config.n_channels, config.n_samples), dtype="<f8"))
-    samples = buffer[0][:hi - lo]
+    samples = buffer[:hi - lo]
     trajectory._simulate_batch(config, lo, hi, samples, None)
-    _pwrite_all(fd, samples, offset + lo * samples[0].nbytes)
+    _pwrite_all(fd, samples, payload_offset + lo * samples[0].nbytes)
     return hi - lo
 
 
 def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -> None:
     """Simulate config's ensemble straight into a record file.
 
-    The file is byte-identical to write_records(path, simulate_ensemble(config))
-    and is rewritten in place the same way. map_batches runs every batch of
-    index_ranges on one of up to workers processes, each of which simulates
-    its batches into one buffer of the longest batch's rows, kept for the
-    whole run, and writes their rows at their offset; with several workers
-    the calling process holds no samples. Batches can then land out of
-    order, so a run killed without an exception (SIGKILL, out of memory)
-    can leave a file of full length whose zeroed magic read_header refuses
-    as unfinished. States are not simulated: the container stores none.
-    path must be seekable; a regular output file is removed on any error.
-    progress, if given, is called as progress(trajectories_done, n_traj)
+    The file is byte-identical to write_records(path, simulate_ensemble(config)).
+    A zeroed placeholder of the header is written first; then map_batches
+    runs every batch of index_ranges on one of up to workers processes,
+    which simulates it into one buffer of the longest batch's rows and
+    writes its rows at their offset; the header is written over the
+    placeholder after the last batch. The buffer is made once per run and
+    untouched until a batch fills it, so a process holds one batch of
+    samples for the whole run, and with several workers (forked, each
+    filling its own copy) the calling process holds none. With several
+    workers batches can land out of order, so a run killed without an
+    exception (SIGKILL, out of memory) can leave a file of full length: its
+    zeroed magic makes read_header refuse it as unfinished. States are not
+    simulated: the container stores none. path must be seekable. On any
+    error a regular output file is removed before the error propagates.
+    progress, when given, is called as progress(trajectories_done, n_traj)
     after each finished batch, before the header is written.
     """
     header = _header(config.dt, config.n_samples, config.channels, config.n_traj,
                      config.master_seed)
     bounds = index_ranges(0, config.n_traj, config.batch_size)
-    size = len(header) + config.n_traj * config.n_channels * config.n_samples * 8
+    rows = max(hi - lo for lo, hi in bounds)
+    buffer = np.empty((rows, config.n_channels, config.n_samples), dtype="<f8")
     done = 0
-    with _rewritten(path, header, size) as fd:
-        task = partial(_write_batch, config, fd, len(header), max(hi - lo for lo, hi in bounds), [])
-        with closing(map_batches(task, bounds, workers)) as batches:
-            for n_done in batches:
-                done += n_done
-                if progress is not None:
-                    progress(done, config.n_traj)
+    with open(path, "wb") as fh:
+        try:
+            fh.write(bytes(len(header)))
+            fh.flush()
+            task = partial(_write_batch, config, fh.fileno(), len(header), buffer)
+            with closing(map_batches(task, bounds, workers)) as batches:
+                for n_done in batches:
+                    done += n_done
+                    if progress is not None:
+                        progress(done, config.n_traj)
+            _pwrite_all(fh.fileno(), header, 0)
+        except BaseException:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                with suppress(OSError):
+                    os.unlink(path)
+            raise
 
 
 class RecordHeader(namedtuple("RecordHeader", "dt n_samples channels n_traj master_seed")):

@@ -15,7 +15,6 @@ import qcorr.config as config_module
 import qcorr.replica as replica_module
 import qcorr.trajectory as trajectory_module
 from qcorr import (
-    IntegrationDivergedError,
     MagicMismatchError,
     MeasurementChannel,
     RecordSet,
@@ -324,23 +323,6 @@ class TestStreamedSimulate:
         write_records(expected, simulate_ensemble(config))
         assert out.read_bytes() == expected.read_bytes()
 
-    @pytest.mark.parametrize("earlier", ["longer-record", "short-file"])
-    def test_existing_file_is_rewritten_at_its_final_size(self, tmp_path, batch_cap, earlier):
-        # The file is sized before the first batch lands: a 40-trajectory
-        # record is cut to 17 trajectories and a 15-byte file grown, in place.
-        batch_cap(8)
-        out, expected = tmp_path / "records.qcr", tmp_path / "expected.qcr"
-        if earlier == "longer-record":
-            simulate_records(out, parse_config(sim_config(tmp_path, n_traj=40)).sim)
-        else:
-            out.write_bytes(b"an earlier file")
-        config = parse_config(sim_config(tmp_path, n_traj=17)).sim
-        write_records(expected, simulate_ensemble(config))
-        sizes = []
-        simulate_records(out, config, progress=lambda *_: sizes.append(out.stat().st_size))
-        assert sizes == [expected.stat().st_size] * 2
-        assert out.read_bytes() == expected.read_bytes()
-
     @pytest.mark.parametrize("n_traj, rows", [(20, 8), (17, 9)], ids=["partial-tail", "folded-tail"])
     def test_every_batch_is_simulated_into_one_buffer(self, tmp_path, monkeypatch, batch_cap,
                                                       n_traj, rows):
@@ -362,34 +344,6 @@ class TestStreamedSimulate:
         assert buffer is not None and len(buffer) == rows
         assert sum(len(samples) for samples in seen) == n_traj
         assert all(samples.base is buffer for samples in seen)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_run_over_a_longer_record_leaves_no_file(self, tmp_path, monkeypatch, batch_cap,
-                                                            workers):
-        batch_cap(8)
-        out = tmp_path / "records.qcr"
-        simulate_records(out, parse_config(sim_config(tmp_path, n_traj=40)).sim)
-        draws = trajectory_module.trajectory_draws
-
-        def poisoned(seed, index, n_steps, n_channels):
-            block = draws(seed, index, n_steps, n_channels)
-            if index == 12:
-                block[3, 1] = np.nan
-            return block
-
-        monkeypatch.setattr(trajectory_module, "trajectory_draws", poisoned)
-        with pytest.raises(IntegrationDivergedError, match="step 3, trajectory 12"):
-            simulate_records(out, parse_config(sim_config(tmp_path, n_traj=17)).sim,
-                             workers=workers)
-        assert not out.exists()
-        assert multiprocessing.active_children() == []
-
-    def test_device_output_is_not_sized(self, workspace, capsys):
-        # /dev/null is no regular file: it is written to but never truncated.
-        _, config, _ = workspace
-        assert main(["simulate", "--config", str(config), "--out", os.devnull,
-                     "--n-traj", "4"]) == 0
-        assert capsys.readouterr().out.endswith(f"to {os.devnull}\n")
 
     def test_unseekable_output_refused(self, workspace, capsys):
         tmp, config, _ = workspace

@@ -47,23 +47,3 @@ def test_no_module_leaves_an_import_unused():
         if names:
             unused[path.name] = sorted(names)
     assert unused == {}
-
-
-def _binary_write_opens(path):
-    """Line numbers of open(...) calls in path whose mode writes bytes from a truncated file."""
-    lines = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
-            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
-            if any(isinstance(m, ast.Constant) and "b" in str(m.value)
-                   and set(str(m.value)) & {"w", "x"} for m in modes):
-                lines.append(node.lineno)
-    return lines
-
-
-def test_no_writer_truncates_with_a_binary_open():
-    # Record files are rewritten in place through os.open and os.pwrite, so
-    # their cached pages are reused; text-mode CSV writers may truncate.
-    found = {path.name: lines for path in sorted((ROOT / "src" / "qcorr").glob("*.py"))
-             if (lines := _binary_write_opens(path))}
-    assert found == {}
