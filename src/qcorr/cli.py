@@ -2,13 +2,16 @@
 
 Every float written to CSV uses 17 significant digits so values round-trip
 exactly; a fixed seed therefore yields byte-identical outputs across runs
-and worker counts. estimate checks every spec and the trajectory count
-against the record header before it reads any payload, then runs the Monte
-Carlo driver of the replica scans (empirical.estimate_batches) on the file:
-each batch of trajectory.batch_rows trajectories for the header's record
-shape is read in blocks of empirical.block_rows, each folded before the
-next is read. simulate takes the ensemble from the config's sim keys alone
-and writes it batch by batch (recordio.simulate_records).
+and worker counts. estimate and analytic resolve each windowed spec entry
+once (empirical.resolve_spec), against the record header or the config; a
+refusal names its entry as spec[i], as a parse error does. estimate fits
+the specs to the header's record span (ResolvedSpecs.check) and checks its
+trajectory count before it reads any payload, then runs the Monte Carlo
+driver of the replica scans (empirical.estimate_batches) on the file: each
+batch of trajectory.batch_rows trajectories for the header's record shape
+is read in blocks of empirical.block_rows, each folded before the next is
+read. simulate takes the ensemble from the config's sim keys alone and
+writes it batch by batch (recordio.simulate_records).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import contextmanager
 from functools import cache, partial
 
 import numpy as np
@@ -49,7 +53,6 @@ from .empirical import (  # noqa: F401
     events_key,
     merge_estimates,
     require_standard_error,
-    resolve_events,
     resolve_spec,
     window_key,
 )
@@ -93,6 +96,15 @@ def _channel_times(items, path: str, time_key: str) -> list:
     return pairs
 
 
+@contextmanager
+def _entry(i: int):
+    """Name spec[i] in a ValidationError raised inside: it refuses that entry."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"spec[{i}]: {exc}") from None
+
+
 def _spec_entries(path, r_init) -> list:
     """Validated entries of a spec file: each a CorrelatorSpec or (gaps, Window).
 
@@ -105,23 +117,24 @@ def _spec_entries(path, r_init) -> list:
     entries = []
     for i, entry in enumerate(raw if isinstance(raw, list) else [raw]):
         where = f"spec[{i}]"
-        if r_init is not None and isinstance(entry, dict) and "events" in entry:
-            _require_keys(entry, where, required=("events",), optional=("initial",))
-            init = entry.get("initial", {})
-            _require_keys(init, f"{where}.initial", required=(), optional=("r", "t_us"))
-            r_in = tuple(_vector3(init["r"], f"{where}.initial.r")) if "r" in init else r_init
-            t_in = _number(init.get("t_us", 0.0), f"{where}.initial.t_us")
-            events = _channel_times(entry["events"], f"{where}.events", "t_us")
-            entries.append(CorrelatorSpec(events, r_in, t_in))
-        else:
-            _require_keys(entry, where, required=("window", "gaps"))
-            window = entry["window"]
-            _require_keys(window, f"{where}.window", required=("t_a_us", "T_us"))
-            entries.append((
-                _channel_times(entry["gaps"], f"{where}.gaps", "dt_us"),
-                Window(_number(window["t_a_us"], f"{where}.window.t_a_us"),
-                       _number(window["T_us"], f"{where}.window.T_us")),
-            ))
+        with _entry(i):
+            if r_init is not None and isinstance(entry, dict) and "events" in entry:
+                _require_keys(entry, where, required=("events",), optional=("initial",))
+                init = entry.get("initial", {})
+                _require_keys(init, f"{where}.initial", required=(), optional=("r", "t_us"))
+                r_in = tuple(_vector3(init["r"], f"{where}.initial.r")) if "r" in init else r_init
+                t_in = _number(init.get("t_us", 0.0), f"{where}.initial.t_us")
+                events = _channel_times(entry["events"], f"{where}.events", "t_us")
+                entries.append(CorrelatorSpec(events, r_in, t_in))
+            else:
+                _require_keys(entry, where, required=("window", "gaps"))
+                window = entry["window"]
+                _require_keys(window, f"{where}.window", required=("t_a_us", "T_us"))
+                entries.append((
+                    _channel_times(entry["gaps"], f"{where}.gaps", "dt_us"),
+                    Window(_number(window["t_a_us"], f"{where}.window.t_a_us"),
+                           _number(window["T_us"], f"{where}.window.T_us")),
+                ))
     return entries
 
 
@@ -165,19 +178,20 @@ def _do_simulate(args) -> int:
 
 def _do_analytic(args) -> int:
     sim = parse_config(args.config).sim
-    model, channels, dt, r_init = sim.model, sim.channels, sim.dt, sim.r_init
+    model, channels, dt = sim.model, sim.channels, sim.dt
+    entries = _spec_entries(args.spec, sim.r_init)
     rows = []
-    window_state = cache(partial(window_mean_state, model, r_init))  # once per window
-    for entry in _spec_entries(args.spec, r_init):
-        if isinstance(entry, CorrelatorSpec):
-            spec = entry
-            key = (events_key(entry.events), float("nan"), float("nan"))
-        else:
-            gaps, window = entry
-            events = resolve_events(gaps, dt, len(channels))
-            spec = window_mean_spec(window_state(window, dt), events, dt)
-            key = window_key(dt, window.bins(dt), events)
-        chain = chain_correlator(model, channels, spec)
+    window_state = cache(partial(window_mean_state, model, sim.r_init))  # once per window
+    for i, entry in enumerate(entries):
+        with _entry(i):
+            if isinstance(entry, CorrelatorSpec):
+                spec = entry
+                key = (events_key(entry.events), float("nan"), float("nan"))
+            else:
+                bins, events = resolve_spec(*entry, dt, len(channels))
+                spec = window_mean_spec(window_state(entry[1], dt), events, dt)
+                key = window_key(dt, bins, events)
+            chain = chain_correlator(model, channels, spec)
         try:
             fact = factorized_correlator(model, channels, spec)
         except FactorizationInapplicableError:
@@ -201,10 +215,12 @@ def _do_analytic(args) -> int:
 def _do_estimate(args) -> int:
     entries = _spec_entries(args.spec, None)
     header = read_header(args.records)
-    specs = ResolvedSpecs(
-        resolve_spec(gaps, window, header.dt, header.n_channels, header.n_samples)
-        for gaps, window in entries
-    )
+    resolved = []
+    for i, (gaps, window) in enumerate(entries):
+        with _entry(i):
+            resolved.append(resolve_spec(gaps, window, header.dt, header.n_channels))
+    specs = ResolvedSpecs(resolved)
+    specs.check(header.n_channels, header.n_samples)
     require_standard_error(header.n_traj)
     block = block_rows(header.n_channels, header.n_samples)
 

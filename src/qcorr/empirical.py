@@ -7,14 +7,15 @@ at fixed gaps from t1. Window placements within one trajectory are strongly
 correlated through the shared qubit path, so standard errors are computed by
 first averaging the window products inside each trajectory and then taking
 the spread of those per-trajectory means across the ensemble. window_means
-computes them for many specs, resolved once by the caller (resolve_spec),
-in one cache-blocked pass over one block of trajectories. ResolvedSpecs
-builds their evaluation plan once: the sorted order, which leading-event
-products a spec shares with the spec before it, and the columns of its
-own events. Per block, a spec's last event and its window sum are one
-np.einsum("ij,ij->i") over the product of its other events and the last
-event's samples: numpy's own summation loop, with no BLAS call and no
-temporary product array.
+computes them for many specs, resolved once by the caller (resolve_spec, on
+every route), in one cache-blocked pass over one block of trajectories.
+ResolvedSpecs builds their evaluation plan once (the sorted order, which
+leading-event products a spec shares with the spec before it, and the
+columns of its own events), and its check is the one test that records of a
+given shape hold every spec. Per block, a spec's last event and its window
+sum are one np.einsum("ij,ij->i") over the product of its other events and
+the last event's samples: numpy's own summation loop, with no BLAS call and
+no temporary product array.
 
 Each trajectory's window is summed in float64: a window holds W products
 (tens to a few hundred), and a float64 sum of W terms in any order, the
@@ -104,12 +105,13 @@ class CorrelatorEstimate:
     value: float
     std_error: float
     n_traj: int
-    n_window_samples: int
     dt: float
     window_bins: tuple
     events: tuple
     sum_means: np.longdouble
     sumsq_means: np.longdouble
+
+    n_window_samples = property(lambda self: self.window_bins[1] - self.window_bins[0] + 1)
 
     @property
     def snapped_gaps_us(self) -> tuple:
@@ -130,24 +132,18 @@ def resolve_events(gaps, dt: float, n_channels: int) -> tuple:
     evaluates.
     """
     events = []
-    previous = None
     for ch, gap in gaps:
         ch = check_integer(ch, "channel index")
-        if not (0 <= ch < n_channels):
-            raise ValidationError(
-                f"channel index {ch} out of range for {n_channels} channels"
-            )
+        if not 0 <= ch < n_channels:
+            raise ValidationError(f"channel index {ch} out of range for {n_channels} channels")
         g = snap(float(gap), dt)
-        if g < 0:
-            raise ValidationError(f"gaps must be nonnegative, got {gap}")
-        if previous is not None and g < previous:
+        if events and g < events[-1][1]:
             raise ValidationError("gaps must be nondecreasing")
-        if previous == g and events[-1][0] != ch:
+        if events and g == events[-1][1] and ch != events[-1][0]:
             raise ValidationError(
                 f"events on channels {events[-1][0]} and {ch} snap to one bin "
                 f"(gap {gap} us at dt {dt}); coinciding events must be on one channel"
             )
-        previous = g
         events.append((ch, g))
     if not events:
         raise ValidationError("at least one (channel, gap) event is required")
@@ -156,21 +152,10 @@ def resolve_events(gaps, dt: float, n_channels: int) -> tuple:
     return tuple(events)
 
 
-def resolve_spec(gaps, window: Window, dt: float, n_channels: int, n_samples: int) -> tuple:
-    """(window_bins, events) of one windowed spec, checked against a record shape.
-
-    Refuses events that resolve_events refuses and windows whose bins plus
-    the largest gap fall outside the n_samples of a record.
-    """
-    events = resolve_events(gaps, dt, n_channels)
-    i0, i1 = window.bins(dt)
-    max_gap = events[-1][1]
-    if i0 < 0 or i1 + max_gap > n_samples - 1:
-        raise ValidationError(
-            f"window bins [{i0}, {i1}] plus largest gap {max_gap} exceed the "
-            f"record span of {n_samples} samples"
-        )
-    return (i0, i1), events
+def resolve_spec(gaps, window: Window, dt: float, n_channels: int) -> tuple:
+    """(window_bins, events) of a windowed spec, its one resolution on every route; whether
+    records of a given shape hold it is ResolvedSpecs.check's to say."""
+    return window.bins(dt), resolve_events(gaps, dt, n_channels)
 
 
 def events_key(pairs) -> str:
@@ -193,11 +178,12 @@ class ResolvedSpecs(tuple):
     """Resolved (window_bins, events) specs with their evaluation plan, built once.
 
     window_means visits specs in sorted order, so that specs sharing window
-    bins and leading events are adjacent, and checks every spec against the
-    shape of its block. Built once, this tuple holds that plan and the range
-    of channels the specs read and their last sample index, so a caller
-    that streams many blocks through one spec list pays for the sort and
-    the prefix comparisons once and each block's check costs three integer
+    bins and leading events are adjacent, and fits every spec to the shape
+    of its block (check, which qcorr estimate also runs once on the record
+    header). Built once, this tuple holds that plan and the range of
+    channels the specs read and their last sample index, so a caller that
+    streams many blocks through one spec list pays for the sort and the
+    prefix comparisons once and each block's check costs three integer
     comparisons. plan holds, per spec in sorted order, (j, keep, heads,
     last): j is its index, keep how many cached prefix products of the
     previous spec's head events it reuses, heads the (channel, columns) of
@@ -228,7 +214,8 @@ class ResolvedSpecs(tuple):
         return self
 
     def check(self, n_channels: int, n_samples: int) -> None:
-        """Refuse, by its index, the first spec a block of this shape cannot hold."""
+        """Refuse, as spec[j], the first spec j that records of this shape cannot hold:
+        a channel it lacks, or a window plus largest gap past its span."""
         low, high = self.channel_range
         if 0 <= low and high < n_channels and self.last_sample < n_samples:
             return
@@ -236,13 +223,12 @@ class ResolvedSpecs(tuple):
             bad = [ch for ch, _ in events if not 0 <= ch < n_channels]
             if bad:
                 raise ValidationError(
-                    f"spec {j}: channel index {bad[0]} out of range for the "
-                    f"{n_channels} channels of the block"
+                    f"spec[{j}]: channel index {bad[0]} out of range for {n_channels} channels"
                 )
             if i1 + events[-1][1] >= n_samples:
                 raise ValidationError(
-                    f"spec {j}: window bins [{i0}, {i1}] plus largest gap {events[-1][1]} "
-                    f"run past the {n_samples} samples of the block"
+                    f"spec[{j}]: window bins [{i0}, {i1}] plus largest gap {events[-1][1]} "
+                    f"exceed the record span of {n_samples} samples"
                 )
 
 
@@ -276,19 +262,16 @@ def window_means(samples: np.ndarray, resolved) -> np.ndarray:
     samples is one (n_traj, n_channels, n_samples) block of records, the
     samples of a RecordSet; resolved holds (window_bins, events) pairs as
     resolve_spec returns them, ideally as a ResolvedSpecs built once for
-    every block, whose plan every pass runs (_block_means). The
-    trajectories are walked in passes of about BLOCK_BYTES of samples, and
-    every spec's window sums are formed while a pass is in cache. Row j of
-    the returned (len(resolved), n_traj) float64 array is spec j's mean
+    every block, which fits them to the block (check: a spec it cannot hold
+    is refused by its index) and whose plan every pass runs (_block_means).
+    The trajectories are walked in passes of about BLOCK_BYTES of samples,
+    and every spec's window sums are formed while a pass is in cache. Row j
+    of the returned (len(resolved), n_traj) float64 array is spec j's mean
     over its window of the product of samples at its gaps from t1, summed
     in float64 per trajectory (see the module docstring for its error
     bound); a trajectory's mean does not depend on how the trajectories are
     split into blocks or passes. Its ensemble mean is the correlator
-    estimate (ensemble_sums and pool_sums, which sum in extended
-    precision).
-
-    A spec with a channel index outside the block's channels, or whose
-    window plus largest gap runs past its samples, is refused by its index.
+    estimate (ensemble_sums and pool_sums, which sum in extended precision).
     """
     specs = resolved if isinstance(resolved, ResolvedSpecs) else ResolvedSpecs(resolved)
     n_traj, n_channels, n_samples = samples.shape
@@ -302,7 +285,7 @@ def window_means(samples: np.ndarray, resolved) -> np.ndarray:
 
 def trajectory_window_means(records: RecordSet, gaps, window: Window) -> np.ndarray:
     """Per-trajectory window means of one spec: the window_means row estimate_correlator pools."""
-    spec = resolve_spec(gaps, window, records.dt, records.n_channels, records.n_samples)
+    spec = resolve_spec(gaps, window, records.dt, records.n_channels)
     return window_means(records.samples, [spec])[0]
 
 
@@ -313,7 +296,6 @@ def _pooled(m: int, total, total_sq, dt: float, window_bins: tuple, events: tupl
         value=float(total / m),
         std_error=float(np.sqrt(var / m)),
         n_traj=m,
-        n_window_samples=window_bins[1] - window_bins[0] + 1,
         dt=dt,
         window_bins=window_bins,
         events=events,
@@ -399,13 +381,11 @@ def estimate_batches(load, specs: ResolvedSpecs, dt: float, n_traj: int, batch_s
 
 
 def estimate_correlator(records: RecordSet, gaps, window: Window) -> CorrelatorEstimate:
-    """Estimate the correlator of events at fixed gaps from a windowed t1.
+    """Estimate the correlator of events at fixed gaps (resolve_events) from a windowed t1.
 
-    gaps is a sequence of (channel_index, gap_us) with nondecreasing gaps and
-    first gap 0; equal gaps on the same channel estimate the discretized
-    equal-time singular term tau/dt plus the smooth part.
+    Equal gaps on one channel estimate the discretized equal-time term tau/dt plus the smooth part.
     """
-    spec = resolve_spec(gaps, window, records.dt, records.n_channels, records.n_samples)
+    spec = resolve_spec(gaps, window, records.dt, records.n_channels)
     return pool_sums([ensemble_sums(window_means(records.samples, [spec]))], records.dt, [spec])[0]
 
 

@@ -20,16 +20,17 @@ structure of this setup:
   initial state; its summary compares the Monte Carlo average over the dt32
   grid against the average of the rows' analytic values.
 
-Both scans resolve every grid point once. A point's analytic value is the
-factorized value that qcorr analytic reports for the same windowed spec
-(analytic.window_mean_spec, from the window-mean state built once per
-scan). Its Monte Carlo value comes from empirical.estimate_batches, the
-driver of qcorr estimate too, with simulation batches as the source: the
-process that simulates a batch (a forked worker with several workers) takes
-the window means of the resolved points in one window_means call and
-returns only their estimates, so memory stays bounded by one batch per
-process at any trajectory budget. The caller pools them in batch order
-(merge_estimates). The summary pools grid points trajectory by trajectory,
+Both scans resolve every grid point once, as qcorr estimate and qcorr
+analytic resolve a spec entry (empirical.resolve_spec). A point's analytic
+value is the factorized value that qcorr analytic reports for the same spec
+(analytic.window_mean_spec, from one window-mean state per scan). Its Monte
+Carlo value comes from empirical.estimate_batches, the driver of qcorr
+estimate too, with simulation batches as the source: the process that
+simulates a batch (a forked worker with several workers) takes the window
+means of the resolved points in one window_means call and returns only their
+estimates, so memory stays bounded by one batch per process at any
+trajectory budget. The caller pools them in batch order (merge_estimates);
+four_time_scan's summary pools its grid points trajectory by trajectory,
 respecting their correlation through the shared records.
 """
 
@@ -57,7 +58,7 @@ from .empirical import (  # noqa: F401
     estimate_batches,
     estimate_correlator,
     merge_estimates,
-    resolve_events,
+    resolve_spec,
     snap,
     trajectory_window_means,
 )
@@ -158,26 +159,26 @@ def _snapped(values, name: str, dt: float) -> list:
     return gaps
 
 
-def _evaluate(config: ReplicaConfig, window: Window, points) -> tuple:
-    """Analytic value and (value, std_error) of every point, and the latter of their average.
+def _evaluate(config: ReplicaConfig, length: float, points, grid_average=False) -> tuple:
+    """Analytic value and (value, std_error) of every point, then of their average on request.
 
-    points are (channel, gap_us) lists from a t1 in window. All are resolved
-    once, first, also without include_mc (then every Monte Carlo pair is
+    points are (channel, gap_us) lists from a t1 in the window at t_a, of
+    config.window_len or else length. All are resolved once, first
+    (resolve_spec), also without include_mc (then every Monte Carlo pair is
     NaN), so a bad grid is refused before any batch is simulated. A point's
-    analytic value is the factorized value of its window_mean_spec, all
-    from one window-mean state. Each batch's estimates (estimate_batches)
-    are pooled in batch order with merge_estimates.
+    analytic value is the factorized value of its window_mean_spec, all from
+    one window-mean state. Each batch's estimates (estimate_batches) are
+    pooled in batch order with merge_estimates.
     """
     model, channels = replica_model(config)
     dt = config.dt
-    specs = ResolvedSpecs((window.bins(dt), resolve_events(gaps, dt, len(channels)))
-                          for gaps in points)
+    window = Window(config.t_a, length if config.window_len is None else config.window_len)
+    specs = ResolvedSpecs(resolve_spec(gaps, window, dt, len(channels)) for gaps in points)
     r_window = window_mean_state(model, config.r_init, window, dt)
     analytic = [factorized_correlator(model, channels, window_mean_spec(r_window, events, dt))
                 for _, events in specs]
     if not config.include_mc:
-        nan = (float("nan"), float("nan"))
-        return analytic, [nan] * len(points), nan
+        return analytic, [(float("nan"), float("nan"))] * (len(points) + grid_average)
     t_total = window.t_a + window.length + (max(e[-1][1] for _, e in specs) + 2) * dt
     sim = SimConfig(model=model, channels=channels, r_init=config.r_init, t_total=t_total,
                     dt=dt, n_traj=config.n_traj, master_seed=config.master_seed)
@@ -186,9 +187,8 @@ def _evaluate(config: ReplicaConfig, window: Window, points) -> tuple:
         return [simulate_range(sim, lo, hi).samples]
 
     batches = estimate_batches(load, specs, dt, sim.n_traj, sim.batch_size, config.workers,
-                               grid_average=True, source="simulation")
-    mc = [(p.value, p.std_error) for p in map(merge_estimates, zip(*batches))]
-    return analytic, mc[:-1], mc[-1]
+                               grid_average, source="simulation")
+    return analytic, [(p.value, p.std_error) for p in map(merge_estimates, zip(*batches))]
 
 
 def default_three_time_grid(gamma: float = DEFAULT_GAMMA):
@@ -205,8 +205,6 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
     Returns rows over the cartesian product of the snapped dt21 and dt32
     grids. The analytic column varies only with dt32, up to rounding.
     """
-    window = Window(config.t_a, DEFAULT_THREE_TIME_WINDOW if config.window_len is None
-                    else config.window_len)
     if dt21_values is None:
         dt21_values = default_three_time_grid(config.gamma)
     if dt32_values is None:
@@ -215,7 +213,7 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
     gaps32 = _snapped(dt32_values, "dt32_values", config.dt)
 
     points = [(g21, g32) for g21 in gaps21 for g32 in gaps32]
-    analytic, mc, _ = _evaluate(config, window, [
+    analytic, mc = _evaluate(config, DEFAULT_THREE_TIME_WINDOW, [
         [(CHANNEL_PHI, 0.0), (CHANNEL_Z, g21), (CHANNEL_PHI, g21 + g32)]
         for g21, g32 in points
     ])
@@ -234,19 +232,17 @@ def four_time_scan(config: ReplicaConfig, dt32_values=None):
     spread across grid points and the trajectory-pooled standard error of the
     grid average, and the analytic values over the same grid.
     """
-    window = Window(config.t_a, DEFAULT_FOUR_TIME_WINDOW if config.window_len is None
-                    else config.window_len)
     if dt32_values is None:
         dt32_values = default_four_time_grid(config.gamma)
     dt = config.dt
     g21 = g43 = snap(0.15 / config.gamma, dt) * dt
     gaps32 = _snapped(dt32_values, "dt32_values", dt)
 
-    analytic, mc, (mc_mean, mc_pooled_se) = _evaluate(config, window, [
+    analytic, (*mc, (mc_mean, mc_pooled_se)) = _evaluate(config, DEFAULT_FOUR_TIME_WINDOW, [
         [(CHANNEL_Z, 0.0), (CHANNEL_PHI, g21), (CHANNEL_Z, g21 + g32),
          (CHANNEL_PHI, g21 + g32 + g43)]
         for g32 in gaps32
-    ])
+    ], grid_average=True)
     rows = [
         ScanRow(phi=config.phi, dt21=g21, dt32=g32, dt43=g43,
                 analytic=value, mc_value=mc_value, mc_se=mc_se)

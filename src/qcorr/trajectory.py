@@ -109,6 +109,11 @@ class SimConfig:
         if self.t_total < self.dt:
             raise ValidationError(f"t_total={self.t_total} shorter than one step dt={self.dt}")
         check_seed(self.master_seed)
+        row = 8 * self.n_channels * self.n_samples
+        if 2 * row > BATCH_BYTES:  # a batch holds at least 2 rows
+            raise ValidationError(f"a record row of {self.n_channels} x {self.n_samples} samples "
+                                  f"({row} bytes) leaves no batch of 2 rows within {BATCH_BYTES} "
+                                  "bytes; raise dt or shorten t_total")
         # The step's flow of lam - event_dephasing must not stretch the Bloch
         # ball (as lam = 0 with a measured channel would): no quantum map does.
         rest = self.model.lam - event_dephasing(channels)
@@ -137,15 +142,13 @@ class RecordSet:
 
     samples has shape (n_traj, n_channels, n_samples); row i holds trajectory
     traj_offset + i of the ensemble, bit-identical however the ensemble was
-    cut into ranges. clipped_steps is always 0, as no step clips; the
-    benchmark tracer reads it until runs report their own health.
+    cut into ranges.
     """
 
     samples: np.ndarray
     dt: float
     channels: tuple
     master_seed: int
-    clipped_steps: int = 0
     states: np.ndarray | None = None
     traj_offset: int = 0
 
@@ -166,6 +169,9 @@ class RecordSet:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[2]
+
+    # Always 0, as no step clips; the benchmark tracer reads it.
+    clipped_steps = property(lambda self: 0)
 
 
 def event_dephasing(channels) -> np.ndarray:

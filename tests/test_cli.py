@@ -124,6 +124,18 @@ def sim_config(tmp, **sim):
 
 
 class TestSimulate:
+    def test_row_past_the_batch_budget_refused_before_any_buffer(self, tmp_path, capsys):
+        # At dt 1e-9 a preset row holds 2 x 3999999999 samples: numpy was
+        # asked for a (3, 2, 3999999999) buffer. The config is refused first.
+        out = tmp_path / "x.qcr"
+        assert main(["simulate", "--config", str(PRESETS.joinpath("two_detector_sim.json")),
+                     "--n-traj", "3", "--dt", "1e-9", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: config: a record row of 2 x 3999999999 samples (63999999984 bytes) "
+                       "leaves no batch of 2 rows within 268435456 bytes; raise dt or shorten "
+                       "t_total"]
+        assert not out.exists()
+
     def test_writes_records(self, workspace, capsys):
         tmp, config, _ = workspace
         out = tmp / "records.qcr"
@@ -814,6 +826,35 @@ class TestSpecFiles:
             err = capsys.readouterr().err.strip().splitlines()
             assert err == [f"error: spec[0].{path}: expected a finite number, got {float(literal)!r}"]
             assert not (tmp / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "analytic"])
+    @pytest.mark.parametrize("bad, named", [
+        ((0.1, 0.1, [(0, 0.0), (1, 0.2), (0, 0.1)]), "gaps must be nondecreasing"),
+        ((0.1, 0.1, [(0, 0.0), (1, 0.004)]), "events on channels 0 and 1 snap to one bin"),
+        ((0.1, 0.1, [(0, 0.0), (5, 0.1)]), "channel index 5 out of range for 2 channels"),
+        ((2.1, 0.2, [(0, 0.0), (1, 0.2)]),
+         "window bins [210, 230] plus largest gap 20 exceed the record span of 64 samples"),
+        ((0.1, 0.0, [(0, 0.0)]), "window length must be positive and finite, got 0.0"),
+    ], ids=["decreasing-gaps", "two-channels-one-bin", "channel-5", "window-past-record",
+            "zero-length-window"])
+    def test_bad_entry_refused_by_its_index(self, workspace, capsys, monkeypatch, command,
+                                            bad, named):
+        tmp, config, _ = workspace
+        records = synthetic_records(tmp / "records.qcr", n_traj=5)
+        spec = write_specs(tmp / "spec.json",
+                           [(0.1, 0.1, [(0, 0.0)]), bad, (0.1, 0.15, [(0, 0.0), (1, 0.2)])])
+        reads = []
+        monkeypatch.setattr(cli_module, "read_records", lambda *a: reads.append(a))
+        source = ["--records", str(records)] if command == "estimate" else ["--config", str(config)]
+        out = tmp / "out.csv"
+        code = main([command, *source, "--spec", str(spec), "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        if command == "analytic" and "record span" in named:
+            # Exact routes read no record: the config's 220 samples bound no window.
+            assert code == 0 and err == [] and len(read_csv(out)) == 3
+            return
+        assert code == 1 and len(err) == 1 and err[0].startswith(f"error: spec[1]: {named}")
+        assert not out.exists() and reads == []
 
     def test_empty_spec_list_refused_before_any_read(self, workspace, capsys, monkeypatch):
         tmp, config, _ = workspace

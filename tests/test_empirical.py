@@ -213,8 +213,7 @@ class TestWindowMeans:
                             dt=DT, channels=channels[:n_channels], master_seed=1)
         specs = (data.draw(shared_prefix_specs(n_channels, n_samples))
                  + data.draw(shared_prefix_specs(n_channels, n_samples)))
-        resolved = [resolve_spec(gaps, window, DT, n_channels, n_samples)
-                    for gaps, window in specs]
+        resolved = [resolve_spec(gaps, window, DT, n_channels) for gaps, window in specs]
         # Blocks of rows trajectories, each walked by window_means in passes
         # of block_traj trajectories: neither need divide n_traj. The blocks
         # share one ResolvedSpecs; the whole array gets the list.
@@ -230,20 +229,20 @@ class TestWindowMeans:
 
     def test_spec_past_the_block_refused_by_index(self):
         samples = noise_only_records(n_traj=10, n_samples=50).samples
-        fits = resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.29), DT, 2, 50)
-        past = resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.3), DT, 2, 51)
-        with pytest.raises(ValidationError, match=r"spec 1: window bins \[10, 40\] plus "
-                                                  r"largest gap 10 run past the 50 samples"):
+        fits = resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.29), DT, 2)
+        past = resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.3), DT, 2)
+        with pytest.raises(ValidationError, match=r"spec\[1\]: window bins \[10, 40\] plus "
+                                                  r"largest gap 10 exceed the record span of 50"):
             window_means(samples, [fits, past])
 
     @pytest.mark.parametrize("ch", [2, -1])
     def test_channel_out_of_range_refused_by_index(self, ch):
         samples = np.zeros((3, 2, 50))
-        with pytest.raises(ValidationError, match=rf"spec 0: channel index {ch} out of range "
-                                                  r"for the 2 channels of the block"):
+        with pytest.raises(ValidationError, match=rf"spec\[0\]: channel index {ch} out of range "
+                                                  r"for 2 channels"):
             window_means(samples, [((0, 5), ((ch, 0),))])
         fits = ((0, 5), ((0, 0), (1, 3)))
-        with pytest.raises(ValidationError, match=rf"spec 1: channel index {ch} out of range"):
+        with pytest.raises(ValidationError, match=rf"spec\[1\]: channel index {ch} out of range"):
             window_means(samples, [fits, ((0, 5), ((0, 0), (ch, 3)))])
 
     @settings(max_examples=60, deadline=None)
@@ -436,8 +435,8 @@ class TestMergeEstimates:
         # pool_sums over block folds and merge_estimates over block
         # estimates add the same long-double sums in the same order.
         records = noise_only_records(n_traj=230, n_samples=60)
-        resolved = ResolvedSpecs([resolve_spec([(0, 0.0)], Window(0.1, 0.2), DT, 2, 60),
-                                  resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.2), DT, 2, 60)])
+        resolved = ResolvedSpecs([resolve_spec([(0, 0.0)], Window(0.1, 0.2), DT, 2),
+                                  resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.2), DT, 2)])
         blocks = [window_means(records.samples[lo:lo + 50], resolved) for lo in range(0, 230, 50)]
         pooled = pool_sums(map(ensemble_sums, blocks), DT, resolved)
         for j, est in enumerate(pooled):
@@ -489,7 +488,7 @@ class TestEstimateBatches:
             r_init=(np.sin(PHI / 2), 0.0, np.cos(PHI / 2)),
             t_total=1.2, dt=DT, n_traj=301, master_seed=31,
         )
-        self.specs = ResolvedSpecs(resolve_spec(gaps, Window(0.2, 0.3), DT, 2, 120)
+        self.specs = ResolvedSpecs(resolve_spec(gaps, Window(0.2, 0.3), DT, 2)
                                    for gaps in self.GAPS)
 
     def simulated(self, lo, hi):

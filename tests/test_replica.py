@@ -305,7 +305,7 @@ class TestScanBitsPinned:
         batch_cap(200)
         calls = []
         for module in (replica_module, empirical_module):
-            monkeypatch.setattr(module, "resolve_events", lambda *a, resolve=module.resolve_events:
+            monkeypatch.setattr(module, "resolve_spec", lambda *a, resolve=module.resolve_spec:
                                 calls.append(a) or resolve(*a))
         four_time_scan(ReplicaConfig(**self.CONFIG), **self.FOUR_TIME_GRID)
         assert len(calls) == len(self.FOUR_TIME_GRID["dt32_values"])

@@ -22,6 +22,7 @@ from qcorr import (
     simulate_ensemble,
     simulate_range,
 )
+import qcorr.trajectory as trajectory_module
 from qcorr.linalg import cross_matrix
 from qcorr.noise import check_seed
 from qcorr.recordio import read_records, simulate_records, write_records
@@ -202,6 +203,18 @@ def test_batch_rows_follow_the_record_shape():
     assert batch_rows(2, 800) == batch_rows(1, 4096) == 8192
     assert batch_rows(2, 80_000) == 2 ** 28 // (8 * 2 * 80_000) == 209
     assert batch_rows(4, 10 ** 8) == 2
+
+
+def test_record_row_past_a_two_row_batch_refused(monkeypatch):
+    # make_config's row is 200 samples of one channel, 1600 bytes: a batch of
+    # 2 rows needs 3200. The budget is patched, so no large array is made.
+    model, channels = single_channel_setup()
+    monkeypatch.setattr(trajectory_module, "BATCH_BYTES", 3200)
+    assert make_config(model, channels).batch_size == 2
+    monkeypatch.setattr(trajectory_module, "BATCH_BYTES", 3199)
+    with pytest.raises(ValidationError, match=r"a record row of 1 x 200 samples \(1600 bytes\) "
+                                              r"leaves no batch of 2 rows within 3199 bytes"):
+        make_config(model, channels)
 
 
 def test_array_holding_dataclasses_compare_by_identity_and_hash():
