@@ -74,6 +74,9 @@ class CorrelatorSpec:
         if not events:
             raise ValidationError("CorrelatorSpec needs at least one event")
         times = [t for _, t in events]
+        if not np.all(np.isfinite([self.t_in, *times])):
+            raise ValidationError(
+                f"event times and t_in must be finite, got {times} and {self.t_in}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValidationError(
                 f"event times must be strictly increasing, got {times}; "
@@ -276,7 +279,7 @@ def factorized_correlator(model: EnsembleModel, channels, spec: CorrelatorSpec) 
     """
     if not model.unital:
         raise FactorizationInapplicableError(
-            "factorized evaluation requires a unital model (r_st = 0); "
+            "factorized evaluation requires a unital model (drift = 0); "
             "use chain_correlator"
         )
     _require_no_phase_backaction(channels)

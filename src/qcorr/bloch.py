@@ -8,14 +8,16 @@ quantum efficiency eta dephases the ensemble-averaged state at rate
     dephasing_rate = (1 + phase_k**2) / (2 * eta * tau)
 
 in the plane perpendicular to n. The ensemble-averaged evolution is the
-general linear Markovian form
+affine Markovian form
 
-    dr/dt = L (r - r_st)
+    dr/dt = L r + b
 
-with a constant 3x3 generator L and quasistationary state r_st, so the
-solution map over a time span depends on its length alone. A model is
-*unital* when r_st = 0, which makes the solution map odd in the initial
-state: propagating -r0 gives minus the propagation of r0.
+with a constant 3x3 generator L and drift b, so the solution map over a
+time span depends on its length alone. A model is *unital* when b = 0,
+which makes the solution map odd in the initial state: propagating -r0
+gives minus the propagation of r0. build_ensemble_model, and SimConfig for
+the flow between its event maps, accept only Lindblad generators
+(require_lindblad); EnsembleModel itself takes any finite L and b.
 
 All functions here are pure; nothing is mutated, so concurrent use needs no
 locking.
@@ -23,7 +25,7 @@ locking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .linalg import affine_flow, cross_matrix
 UNIT_AXIS_TOL = 1e-9
 STATE_NORM_TOL = 1e-9
 UNITAL_TOL = 1e-10
+LINDBLAD_TOL = 1e-12
 
 
 def as_bloch(r) -> np.ndarray:
@@ -47,7 +50,7 @@ def validate_state(r) -> np.ndarray:
     """Coerce to a Bloch vector and require it to lie in the unit ball."""
     r = as_bloch(r)
     norm = float(np.linalg.norm(r))
-    if norm > 1.0 + STATE_NORM_TOL:
+    if not norm <= 1.0 + STATE_NORM_TOL:  # also refuses NaN
         raise ValidationError(f"Bloch vector norm {norm:.6g} exceeds 1")
     return r
 
@@ -73,7 +76,7 @@ class MeasurementChannel:
         if axis.shape != (3,):
             raise ValidationError(f"channel axis must be a 3-vector, got shape {axis.shape}")
         norm = float(np.linalg.norm(axis))
-        if abs(norm - 1.0) > UNIT_AXIS_TOL:
+        if not abs(norm - 1.0) <= UNIT_AXIS_TOL:  # also refuses NaN
             raise ValidationError(f"channel axis must be unit length, got norm {norm:.12g}")
         check_positive(self.tau, "channel tau")
         if not (0.0 < self.eta <= 1.0):
@@ -94,29 +97,26 @@ class MeasurementChannel:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleModel:
-    """Time-homogeneous ensemble-averaged evolution dr/dt = lam (r - r_st)."""
+    """Time-homogeneous ensemble-averaged evolution dr/dt = lam r + drift."""
 
     lam: np.ndarray
-    r_st: np.ndarray = (0.0, 0.0, 0.0)
+    _: KW_ONLY
+    drift: np.ndarray = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        lam = np.array(self.lam, dtype=float)
-        r_st = np.array(self.r_st, dtype=float)
-        if lam.shape != (3, 3):
-            raise ValidationError(f"model generator must be 3x3, got {lam.shape}")
-        if r_st.shape != (3,):
-            raise ValidationError(f"model r_st must be a 3-vector, got {r_st.shape}")
-        if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(r_st)):
-            raise ValidationError("model generator and r_st must be finite")
-        lam.setflags(write=False)
-        r_st.setflags(write=False)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "r_st", r_st)
+        for name, shape in (("lam", (3, 3)), ("drift", (3,))):
+            value = np.array(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ValidationError(f"model {name} must have shape {shape}, got {value.shape}")
+            if not np.all(np.isfinite(value)):
+                raise ValidationError(f"model {name} must be finite")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def unital(self) -> bool:
         """True when the model keeps the fully mixed state fixed."""
-        return float(np.linalg.norm(self.r_st)) <= UNITAL_TOL
+        return float(np.linalg.norm(self.drift)) <= UNITAL_TOL
 
 
 def measurement_dephasing_generator(channels) -> np.ndarray:
@@ -135,6 +135,30 @@ def measurement_dephasing_generator(channels) -> np.ndarray:
     return total
 
 
+def require_lindblad(generator, drift, name: str) -> None:
+    """Refuse dr/dt = generator r + drift unless it is a qubit Lindblad generator.
+
+    With M = sym(generator), S = M/2 - (tr M / 4) I and t = drift / 4, the
+    flow is a quantum dynamical semigroup exactly when its Kossakowski
+    matrix K = S + i [t]_x is positive semidefinite (Gorini, Kossakowski &
+    Sudarshan, J. Math. Phys. 17, 821 (1976)); the antisymmetric part of the
+    generator is a Hamiltonian's and free. A PSD S makes M negative
+    semidefinite, so such a flow never stretches the Bloch ball, and its
+    drift never carries a state out of it. K's least eigenvalue may lie
+    LINDBLAD_TOL (1 + max|generator|) below 0. It is read off the real form
+    [[S, -T], [T, S]] of K = S + i T, T = [t]_x, which has K's eigenvalues,
+    each twice: a complex eigvalsh would map about 0.75 MiB more of LAPACK
+    into every process that builds a model.
+    """
+    m = 0.5 * (generator + generator.T)
+    s = 0.5 * m - 0.25 * np.trace(m) * np.eye(3)
+    t = 0.25 * cross_matrix(drift)
+    low = float(np.linalg.eigvalsh(np.block([[s, -t], [t, s]]))[0])
+    if not low >= -LINDBLAD_TOL * (1.0 + float(np.abs(generator).max())):
+        raise ValidationError(f"{name} is no Lindblad generator: its Kossakowski matrix has "
+                              f"eigenvalue {low:.3g}/us")
+
+
 def build_ensemble_model(
     channels,
     rabi_axis=None,
@@ -147,9 +171,8 @@ def build_ensemble_model(
     The evolution is the measurement dephasing of all channels, a coherent
     rotation rabi_freq * [rabi_axis]_x (rad/us about a unit axis) and an
     environment env_lambda (r - env_rst) that relaxes toward env_rst (zero
-    by default). Only the environment term carries env_rst, so the model
-    r_st solves lam r_st = env_lambda env_rst; it is zero when that drift is
-    zero, and a singular lam with a nonzero drift is refused.
+    by default), so the model drift is -env_lambda env_rst. The model must
+    be a Lindblad generator (require_lindblad).
     """
     lam = measurement_dephasing_generator(channels)
     if rabi_freq != 0.0:
@@ -157,7 +180,7 @@ def build_ensemble_model(
             raise ValidationError("rabi_freq != 0 requires a rabi_axis")
         axis = as_bloch(rabi_axis)
         norm = float(np.linalg.norm(axis))
-        if abs(norm - 1.0) > UNIT_AXIS_TOL:
+        if not abs(norm - 1.0) <= UNIT_AXIS_TOL:
             raise ValidationError(f"rabi_axis must be unit length, got norm {norm:.12g}")
         lam = lam + rabi_freq * cross_matrix(axis)
     r_env = np.zeros(3) if env_rst is None else as_bloch(env_rst)
@@ -167,16 +190,10 @@ def build_ensemble_model(
         if env_lambda.shape != (3, 3):
             raise ValidationError(f"env_lambda must be 3x3, got {env_lambda.shape}")
         lam = lam + env_lambda
-        drift = env_lambda @ r_env
-    model = EnsembleModel(lam)  # refuses a non-finite generator
-    if not np.any(drift):
-        return model
-    if np.linalg.matrix_rank(lam) < 3:
-        raise ValidationError(
-            "the generator is singular but the environment drives toward "
-            f"env_rst (drift {drift.tolist()}); no stationary state r_st exists"
-        )
-    return EnsembleModel(lam, np.linalg.solve(lam, drift))
+        drift = -env_lambda @ r_env
+    model = EnsembleModel(lam, drift=drift)  # refuses a non-finite generator
+    require_lindblad(model.lam, model.drift, "the model")
+    return model
 
 
 def ordered_propagator(model: EnsembleModel, t0: float, t1: float) -> np.ndarray:
@@ -185,9 +202,9 @@ def ordered_propagator(model: EnsembleModel, t0: float, t1: float) -> np.ndarray
     (r(t1), 1) = G (r(t0), 1); see linalg.affine_flow. The model is
     time-homogeneous, so the map depends on t1 - t0 alone.
     """
-    if t1 < t0:
-        raise ValidationError(f"ordered_propagator requires t0 <= t1, got {t0} > {t1}")
-    return affine_flow(model.lam, model.r_st, t1 - t0)
+    if not t0 <= t1 or not np.isfinite(t1 - t0):
+        raise ValidationError(f"ordered_propagator requires finite t0 <= t1, got {t0} and {t1}")
+    return affine_flow(model.lam, model.drift, t1 - t0)
 
 
 def propagate_ensemble(model: EnsembleModel, r0, t0: float, t1: float) -> np.ndarray:

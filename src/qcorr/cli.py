@@ -230,8 +230,11 @@ def _do_estimate(args) -> int:
 
     batches = estimate_batches(load, specs, header.dt, header.n_traj,
                                batch_rows(header.n_channels, header.n_samples), source=args.records)
+    pooled = None
+    for batch in batches:  # merged into the running estimates as it arrives
+        pooled = list(map(merge_estimates, zip(batch) if pooled is None else zip(pooled, batch)))
     rows = []
-    for est in map(merge_estimates, zip(*batches)):
+    for est in pooled:
         key, w0, wlen = window_key(*est.spec_key())
         rows.append((key, w0, wlen, est.value, est.std_error,
                      est.n_traj, est.n_window_samples))

@@ -6,13 +6,12 @@ fixed-order diagonal Pade approximant instead of any eigendecomposition.
 
 Every exact map of qcorr is a 4x4 array acting on the homogeneous state
 (v, c): a Bloch vector v with c = 1, or the unnormalised pair that a
-correlator carries. The map of an affine flow dr/dt = L (r - r_st) with
-constant L over a gap dt is the gap map
+correlator carries. The map of an affine flow dr/dt = L r + b with
+constant L and b over a gap dt is the gap map
 
-    G = expm(dt [[L, -L r_st], [0, 0]]) = [[P, q], [0, 1]],
+    G = expm(dt [[L, b], [0, 0]]) = [[P, q], [0, 1]],
 
-so r -> P r + q becomes (v, c) -> G (v, c), without a pseudoinverse even
-when L is singular.
+so r -> P r + q becomes (v, c) -> G (v, c), whether or not L is singular.
 """
 
 from __future__ import annotations
@@ -76,20 +75,15 @@ def expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def affine_flow(lam: np.ndarray, r_st: np.ndarray, dt: float, applied=None) -> np.ndarray:
-    """Gap map G of dr/dt = lam (r - r_st) over a time span dt.
+def affine_flow(generator: np.ndarray, drift: np.ndarray, dt: float) -> np.ndarray:
+    """Gap map G of dr/dt = generator r + drift over a time span dt.
 
     (r(t0 + dt), 1) = G (r(t0), 1): G[:3, :3] is the linear part P and
     G[:3, 3] the offset q of r -> P r + q; the last row is (0, 0, 0, 1).
-    applied, when given, is a 3x3 part of lam that the caller applies by
-    other means: G is then the map of the rest, dr/dt = lam (r - r_st) -
-    applied r.
     """
-    lam = np.asarray(lam, dtype=float)
-    r_st = np.asarray(r_st, dtype=float)
     aug = np.zeros((4, 4))
-    aug[:3, :3] = lam if applied is None else lam - applied
-    aug[:3, 3] = -lam @ r_st
+    aug[:3, :3] = generator
+    aug[:3, 3] = drift
     g = expm(aug * dt)
     # A zero row of the generator (always the last, the c row) leaves its
     # coordinate fixed. Exact identity rows keep it through any number of

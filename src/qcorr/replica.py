@@ -29,9 +29,10 @@ estimate too, with simulation batches as the source: the process that
 simulates a batch (a forked worker with several workers) takes the window
 means of the resolved points in one window_means call and returns only their
 estimates, so memory stays bounded by one batch per process at any
-trajectory budget. The caller pools them in batch order (merge_estimates);
-four_time_scan's summary pools its grid points trajectory by trajectory,
-respecting their correlation through the shared records.
+trajectory budget. The caller pools each batch into running estimates as it
+arrives (merge_estimates); four_time_scan's summary pools its grid points
+trajectory by trajectory, respecting their correlation through the shared
+records.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def _evaluate(config: ReplicaConfig, length: float, points, grid_average=False) 
     NaN), so a bad grid is refused before any batch is simulated. A point's
     analytic value is the factorized value of its window_mean_spec, all from
     one window-mean state. Each batch's estimates (estimate_batches) are
-    pooled in batch order with merge_estimates.
+    pooled into running estimates with merge_estimates as they arrive.
     """
     model, channels = replica_model(config)
     dt = config.dt
@@ -188,7 +189,10 @@ def _evaluate(config: ReplicaConfig, length: float, points, grid_average=False) 
 
     batches = estimate_batches(load, specs, dt, sim.n_traj, sim.batch_size, config.workers,
                                grid_average, source="simulation")
-    return analytic, [(p.value, p.std_error) for p in map(merge_estimates, zip(*batches))]
+    pooled = None
+    for batch in batches:  # merged into the running estimates as it arrives
+        pooled = list(map(merge_estimates, zip(batch) if pooled is None else zip(pooled, batch)))
+    return analytic, [(p.value, p.std_error) for p in pooled]
 
 
 def default_three_time_grid(gamma: float = DEFAULT_GAMMA):

@@ -14,11 +14,12 @@ k = phase_k, and renormalises: with u = n . r and t = tanh 2a, n . r becomes
 sech 2a / (1 + u t) and turned about n by k I_l dt / tau_l. Last, the rest
 of the generator, lam minus the (1 + k^2) / (2 tau_l) dephasing the maps
 supply on average, moves r by its exact affine flow (linalg.affine_flow):
-Rabi drive, environment and the (1 / eta_l - 1) share of the dephasing. A
-model whose rest would push states out of the Bloch ball is refused when
-its SimConfig is built. So nothing is ever clipped, ideal monitoring keeps
-pure states pure to rounding, and a state on the sole measured axis stays
-there bit for bit.
+Rabi drive, environment, the model drift and the (1 / eta_l - 1) share of
+the dephasing. A model whose rest, with the drift, is no Lindblad generator
+(bloch.require_lindblad) is refused when its SimConfig is built, so the rest
+keeps every state in the Bloch ball. So nothing is ever clipped, ideal
+monitoring keeps pure states pure to rounding, and a state on the sole
+measured axis stays there bit for bit.
 
 Output never depends on worker count, scheduling or batch size: each
 trajectory owns its noise stream, batches are cut at fixed multiples of
@@ -40,7 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bloch import EnsembleModel, MeasurementChannel, measurement_dephasing_generator, validate_state
+from .bloch import (EnsembleModel, MeasurementChannel, measurement_dephasing_generator,
+                    require_lindblad, validate_state)
 from .errors import IntegrationDivergedError, ValidationError, check_integer, check_positive
 from .linalg import affine_flow
 from .noise import check_seed, trajectory_draws
@@ -114,13 +116,10 @@ class SimConfig:
             raise ValidationError(f"a record row of {self.n_channels} x {self.n_samples} samples "
                                   f"({row} bytes) leaves no batch of 2 rows within {BATCH_BYTES} "
                                   "bytes; raise dt or shorten t_total")
-        # The step's flow of lam - event_dephasing must not stretch the Bloch
-        # ball (as lam = 0 with a measured channel would): no quantum map does.
-        rest = self.model.lam - event_dephasing(channels)
-        top = float(np.linalg.eigvalsh(0.5 * (rest + rest.T))[-1])
-        if top > 1e-12 * (1.0 + float(np.abs(self.model.lam).max())):
-            raise ValidationError(f"model generator lacks its channels' measurement dephasing: lam "
-                                  f"minus it stretches the Bloch ball at rate {top:.6g}/us")
+        # The step's flow of lam - event_dephasing must be quantum dynamics: lam = 0
+        # with a measured channel would undo the maps' dephasing.
+        require_lindblad(self.model.lam - event_dephasing(channels), self.model.drift,
+                         "the model minus its channels' measurement dephasing")
 
     @property
     def n_samples(self) -> int:
@@ -193,8 +192,8 @@ class _BayesStep:
         self.channels = [(ch.axis_vector, [(i, n_i) for i, n_i in enumerate(ch.axis) if n_i != 0.0],
                           config.dt / ch.tau, ch.phase_k) for ch in config.channels]
         self.tau_dt = np.array([[ch.tau / config.dt] for ch in config.channels])
-        g = affine_flow(config.model.lam, config.model.r_st, config.dt,
-                        applied=event_dephasing(config.channels))
+        g = affine_flow(config.model.lam - event_dephasing(config.channels), config.model.drift,
+                        config.dt)
         self.flow = None if np.array_equal(g, np.eye(4)) else g[:3]
         self.r = np.repeat(np.asarray(config.r_init, dtype=float)[:, None], batch, axis=1)
         self.u, self.spread = np.empty((2, len(self.channels), batch))

@@ -67,18 +67,18 @@ def density_matrix_correlator_oracle(model, channels, spec):
     return np.trace(rho).real
 
 
-def rk4_affine_oracle(lam, r_st, r0, dt_total, n_steps=4000):
-    """High-resolution Runge-Kutta integration of dr/dt = lam (r - r_st).
+def rk4_affine_oracle(generator, drift, r0, dt_total, n_steps=4000):
+    """High-resolution Runge-Kutta integration of dr/dt = generator r + drift.
 
     The flow is linear in the homogeneous state (r, 1), whose generator is
-    M = [[lam, -lam r_st], [0, 0]]. On a linear ODE one classical RK4 step
+    M = [[generator, drift], [0, 0]]. On a linear ODE one classical RK4 step
     of size h is the fixed map I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, so
     that map is built once and applied n_steps times.
     """
     n = len(r0)
     hm = np.zeros((n + 1, n + 1))
-    hm[:n, :n] = lam
-    hm[:n, n] = -np.asarray(lam) @ np.asarray(r_st, dtype=float)
+    hm[:n, :n] = generator
+    hm[:n, n] = drift
     hm *= dt_total / n_steps
     step = term = np.eye(n + 1)
     for k in range(1, 5):
@@ -115,8 +115,10 @@ def random_model(rng, unital, max_channels=3, allow_rabi=True):
             [axis[2], 0.0, -axis[0]],
             [-axis[1], axis[0], 0.0],
         ])
-    r_st = np.zeros(3) if unital else rng.uniform(-0.4, 0.4, size=3)
-    return EnsembleModel(lam, r_st), tuple(channels)
+    if unital:
+        return EnsembleModel(lam), tuple(channels)
+    # A relaxation target drawn from a cube: not every such model is a Lindblad one.
+    return EnsembleModel(lam, drift=-lam @ rng.uniform(-0.4, 0.4, size=3)), tuple(channels)
 
 
 def random_event_spec(rng, channels, n_events, t_span=5.0):

@@ -125,7 +125,7 @@ def test_a2_factorization_theorem_and_witness():
         MeasurementChannel((0.0, 0.0, 1.0), tau=0.5, eta=1.0),
         MeasurementChannel((1.0, 0.0, 0.0), tau=0.5, eta=1.0),
     )
-    witness_model = EnsembleModel(-np.eye(3), (0.0, 0.0, 0.5))
+    witness_model = EnsembleModel(-np.eye(3), drift=(0.0, 0.0, 0.5))
     wspec = CorrelatorSpec(((0, 0.5), (0, 1.0), (0, 1.5), (0, 2.0)))
     gap = abs(
         chain_correlator(witness_model, channels, wspec)

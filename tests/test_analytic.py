@@ -132,7 +132,7 @@ class TestTwoTimeCorrelator:
 
     def test_non_unital_model_directed_to_chain(self):
         channels = replica_channels()
-        model = EnsembleModel(-np.eye(3), (0.0, 0.0, 0.5))
+        model = EnsembleModel(-np.eye(3), drift=(0.0, 0.0, 0.5))
         with pytest.raises(ValidationError, match="chain_correlator"):
             two_time_correlator(model, channels, 0, 0.0, 1, 1.0)
 
@@ -192,7 +192,7 @@ class TestChainCorrelator:
 
     def test_three_events_non_unital_equals_brute_force(self):
         channels = replica_channels()
-        model = EnsembleModel(-0.9 * np.eye(3), (0.0, 0.0, 1.0))
+        model = EnsembleModel(-0.9 * np.eye(3), drift=(0.0, 0.0, 0.9))
         spec = CorrelatorSpec(((0, 0.2), (1, 0.9), (0, 2.0)), r_in=(0.5, 0.0, 0.5))
         assert chain_correlator(model, channels, spec) == pytest.approx(
             brute_force_correlator(model, channels, spec), abs=1e-12)
@@ -284,7 +284,7 @@ class TestFactorizedCorrelator:
 
     def test_non_unital_model_rejected(self):
         channels = replica_channels()
-        model = EnsembleModel(-np.eye(3), (0.0, 0.0, 0.3))
+        model = EnsembleModel(-np.eye(3), drift=(0.0, 0.0, 0.3))
         spec = CorrelatorSpec(((0, 0.5), (1, 1.0)))
         with pytest.raises(FactorizationInapplicableError):
             factorized_correlator(model, channels, spec)
@@ -308,7 +308,7 @@ class TestFactorizedCorrelator:
             MeasurementChannel((0.0, 0.0, 1.0), tau=0.5, eta=1.0),
             MeasurementChannel((1.0, 0.0, 0.0), tau=0.5, eta=1.0),
         )
-        model = EnsembleModel(-np.eye(3), (0.0, 0.0, 0.5))
+        model = EnsembleModel(-np.eye(3), drift=(0.0, 0.0, 0.5))
         spec = CorrelatorSpec(((0, 0.5), (0, 1.0), (0, 1.5), (0, 2.0)))
         chain = chain_correlator(model, channels, spec)
         naive = _factorized_value(model, channels, spec)

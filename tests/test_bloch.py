@@ -12,8 +12,11 @@ from qcorr import (
     ordered_propagator,
     propagate_ensemble,
 )
+from qcorr.bloch import require_lindblad
 
 from conftest import (
+    bloch_components,
+    density_matrix,
     dephasing_generator_operator_oracle,
     random_model,
     random_unit_vector,
@@ -92,7 +95,7 @@ class TestBuildEnsembleModel:
         ch = MeasurementChannel((0, 0, 1), tau=0.5, eta=1.0)
         model = build_ensemble_model([ch])
         assert np.allclose(model.lam, np.diag([-1.0, -1.0, 0.0]), atol=1e-15)
-        assert np.allclose(model.r_st, 0.0)
+        assert np.array_equal(model.drift, np.zeros(3))
         assert model.unital
 
     def test_rabi_rotation_about_y(self):
@@ -110,10 +113,10 @@ class TestBuildEnsembleModel:
     def test_env_rst_recorded(self):
         model = build_ensemble_model([], env_lambda=-0.5 * np.eye(3), env_rst=(0, 0, 0.8))
         assert not model.unital
-        assert np.allclose(model.r_st, [0, 0, 0.8])
+        assert np.allclose(model.drift, [0, 0, 0.4])
 
     def test_env_rst_carried_by_the_environment_term_alone(self):
-        # lam (r - r_st) = (L_meas + Rabi) r + L_env (r - r_env) for every r.
+        # lam r + drift = (L_meas + Rabi) r + L_env (r - r_env) for every r.
         channels = (MeasurementChannel((0, 0, 1), tau=0.65), MeasurementChannel((0, 1, 0), tau=0.65))
         env_lambda = -0.5 * np.diag([0.5, 0.5, 1.0])
         r_env = np.array([0.0, 0.0, 1.0])
@@ -122,36 +125,72 @@ class TestBuildEnsembleModel:
         coherent = build_ensemble_model(channels, rabi_axis=(1, 0, 0), rabi_freq=2.0)
         assert coherent.unital
         for r in np.eye(3):
-            assert np.allclose(model.lam @ (r - model.r_st),
+            assert np.allclose(model.lam @ r + model.drift,
                                coherent.lam @ r + env_lambda @ (r - r_env), atol=1e-14)
         # The relaxation target is not r_env: dephasing and drive pull on it too.
-        assert np.linalg.norm(model.r_st - r_env) > 0.1
+        assert np.linalg.norm(np.linalg.solve(model.lam, -model.drift) - r_env) > 0.1
 
     def test_zero_environment_drift_is_unital(self):
         ch = MeasurementChannel((0, 0, 1), tau=0.5)
         model = build_ensemble_model([ch], env_lambda=np.diag([-1.0, -1.0, 0.0]),
                                      env_rst=(0, 0, 0.9))
         assert model.unital
-        assert np.array_equal(model.r_st, np.zeros(3))
+        assert np.array_equal(model.drift, np.zeros(3))
 
     def test_singular_generator_with_drift_rejected(self):
-        with pytest.raises(ValidationError, match="singular"):
+        with pytest.raises(ValidationError, match="no Lindblad generator"):
             build_ensemble_model([], env_lambda=np.diag([-1.0, -1.0, 0.0]), env_rst=(0.5, 0, 0))
+
+
+class TestRequireLindblad:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_operator_form_generators_accepted(self, seed):
+        # rho' = -i [H, rho] + sum_k (J_k rho J_k^+ - {J_k^+ J_k, rho} / 2) for a
+        # random Hamiltonian and jump operators, read off in Bloch components.
+        rng = np.random.default_rng(seed)
+
+        def operator():
+            return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+        h = operator()
+        h = h + h.conj().T
+        jumps = [operator() for _ in range(int(rng.integers(1, 4)))]
+
+        def flow(r):
+            rho = density_matrix(r)
+            out = -1j * (h @ rho - rho @ h)
+            for j in jumps:
+                jj = j.conj().T @ j
+                out += j @ rho @ j.conj().T - 0.5 * (jj @ rho + rho @ jj)
+            return bloch_components(out)
+
+        drift = flow(np.zeros(3))
+        generator = np.column_stack([flow(e) - drift for e in np.eye(3)])
+        require_lindblad(generator, drift, "the model")
+
+    def test_amplitude_damping_is_on_the_boundary(self):
+        # Decay to the ground state at gamma = 1: the largest drift any
+        # Lindblad generator with this linear part can carry.
+        generator = np.diag([-0.5, -0.5, -1.0])
+        require_lindblad(generator, np.array([0.0, 0.0, -1.0]), "the model")
+        with pytest.raises(ValidationError, match="the model is no Lindblad generator"):
+            require_lindblad(generator, np.array([0.0, 0.0, -1.01]), "the model")
 
 
 class TestEnsembleModel:
     def test_validates_shapes_finiteness_and_freezes_arrays(self):
         lam = np.diag([-1.0, -2.0, -3.0])
         model = EnsembleModel(lam)
-        assert np.array_equal(model.r_st, np.zeros(3))
+        assert np.array_equal(model.drift, np.zeros(3))
         assert np.array_equal(model.lam, lam)
-        for array in (model.lam, model.r_st):
+        for array in (model.lam, model.drift):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
         lam[0, 0] = 5.0  # the model holds its own copy
         assert model.lam[0, 0] == -1.0
-        for bad_lam, bad_rst in (
+        for bad_lam, bad_drift in (
             (np.eye(2), np.zeros(3)),
             (np.zeros((3, 4)), np.zeros(3)),
             (np.zeros((3, 3)), np.zeros(2)),
@@ -160,12 +199,14 @@ class TestEnsembleModel:
             (np.zeros((3, 3)), (0.0, np.inf, 0.0)),
         ):
             with pytest.raises(ValidationError):
-                EnsembleModel(bad_lam, bad_rst)
+                EnsembleModel(bad_lam, drift=bad_drift)
+        with pytest.raises(TypeError):  # the drift is keyword-only
+            EnsembleModel(lam, (0.0, 0.0, 0.5))
 
     def test_unital_flag_threshold(self):
-        almost = EnsembleModel(np.zeros((3, 3)), (0.0, 0.0, 5e-11))
+        almost = EnsembleModel(np.zeros((3, 3)), drift=(0.0, 0.0, 5e-11))
         assert almost.unital
-        not_unital = EnsembleModel(np.zeros((3, 3)), (0.0, 0.0, 1e-9))
+        not_unital = EnsembleModel(np.zeros((3, 3)), drift=(0.0, 0.0, 1e-9))
         assert not not_unital.unital
 
 
@@ -224,7 +265,7 @@ class TestPropagateEnsemble:
 
     def test_relaxation_toward_quasistationary_state(self):
         gamma = 1.1
-        model = EnsembleModel(-gamma * np.eye(3), (0.0, 0.0, 1.0))
+        model = EnsembleModel(-gamma * np.eye(3), drift=(0.0, 0.0, gamma))
         out = propagate_ensemble(model, (0.0, 0.0, 0.0), 0.0, 0.9)
         assert np.allclose(out, [0.0, 0.0, 1.0 - np.exp(-gamma * 0.9)], rtol=1e-12)
 
@@ -260,5 +301,5 @@ class TestPropagateEnsemble:
         r0 = random_unit_vector(rng) * 0.7
         dt = float(rng.uniform(0.2, 2.5))
         out = propagate_ensemble(model, r0, 0.0, dt)
-        expected = rk4_affine_oracle(model.lam, model.r_st, r0, dt, n_steps=8000)
+        expected = rk4_affine_oracle(model.lam, model.drift, r0, dt, n_steps=8000)
         assert np.allclose(out, expected, rtol=1e-9, atol=1e-9)

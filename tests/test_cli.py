@@ -136,6 +136,25 @@ class TestSimulate:
                        "t_total"]
         assert not out.exists()
 
+    def test_drift_out_of_the_bloch_ball_refused_before_any_record(self, tmp_path, capsys):
+        # Relaxation toward (1, 0, 0) at 0.5/us, the x-y dephasing the z
+        # channel leaves, and z relaxing at 0.01/us: the ensemble state
+        # would leave the Bloch ball.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "channels": [{"axis": [0.0, 0.0, 1.0], "tau_us": 0.5, "eta": 1.0}],
+            "environment": {"lambda": [[-0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, -0.01]],
+                            "r_st": [1.0, 0.0, 0.0]},
+            "sim": {"dt_us": 0.005, "t_total_us": 2.0, "n_traj": 200, "seed": 1,
+                    "r_init": [0.0, 0.0, 1.0]},
+        }))
+        out = tmp_path / "records.qcr"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: ")
+        assert "no Lindblad generator" in err[0]
+        assert not out.exists()
+
     def test_writes_records(self, workspace, capsys):
         tmp, config, _ = workspace
         out = tmp / "records.qcr"
@@ -726,12 +745,14 @@ class TestStreamedEstimate:
         assert main(["estimate", "--records", str(records), "--spec", str(spec)]) == 0
         assert len(blocks) == 5 and len(built) == 1
 
-    def test_memory_bounded_at_any_budget(self, tmp_path, monkeypatch):
-        # Blocks of 64 trajectories: the estimate holds one block of samples,
-        # its window means and O(specs) sums, whatever the trajectory count.
+    def test_memory_bounded_at_any_budget(self, tmp_path, monkeypatch, batch_cap):
+        # Blocks and batches of 64 trajectories: the estimate holds one block
+        # of samples, its window means and O(specs) sums, whatever the
+        # trajectory count, as each batch is pooled as soon as it arrives.
         spec = write_specs(tmp_path / "specs.json", PINNED_SPECS)
         block_bytes = 64 * 2 * 200 * 8
         monkeypatch.setattr(empirical, "BLOCK_BYTES", block_bytes)
+        batch_cap(64)
 
         def peak(n_traj):
             records = synthetic_records(tmp_path / "records.qcr", n_traj=n_traj, n_samples=200)

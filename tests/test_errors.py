@@ -12,6 +12,7 @@ from qcorr import (
     Window,
     build_ensemble_model,
     errors,
+    ordered_propagator,
     window_mean_state,
 )
 from qcorr.empirical import resolve_events
@@ -58,6 +59,32 @@ def _window_mean_state(dt):
         "window-state-negative-dt", "channel-inf-tau", "replica-inf-gamma"])
 def test_bad_time_step_or_rate_refused_by_name(call, message):
     # Library calls only: a config file's numbers are checked finite on parse.
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+def _z_model():
+    return build_ensemble_model([MeasurementChannel((0.0, 0.0, 1.0), 0.65)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MeasurementChannel((math.nan, 0.0, 1.0), 0.65),
+     "channel axis must be unit length, got norm nan"),
+    (lambda: build_ensemble_model([], rabi_axis=(0.0, math.nan, 1.0), rabi_freq=1.0),
+     "rabi_axis must be unit length, got norm nan"),
+    (lambda: CorrelatorSpec(((0, 0.5),), r_in=(math.nan, 0.0, 0.0)),
+     "Bloch vector norm nan exceeds 1"),
+    (lambda: CorrelatorSpec(((0, 0.5), (0, math.nan))),
+     "event times and t_in must be finite, got [0.5, nan] and 0.0"),
+    (lambda: CorrelatorSpec(((0, 0.5),), t_in=math.nan),
+     "event times and t_in must be finite, got [0.5] and nan"),
+    (lambda: ordered_propagator(_z_model(), 0.0, math.nan),
+     "ordered_propagator requires finite t0 <= t1, got 0.0 and nan"),
+], ids=["channel-axis", "rabi-axis", "state", "event-time", "t-in", "propagator-time"])
+def test_nan_refused_by_name(call, message):
+    # Every comparison with NaN is false: a range check written as "refuse
+    # when out of range" let it through.
     with pytest.raises(ValidationError) as refused:
         call()
     assert str(refused.value) == message

@@ -57,7 +57,7 @@ def test_expm_matches_rk4_oracle(seed, dt):
 
 
 def test_affine_flow_singular_generator():
-    # lam annihilates e_z: that component must stay frozen, q handles r_st.
+    # lam annihilates e_z: that component must stay frozen.
     lam = np.diag([-1.0, -1.0, 0.0])
     g = affine_flow(lam, np.zeros(3), 1.0)
     p, q = g[:3, :3], g[:3, 3]
@@ -67,15 +67,19 @@ def test_affine_flow_singular_generator():
 
 
 def test_affine_flow_zero_generator_is_identity():
-    g = affine_flow(np.zeros((3, 3)), np.array([0.3, 0.2, 0.9]), 2.0)
-    assert np.allclose(g, np.eye(4), atol=1e-15)
+    assert np.array_equal(affine_flow(np.zeros((3, 3)), np.zeros(3), 2.0), np.eye(4))
+    # With a drift alone, the state moves by drift * dt.
+    shift = np.eye(4)
+    shift[:3, 3] = [0.6, 0.4, 1.8]
+    assert np.allclose(affine_flow(np.zeros((3, 3)), np.array([0.3, 0.2, 0.9]), 2.0), shift,
+                       rtol=0, atol=1e-15)
 
 
 def test_affine_flow_relaxation_toward_fixed_point():
     gamma = 0.8
     lam = -gamma * np.eye(3)
     r_st = np.array([0.0, 0.0, 1.0])
-    g = affine_flow(lam, r_st, 1.7)
+    g = affine_flow(lam, -lam @ r_st, 1.7)
     # From r0 = 0 the solution is (1 - exp(-gamma t)) r_st.
     expected = (1.0 - np.exp(-gamma * 1.7)) * r_st
     assert np.allclose((g @ (0.0, 0.0, 0.0, 1.0))[:3], expected, rtol=1e-13, atol=1e-14)
@@ -86,11 +90,11 @@ def test_affine_flow_relaxation_toward_fixed_point():
 def test_affine_flow_matches_rk4_oracle(seed):
     rng = np.random.default_rng(seed)
     lam = rng.uniform(-1.5, 1.5, size=(3, 3))
-    r_st = rng.uniform(-0.5, 0.5, size=3)
+    drift = -lam @ rng.uniform(-0.5, 0.5, size=3)
     r0 = rng.uniform(-0.8, 0.8, size=3)
     dt = float(rng.uniform(0.1, 2.0))
-    g = affine_flow(lam, r_st, dt)
-    expected = rk4_affine_oracle(lam, r_st, r0, dt, n_steps=6000)
+    g = affine_flow(lam, drift, dt)
+    expected = rk4_affine_oracle(lam, drift, r0, dt, n_steps=6000)
     assert np.array_equal(g[3], [0.0, 0.0, 0.0, 1.0])
     assert np.allclose(g[:3, :3] @ r0 + g[:3, 3], expected, rtol=1e-9, atol=1e-9)
 

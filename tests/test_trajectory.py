@@ -92,12 +92,13 @@ def golden_model(case):
         )
         return build_ensemble_model(channels), channels, (0.6, 0.0, 0.8)
     # rabi_nonunital: y measurement, 3 rad/us drive about x and relaxation at
-    # 0.4/us, given directly as (lam, r_st); r_st is its relaxation target,
-    # rounded.
+    # 0.4/us, given directly as (lam, drift); the drift relaxes it toward
+    # (0, 0.0636, -0.0085).
     channels = (MeasurementChannel((0.0, 1.0, 0.0), tau=0.8, eta=0.9),)
     lam = (measurement_dephasing_generator(channels) + 3.0 * cross_matrix((1.0, 0.0, 0.0))
            - 0.4 * np.eye(3))
-    return EnsembleModel(lam, (0.0, 0.0636, -0.0085)), channels, (0.0, 0.0, 1.0)
+    model = EnsembleModel(lam, drift=-lam @ np.array((0.0, 0.0636, -0.0085)))
+    return model, channels, (0.0, 0.0, 1.0)
 
 
 def golden_config(case):
@@ -285,7 +286,7 @@ class TestItoStep:
         assert np.abs(samples).max() <= 1e-15
         rest = np.zeros((4, 4))
         rest[:3, :3] = model.lam - event_dephasing(channels)
-        rest[:3, 3] = -model.lam @ model.r_st
+        rest[:3, 3] = model.drift
         expected = rk4_affine_oracle(rest, np.zeros(4), np.append(r, 1.0), dt, n_steps=50)
         assert np.abs(new_r - expected[:3]).max() <= 1e-12
 
@@ -327,6 +328,13 @@ class TestRefusedModels:
         # undo the maps' dephasing, which no quantum map does.
         with pytest.raises(ValidationError, match="measurement dephasing"):
             make_config(EnsembleModel(np.zeros((3, 3))), (Z,))
+
+    def test_drift_out_of_the_bloch_ball_refused(self):
+        # The z channel's dephasing alone, with a drift toward (0.4, 0, 0):
+        # states leave the Bloch ball.
+        lam = measurement_dephasing_generator((Z,))
+        with pytest.raises(ValidationError, match="no Lindblad generator"):
+            make_config(EnsembleModel(lam, drift=-lam @ np.array((0.4, 0.0, 0.0))), (Z,))
 
 
 class TestSimulateTrajectory:
