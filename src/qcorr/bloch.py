@@ -172,8 +172,11 @@ def build_ensemble_model(
     rotation rabi_freq * [rabi_axis]_x (rad/us about a unit axis) and an
     environment env_lambda (r - env_rst) that relaxes toward env_rst (zero
     by default), so the model drift is -env_lambda env_rst. The model must
-    be a Lindblad generator (require_lindblad).
+    be a Lindblad generator (require_lindblad). A non-finite rabi_freq,
+    env_lambda or env_rst is refused by name.
     """
+    if not np.isfinite(rabi_freq):
+        raise ValidationError(f"rabi_freq must be finite, got {rabi_freq}")
     lam = measurement_dephasing_generator(channels)
     if rabi_freq != 0.0:
         if rabi_axis is None:
@@ -184,11 +187,15 @@ def build_ensemble_model(
             raise ValidationError(f"rabi_axis must be unit length, got norm {norm:.12g}")
         lam = lam + rabi_freq * cross_matrix(axis)
     r_env = np.zeros(3) if env_rst is None else as_bloch(env_rst)
+    if not np.all(np.isfinite(r_env)):
+        raise ValidationError(f"env_rst must be finite, got {r_env.tolist()}")
     drift = np.zeros(3)
     if env_lambda is not None:
         env_lambda = np.asarray(env_lambda, dtype=float)
         if env_lambda.shape != (3, 3):
             raise ValidationError(f"env_lambda must be 3x3, got {env_lambda.shape}")
+        if not np.all(np.isfinite(env_lambda)):
+            raise ValidationError(f"env_lambda must be finite, got {env_lambda.tolist()}")
         lam = lam + env_lambda
         drift = -env_lambda @ r_env
     model = EnsembleModel(lam, drift=drift)  # refuses a non-finite generator

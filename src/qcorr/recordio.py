@@ -19,11 +19,12 @@ copy of it. simulate_records, the way to simulate an ensemble in
 parallel, never holds the whole payload: after a zeroed placeholder of the
 header, each of map_batches' processes simulates its batches into one
 buffer, kept for the whole run, and writes their rows at their offset, so a
-file of any size is written through one batch of samples per process. The
-header goes in last, so every reader refuses the zeroed magic of a run
-that never got there. read_records can read any range of trajectory rows,
-so a reader can stream a file through a bounded footprint; read_header
-checks the container without reading the payload.
+file of any size is written through one batch of samples per process. An
+existing file is rewritten in place and cut to the container's size at the
+end. The header goes in last, so every reader refuses the zeroed magic of
+a run that never got there. read_records can read any range of trajectory
+rows, so a reader can stream a file through a bounded footprint;
+read_header checks the container without reading the payload.
 """
 
 from __future__ import annotations
@@ -68,7 +69,10 @@ def _header(dt: float, n_samples: int, channels, n_traj: int, master_seed: int) 
 
 
 def write_records(path, records: RecordSet) -> None:
-    """Write a RecordSet to path in the container format above."""
+    """Write a RecordSet to path in the container format above.
+
+    The file is truncated and written front to back, so path may be a pipe.
+    """
     samples = np.ascontiguousarray(records.samples, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_header(records.dt, records.n_samples, records.channels, records.n_traj,
@@ -98,21 +102,26 @@ def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -
     """Simulate config's ensemble straight into a record file.
 
     The file is byte-identical to write_records(path, simulate_ensemble(config)).
-    A zeroed placeholder of the header is written first; then map_batches
-    runs every batch of index_ranges on one of up to workers processes,
-    which simulates it into one buffer of the longest batch's rows and
-    writes its rows at their offset; the header is written over the
-    placeholder after the last batch. The buffer is made once per run and
-    untouched until a batch fills it, so a process holds one batch of
-    samples for the whole run, and with several workers (forked, each
-    filling its own copy) the calling process holds none. With several
-    workers batches can land out of order, so a run killed without an
-    exception (SIGKILL, out of memory) can leave a file of full length: its
-    zeroed magic makes read_header refuse it as unfinished. States are not
-    simulated: the container stores none. path must be seekable. On any
-    error a regular output file is removed before the error propagates.
-    progress, when given, is called as progress(trajectories_done, n_traj)
-    after each finished batch, before the header is written.
+    An existing file at path is rewritten in place, not truncated first, so
+    a rerun overwrites the old record's cached pages instead of freeing and
+    allocating them again. A zeroed placeholder of the header is written
+    first; then map_batches runs every batch of index_ranges on one of up
+    to workers processes, which simulates it into one buffer of the longest
+    batch's rows and writes its rows at their offset. After the last batch
+    a regular file is cut to the container's size (a non-regular output
+    such as /dev/null is never truncated) and the header is written over
+    the placeholder. The buffer is made once per run and untouched until a
+    batch fills it, so a process holds one batch of samples for the whole
+    run, and with several workers (forked, each filling its own copy) the
+    calling process holds none. Until the header lands, a reader finds the
+    zeroed magic and read_header refuses the file as unfinished: a run
+    killed without an exception (SIGKILL, out of memory) leaves such a
+    file, of full length if batches landed out of order and at least as
+    long as an older file it was rewriting. States are not simulated: the
+    container stores none. path must be seekable. On any error a regular
+    output file is removed before the error propagates. progress, when
+    given, is called as progress(trajectories_done, n_traj) after each
+    finished batch, before the header is written.
     """
     header = _header(config.dt, config.n_samples, config.channels, config.n_traj,
                      config.master_seed)
@@ -120,22 +129,27 @@ def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -
     rows = max(hi - lo for lo, hi in bounds)
     buffer = np.empty((rows, config.n_channels, config.n_samples), dtype="<f8")
     done = 0
-    with open(path, "wb") as fh:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
         try:
-            fh.write(bytes(len(header)))
-            fh.flush()
-            task = partial(_write_batch, config, fh.fileno(), len(header), buffer)
+            _pwrite_all(fd, bytes(len(header)), 0)
+            task = partial(_write_batch, config, fd, len(header), buffer)
             with closing(map_batches(task, bounds, workers)) as batches:
                 for n_done in batches:
                     done += n_done
                     if progress is not None:
                         progress(done, config.n_traj)
-            _pwrite_all(fh.fileno(), header, 0)
+            if regular:
+                os.ftruncate(fd, len(header) + config.n_traj * buffer[0].nbytes)
+            _pwrite_all(fd, header, 0)
         except BaseException:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            if regular:
                 with suppress(OSError):
                     os.unlink(path)
             raise
+    finally:
+        os.close(fd)
 
 
 class RecordHeader(namedtuple("RecordHeader", "dt n_samples channels n_traj master_seed")):

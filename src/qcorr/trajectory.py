@@ -28,8 +28,9 @@ rows, and every step is elementwise over the batch axis. _simulate_batch
 has two callers: simulate_range, which fills its rows of the returned
 array in the calling process, and recordio.simulate_records, which fills
 one buffer per map_batches process and writes it out. A batch holds its
-rows, two small time-major (steps, channels, batch) blocks that carry draws
-in and samples out, and its (batch,) scratch rows.
+rows, one small time-major (steps, channels, batch) block, into which the
+draws are copied and over which each step writes its samples, and its
+(batch,) scratch rows.
 """
 
 from __future__ import annotations
@@ -51,11 +52,16 @@ DT_ERROR_FRACTION = 0.05
 DT_WARN_FRACTION = 0.01
 DEFAULT_BATCH_SIZE = 8192
 BATCH_BYTES = 256 * 2 ** 20  # DEFAULT_BATCH_SIZE rows of up to 32 KiB
-# Steps per transposed noise/sample block: 16 consecutive samples (two 64-byte
-# cache lines) of each record row at a time; 4-step blocks made the 20000 x 400
-# preset about 10% slower on a 2-vCPU x86 VM. Each batch in flight holds two
-# (steps, channels, batch) blocks, 2 MiB each at batch 8192 and two channels.
+# Steps per transposed block: 16 consecutive samples (two 64-byte cache lines)
+# of each record row at a time; 4-step blocks made the 20000 x 400 preset about
+# 10% slower on a 2-vCPU x86 VM. Each batch in flight holds one (steps,
+# channels, batch) block, 2 MiB at batch 8192 and two channels, whose draws
+# the samples overwrite step by step.
 _BLOCK_STEPS = 16
+# Trajectory rows per tile when a block's draws are copied in from a batch's
+# rows: 128-row tiles took a third of the time of one strided copy of all
+# 8192 on a 2-vCPU x86 VM. Copying the samples back is faster in one piece.
+_TILE_ROWS = 128
 
 
 class TimestepWarning(UserWarning):
@@ -184,7 +190,8 @@ def event_dephasing(channels) -> np.ndarray:
 class _BayesStep:
     """The Bayesian step of one batch: states r (3, batch), one per column.
 
-    A step updates r in place, elementwise, writing only into arrays allocated here.
+    A step updates r in place, elementwise, writing only into arrays allocated here
+    and into the row it is given.
     """
 
     def __init__(self, config: SimConfig, batch: int):
@@ -192,23 +199,35 @@ class _BayesStep:
         self.channels = [(ch.axis_vector, [(i, n_i) for i, n_i in enumerate(ch.axis) if n_i != 0.0],
                           config.dt / ch.tau, ch.phase_k) for ch in config.channels]
         self.tau_dt = np.array([[ch.tau / config.dt] for ch in config.channels])
+        self.dt_tau = np.array([[config.dt / ch.tau] for ch in config.channels])
         g = affine_flow(config.model.lam - event_dephasing(config.channels), config.model.drift,
                         config.dt)
         self.flow = None if np.array_equal(g, np.eye(4)) else g[:3]
         self.r = np.repeat(np.asarray(config.r_init, dtype=float)[:, None], batch, axis=1)
-        self.u, self.spread = np.empty((2, len(self.channels), batch))
+        self.u, self.spread, self.e, self.e2 = np.empty((4, len(self.channels), batch))
         self.work = np.empty((7, batch))  # four scratch rows, then a spare (3, batch)
+
+    def _add_multiple(self, y, x, k) -> None:
+        """y += k x; exact, and with no multiplication, when k is +-1."""
+        if k == 1.0:
+            np.add(y, x, out=y)
+        elif k == -1.0:
+            np.subtract(y, x, out=y)
+        else:
+            np.multiply(x, k, out=self.work[3])
+            np.add(y, self.work[3], out=y)
 
     def _project(self, nonzero, out) -> None:
         """out = n . r over the nonzero components of n."""
-        for m, (i, n_i) in enumerate(nonzero):
-            np.multiply(self.r[i], n_i, out=out if m == 0 else self.work[3])
-            if m:
-                np.add(out, self.work[3], out=out)
+        (i, n_i), *rest = nonzero
+        np.multiply(self.r[i], n_i, out=out)
+        for i, n_i in rest:
+            self._add_multiple(out, self.r[i], n_i)
 
-    def __call__(self, xi, out) -> None:
-        """Write the samples of r into out, then step r; xi, out: (n_channels, batch)."""
-        r, u, spread, spare = self.r, self.u, self.spread, self.work[4:]
+    def __call__(self, row) -> None:
+        """Overwrite row, (n_channels, batch), holding this step's draws with the samples
+        of r, then step r."""
+        r, u, spread, e, e2, spare = self.r, self.u, self.spread, self.e, self.e2, self.work[4:]
         a, b, c, d = self.work[:4]
         for l, (_, nonzero, _, _) in enumerate(self.channels):
             self._project(nonzero, u[l])
@@ -217,24 +236,25 @@ class _BayesStep:
         np.maximum(spread, 0.0, out=spread)
         np.add(spread, self.tau_dt, out=spread)
         np.sqrt(spread, out=spread)
-        np.multiply(spread, xi, out=spread)
-        np.add(u, spread, out=out)
+        np.multiply(spread, row, out=spread)
+        np.add(u, spread, out=row)
+        # e = exp(2a) = exp(I dt / tau) and 2 e, every channel at once.
+        np.multiply(row, self.dt_tau, out=e)
+        np.exp(e, out=e)
+        np.multiply(e, 2.0, out=e2)
         for l, (n, nonzero, dt_tau, phase_k) in enumerate(self.channels):
             if l:
                 self._project(nonzero, u[l])
-            # e = exp(2a), w = (1 + u) e^2 + (1 - u): the new n . r, (u + t) / (1 + u t)
+            # w = (1 + u) e^2 + (1 - u): the new n . r, (u + t) / (1 + u t)
             # = ((1 + u) e^2 - (1 - u)) / w, into b; the perpendicular scale 2 e / w into c.
-            np.multiply(out[l], dt_tau, out=a)
-            np.exp(a, out=a)
             np.add(u[l], 1.0, out=b)
-            np.multiply(b, a, out=b)
-            np.multiply(b, a, out=b)
+            np.multiply(b, e[l], out=b)
+            np.multiply(b, e[l], out=b)
             np.subtract(1.0, u[l], out=c)
             np.add(b, c, out=d)
             np.subtract(b, c, out=b)
             np.divide(b, d, out=b)
-            np.multiply(a, 2.0, out=c)
-            np.divide(c, d, out=c)
+            np.divide(e2[l], d, out=c)
             if phase_k != 0.0:
                 # Turn by k I dt / tau: c becomes c cos, spare (c sin) n x r.
                 for i in range(3):
@@ -242,7 +262,7 @@ class _BayesStep:
                     np.multiply(r[k], n[j], out=spare[i])
                     np.multiply(r[j], n[k], out=a)
                     np.subtract(spare[i], a, out=spare[i])
-                np.multiply(out[l], phase_k * dt_tau, out=a)
+                np.multiply(row[l], phase_k * dt_tau, out=a)
                 np.sin(a, out=d)
                 np.cos(a, out=a)
                 np.multiply(d, c, out=d)
@@ -250,12 +270,10 @@ class _BayesStep:
                 np.multiply(spare, d, out=spare)
             # r' = c (r - u n) + b n: exact on a coordinate axis, where r_i - u n_i = 0.
             for i, n_i in nonzero:
-                np.multiply(u[l], n_i, out=a)
-                np.subtract(r[i], a, out=r[i])
+                self._add_multiple(r[i], u[l], -n_i)
             np.multiply(r, c, out=r)
             for i, n_i in nonzero:
-                np.multiply(b, n_i, out=a)
-                np.add(r[i], a, out=r[i])
+                self._add_multiple(r[i], b, n_i)
             if phase_k != 0.0:
                 np.add(r, spare, out=r)
         if self.flow is not None:
@@ -286,23 +304,23 @@ def _simulate_batch(config: SimConfig, start: int, stop: int, samples, states) -
     step = _BayesStep(config, batch)
     if states is not None:
         states[:, 0, :] = step.r.T
-    xi = np.empty((_BLOCK_STEPS, n_ch, batch))
-    out = np.empty((_BLOCK_STEPS, n_ch, batch))
+    block = np.empty((_BLOCK_STEPS, n_ch, batch))
+    tiles = [slice(j, j + _TILE_ROWS) for j in range(0, batch, _TILE_ROWS)]
     for k0 in range(0, n_steps, _BLOCK_STEPS):
-        steps = range(k0, min(k0 + _BLOCK_STEPS, n_steps))
-        xi_block = xi[:len(steps)]
-        out_block = out[:len(steps)]
-        xi_block[:] = samples[:, :, steps.start:steps.stop].transpose(2, 1, 0)
-        for k, xi_k, out_k in zip(steps, xi_block, out_block):
-            step(xi_k, out_k)
+        steps = slice(k0, min(k0 + _BLOCK_STEPS, n_steps))
+        part = block[:steps.stop - k0]
+        for tile in tiles:
+            part[:, :, tile] = samples[tile, :, steps].transpose(2, 1, 0)
+        for k, row in enumerate(part, k0):
+            step(row)
             if states is not None:
                 states[:, k + 1, :] = step.r.T
         # A non-finite draw or state makes its step's sample (and a state,
         # every later one) non-finite: the first bad sample names the step.
-        if not math.isfinite(out_block.sum()):
-            k, _, j = np.argwhere(~np.isfinite(out_block))[0]
+        if not math.isfinite(part.sum()):
+            k, _, j = np.argwhere(~np.isfinite(part))[0]
             raise IntegrationDivergedError(step_index=k0 + int(k), trajectory_index=start + int(j))
-        samples[:, :, steps.start:steps.stop] = out_block.transpose(2, 1, 0)
+        samples[:, :, steps] = part.transpose(2, 1, 0)
 
 
 def index_ranges(start: int, stop: int, step: int) -> list:

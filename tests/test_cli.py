@@ -282,6 +282,59 @@ class TestStreamedSimulate:
         assert out.read_bytes() == expected.read_bytes()
         assert read_header(out).n_traj == 30
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("old", ["longer-record", "shorter-file", "empty-file"])
+    def test_rewrite_over_an_existing_file_gives_a_fresh_write(self, tmp_path, batch_cap, old,
+                                                               workers):
+        # An existing output is rewritten in place, not truncated first: an
+        # older, longer record (40 trajectories of another seed), 1 KiB of
+        # non-record bytes (past the header, short of the payload) or an
+        # empty file all end as the bytes of a fresh write.
+        batch_cap(8)
+        out, expected = tmp_path / "records.qcr", tmp_path / "expected.qcr"
+        if old == "longer-record":
+            assert main(["simulate", "--config", str(sim_config(tmp_path, n_traj=40, seed=5)),
+                         "--out", str(out)]) == 0
+        else:
+            out.write_bytes(bytes(range(256)) * 4 if old == "shorter-file" else b"")
+        config = sim_config(tmp_path, n_traj=17)
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        write_records(expected, simulate_ensemble(parse_config(config).sim))
+        assert out.read_bytes() == expected.read_bytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rewritten_record_refused_and_never_shorter_until_the_last_batch(self, tmp_path,
+                                                                             batch_cap, workers):
+        # Over an older, longer record, a reader that re-checks the header
+        # finds the zeroed magic after every batch, and the file keeps the
+        # old length until it is cut to size just before the header lands.
+        batch_cap(8)
+        out, expected = tmp_path / "records.qcr", tmp_path / "expected.qcr"
+        simulate_records(out, parse_config(sim_config(tmp_path, n_traj=40, seed=5)).sim)
+        old_size = out.stat().st_size
+        config = parse_config(sim_config(tmp_path, n_traj=30)).sim
+        seen = []
+
+        def progress(done, total):
+            with pytest.raises(MagicMismatchError, match="unfinished record file"):
+                read_header(out)
+            seen.append((done, out.stat().st_size))
+
+        simulate_records(out, config, workers=workers, progress=progress)
+        assert seen == [(n, old_size) for n in (8, 16, 24, 30)]
+        write_records(expected, simulate_ensemble(config))
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_non_regular_output_is_never_truncated(self, workspace, capsys):
+        # /dev/null takes the rows and the header; cutting it to the record's
+        # size would fail with EINVAL.
+        tmp, config, _ = workspace
+        assert main(["simulate", "--config", str(config), "--out", os.devnull,
+                     "--n-traj", "4"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_memory_bounded_at_any_budget(self, tmp_path, batch_cap):
         batch_cap(64)
 

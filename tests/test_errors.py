@@ -55,8 +55,13 @@ def _window_mean_state(dt):
     (lambda: MeasurementChannel((0.0, 0.0, 1.0), math.inf),
      "channel tau must be positive and finite, got inf"),
     (lambda: ReplicaConfig(phi=1.0, gamma=math.inf), "gamma must be positive and finite, got inf"),
+    (lambda: build_ensemble_model([], rabi_axis=(0.0, 1.0, 0.0), rabi_freq=math.inf),
+     "rabi_freq must be finite, got inf"),
+    (lambda: build_ensemble_model([], env_lambda=np.diag([-1.0, -1.0, -math.inf])),
+     "env_lambda must be finite, got [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -inf]]"),
 ], ids=["window-bins-zero-dt", "resolve-zero-dt", "window-state-zero-dt", "window-state-inf-dt",
-        "window-state-negative-dt", "channel-inf-tau", "replica-inf-gamma"])
+        "window-state-negative-dt", "channel-inf-tau", "replica-inf-gamma", "model-inf-rabi-freq",
+        "model-inf-env-lambda"])
 def test_bad_time_step_or_rate_refused_by_name(call, message):
     # Library calls only: a config file's numbers are checked finite on parse.
     with pytest.raises(ValidationError) as refused:
@@ -81,7 +86,14 @@ def _z_model():
      "event times and t_in must be finite, got [0.5] and nan"),
     (lambda: ordered_propagator(_z_model(), 0.0, math.nan),
      "ordered_propagator requires finite t0 <= t1, got 0.0 and nan"),
-], ids=["channel-axis", "rabi-axis", "state", "event-time", "t-in", "propagator-time"])
+    (lambda: build_ensemble_model([], rabi_axis=(0.0, 1.0, 0.0), rabi_freq=math.nan),
+     "rabi_freq must be finite, got nan"),
+    (lambda: build_ensemble_model([], env_lambda=np.diag([-1.0, math.nan, -1.0])),
+     "env_lambda must be finite, got [[-1.0, 0.0, 0.0], [0.0, nan, 0.0], [0.0, 0.0, -1.0]]"),
+    (lambda: build_ensemble_model([], env_lambda=-np.eye(3), env_rst=(0.0, math.nan, 0.5)),
+     "env_rst must be finite, got [0.0, nan, 0.5]"),
+], ids=["channel-axis", "rabi-axis", "state", "event-time", "t-in", "propagator-time",
+        "model-rabi-freq", "model-env-lambda", "model-env-rst"])
 def test_nan_refused_by_name(call, message):
     # Every comparison with NaN is false: a range check written as "refuse
     # when out of range" let it through.

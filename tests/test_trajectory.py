@@ -58,9 +58,29 @@ def kernel(model, channels, dt, states):
 def one_step(r, model, channels, dt, draws):
     """One kernel step of a single state: (new_state, samples)."""
     step = kernel(model, channels, dt, r)
-    out = np.empty((len(channels), 1))
-    step(np.asarray(draws, dtype=float).reshape(-1, 1), out)
-    return step.r[:, 0].copy(), out[:, 0]
+    row = np.array(draws, dtype=float).reshape(-1, 1)
+    step(row)  # the samples overwrite the draws
+    return step.r[:, 0].copy(), row[:, 0]
+
+
+def assert_step_equals_kraus_oracle(channels, dt, r, draws):
+    """One kernel step of an ideal, undriven model equals the Kraus-map update."""
+    # Every channel's sample comes from the state before the step, with
+    # the variance of the bin's +-1 mixture; then each channel in turn
+    # applies M = exp(a (1 - i k) sigma_n), a = I dt / (2 tau), to the
+    # density matrix. With eta = 1 and no drive nothing else moves.
+    new_r, samples = one_step(r, build_ensemble_model(channels), channels, dt, draws)
+    rho = density_matrix(r)
+    for ch, xi, sample in zip(channels, draws, samples):
+        u = ch.axis_vector @ r
+        assert sample == pytest.approx(u + np.sqrt(ch.tau / dt + 1.0 - u * u) * xi,
+                                       rel=1e-14, abs=1e-14)
+        sigma_n = sum(c * p for c, p in zip(ch.axis_vector, PAULIS))
+        a = (1.0 - 1j * ch.phase_k) * sample * dt / (2.0 * ch.tau)
+        kraus = np.cosh(a) * np.eye(2) + np.sinh(a) * sigma_n
+        rho = kraus @ rho @ kraus.conj().T
+        rho /= np.trace(rho).real
+    assert np.abs(new_r - bloch_components(rho)).max() <= 1e-13
 
 
 def make_config(model, channels, **kwargs):
@@ -240,10 +260,6 @@ class TestItoStep:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_step_equals_kraus_oracle(self, seed):
-        # Every channel's sample comes from the state before the step, with
-        # the variance of the bin's +-1 mixture; then each channel in turn
-        # applies M = exp(a (1 - i k) sigma_n), a = I dt / (2 tau), to the
-        # density matrix. With eta = 1 and no drive nothing else moves.
         rng = np.random.default_rng(seed)
         channels = tuple(
             MeasurementChannel(tuple(random_unit_vector(rng)), tau=float(rng.uniform(0.3, 2.0)),
@@ -252,19 +268,25 @@ class TestItoStep:
         dt = float(rng.uniform(0.002, 0.01)) * min(ch.tau for ch in channels)
         r = random_unit_vector(rng) * rng.uniform(0.0, 1.0) ** 0.25
         draws = rng.normal(size=len(channels)) * 2.0
-        new_r, samples = one_step(r, build_ensemble_model(channels), channels, dt, draws)
+        assert_step_equals_kraus_oracle(channels, dt, r, draws)
 
-        rho = density_matrix(r)
-        for ch, xi, sample in zip(channels, draws, samples):
-            u = ch.axis_vector @ r
-            assert sample == pytest.approx(u + np.sqrt(ch.tau / dt + 1.0 - u * u) * xi,
-                                           rel=1e-14, abs=1e-14)
-            sigma_n = sum(c * p for c, p in zip(ch.axis_vector, PAULIS))
-            a = (1.0 - 1j * ch.phase_k) * sample * dt / (2.0 * ch.tau)
-            kraus = np.cosh(a) * np.eye(2) + np.sinh(a) * sigma_n
-            rho = kraus @ rho @ kraus.conj().T
-            rho /= np.trace(rho).real
-        assert np.abs(new_r - bloch_components(rho)).max() <= 1e-13
+    @pytest.mark.parametrize("phase_k", [0.0, -1.3])
+    @pytest.mark.parametrize("axis", [
+        (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0),
+        (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.6, 0.0, -0.8), (0.0, -0.8, 0.6), (-0.6, 0.8, 0.0),
+    ])
+    def test_coordinate_and_plane_axes_equal_kraus_oracle(self, axis, phase_k):
+        # A unit axis component takes the kernel's multiplication-free
+        # branch, and a plane axis has a zero component the kernel skips; a
+        # second channel about +-z or +-x follows, and a generic state moves
+        # under both.
+        rng = np.random.default_rng(7)
+        second = (0.0, 0.0, -1.0) if axis[2] == 0.0 else (1.0, 0.0, 0.0)
+        channels = (MeasurementChannel(axis, tau=0.65, phase_k=phase_k),
+                    MeasurementChannel(second, tau=0.9, phase_k=0.7))
+        r = random_unit_vector(rng) * 0.9
+        draws = rng.normal(size=2) * 2.0
+        assert_step_equals_kraus_oracle(channels, 0.005, r, draws)
 
     def test_zero_samples_leave_only_the_rest_flow(self):
         # A sample of 0 makes every event map the identity, so the step is
@@ -303,8 +325,8 @@ class TestItoStep:
         dt = 0.005
         n = 1_000_000
         step = kernel(model, channels, dt, np.zeros((3, n)))
-        out = np.empty((1, n))
-        step(np.random.default_rng(3).standard_normal((1, n)), out)
+        out = np.random.default_rng(3).standard_normal((1, n))
+        step(out)
         variance = 0.65 / dt + 1.0
         assert abs(out.mean()) < 4.0 * np.sqrt(variance / n)
         assert out.var() == pytest.approx(variance, rel=0.01)
