@@ -15,9 +15,10 @@ affine Markovian form
 with a constant 3x3 generator L and drift b, so the solution map over a
 time span depends on its length alone. A model is *unital* when b = 0,
 which makes the solution map odd in the initial state: propagating -r0
-gives minus the propagation of r0. build_ensemble_model, and SimConfig for
-the flow between its event maps, accept only Lindblad generators
-(require_lindblad); EnsembleModel itself takes any finite L and b.
+gives minus the propagation of r0. EnsembleModel accepts only a Lindblad
+generator (require_lindblad), and SimConfig only a model whose flow between
+its event maps is one too, so no route evaluates a flow that carries a
+state out of the Bloch ball.
 
 All functions here are pure; nothing is mutated, so concurrent use needs no
 locking.
@@ -97,7 +98,11 @@ class MeasurementChannel:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleModel:
-    """Time-homogeneous ensemble-averaged evolution dr/dt = lam r + drift."""
+    """Time-homogeneous ensemble-averaged evolution dr/dt = lam r + drift.
+
+    lam and drift must be finite and together a qubit Lindblad generator
+    (require_lindblad).
+    """
 
     lam: np.ndarray
     _: KW_ONLY
@@ -112,6 +117,7 @@ class EnsembleModel:
                 raise ValidationError(f"model {name} must be finite")
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        require_lindblad(self.lam, self.drift, "the model")
 
     @property
     def unital(self) -> bool:
@@ -171,8 +177,8 @@ def build_ensemble_model(
     The evolution is the measurement dephasing of all channels, a coherent
     rotation rabi_freq * [rabi_axis]_x (rad/us about a unit axis) and an
     environment env_lambda (r - env_rst) that relaxes toward env_rst (zero
-    by default), so the model drift is -env_lambda env_rst. The model must
-    be a Lindblad generator (require_lindblad). A non-finite rabi_freq,
+    by default), so the model drift is -env_lambda env_rst. EnsembleModel
+    refuses a model that is no Lindblad generator. A non-finite rabi_freq,
     env_lambda or env_rst is refused by name.
     """
     if not np.isfinite(rabi_freq):
@@ -198,9 +204,7 @@ def build_ensemble_model(
             raise ValidationError(f"env_lambda must be finite, got {env_lambda.tolist()}")
         lam = lam + env_lambda
         drift = -env_lambda @ r_env
-    model = EnsembleModel(lam, drift=drift)  # refuses a non-finite generator
-    require_lindblad(model.lam, model.drift, "the model")
-    return model
+    return EnsembleModel(lam, drift=drift)  # refuses a non-finite or non-Lindblad generator
 
 
 def ordered_propagator(model: EnsembleModel, t0: float, t1: float) -> np.ndarray:

@@ -4,15 +4,14 @@ Every float written to CSV uses 17 significant digits so values round-trip
 exactly; a fixed seed therefore yields byte-identical outputs across runs
 and worker counts. estimate and analytic resolve each windowed spec entry
 once (empirical.resolve_spec), against the record header or the config; a
-refusal names its entry as spec[i], as a parse error does. estimate fits
-the specs to the header's record span (ResolvedSpecs.check) and checks its
-trajectory count before it reads any payload, then runs the Monte Carlo
-driver of the replica scans (empirical.estimate_batches) on the file: each
-batch of trajectory.batch_rows trajectories for the header's record shape
-is read in blocks of empirical.block_rows, each folded before the next is
-read. simulate takes the ensemble from the config's sim keys alone and
-writes it batch by batch (recordio.simulate_records).
-"""
+refusal names its entry as spec[i], as a parse error does. estimate hands
+the header and its specs to the Monte Carlo driver of the replica scans
+(empirical.estimate_batches), which fits the specs to the header's record
+span and checks its trajectory count before any payload is read, then
+cuts the batches from the record shape; each batch is read in blocks of
+empirical.block_rows, each folded before the next is read. simulate takes
+the ensemble from the config's sim keys alone and writes it batch by batch
+(recordio.simulate_records)."""
 
 from __future__ import annotations
 
@@ -52,7 +51,6 @@ from .empirical import (  # noqa: F401
     estimate_correlator,
     events_key,
     merge_estimates,
-    require_standard_error,
     resolve_spec,
     window_key,
 )
@@ -66,7 +64,7 @@ from .errors import (
 # this module: perfbench/layers.py traces them under this name.
 from .recordio import read_header, read_records, simulate_records, write_records  # noqa: F401
 from .replica import ReplicaConfig, four_time_scan, three_time_scan
-from .trajectory import batch_rows, index_ranges, simulate_ensemble  # noqa: F401
+from .trajectory import index_ranges, simulate_ensemble  # noqa: F401
 
 FLOAT_FMT = ".17g"
 
@@ -219,17 +217,13 @@ def _do_estimate(args) -> int:
     for i, (gaps, window) in enumerate(entries):
         with _entry(i):
             resolved.append(resolve_spec(gaps, window, header.dt, header.n_channels))
-    specs = ResolvedSpecs(resolved)
-    specs.check(header.n_channels, header.n_samples)
-    require_standard_error(header.n_traj)
     block = block_rows(header.n_channels, header.n_samples)
 
     def load(lo, hi):  # trajectories [lo, hi), read block trajectories at a time
         for start, stop in index_ranges(lo, hi, block):
             yield read_records(args.records, start, stop).samples
 
-    batches = estimate_batches(load, specs, header.dt, header.n_traj,
-                               batch_rows(header.n_channels, header.n_samples), source=args.records)
+    batches = estimate_batches(load, ResolvedSpecs(resolved), header, source=args.records)
     pooled = None
     for batch in batches:  # merged into the running estimates as it arrives
         pooled = list(map(merge_estimates, zip(batch) if pooled is None else zip(pooled, batch)))

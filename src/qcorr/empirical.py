@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import (EstimateMismatchError, RecordFormatError, ValidationError, check_integer,
                      check_positive)
-from .trajectory import RecordSet, index_ranges, map_batches
+from .trajectory import RecordSet, batch_rows, index_ranges, map_batches
 
 # Trajectories per pass of window_means are chosen so that one block holds
 # about this many bytes of samples: small enough that every spec's slices of
@@ -342,11 +342,16 @@ def pool_sums(folds, dt: float, labels) -> list:
     return [_pooled(n, s, s2, dt, *label) for s, s2, label in zip(total, total_sq, labels)]
 
 
-def estimate_batches(load, specs: ResolvedSpecs, dt: float, n_traj: int, batch_size: int,
-                     workers: int = 1, grid_average: bool = False, source: str = "records"):
+def estimate_batches(load, specs: ResolvedSpecs, shape, workers: int = 1,
+                     grid_average: bool = False, source: str = "records"):
     """Yield each batch's estimates of every spec, in batch order: the Monte Carlo driver.
 
-    map_batches runs the batches index_ranges(0, n_traj, batch_size) on
+    shape is the ensemble the samples come from, a recordio.RecordHeader or
+    a trajectory.SimConfig: its dt, n_traj, n_channels and n_samples. Before
+    the first batch, and so before load is ever called, the specs are fitted
+    to its records (ResolvedSpecs.check) and its trajectory count must carry
+    a standard error (require_standard_error). map_batches then runs the
+    batches index_ranges(0, n_traj, batch_rows(n_channels, n_samples)) on
     workers processes. A batch folds (ensemble_sums) the window_means of
     specs over each sample block that load(lo, hi) yields for its
     trajectories [lo, hi), one block at a time, and returns pool_sums of
@@ -355,6 +360,9 @@ def estimate_batches(load, specs: ResolvedSpecs, dt: float, n_traj: int, batch_s
     one window, labelled with all their events. A non-finite window mean is
     refused by spec and batch range with a RecordFormatError naming source.
     """
+    specs.check(shape.n_channels, shape.n_samples)
+    require_standard_error(shape.n_traj)
+    dt = shape.dt
     labels = list(specs)
     if grid_average:
         labels.append((specs[0][0], tuple(events for _, events in specs)))
@@ -377,7 +385,8 @@ def estimate_batches(load, specs: ResolvedSpecs, dt: float, n_traj: int, batch_s
     def task(bounds):  # map holds no block past its fold
         return pool_sums(map(partial(fold, bounds), load(*bounds)), dt, labels)
 
-    return map_batches(task, index_ranges(0, n_traj, batch_size), workers)
+    batches = index_ranges(0, shape.n_traj, batch_rows(shape.n_channels, shape.n_samples))
+    return map_batches(task, batches, workers)
 
 
 def estimate_correlator(records: RecordSet, gaps, window: Window) -> CorrelatorEstimate:

@@ -2,30 +2,36 @@
 
 The setup: two linear detectors simultaneously and continuously measure the
 qubit observables along the z axis and along an axis tilted by an angle phi
-from z in the xz plane, on a qubit with no Hamiltonian drive. Each channel
-contributes an ensemble dephasing rate gamma in its own basis, so the model
-is unital by construction. The qubit starts on the Bloch sphere halfway
-between the two measurement axes, r(0) = (sin(phi/2), 0, cos(phi/2)).
+from z in the xz plane, on a qubit with no Hamiltonian drive. Both
+detectors are ideal (eta = 1), with measurement time TAU, so each channel
+contributes the ensemble dephasing rate DEFAULT_GAMMA = 1 / (2 TAU) in its
+own basis and the model is unital by construction. The qubit starts on the
+Bloch sphere halfway between the two measurement axes,
+r(0) = (sin(phi/2), 0, cos(phi/2)). Every scan averages its earliest event
+time over a window starting at WINDOW_START; phi and the trajectory budget
+(ReplicaConfig) are all a scan takes.
 
 Two scans reproduce the characteristic three- and four-time correlator
 structure of this setup:
 
 * three_time_scan tabulates K over event channels (phi, z, phi) at gaps
-  (dt21, dt32) from a windowed earliest time. The factorization makes it the
-  window-averaged mean phi signal times the two-time correlator over the
-  last gap, independent of dt21.
+  (dt21, dt32) from a window DEFAULT_THREE_TIME_WINDOW long. The
+  factorization makes it the window-averaged mean phi signal times the
+  two-time correlator over the last gap, independent of dt21.
 * four_time_scan tabulates K over (z, phi, z, phi) at gaps (dt21, dt32,
-  dt43). The factorization makes it the product of the two-time correlators
-  over the first and last gaps, independent of dt32, the window, and the
-  initial state; its summary compares the Monte Carlo average over the dt32
-  grid against the average of the rows' analytic values.
+  dt43) from a window DEFAULT_FOUR_TIME_WINDOW long. The factorization
+  makes it the product of the two-time correlators over the first and
+  last gaps, independent of dt32, the window, and the initial state; its
+  summary compares the Monte Carlo average over the dt32 grid against the
+  average of the rows' analytic values.
 
 Both scans resolve every grid point once, as qcorr estimate and qcorr
 analytic resolve a spec entry (empirical.resolve_spec). A point's analytic
 value is the factorized value that qcorr analytic reports for the same spec
 (analytic.window_mean_spec, from one window-mean state per scan). Its Monte
 Carlo value comes from empirical.estimate_batches, the driver of qcorr
-estimate too, with simulation batches as the source: the process that
+estimate too, with simulation batches as the source and the scan's
+SimConfig as the record shape it fits the points to: the process that
 simulates a batch (a forked worker with several workers) takes the window
 means of the resolved points in one window_means call and returns only their
 estimates, so memory stays bounded by one batch per process at any
@@ -67,6 +73,8 @@ from .errors import ValidationError, check_integer, check_positive
 from .trajectory import SimConfig, simulate_range
 
 DEFAULT_GAMMA = 1.0 / 1.3  # per-channel ensemble dephasing rate, 1/us
+TAU = 1.0 / (2.0 * DEFAULT_GAMMA)  # measurement time of each ideal detector, us
+WINDOW_START = 1.0  # t_a of every scan's window, us
 DEFAULT_THREE_TIME_WINDOW = 0.2
 DEFAULT_FOUR_TIME_WINDOW = 0.5
 CHANNEL_Z = 0
@@ -77,51 +85,37 @@ CHANNEL_PHI = 1
 class ReplicaConfig:
     """Parameters of one two-detector scan.
 
-    phi is the angle between the measurement axes (radians, in [0, pi]);
-    gamma the per-channel ensemble dephasing rate. The trajectory budget
-    (n_traj, dt, master_seed) only matters when include_mc is set.
+    phi is the angle between the measurement axes (radians, in [0, pi]).
+    The trajectory budget (dt, n_traj, master_seed, workers) only matters
+    when include_mc is set; dt also sets the grid that gaps snap to.
     """
 
     phi: float
-    gamma: float = DEFAULT_GAMMA
-    eta: float = 1.0
     dt: float = 0.01
     n_traj: int = 20000
     master_seed: int = 20250101
-    t_a: float = 1.0
-    window_len: float | None = None
     include_mc: bool = True
     workers: int = 1
 
     def __post_init__(self):
         if not (0.0 <= self.phi <= math.pi):
             raise ValidationError(f"phi must lie in [0, pi], got {self.phi}")
-        check_positive(self.gamma, "gamma")
-        if not (0.0 < self.eta <= 1.0):
-            raise ValidationError(f"eta must be in (0, 1], got {self.eta}")
         check_positive(self.dt, "dt")
         check_integer(self.workers, "workers", 1)
         if self.include_mc and self.n_traj < 2:
             raise ValidationError(f"n_traj must be >= 2 for a standard error, got {self.n_traj}")
-        if self.window_len is not None:
-            check_positive(self.window_len, "window_len")
 
     @property
     def r_init(self) -> tuple:
         return (math.sin(self.phi / 2.0), 0.0, math.cos(self.phi / 2.0))
-
-    @property
-    def tau(self) -> float:
-        """Measurement time consistent with gamma at this efficiency."""
-        return 1.0 / (2.0 * self.eta * self.gamma)
 
 
 def replica_model(config: ReplicaConfig):
     """Ensemble model and channel pair (z first, phi second) for the scan."""
     phi = config.phi
     channels = (
-        MeasurementChannel((0.0, 0.0, 1.0), config.tau, config.eta),
-        MeasurementChannel((math.sin(phi), 0.0, math.cos(phi)), config.tau, config.eta),
+        MeasurementChannel((0.0, 0.0, 1.0), TAU),
+        MeasurementChannel((math.sin(phi), 0.0, math.cos(phi)), TAU),
     )
     model = build_ensemble_model(channels)
     return model, channels
@@ -163,17 +157,19 @@ def _snapped(values, name: str, dt: float) -> list:
 def _evaluate(config: ReplicaConfig, length: float, points, grid_average=False) -> tuple:
     """Analytic value and (value, std_error) of every point, then of their average on request.
 
-    points are (channel, gap_us) lists from a t1 in the window at t_a, of
-    config.window_len or else length. All are resolved once, first
-    (resolve_spec), also without include_mc (then every Monte Carlo pair is
-    NaN), so a bad grid is refused before any batch is simulated. A point's
-    analytic value is the factorized value of its window_mean_spec, all from
-    one window-mean state. Each batch's estimates (estimate_batches) are
-    pooled into running estimates with merge_estimates as they arrive.
+    points are (channel, gap_us) lists from a t1 in the window of this
+    length at WINDOW_START. All are resolved once, first (resolve_spec),
+    also without include_mc (then every Monte Carlo pair is NaN), so a bad
+    grid is refused before any batch is simulated. A point's analytic value
+    is the factorized value of its window_mean_spec, all from one
+    window-mean state. The simulated records span the window and the largest
+    gap; estimate_batches fits the points to them and cuts the batches from
+    their shape, and each batch's estimates are pooled into running
+    estimates with merge_estimates as they arrive.
     """
     model, channels = replica_model(config)
     dt = config.dt
-    window = Window(config.t_a, length if config.window_len is None else config.window_len)
+    window = Window(WINDOW_START, length)
     specs = ResolvedSpecs(resolve_spec(gaps, window, dt, len(channels)) for gaps in points)
     r_window = window_mean_state(model, config.r_init, window, dt)
     analytic = [factorized_correlator(model, channels, window_mean_spec(r_window, events, dt))
@@ -187,20 +183,19 @@ def _evaluate(config: ReplicaConfig, length: float, points, grid_average=False) 
     def load(lo, hi):  # the one sample block of batch [lo, hi), simulated
         return [simulate_range(sim, lo, hi).samples]
 
-    batches = estimate_batches(load, specs, dt, sim.n_traj, sim.batch_size, config.workers,
-                               grid_average, source="simulation")
+    batches = estimate_batches(load, specs, sim, config.workers, grid_average, source="simulation")
     pooled = None
     for batch in batches:  # merged into the running estimates as it arrives
         pooled = list(map(merge_estimates, zip(batch) if pooled is None else zip(pooled, batch)))
     return analytic, [(p.value, p.std_error) for p in pooled]
 
 
-def default_three_time_grid(gamma: float = DEFAULT_GAMMA):
-    return tuple(np.linspace(0.1, 2.3, 8) / gamma)
+def default_three_time_grid():
+    return tuple(np.linspace(0.1, 2.3, 8) / DEFAULT_GAMMA)
 
 
-def default_four_time_grid(gamma: float = DEFAULT_GAMMA):
-    return tuple(np.linspace(0.5, 2.3, 10) / gamma)
+def default_four_time_grid():
+    return tuple(np.linspace(0.5, 2.3, 10) / DEFAULT_GAMMA)
 
 
 def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
@@ -210,9 +205,9 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
     grids. The analytic column varies only with dt32, up to rounding.
     """
     if dt21_values is None:
-        dt21_values = default_three_time_grid(config.gamma)
+        dt21_values = default_three_time_grid()
     if dt32_values is None:
-        dt32_values = default_three_time_grid(config.gamma)
+        dt32_values = default_three_time_grid()
     gaps21 = _snapped(dt21_values, "dt21_values", config.dt)
     gaps32 = _snapped(dt32_values, "dt32_values", config.dt)
 
@@ -231,15 +226,15 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
 def four_time_scan(config: ReplicaConfig, dt32_values=None):
     """Tabulate the (z, phi, z, phi) four-time correlator over a dt32 grid.
 
-    dt21 and dt43 are both 0.15/gamma. Returns (rows, summary) where the
+    dt21 and dt43 are both 0.15/DEFAULT_GAMMA. Returns (rows, summary) where the
     summary averages the Monte Carlo values over the dt32 grid, with both the
     spread across grid points and the trajectory-pooled standard error of the
     grid average, and the analytic values over the same grid.
     """
     if dt32_values is None:
-        dt32_values = default_four_time_grid(config.gamma)
+        dt32_values = default_four_time_grid()
     dt = config.dt
-    g21 = g43 = snap(0.15 / config.gamma, dt) * dt
+    g21 = g43 = snap(0.15 / DEFAULT_GAMMA, dt) * dt
     gaps32 = _snapped(dt32_values, "dt32_values", dt)
 
     analytic, (*mc, (mc_mean, mc_pooled_se)) = _evaluate(config, DEFAULT_FOUR_TIME_WINDOW, [

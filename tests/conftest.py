@@ -117,8 +117,10 @@ def random_model(rng, unital, max_channels=3, allow_rabi=True):
         ])
     if unital:
         return EnsembleModel(lam), tuple(channels)
-    # A relaxation target drawn from a cube: not every such model is a Lindblad one.
-    return EnsembleModel(lam, drift=-lam @ rng.uniform(-0.4, 0.4, size=3)), tuple(channels)
+    # Relaxation at rate 1/2 toward a target drawn from a cube: a Lindblad term
+    # for any target in the Bloch ball, and the cube's corners lie at 0.69.
+    r_env = rng.uniform(-0.4, 0.4, size=3)
+    return EnsembleModel(lam - 0.5 * np.eye(3), drift=0.5 * r_env), tuple(channels)
 
 
 def random_event_spec(rng, channels, n_events, t_span=5.0):

@@ -52,13 +52,13 @@ def verdict(tag, ok, detail):
 def simulated_estimates(sim, gap_lists, window, workers=2):
     """Estimates of every gap list over sim's ensemble, through the Monte Carlo driver.
 
-    Each batch of sim.batch_size trajectories is simulated and estimated in
-    one of the worker processes; the batches' estimates are pooled in order.
+    Each batch of sim's trajectories is simulated and estimated in one of the
+    worker processes; the batches' estimates are pooled in order.
     """
     specs = ResolvedSpecs(resolve_spec(gaps, window, sim.dt, sim.n_channels)
                           for gaps in gap_lists)
     batches = estimate_batches(lambda lo, hi: [simulate_range(sim, lo, hi).samples], specs,
-                               sim.dt, sim.n_traj, sim.batch_size, workers, source="simulation")
+                               sim, workers, source="simulation")
     return [merge_estimates(parts) for parts in zip(*batches)]
 
 

@@ -178,6 +178,27 @@ class TestRequireLindblad:
             require_lindblad(generator, np.array([0.0, 0.0, -1.01]), "the model")
 
 
+    def test_accepted_generators_keep_states_in_the_ball(self):
+        # The rule from the other side: random (lam, drift) that it accepts
+        # never carry a random Bloch vector, pure or mixed, out of the ball.
+        rng = np.random.default_rng(2024)
+        accepted = 0
+        for _ in range(300):
+            lam = 0.5 * rng.normal(size=(3, 3)) - rng.uniform(0.5, 3.0) * np.eye(3)
+            drift = rng.normal(size=3) * rng.uniform(0.0, 1.5)
+            try:
+                model = EnsembleModel(lam, drift=drift)
+            except ValidationError:
+                continue
+            accepted += 1
+            for _ in range(4):
+                r0 = random_unit_vector(rng) * rng.choice([1.0, rng.uniform(0.0, 1.0)])
+                for t in (0.01, 0.1, 0.5, 2.0, 10.0):
+                    r = propagate_ensemble(model, r0, 0.0, t)
+                    assert np.linalg.norm(r) <= 1.0 + 1e-12
+        assert 75 <= accepted <= 225  # draws on both sides of the rule
+
+
 class TestEnsembleModel:
     def test_validates_shapes_finiteness_and_freezes_arrays(self):
         lam = np.diag([-1.0, -2.0, -3.0])
@@ -203,10 +224,15 @@ class TestEnsembleModel:
         with pytest.raises(TypeError):  # the drift is keyword-only
             EnsembleModel(lam, (0.0, 0.0, 0.5))
 
+    def test_non_lindblad_model_refused_by_name(self):
+        # No flow at all, yet a drift: it carries the state at a pole out of the ball.
+        with pytest.raises(ValidationError, match="the model is no Lindblad generator"):
+            EnsembleModel(np.zeros((3, 3)), drift=(0.0, 0.0, 1e-9))
+
     def test_unital_flag_threshold(self):
-        almost = EnsembleModel(np.zeros((3, 3)), drift=(0.0, 0.0, 5e-11))
+        almost = EnsembleModel(-np.eye(3), drift=(0.0, 0.0, 5e-11))
         assert almost.unital
-        not_unital = EnsembleModel(np.zeros((3, 3)), drift=(0.0, 0.0, 1e-9))
+        not_unital = EnsembleModel(-np.eye(3), drift=(0.0, 0.0, 1e-9))
         assert not not_unital.unital
 
 

@@ -995,7 +995,7 @@ class TestReplicaCommands:
             rows = read_csv(scan)
             spec = tmp_path / f"{command}_specs.json"
             spec.write_text(json.dumps([
-                {"window": {"t_a_us": config.t_a, "T_us": window_len},
+                {"window": {"t_a_us": replica_module.WINDOW_START, "T_us": window_len},
                  "gaps": [{"channel": ch, "dt_us": gap}
                           for ch, gap in events({k: float(v) for k, v in row.items()})]}
                 for row in rows

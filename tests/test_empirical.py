@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 from fractions import Fraction
@@ -38,6 +39,7 @@ from qcorr.empirical import (
     resolve_spec,
     window_means,
 )
+from qcorr.recordio import RecordHeader
 
 PHI = 3 * np.pi / 10
 TAU = 0.65
@@ -84,9 +86,7 @@ def replica_records(n_traj=3000, seed=5, t_total=3.6):
     (lambda: resolve_events([(0, 0.0), (1, math.nan)], 0.01, 2), "time nan us has no bin"),
     (lambda: three_time_scan(ReplicaConfig(phi=1.0, include_mc=False), dt21_values=(math.nan,)),
      "time nan us has no bin"),
-    (lambda: four_time_scan(ReplicaConfig(phi=1.0, include_mc=False, t_a=math.inf)),
-     "window start must be nonnegative and finite, got inf"),
-], ids=["window-start", "window-length", "gap", "three-time-grid", "four-time-window"])
+], ids=["window-start", "window-length", "gap", "three-time-grid"])
 def test_non_finite_time_refused_by_name(call, named):
     with pytest.raises(ValidationError, match=named):
         call()
@@ -495,7 +495,7 @@ class TestEstimateBatches:
         return [simulate_range(self.config, lo, hi).samples]
 
     def pooled(self, load, **kwargs):
-        batches = estimate_batches(load, self.specs, DT, 301, 100, **kwargs)
+        batches = estimate_batches(load, self.specs, self.config, **kwargs)
         return [merge_estimates(parts) for parts in zip(*batches)]
 
     def test_record_file_and_simulation_give_identical_estimates(self, tmp_path):
@@ -527,3 +527,18 @@ class TestEstimateBatches:
             "memory: spec 1 (events 0@0;1@0.10000000000000001, window start "
             "0.20000000000000001 us, length 0.29999999999999999 us) has a non-finite "
             "window mean in trajectories [100, 200)")
+
+    @pytest.mark.parametrize("shape, message", [
+        (lambda config: RecordHeader(DT, 80, config.channels, 301, 31),
+         "spec[2]: window bins [20, 50] plus largest gap 40 exceed the record span of 80 samples"),
+        (lambda config: dataclasses.replace(config, n_traj=1),
+         "estimation needs at least 2 trajectories for a standard error"),
+    ], ids=["header-past-span", "config-one-trajectory"])
+    def test_shape_refused_before_any_load(self, shape, message):
+        # A record header or a SimConfig: both are refused before the first batch.
+        loads = []
+        with pytest.raises(ValidationError) as refused:
+            estimate_batches(lambda lo, hi: loads.append((lo, hi)) or [], self.specs,
+                             shape(self.config))
+        assert str(refused.value) == message
+        assert loads == []

@@ -14,11 +14,16 @@ import qcorr.trajectory as trajectory_module
 from qcorr import (
     ReplicaConfig,
     ValidationError,
+    Window,
+    factorized_correlator,
     four_time_scan,
     replica_model,
     three_time_scan,
     two_time_correlator,
+    window_mean_state,
 )
+from qcorr.analytic import window_mean_spec
+from qcorr.empirical import resolve_events
 
 GAMMA = 1.0 / 1.3
 
@@ -40,21 +45,14 @@ class TestReplicaModel:
             assert model.unital
 
     def test_tau_consistent_with_gamma(self):
-        config = ReplicaConfig(phi=1.0, eta=0.8, include_mc=False)
-        _, channels = replica_model(config)
+        _, channels = replica_model(ReplicaConfig(phi=1.0, include_mc=False))
         for ch in channels:
-            assert ch.dephasing_rate == pytest.approx(config.gamma, rel=1e-12)
+            assert ch.dephasing_rate == pytest.approx(replica_module.DEFAULT_GAMMA, rel=1e-12)
 
     def test_initial_state_halfway(self):
         config = ReplicaConfig(phi=1.0, include_mc=False)
         assert np.allclose(config.r_init, (math.sin(0.5), 0.0, math.cos(0.5)))
         assert np.linalg.norm(config.r_init) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("window_len", [0.0, -0.5, math.nan, math.inf])
-    def test_window_len_not_positive_refused(self, window_len):
-        # 0.0 must not fall back to the scan's default window.
-        with pytest.raises(ValidationError, match="window_len must be positive"):
-            ReplicaConfig(phi=1.0, window_len=window_len, include_mc=False)
 
     def test_single_trajectory_needs_no_mc(self):
         assert ReplicaConfig(phi=1.0, n_traj=1, include_mc=False).n_traj == 1
@@ -114,7 +112,7 @@ class TestFourTimeScanAnalytic:
         config = ReplicaConfig(phi=3 * np.pi / 10, include_mc=False)
         rows, summary = four_time_scan(config, dt32_values=(0.7, 1.4))
         model, channels = replica_model(config)
-        gap = round(0.15 / config.gamma / config.dt) * config.dt
+        gap = round(0.15 / replica_module.DEFAULT_GAMMA / config.dt) * config.dt
         expected = two_time_correlator(model, channels, 0, 0.0, 1, gap) ** 2
         for row in rows:
             assert row.analytic == pytest.approx(expected, abs=1e-12)
@@ -125,9 +123,17 @@ class TestFourTimeScanAnalytic:
         rows_a, _ = four_time_scan(base, dt32_values=(0.7, 2.9))
         values = {r.analytic for r in rows_a}
         assert max(values) - min(values) <= 1e-12
-        moved = ReplicaConfig(phi=1.0, include_mc=False, t_a=2.0, window_len=1.0)
-        rows_b, _ = four_time_scan(moved, dt32_values=(0.7,))
-        assert rows_b[0].analytic == pytest.approx(rows_a[0].analytic, abs=1e-12)
+        # The same events from a t1 in a later, longer window.
+        row = rows_a[0]
+        model, channels = replica_model(base)
+        z, p = replica_module.CHANNEL_Z, replica_module.CHANNEL_PHI
+        events = resolve_events([(z, 0.0), (p, row.dt21), (z, row.dt21 + row.dt32),
+                                 (p, row.dt21 + row.dt32 + row.dt43)], base.dt, 2)
+        window = Window(2.0, 1.0)
+        moved = window_mean_spec(window_mean_state(model, base.r_init, window, base.dt),
+                                 events, base.dt)
+        assert factorized_correlator(model, channels, moved) == pytest.approx(row.analytic,
+                                                                             abs=1e-12)
 
     def test_short_gap_squared_ratio(self):
         for n in (0, 2, 3, 7):
@@ -326,8 +332,7 @@ class TestScanWorkers:
     def _peak_bytes(self, batch_cap, sim_configs, n_traj, workers):
         """(tracemalloc peak of a four-time scan in batches of 256, one batch's sample bytes)."""
         batch_cap(256)
-        config = ReplicaConfig(phi=0.9, n_traj=n_traj, master_seed=77, t_a=0.2, window_len=0.1,
-                               workers=workers)
+        config = ReplicaConfig(phi=0.9, n_traj=n_traj, master_seed=77, workers=workers)
         tracemalloc.start()
         try:
             four_time_scan(config, dt32_values=(0.7,))
