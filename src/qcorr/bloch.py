@@ -98,11 +98,7 @@ class MeasurementChannel:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleModel:
-    """Time-homogeneous ensemble-averaged evolution dr/dt = lam r + drift.
-
-    lam and drift must be finite and together a qubit Lindblad generator
-    (require_lindblad).
-    """
+    """Time-homogeneous ensemble-averaged Lindblad evolution dr/dt = lam r + drift."""
 
     lam: np.ndarray
     _: KW_ONLY

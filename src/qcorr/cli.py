@@ -11,7 +11,8 @@ span and checks its trajectory count before any payload is read, then
 cuts the batches from the record shape; each batch is read in blocks of
 empirical.block_rows, each folded before the next is read. simulate takes
 the ensemble from the config's sim keys alone and writes it batch by batch
-(recordio.simulate_records)."""
+(recordio.simulate_records).
+"""
 
 from __future__ import annotations
 

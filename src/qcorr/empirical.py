@@ -24,9 +24,10 @@ sum|terms| (Higham, SIAM J. Sci. Comput. 14, 783 (1993)), about 1e-15 of a
 standard error. The ensemble sums, over 1e4-1e6 per-trajectory means of
 noise products with standard deviation sqrt(tau/dt) per factor, are the
 long ones: they run in extended precision. estimate_batches is the one
-Monte Carlo driver, of qcorr estimate and the replica scans alike: each
-batch of trajectories (trajectory.map_batches runs them here or in forked
-workers) reads its source one block at a time, a record file in blocks of
+Monte Carlo driver, of qcorr estimate and the replica scans alike: it fits
+the specs to the records' shape before its first batch, and each batch of
+trajectories (trajectory.map_batches runs them here or in forked workers)
+reads its source one block at a time, a record file in blocks of
 block_rows and a simulated batch as one block. ensemble_sums folds each
 block's means into long-double sums and sums of squares as soon as
 window_means returns them, so a batch keeps O(specs) numbers between
@@ -179,12 +180,12 @@ class ResolvedSpecs(tuple):
 
     window_means visits specs in sorted order, so that specs sharing window
     bins and leading events are adjacent, and fits every spec to the shape
-    of its block (check, which qcorr estimate also runs once on the record
-    header). Built once, this tuple holds that plan and the range of
-    channels the specs read and their last sample index, so a caller that
-    streams many blocks through one spec list pays for the sort and the
-    prefix comparisons once and each block's check costs three integer
-    comparisons. plan holds, per spec in sorted order, (j, keep, heads,
+    of its block (check, which estimate_batches also runs once on the
+    record shape before its first batch). Built once, this tuple holds that
+    plan and the range of channels the specs read and their last sample
+    index, so a caller that streams many blocks through one spec list pays
+    for the sort and the prefix comparisons once and each block's check
+    costs three integer comparisons. plan holds, per spec in sorted order, (j, keep, heads,
     last): j is its index, keep how many cached prefix products of the
     previous spec's head events it reuses, heads the (channel, columns) of
     the head events it multiplies on, and last the (channel, columns) of its
@@ -346,13 +347,12 @@ def estimate_batches(load, specs: ResolvedSpecs, shape, workers: int = 1,
                      grid_average: bool = False, source: str = "records"):
     """Yield each batch's estimates of every spec, in batch order: the Monte Carlo driver.
 
-    shape is the ensemble the samples come from, a recordio.RecordHeader or
-    a trajectory.SimConfig: its dt, n_traj, n_channels and n_samples. Before
-    the first batch, and so before load is ever called, the specs are fitted
-    to its records (ResolvedSpecs.check) and its trajectory count must carry
-    a standard error (require_standard_error). map_batches then runs the
-    batches index_ranges(0, n_traj, batch_rows(n_channels, n_samples)) on
-    workers processes. A batch folds (ensemble_sums) the window_means of
+    shape is a recordio.RecordHeader or trajectory.SimConfig: the dt,
+    n_traj, n_channels and n_samples of the records. Before load is first
+    called, the specs must fit them (ResolvedSpecs.check) and n_traj carry
+    a standard error (require_standard_error). map_batches runs the batches
+    index_ranges(0, n_traj, batch_rows(n_channels, n_samples)) on workers
+    processes. A batch folds (ensemble_sums) the window_means of
     specs over each sample block that load(lo, hi) yields for its
     trajectories [lo, hi), one block at a time, and returns pool_sums of
     the folds; merge_estimates pools a spec's estimates over the batches.

@@ -3,13 +3,12 @@
 The setup: two linear detectors simultaneously and continuously measure the
 qubit observables along the z axis and along an axis tilted by an angle phi
 from z in the xz plane, on a qubit with no Hamiltonian drive. Both
-detectors are ideal (eta = 1), with measurement time TAU, so each channel
-contributes the ensemble dephasing rate DEFAULT_GAMMA = 1 / (2 TAU) in its
-own basis and the model is unital by construction. The qubit starts on the
-Bloch sphere halfway between the two measurement axes,
-r(0) = (sin(phi/2), 0, cos(phi/2)). Every scan averages its earliest event
-time over a window starting at WINDOW_START; phi and the trajectory budget
-(ReplicaConfig) are all a scan takes.
+detectors are ideal, with measurement time TAU, so each channel contributes
+the ensemble dephasing rate DEFAULT_GAMMA in its own basis and the model is
+unital by construction. The qubit starts on the Bloch sphere halfway
+between the two measurement axes, r(0) = (sin(phi/2), 0, cos(phi/2)).
+Windows start at WINDOW_START; a scan takes only phi and its trajectory
+budget (ReplicaConfig).
 
 Two scans reproduce the characteristic three- and four-time correlator
 structure of this setup:
@@ -77,6 +76,8 @@ TAU = 1.0 / (2.0 * DEFAULT_GAMMA)  # measurement time of each ideal detector, us
 WINDOW_START = 1.0  # t_a of every scan's window, us
 DEFAULT_THREE_TIME_WINDOW = 0.2
 DEFAULT_FOUR_TIME_WINDOW = 0.5
+DEFAULT_THREE_TIME_GRID = tuple(np.linspace(0.1, 2.3, 8) / DEFAULT_GAMMA)  # gaps, us
+DEFAULT_FOUR_TIME_GRID = tuple(np.linspace(0.5, 2.3, 10) / DEFAULT_GAMMA)
 CHANNEL_Z = 0
 CHANNEL_PHI = 1
 
@@ -190,14 +191,6 @@ def _evaluate(config: ReplicaConfig, length: float, points, grid_average=False) 
     return analytic, [(p.value, p.std_error) for p in pooled]
 
 
-def default_three_time_grid():
-    return tuple(np.linspace(0.1, 2.3, 8) / DEFAULT_GAMMA)
-
-
-def default_four_time_grid():
-    return tuple(np.linspace(0.5, 2.3, 10) / DEFAULT_GAMMA)
-
-
 def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
     """Tabulate the (phi, z, phi) three-time correlator on a gap grid.
 
@@ -205,9 +198,9 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
     grids. The analytic column varies only with dt32, up to rounding.
     """
     if dt21_values is None:
-        dt21_values = default_three_time_grid()
+        dt21_values = DEFAULT_THREE_TIME_GRID
     if dt32_values is None:
-        dt32_values = default_three_time_grid()
+        dt32_values = DEFAULT_THREE_TIME_GRID
     gaps21 = _snapped(dt21_values, "dt21_values", config.dt)
     gaps32 = _snapped(dt32_values, "dt32_values", config.dt)
 
@@ -226,13 +219,14 @@ def three_time_scan(config: ReplicaConfig, dt21_values=None, dt32_values=None):
 def four_time_scan(config: ReplicaConfig, dt32_values=None):
     """Tabulate the (z, phi, z, phi) four-time correlator over a dt32 grid.
 
-    dt21 and dt43 are both 0.15/DEFAULT_GAMMA. Returns (rows, summary) where the
-    summary averages the Monte Carlo values over the dt32 grid, with both the
-    spread across grid points and the trajectory-pooled standard error of the
-    grid average, and the analytic values over the same grid.
+    dt21 and dt43 are both 0.15/DEFAULT_GAMMA. Returns (rows, summary)
+    where the summary averages the Monte Carlo values over the dt32 grid,
+    with both the spread across grid points and the trajectory-pooled
+    standard error of the grid average, and the analytic values over the
+    same grid.
     """
     if dt32_values is None:
-        dt32_values = default_four_time_grid()
+        dt32_values = DEFAULT_FOUR_TIME_GRID
     dt = config.dt
     g21 = g43 = snap(0.15 / DEFAULT_GAMMA, dt) * dt
     gaps32 = _snapped(dt32_values, "dt32_values", dt)

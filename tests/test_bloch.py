@@ -177,7 +177,6 @@ class TestRequireLindblad:
         with pytest.raises(ValidationError, match="the model is no Lindblad generator"):
             require_lindblad(generator, np.array([0.0, 0.0, -1.01]), "the model")
 
-
     def test_accepted_generators_keep_states_in_the_ball(self):
         # The rule from the other side: random (lam, drift) that it accepts
         # never carry a random Bloch vector, pure or mixed, out of the ball.

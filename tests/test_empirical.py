@@ -21,7 +21,6 @@ from qcorr import (
     Window,
     build_ensemble_model,
     estimate_correlator,
-    four_time_scan,
     merge_estimates,
     read_records,
     simulate_ensemble,
