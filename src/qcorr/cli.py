@@ -2,16 +2,17 @@
 
 Every float written to CSV uses 17 significant digits so values round-trip
 exactly; a fixed seed therefore yields byte-identical outputs across runs
-and worker counts. estimate and analytic resolve each windowed spec entry
+and worker counts. config reads every JSON input: config files and spec
+files (read_specs). estimate and analytic resolve each windowed spec entry
 once (empirical.resolve_spec), against the record header or the config; a
-refusal names its entry as spec[i], as a parse error does. estimate hands
-the header and its specs to the Monte Carlo driver of the replica scans
-(empirical.estimate_batches), which fits the specs to the header's record
-span and checks its trajectory count before any payload is read, then
-cuts the batches from the record shape; each batch is read in blocks of
-empirical.block_rows, each folded before the next is read. simulate takes
-the ensemble from the config's sim keys alone and writes it batch by batch
-(recordio.simulate_records).
+refusal names its entry as spec[i] (config.named_entry), as a parse error
+does. estimate hands the header and its specs to the Monte Carlo driver
+of the replica scans (empirical.estimate_batches), which fits the specs to
+the header's record span and checks its trajectory count before any
+payload is read, then cuts the batches from the record shape; each batch
+is read in blocks of empirical.block_rows, each folded before the next is
+read. simulate takes the ensemble from the config's sim keys alone and
+writes it batch by batch (recordio.simulate_records).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import csv
 import math
 import sys
-from contextlib import contextmanager
 from functools import cache, partial
 
 import numpy as np
@@ -33,20 +33,11 @@ from .analytic import (
     window_mean_spec,
     window_mean_state,
 )
-from .config import (
-    _integer,
-    _number,
-    _require_keys,
-    _vector3,
-    parse_config,
-    read_json,
-    setup_from_json,
-)
+from .config import named_entry, parse_config, read_json, read_specs, setup_from_json
 # estimate_correlator is unused here but stays importable from this module:
 # perfbench/layers.py traces it under this name.
 from .empirical import (  # noqa: F401
     ResolvedSpecs,
-    Window,
     block_rows,
     estimate_batches,
     estimate_correlator,
@@ -82,59 +73,6 @@ def _write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def _channel_times(items, path: str, time_key: str) -> list:
-    if not isinstance(items, list) or not items:
-        raise ConfigError(f"{path}: expected a non-empty array")
-    pairs = []
-    for i, item in enumerate(items):
-        _require_keys(item, f"{path}[{i}]", required=("channel", time_key))
-        pairs.append((_integer(item["channel"], f"{path}[{i}].channel"),
-                      _number(item[time_key], f"{path}[{i}].{time_key}")))
-    return pairs
-
-
-@contextmanager
-def _entry(i: int):
-    """Name spec[i] in a ValidationError raised inside: it refuses that entry."""
-    try:
-        yield
-    except ValidationError as exc:
-        raise ValidationError(f"spec[{i}]: {exc}") from None
-
-
-def _spec_entries(path, r_init) -> list:
-    """Validated entries of a spec file: each a CorrelatorSpec or (gaps, Window).
-
-    Explicit event lists are accepted only when r_init, their default initial
-    state, is not None; the windowed form needs no state.
-    """
-    raw = read_json(path)
-    if raw == []:
-        raise ConfigError("spec: expected a non-empty array")
-    entries = []
-    for i, entry in enumerate(raw if isinstance(raw, list) else [raw]):
-        where = f"spec[{i}]"
-        with _entry(i):
-            if r_init is not None and isinstance(entry, dict) and "events" in entry:
-                _require_keys(entry, where, required=("events",), optional=("initial",))
-                init = entry.get("initial", {})
-                _require_keys(init, f"{where}.initial", required=(), optional=("r", "t_us"))
-                r_in = tuple(_vector3(init["r"], f"{where}.initial.r")) if "r" in init else r_init
-                t_in = _number(init.get("t_us", 0.0), f"{where}.initial.t_us")
-                events = _channel_times(entry["events"], f"{where}.events", "t_us")
-                entries.append(CorrelatorSpec(events, r_in, t_in))
-            else:
-                _require_keys(entry, where, required=("window", "gaps"))
-                window = entry["window"]
-                _require_keys(window, f"{where}.window", required=("t_a_us", "T_us"))
-                entries.append((
-                    _channel_times(entry["gaps"], f"{where}.gaps", "dt_us"),
-                    Window(_number(window["t_a_us"], f"{where}.window.t_a_us"),
-                           _number(window["T_us"], f"{where}.window.T_us")),
-                ))
-    return entries
 
 
 def _parse_float_list(text, option: str) -> list:
@@ -178,11 +116,11 @@ def _do_simulate(args) -> int:
 def _do_analytic(args) -> int:
     sim = parse_config(args.config).sim
     model, channels, dt = sim.model, sim.channels, sim.dt
-    entries = _spec_entries(args.spec, sim.r_init)
+    entries = read_specs(args.spec, sim.r_init)
     rows = []
     window_state = cache(partial(window_mean_state, model, sim.r_init))  # once per window
     for i, entry in enumerate(entries):
-        with _entry(i):
+        with named_entry(i):
             if isinstance(entry, CorrelatorSpec):
                 spec = entry
                 key = (events_key(entry.events), float("nan"), float("nan"))
@@ -212,11 +150,11 @@ def _do_analytic(args) -> int:
 
 
 def _do_estimate(args) -> int:
-    entries = _spec_entries(args.spec, None)
+    entries = read_specs(args.spec)
     header = read_header(args.records)
     resolved = []
     for i, (gaps, window) in enumerate(entries):
-        with _entry(i):
+        with named_entry(i):
             resolved.append(resolve_spec(gaps, window, header.dt, header.n_channels))
     block = block_rows(header.n_channels, header.n_samples)
 

@@ -114,10 +114,6 @@ class CorrelatorEstimate:
 
     n_window_samples = property(lambda self: self.window_bins[1] - self.window_bins[0] + 1)
 
-    @property
-    def snapped_gaps_us(self) -> tuple:
-        return tuple(g * self.dt for _, g in self.events)
-
     def spec_key(self) -> tuple:
         return (self.dt, self.window_bins, self.events)
 

@@ -88,7 +88,9 @@ class ReplicaConfig:
 
     phi is the angle between the measurement axes (radians, in [0, pi]).
     The trajectory budget (dt, n_traj, master_seed, workers) only matters
-    when include_mc is set; dt also sets the grid that gaps snap to.
+    when include_mc is set; dt also sets the grid that gaps snap to. The
+    Monte Carlo driver (empirical.estimate_batches) refuses an n_traj too
+    small for a standard error before any batch.
     """
 
     phi: float
@@ -103,8 +105,6 @@ class ReplicaConfig:
             raise ValidationError(f"phi must lie in [0, pi], got {self.phi}")
         check_positive(self.dt, "dt")
         check_integer(self.workers, "workers", 1)
-        if self.include_mc and self.n_traj < 2:
-            raise ValidationError(f"n_traj must be >= 2 for a standard error, got {self.n_traj}")
 
     @property
     def r_init(self) -> tuple:

@@ -944,6 +944,25 @@ class TestSpecFiles:
             assert err == ["error: spec: expected a non-empty array"]
             assert reads == [] and not (tmp / "out.csv").exists()
 
+    @pytest.mark.parametrize("command, bad", [
+        ("simulate", "config"), ("analytic", "config"), ("analytic", "spec"), ("estimate", "spec"),
+    ])
+    def test_file_that_is_not_utf8_exits_with_one_named_error(self, workspace, capsys,
+                                                              command, bad):
+        # A UnicodeDecodeError is no OSError: unchecked, it ends in a traceback.
+        tmp, config, spec = workspace
+        records = synthetic_records(tmp / "records.qcr", n_traj=5)
+        files = {"config": config, "spec": spec}
+        files[bad].write_bytes(b"\xff" + files[bad].read_bytes())
+        source = {"simulate": ["--config", str(config)],
+                  "analytic": ["--config", str(config), "--spec", str(spec)],
+                  "estimate": ["--records", str(records), "--spec", str(spec)]}[command]
+        out = tmp / "out"
+        assert main([command, *source, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {files[bad]}: not UTF-8 text: invalid start byte at offset 0"]
+        assert not out.exists()
+
 
 class TestReplicaCommands:
     def test_fig1_analytic_only(self, tmp_path, capsys):
@@ -1028,7 +1047,8 @@ class TestReplicaCommands:
         (["replica-fig1", "--phi", "0.5", "--dt21-grid", "", "--no-mc"], "--dt21-grid"),
         (["replica-fig2", "--phi", "0.5", "--workers", "0", "--no-mc"], "workers must be >= 1"),
         (["replica-fig1", "--phi", "0.5", "--dt21-grid", "0", "--no-mc"], "snap to one bin"),
-        (["replica-fig2", "--phi", "0.5", "--n-traj", "1"], "n_traj must be >= 2"),
+        (["replica-fig2", "--phi", "0.5", "--n-traj", "1"],
+         "estimation needs at least 2 trajectories for a standard error"),
     ], ids=["dt-zero", "dt-negative", "phi-not-a-number", "empty-dt32-grid",
             "empty-phi", "empty-dt21-grid", "blank-dt21-grid", "zero-workers",
             "coinciding-dt21-grid", "single-trajectory"])

@@ -102,6 +102,16 @@ def test_syntax_error_reports_line():
         load_config('{\n  "channels": [,]\n}')
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+    ("[" + "9" * 5000 + "]", "Exceeds the limit"),
+], ids=["nested-too-deep", "integer-too-long"])
+def test_undecodable_json_refused_with_source(text, message):
+    # Neither is a JSONDecodeError: unchecked, each ends the command in a traceback.
+    with pytest.raises(ConfigError, match=rf"^<config>: {message}"):
+        load_config(text)
+
+
 def test_non_numeric_value_rejected():
     cfg = {**MINIMAL, "sim": {**MINIMAL["sim"], "dt_us": "fast"}}
     with pytest.raises(ConfigError, match="dt_us"):

@@ -120,7 +120,7 @@ class TestEstimateCorrelator:
         records = noise_only_records(n_traj=10, n_samples=50)
         est = estimate_correlator(
             records, [(0, 0.0), (1, 0.1234)], Window(0.1, 0.1))
-        assert est.snapped_gaps_us[1] == pytest.approx(0.12)
+        assert est.events[1][1] * est.dt == pytest.approx(0.12)
         assert est.events == ((0, 0), (1, 12))
 
     def test_window_exceeding_span_rejected(self):

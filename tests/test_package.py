@@ -71,3 +71,15 @@ def test_no_top_level_definition_goes_unreferenced():
     dead = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read]
     assert dead == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A helper that two modules need is public in one of them; an
+    # underscore name stays inside the module that defines it.
+    private = []
+    for path in sorted((ROOT / "src" / "qcorr").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qcorr")):
+                private += [f"{path.stem}: {node.module}.{alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

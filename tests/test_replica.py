@@ -198,11 +198,14 @@ class TestScansWithMonteCarlo:
             scan(ReplicaConfig(phi=0.9, n_traj=600, include_mc=include_mc), **grid)
         assert batches == []
 
-    @pytest.mark.parametrize("n_traj", [0, 1])
-    def test_single_trajectory_refused_before_any_batch(self, monkeypatch, n_traj):
+    @pytest.mark.parametrize("n_traj, message", [
+        (0, "n_traj must be >= 1"),
+        (1, "estimation needs at least 2 trajectories for a standard error"),
+    ], ids=["0", "1"])
+    def test_single_trajectory_refused_before_any_batch(self, monkeypatch, n_traj, message):
         batches = []
         monkeypatch.setattr(replica_module, "simulate_range", lambda *a, **k: batches.append(a))
-        with pytest.raises(ValidationError, match="n_traj must be >= 2"):
+        with pytest.raises(ValidationError, match=message):
             four_time_scan(ReplicaConfig(phi=0.9, n_traj=n_traj, include_mc=True),
                            dt32_values=(0.7,))
         assert batches == []
