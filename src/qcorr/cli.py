@@ -12,7 +12,9 @@ the header's record span and checks its trajectory count before any
 payload is read, then cuts the batches from the record shape; each batch
 is read in blocks of empirical.block_rows, each folded before the next is
 read. simulate takes the ensemble from the config's sim keys alone and
-writes it batch by batch (recordio.simulate_records).
+writes it batch by batch (recordio.simulate_records). An error ends a
+command with one "error:" line on stderr and exit status 1; a warning (a
+dt in the advisory band) is one "warning:" line there, and the command goes on.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import csv
 import math
 import sys
+import warnings
 from functools import cache, partial
 
 import numpy as np
@@ -180,14 +183,8 @@ def _do_estimate(args) -> int:
 
 
 def _replica_config(args, phi) -> ReplicaConfig:
-    kwargs = dict(phi=phi, include_mc=args.mc, workers=args.workers)
-    if args.n_traj is not None:
-        kwargs["n_traj"] = args.n_traj
-    if args.dt is not None:
-        kwargs["dt"] = args.dt
-    if args.seed is not None:
-        kwargs["master_seed"] = args.seed
-    return ReplicaConfig(**kwargs)
+    return ReplicaConfig(phi=phi, dt=args.dt, n_traj=args.n_traj, master_seed=args.seed,
+                         workers=args.workers)
 
 
 def _do_replica_fig1(args) -> int:
@@ -346,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--phi", required=True,
                        help="comma-separated measurement-axis angles in radians")
         p.add_argument("--out", required=True)
-        p.add_argument("--n-traj", type=int, dest="n_traj")
-        p.add_argument("--dt", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--mc", action=argparse.BooleanOptionalAction, default=True)
+        p.add_argument("--n-traj", type=int, dest="n_traj", default=ReplicaConfig.n_traj,
+                       help="trajectories to simulate; 0 writes the exact values alone")
+        p.add_argument("--dt", type=float, default=ReplicaConfig.dt)
+        p.add_argument("--seed", type=int, default=ReplicaConfig.master_seed)
+        p.add_argument("--workers", type=int, default=ReplicaConfig.workers)
         p.add_argument("--dt32-grid", dest="dt32_grid",
                        help="comma-separated gap values in microseconds")
         if name == "replica-fig1":
@@ -369,16 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except QcorrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        # A warning is one line, as an error is: its message, not the library line that warned.
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (QcorrError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

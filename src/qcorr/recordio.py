@@ -93,7 +93,7 @@ def _write_batch(config: SimConfig, fd: int, payload_offset: int, buffer, bounds
     their offset; returns the batch's trajectory count."""
     lo, hi = bounds
     samples = buffer[:hi - lo]
-    trajectory._simulate_batch(config, lo, hi, samples, None)
+    trajectory.simulate_batch(config, lo, hi, samples, None)
     _pwrite_all(fd, samples, payload_offset + lo * samples[0].nbytes)
     return hi - lo
 

@@ -8,7 +8,7 @@ the ensemble dephasing rate DEFAULT_GAMMA in its own basis and the model is
 unital by construction. The qubit starts on the Bloch sphere halfway
 between the two measurement axes, r(0) = (sin(phi/2), 0, cos(phi/2)).
 Windows start at WINDOW_START; a scan takes only phi and its trajectory
-budget (ReplicaConfig).
+budget (ReplicaConfig), whose n_traj = 0 asks for the exact values alone.
 
 Two scans reproduce the characteristic three- and four-time correlator
 structure of this setup:
@@ -30,7 +30,8 @@ value is the factorized value that qcorr analytic reports for the same spec
 (analytic.window_mean_spec, from one window-mean state per scan). Its Monte
 Carlo value comes from empirical.estimate_batches, the driver of qcorr
 estimate too, with simulation batches as the source and the scan's
-SimConfig as the record shape it fits the points to: the process that
+SimConfig as the record shape it fits the points to. The records end at
+the last sample the points read (ResolvedSpecs.last_sample): the process that
 simulates a batch (a forked worker with several workers) takes the window
 means of the resolved points in one window_means call and returns only their
 estimates, so memory stays bounded by one batch per process at any
@@ -87,23 +88,24 @@ class ReplicaConfig:
     """Parameters of one two-detector scan.
 
     phi is the angle between the measurement axes (radians, in [0, pi]).
-    The trajectory budget (dt, n_traj, master_seed, workers) only matters
-    when include_mc is set; dt also sets the grid that gaps snap to. The
-    Monte Carlo driver (empirical.estimate_batches) refuses an n_traj too
-    small for a standard error before any batch.
+    dt sets the grid that gaps snap to. n_traj is the one Monte Carlo
+    switch: 0 gives the exact values alone (NaN Monte Carlo fields), and
+    master_seed and workers then go unused; otherwise n_traj trajectories
+    are simulated, and the Monte Carlo driver (empirical.estimate_batches)
+    refuses a budget too small for a standard error before any batch.
     """
 
     phi: float
     dt: float = 0.01
     n_traj: int = 20000
     master_seed: int = 20250101
-    include_mc: bool = True
     workers: int = 1
 
     def __post_init__(self):
         if not (0.0 <= self.phi <= math.pi):
             raise ValidationError(f"phi must lie in [0, pi], got {self.phi}")
         check_positive(self.dt, "dt")
+        check_integer(self.n_traj, "n_traj", 0)
         check_integer(self.workers, "workers", 1)
 
     @property
@@ -124,7 +126,7 @@ def replica_model(config: ReplicaConfig):
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One grid point of a correlator scan; mc fields are NaN without MC."""
+    """One grid point of a correlator scan; mc fields are NaN at n_traj = 0."""
 
     phi: float
     dt21: float
@@ -160,11 +162,11 @@ def _evaluate(config: ReplicaConfig, length: float, points, grid_average=False) 
 
     points are (channel, gap_us) lists from a t1 in the window of this
     length at WINDOW_START. All are resolved once, first (resolve_spec),
-    also without include_mc (then every Monte Carlo pair is NaN), so a bad
-    grid is refused before any batch is simulated. A point's analytic value
-    is the factorized value of its window_mean_spec, all from one
-    window-mean state. The simulated records span the window and the largest
-    gap; estimate_batches fits the points to them and cuts the batches from
+    also at n_traj = 0 (then every Monte Carlo pair is NaN), so a bad grid
+    is refused before any batch is simulated. A point's analytic value is
+    the factorized value of its window_mean_spec, all from one window-mean
+    state. The simulated records end at the points' last sample;
+    estimate_batches fits the points to them and cuts the batches from
     their shape, and each batch's estimates are pooled into running
     estimates with merge_estimates as they arrive.
     """
@@ -175,11 +177,11 @@ def _evaluate(config: ReplicaConfig, length: float, points, grid_average=False) 
     r_window = window_mean_state(model, config.r_init, window, dt)
     analytic = [factorized_correlator(model, channels, window_mean_spec(r_window, events, dt))
                 for _, events in specs]
-    if not config.include_mc:
+    if not config.n_traj:
         return analytic, [(float("nan"), float("nan"))] * (len(points) + grid_average)
-    t_total = window.t_a + window.length + (max(e[-1][1] for _, e in specs) + 2) * dt
-    sim = SimConfig(model=model, channels=channels, r_init=config.r_init, t_total=t_total,
-                    dt=dt, n_traj=config.n_traj, master_seed=config.master_seed)
+    sim = SimConfig(model=model, channels=channels, r_init=config.r_init,
+                    t_total=(specs.last_sample + 1) * dt, dt=dt, n_traj=config.n_traj,
+                    master_seed=config.master_seed)
 
     def load(lo, hi):  # the one sample block of batch [lo, hi), simulated
         return [simulate_range(sim, lo, hi).samples]
@@ -242,14 +244,8 @@ def four_time_scan(config: ReplicaConfig, dt32_values=None):
         for g32, value, (mc_value, mc_se) in zip(gaps32, analytic, mc)
     ]
 
-    values = [row.mc_value for row in rows]
-    mc_std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    summary = FourTimeSummary(
-        phi=config.phi,
-        mc_mean=mc_mean,
-        mc_std=mc_std if config.include_mc else float("nan"),
-        mc_pooled_se=mc_pooled_se,
-        analytic=float(np.mean(analytic)),
-        n_traj=config.n_traj if config.include_mc else 0,
-    )
-    return rows, summary
+    mc_std = float(np.std([row.mc_value for row in rows], ddof=1)) if len(rows) > 1 else 0.0
+    return rows, FourTimeSummary(phi=config.phi, mc_mean=mc_mean,
+                                 mc_std=mc_std if config.n_traj else float("nan"),
+                                 mc_pooled_se=mc_pooled_se, analytic=float(np.mean(analytic)),
+                                 n_traj=config.n_traj)

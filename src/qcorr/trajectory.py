@@ -24,7 +24,7 @@ measured axis stays there bit for bit.
 Output never depends on worker count, scheduling or batch size: each
 trajectory owns its noise stream, batches are cut at fixed multiples of
 batch_rows (a function of the record shape alone) and write their own
-rows, and every step is elementwise over the batch axis. _simulate_batch
+rows, and every step is elementwise over the batch axis. simulate_batch
 has two callers: simulate_range, which fills its rows of the returned
 array in the calling process, and recordio.simulate_records, which fills
 one buffer per map_batches process and writes it out. A batch holds its
@@ -285,7 +285,7 @@ class _BayesStep:
             r[:] = spare
 
 
-def _simulate_batch(config: SimConfig, start: int, stop: int, samples, states) -> None:
+def simulate_batch(config: SimConfig, start: int, stop: int, samples, states) -> None:
     """Simulate trajectories [start, stop) into their rows of samples and states.
 
     samples has shape (stop - start, n_channels, n_samples) and states, unless
@@ -401,7 +401,7 @@ def simulate_range(config: SimConfig, start: int, stop: int, states: bool = Fals
     states = np.empty((stop - start, config.n_samples + 1, 3)) if states else None
     for lo, hi in index_ranges(start, stop, config.batch_size):
         rows = slice(lo - start, hi - start)
-        _simulate_batch(config, lo, hi, samples[rows], None if states is None else states[rows])
+        simulate_batch(config, lo, hi, samples[rows], None if states is None else states[rows])
     return RecordSet(samples, config.dt, config.channels, config.master_seed,
                      states=states, traj_offset=start)
 

@@ -151,6 +151,6 @@ def batch_cap(monkeypatch):
 @pytest.fixture(scope="session")
 def replica_pair():
     """Replica model and channels at phi = 3 pi / 10."""
-    config = ReplicaConfig(phi=3 * np.pi / 10, include_mc=False)
+    config = ReplicaConfig(phi=3 * np.pi / 10)
     model, channels = replica_model(config)
     return config, model, channels

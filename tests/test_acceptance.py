@@ -146,7 +146,7 @@ def test_a3_short_gap_pair_correlator_constant():
         if n == 5:
             continue
         phi = n * np.pi / 10
-        model, channels = replica_model(ReplicaConfig(phi=phi, include_mc=False))
+        model, channels = replica_model(ReplicaConfig(phi=phi))
         k = two_time_correlator(model, channels, 0, 0.0, 1, gap)
         ratios[n] = k ** 2 / np.cos(phi) ** 2
     lo, hi = min(ratios.values()), max(ratios.values())
@@ -211,7 +211,7 @@ def test_a5_three_time_correlator_flat_in_first_gap():
     for phi in phis:
         config = ReplicaConfig(
             phi=phi, n_traj=50_000, dt=0.01, master_seed=5002,
-            include_mc=True, workers=2,
+            workers=2,
         )
         rows = three_time_scan(config, dt21_values=dt21_grid, dt32_values=dt32_grid)
         flat = [r for r in rows if r.dt32 == pytest.approx(fixed_dt32, abs=1e-9)]
@@ -241,7 +241,7 @@ def test_a6_four_time_correlator_flat_in_middle_gap():
     for phi in phis:
         config = ReplicaConfig(
             phi=phi, n_traj=200_000, dt=0.01, master_seed=6003,
-            include_mc=True, workers=2,
+            workers=2,
         )
         rows, summary = four_time_scan(config, dt32_values=dt32_grid)
         slope, slope_se = weighted_slope(
@@ -278,7 +278,7 @@ def test_a7_purity_scaling_and_ensemble_consistency():
 
     # Ensemble mean vs the exact propagation, 4 standard errors everywhere.
     phi = 3 * np.pi / 10
-    rconfig = ReplicaConfig(phi=phi, include_mc=False)
+    rconfig = ReplicaConfig(phi=phi)
     rmodel, rchannels = replica_model(rconfig)
     config = SimConfig(
         model=rmodel, channels=rchannels, r_init=rconfig.r_init,
@@ -325,7 +325,7 @@ def test_a8_equal_time_singular_term():
 
 def test_a9_pipeline_determinism(tmp_path, batch_cap):
     phi = 3 * np.pi / 10
-    config = ReplicaConfig(phi=phi, include_mc=False)
+    config = ReplicaConfig(phi=phi)
     model, channels = replica_model(config)
     sim = SimConfig(
         model=model, channels=channels, r_init=config.r_init,

@@ -3,15 +3,17 @@ import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qcorr.cli as cli_module
-import qcorr.config as config_module
 import qcorr.replica as replica_module
 import qcorr.trajectory as trajectory_module
 from qcorr import (
@@ -75,6 +77,10 @@ PINNED_SPECS = [
 PINNED_ESTIMATE_SHA256 = "d9bd477f3906b600396808f7d4bd37dee38051c2d69a9946e930985cc4992443"
 
 PRESETS = resources.files("qcorr").joinpath("presets")
+PRESET = PRESETS.joinpath("two_detector_sim.json")
+# The preset's dt = 0.01 us against tau = 0.65 us, as the command-line tool prints it.
+PRESET_WARNING = ("warning: dt=0.01 is 0.015 of the fastest measurement time; "
+                  "expect visible discretization error\n")
 FOUR_EVENT_SPEC = {
     "initial": {"r": [0.6, 0.0, 0.8], "t_us": 0.2},
     "events": [{"channel": 0, "t_us": 0.5}, {"channel": 1, "t_us": 0.9},
@@ -172,20 +178,29 @@ class TestSimulate:
               "--n-traj", "120", "--workers", "8"])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_dt_option_replaces_the_file_dt_before_it_is_checked(self, workspace):
+    def test_dt_option_replaces_the_file_dt_before_it_is_checked(self, workspace, capsys):
         # The preset's dt = 0.01 sits in the warning band; --dt 0.005 does not.
         tmp, _, _ = workspace
-        preset = resources.files("qcorr").joinpath("presets/two_detector_sim.json")
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            assert main(["simulate", "--config", str(preset), "--out", str(tmp / "fine.qcr"),
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", TimestepWarning)
+            assert main(["simulate", "--config", str(PRESET), "--out", str(tmp / "fine.qcr"),
                          "--n-traj", "4", "--dt", "0.005"]) == 0
-            assert not [w for w in seen if issubclass(w.category, TimestepWarning)]
-            assert main(["simulate", "--config", str(preset), "--out", str(tmp / "coarse.qcr"),
+            assert capsys.readouterr().err == ""
+            assert main(["simulate", "--config", str(PRESET), "--out", str(tmp / "coarse.qcr"),
                          "--n-traj", "4"]) == 0
-        warned = [w for w in seen if issubclass(w.category, TimestepWarning)]
-        assert len(warned) == 1 and "dt=0.01 " in str(warned[0].message)
-        assert warned[0].filename == config_module.__file__
+        assert capsys.readouterr().err == PRESET_WARNING
+
+    def test_warning_is_one_line_on_stderr(self, tmp_path):
+        # A process of its own, so Python's default warning filters apply.
+        out = tmp_path / "records.qcr"
+        done = subprocess.run(
+            [sys.executable, "-m", "qcorr.cli", "simulate", "--config", str(PRESET),
+             "--n-traj", "4", "--out", str(out)],
+            capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).parents[1])))
+        assert done.returncode == 0
+        assert done.stderr == PRESET_WARNING
+        assert done.stdout == f"wrote 4 trajectories x 2 channels x 400 samples to {out}\n"
 
     def test_dt_option_makes_a_coarse_file_legal(self, workspace, capsys):
         # dt = 0.04 us is 0.06 of tau = 0.65 us, above the 0.05 limit.
@@ -364,14 +379,14 @@ class TestStreamedSimulate:
         assert counts == [f"{n}/30 trajectories" for n in (8, 16, 24, 30)]
 
     def test_states_are_not_simulated(self, tmp_path, monkeypatch, batch_cap):
-        simulate_batch = trajectory_module._simulate_batch
+        simulate_batch = trajectory_module.simulate_batch
         states_seen = []
 
         def spy(config, start, stop, samples, states):
             states_seen.append(states)
             return simulate_batch(config, start, stop, samples, states)
 
-        monkeypatch.setattr(trajectory_module, "_simulate_batch", spy)
+        monkeypatch.setattr(trajectory_module, "simulate_batch", spy)
         batch_cap(8)
         assert main(["simulate", "--config", str(sim_config(tmp_path, n_traj=20)),
                      "--out", str(tmp_path / "records.qcr")]) == 0
@@ -392,14 +407,14 @@ class TestStreamedSimulate:
         # With a 16 KiB budget a 2 x 220-sample row (3520 bytes) fits 4 times,
         # so 30 trajectories run in 8 batches and no batch passes the budget.
         monkeypatch.setattr(trajectory_module, "BATCH_BYTES", 16 * 1024)
-        simulate_batch = trajectory_module._simulate_batch
+        simulate_batch = trajectory_module.simulate_batch
         batch_bytes = []
 
         def spy(config, start, stop, samples, states):
             batch_bytes.append(samples.nbytes)
             return simulate_batch(config, start, stop, samples, states)
 
-        monkeypatch.setattr(trajectory_module, "_simulate_batch", spy)
+        monkeypatch.setattr(trajectory_module, "simulate_batch", spy)
         config = parse_config(sim_config(tmp_path, n_traj=30)).sim
         out, expected = tmp_path / "records.qcr", tmp_path / "expected.qcr"
         simulate_records(out, config)
@@ -413,14 +428,14 @@ class TestStreamedSimulate:
         # 20 trajectories run as 8 + 8 + 4; 17 as 8 + 9, the one-trajectory
         # tail folded in. Either way one array of the longest batch's rows
         # holds every batch.
-        simulate_batch = trajectory_module._simulate_batch
+        simulate_batch = trajectory_module.simulate_batch
         seen = []
 
         def spy(config, start, stop, samples, states):
             seen.append(samples)
             return simulate_batch(config, start, stop, samples, states)
 
-        monkeypatch.setattr(trajectory_module, "_simulate_batch", spy)
+        monkeypatch.setattr(trajectory_module, "simulate_batch", spy)
         batch_cap(8)
         config = parse_config(sim_config(tmp_path, n_traj=n_traj)).sim
         simulate_records(tmp_path / "records.qcr", config)
@@ -968,7 +983,7 @@ class TestReplicaCommands:
     def test_fig1_analytic_only(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"
         assert main(["replica-fig1", "--phi", "0.9424777960769379",
-                     "--no-mc", "--out", str(out),
+                     "--n-traj", "0", "--out", str(out),
                      "--dt21-grid", "0.3,1.0", "--dt32-grid", "0.7"]) == 0
         rows = read_csv(out)
         assert len(rows) == 2
@@ -978,7 +993,7 @@ class TestReplicaCommands:
     def test_fig2_with_summary(self, tmp_path):
         out = tmp_path / "fig2.csv"
         summary = tmp_path / "summary.csv"
-        assert main(["replica-fig2", "--phi", "0.31,2.2", "--no-mc",
+        assert main(["replica-fig2", "--phi", "0.31,2.2", "--n-traj", "0",
                      "--out", str(out), "--summary-out", str(summary),
                      "--dt32-grid", "0.7,1.4"]) == 0
         rows = read_csv(out)
@@ -993,7 +1008,7 @@ class TestReplicaCommands:
         # The same ReplicaConfig and grids, written as a config and a spec
         # file: the scans' analytic column is qcorr analytic's factorized
         # column, string for string.
-        config = ReplicaConfig(phi=phi, include_mc=False)
+        config = ReplicaConfig(phi=phi)
         _, channels = replica_model(config)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({
@@ -1010,7 +1025,7 @@ class TestReplicaCommands:
                  lambda r: [(z, 0.0), (p, r["dt21_us"]), (z, r["dt21_us"] + r["dt32_us"]),
                             (p, r["dt21_us"] + r["dt32_us"] + r["dt43_us"])])):
             scan = tmp_path / f"{command}.csv"
-            assert main([command, "--phi", repr(phi), "--no-mc", "--out", str(scan)]) == 0
+            assert main([command, "--phi", repr(phi), "--n-traj", "0", "--out", str(scan)]) == 0
             rows = read_csv(scan)
             spec = tmp_path / f"{command}_specs.json"
             spec.write_text(json.dumps([
@@ -1038,20 +1053,22 @@ class TestReplicaCommands:
             <= 4.0 * float(row["mc_se"])
 
     @pytest.mark.parametrize("argv, named", [
-        (["replica-fig2", "--phi", "0.5", "--dt", "0", "--no-mc"], "dt must be positive"),
-        (["replica-fig2", "--phi", "0.5", "--dt", "-0.01", "--no-mc"], "dt must be positive"),
-        (["replica-fig1", "--phi", "abc", "--no-mc"], "--phi"),
+        (["replica-fig2", "--phi", "0.5", "--dt", "0", "--n-traj", "0"], "dt must be positive"),
+        (["replica-fig2", "--phi", "0.5", "--dt", "-0.01", "--n-traj", "0"], "dt must be positive"),
+        (["replica-fig1", "--phi", "abc", "--n-traj", "0"], "--phi"),
         (["replica-fig2", "--phi", "0.5", "--dt32-grid", ",", "--n-traj", "100"], "--dt32-grid"),
-        (["replica-fig1", "--phi", ",", "--no-mc"], "--phi"),
-        (["replica-fig1", "--phi", "0.5", "--dt21-grid", ",", "--no-mc"], "--dt21-grid"),
-        (["replica-fig1", "--phi", "0.5", "--dt21-grid", "", "--no-mc"], "--dt21-grid"),
-        (["replica-fig2", "--phi", "0.5", "--workers", "0", "--no-mc"], "workers must be >= 1"),
-        (["replica-fig1", "--phi", "0.5", "--dt21-grid", "0", "--no-mc"], "snap to one bin"),
+        (["replica-fig1", "--phi", ",", "--n-traj", "0"], "--phi"),
+        (["replica-fig1", "--phi", "0.5", "--dt21-grid", ",", "--n-traj", "0"], "--dt21-grid"),
+        (["replica-fig1", "--phi", "0.5", "--dt21-grid", "", "--n-traj", "0"], "--dt21-grid"),
+        (["replica-fig2", "--phi", "0.5", "--workers", "0", "--n-traj", "0"],
+         "workers must be >= 1"),
+        (["replica-fig1", "--phi", "0.5", "--dt21-grid", "0", "--n-traj", "0"], "snap to one bin"),
         (["replica-fig2", "--phi", "0.5", "--n-traj", "1"],
          "estimation needs at least 2 trajectories for a standard error"),
+        (["replica-fig1", "--phi", "0.5", "--n-traj", "-1"], "n_traj must be >= 0, got -1"),
     ], ids=["dt-zero", "dt-negative", "phi-not-a-number", "empty-dt32-grid",
             "empty-phi", "empty-dt21-grid", "blank-dt21-grid", "zero-workers",
-            "coinciding-dt21-grid", "single-trajectory"])
+            "coinciding-dt21-grid", "single-trajectory", "negative-n-traj"])
     def test_malformed_input_exits_with_one_named_error(self, tmp_path, capsys, argv, named):
         out = tmp_path / "scan.csv"
         assert main(argv + ["--out", str(out)]) == 1
@@ -1061,6 +1078,13 @@ class TestReplicaCommands:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("option", ["--mc", "--no-mc"])
+    def test_trajectory_budget_is_the_only_monte_carlo_switch(self, tmp_path, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["replica-fig2", "--phi", "0.5", option, "--out", str(tmp_path / "fig2.csv")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

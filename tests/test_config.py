@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qcorr import ConfigError, load_config, parse_config
+import qcorr.config as config_module
+from qcorr import ConfigError, TimestepWarning, load_config, parse_config
 
 MINIMAL = {
     "channels": [
@@ -127,7 +128,10 @@ def test_bad_axis_shape_rejected():
 def test_preset_config_parses():
     from importlib import resources
     text = resources.files("qcorr").joinpath("presets/two_detector_sim.json").read_text()
-    setup = load_config(text, source="two_detector_sim.json")
+    with pytest.warns(TimestepWarning) as seen:  # dt_us 0.01 against tau_us 0.65
+        setup = load_config(text, source="two_detector_sim.json")
+    # The warning points at config's call, as the command-line tool does not show it.
+    assert [w.filename for w in seen] == [config_module.__file__]
     assert len(setup.sim.channels) == 2
     assert setup.sim.model.unital
     assert np.linalg.norm(setup.sim.r_init) == pytest.approx(1.0)

@@ -83,7 +83,7 @@ def replica_records(n_traj=3000, seed=5, t_total=3.6):
     (lambda: Window(0.0, math.inf).bins(0.01),
      "window length must be positive and finite, got inf"),
     (lambda: resolve_events([(0, 0.0), (1, math.nan)], 0.01, 2), "time nan us has no bin"),
-    (lambda: three_time_scan(ReplicaConfig(phi=1.0, include_mc=False), dt21_values=(math.nan,)),
+    (lambda: three_time_scan(ReplicaConfig(phi=1.0, n_traj=0), dt21_values=(math.nan,)),
      "time nan us has no bin"),
 ], ids=["window-start", "window-length", "gap", "three-time-grid"])
 def test_non_finite_time_refused_by_name(call, named):

@@ -75,11 +75,21 @@ def test_no_top_level_definition_goes_unreferenced():
 
 def test_no_module_imports_a_private_name_of_another():
     # A helper that two modules need is public in one of them; an
-    # underscore name stays inside the module that defines it.
+    # underscore name stays inside the module that defines it, whether
+    # imported by name or read as an attribute of the imported module.
+    paths = sorted((ROOT / "src" / "qcorr").glob("*.py"))
+    modules = {path.stem for path in paths}
     private = []
-    for path in sorted((ROOT / "src" / "qcorr").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()  # names bound to qcorr modules
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qcorr")):
                 private += [f"{path.stem}: {node.module}.{alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
+                imported |= {alias.asname or alias.name for alias in node.names
+                             if alias.name in modules}
+        private += [f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id in imported]
     assert private == []

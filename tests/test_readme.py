@@ -32,17 +32,31 @@ def usage_lines() -> dict:
     return usage
 
 
-def test_usage_lists_every_option():
-    parser = build_parser()
-    (commands,) = (a.choices for a in parser._actions
+def parser_options() -> dict:
+    """Each command's options in build_parser(), --help aside."""
+    (commands,) = (a.choices for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
+    return {command: [o for a in sub._actions for o in a.option_strings
+                      if o not in ("-h", "--help")]
+            for command, sub in commands.items()}
+
+
+def test_usage_lists_every_option():
     usage = usage_lines()
-    assert set(usage) == set(commands)
-    for command, sub in commands.items():
-        options = [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
-        missing = [o for o in options
+    options = parser_options()
+    assert set(usage) == set(options)
+    for command, names in options.items():
+        missing = [o for o in names
                    if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", usage[command])]
         assert missing == [], f"{command}: {missing}"
+
+
+def test_usage_names_no_unknown_option():
+    options = parser_options()
+    for command, line in usage_lines().items():
+        unknown = [o for o in re.findall(r"(?<![\w-])--?[a-z][\w-]*", line)
+                   if o not in options[command]]
+        assert unknown == [], f"{command}: {unknown}"
 
 
 # The parser tables of qcorr.config, by the README section that documents their keys.

@@ -30,32 +30,38 @@ GAMMA = 1.0 / 1.3
 
 class TestReplicaModel:
     def test_aligned_axes_double_the_dephasing(self):
-        model, channels = replica_model(ReplicaConfig(phi=0.0, include_mc=False))
+        model, channels = replica_model(ReplicaConfig(phi=0.0))
         lam = model.lam
         assert np.allclose(lam, np.diag([-2 * GAMMA, -2 * GAMMA, 0.0]), atol=1e-12)
 
     def test_orthogonal_axes_generator(self):
-        model, _ = replica_model(ReplicaConfig(phi=np.pi / 2, include_mc=False))
+        model, _ = replica_model(ReplicaConfig(phi=np.pi / 2))
         lam = model.lam
         assert np.allclose(lam, -GAMMA * np.diag([1.0, 2.0, 1.0]), atol=1e-12)
 
     def test_always_unital(self):
         for phi in np.linspace(0.0, np.pi, 7):
-            model, _ = replica_model(ReplicaConfig(phi=phi, include_mc=False))
+            model, _ = replica_model(ReplicaConfig(phi=phi))
             assert model.unital
 
     def test_tau_consistent_with_gamma(self):
-        _, channels = replica_model(ReplicaConfig(phi=1.0, include_mc=False))
+        _, channels = replica_model(ReplicaConfig(phi=1.0))
         for ch in channels:
             assert ch.dephasing_rate == pytest.approx(replica_module.DEFAULT_GAMMA, rel=1e-12)
 
     def test_initial_state_halfway(self):
-        config = ReplicaConfig(phi=1.0, include_mc=False)
+        config = ReplicaConfig(phi=1.0)
         assert np.allclose(config.r_init, (math.sin(0.5), 0.0, math.cos(0.5)))
         assert np.linalg.norm(config.r_init) == pytest.approx(1.0)
 
-    def test_single_trajectory_needs_no_mc(self):
-        assert ReplicaConfig(phi=1.0, n_traj=1, include_mc=False).n_traj == 1
+    @pytest.mark.parametrize("n_traj, message", [
+        (-1, "n_traj must be >= 0, got -1"),
+        (2.5, "n_traj must be an integer, got 2.5"),
+        (True, "n_traj must be an integer, got True"),
+    ], ids=["negative", "fractional", "bool"])
+    def test_trajectory_budget_refused_by_name(self, n_traj, message):
+        with pytest.raises(ValidationError, match=message):
+            ReplicaConfig(phi=1.0, n_traj=n_traj)
 
     def test_phi_range_validated(self):
         with pytest.raises(ValidationError):
@@ -72,25 +78,25 @@ def test_window_mean_state_built_once_per_scan(monkeypatch, scan, expm_calls):
     calls = []
     expm = linalg_module.expm
     monkeypatch.setattr(linalg_module, "expm", lambda a: calls.append(a) or expm(a))
-    scan(ReplicaConfig(phi=0.9, include_mc=False))
+    scan(ReplicaConfig(phi=0.9, n_traj=0))
     assert len(calls) == expm_calls
 
 
 class TestThreeTimeScanAnalytic:
     def test_analytic_column_constant_in_first_gap(self):
-        config = ReplicaConfig(phi=3 * np.pi / 10, include_mc=False)
+        config = ReplicaConfig(phi=3 * np.pi / 10, n_traj=0)
         rows = three_time_scan(config, dt21_values=(0.2, 0.8, 1.9), dt32_values=(0.6,))
         values = [r.analytic for r in rows]
         assert max(values) - min(values) <= 1e-12
 
     def test_analytic_column_tracks_last_gap(self):
-        config = ReplicaConfig(phi=3 * np.pi / 10, include_mc=False)
+        config = ReplicaConfig(phi=3 * np.pi / 10, n_traj=0)
         rows = three_time_scan(config, dt21_values=(0.5,), dt32_values=(0.2, 1.0, 2.6))
         values = [r.analytic for r in rows]
         assert values[0] > values[1] > values[2] > 0.0
 
     def test_orthogonal_axes_kill_the_product(self):
-        config = ReplicaConfig(phi=np.pi / 2, include_mc=False)
+        config = ReplicaConfig(phi=np.pi / 2, n_traj=0)
         rows = three_time_scan(config, dt21_values=(0.5,), dt32_values=(0.5, 1.5))
         for row in rows:
             assert row.analytic == pytest.approx(0.0, abs=1e-12)
@@ -101,7 +107,7 @@ class TestThreeTimeScanAnalytic:
         for gap in (0.2, 0.8, 1.9):
             pair = []
             for angle in (phi, np.pi - phi):
-                config = ReplicaConfig(phi=angle, include_mc=False)
+                config = ReplicaConfig(phi=angle)
                 model, channels = replica_model(config)
                 pair.append(two_time_correlator(model, channels, 0, 0.0, 1, gap))
             assert pair[0] == pytest.approx(-pair[1], abs=1e-12)
@@ -109,7 +115,7 @@ class TestThreeTimeScanAnalytic:
 
 class TestFourTimeScanAnalytic:
     def test_analytic_is_pair_product(self):
-        config = ReplicaConfig(phi=3 * np.pi / 10, include_mc=False)
+        config = ReplicaConfig(phi=3 * np.pi / 10, n_traj=0)
         rows, summary = four_time_scan(config, dt32_values=(0.7, 1.4))
         model, channels = replica_model(config)
         gap = round(0.15 / replica_module.DEFAULT_GAMMA / config.dt) * config.dt
@@ -119,7 +125,7 @@ class TestFourTimeScanAnalytic:
         assert summary.analytic == pytest.approx(expected, abs=1e-12)
 
     def test_analytic_independent_of_middle_gap_window_and_budget(self):
-        base = ReplicaConfig(phi=1.0, include_mc=False)
+        base = ReplicaConfig(phi=1.0, n_traj=0)
         rows_a, _ = four_time_scan(base, dt32_values=(0.7, 2.9))
         values = {r.analytic for r in rows_a}
         assert max(values) - min(values) <= 1e-12
@@ -138,7 +144,7 @@ class TestFourTimeScanAnalytic:
     def test_short_gap_squared_ratio(self):
         for n in (0, 2, 3, 7):
             phi = n * np.pi / 10
-            config = ReplicaConfig(phi=phi, include_mc=False)
+            config = ReplicaConfig(phi=phi, n_traj=0)
             _, summary = four_time_scan(config, dt32_values=(1.0,))
             ratio = summary.analytic / np.cos(phi) ** 2
             assert 0.98 <= ratio <= 1.005, (n, ratio)
@@ -146,9 +152,7 @@ class TestFourTimeScanAnalytic:
 
 @pytest.fixture(scope="module")
 def small_scan():
-    config = ReplicaConfig(
-        phi=3 * np.pi / 10, n_traj=4000, master_seed=314, include_mc=True,
-    )
+    config = ReplicaConfig(phi=3 * np.pi / 10, n_traj=4000, master_seed=314)
     return three_time_scan(config, dt21_values=(0.3, 1.2), dt32_values=(0.5,))
 
 
@@ -164,9 +168,7 @@ class TestScansWithMonteCarlo:
             assert 0.0 < row.mc_se < 3.0
 
     def test_four_time_summary_pools_grid(self):
-        config = ReplicaConfig(
-            phi=np.pi / 10, n_traj=3000, master_seed=217, include_mc=True,
-        )
+        config = ReplicaConfig(phi=np.pi / 10, n_traj=3000, master_seed=217)
         rows, summary = four_time_scan(config, dt32_values=(0.7, 1.0, 1.3))
         assert summary.mc_mean == pytest.approx(
             np.mean([r.mc_value for r in rows]), rel=1e-10)
@@ -181,39 +183,59 @@ class TestScansWithMonteCarlo:
         shards = []
         monkeypatch.setattr(replica_module, "simulate_range", lambda *a, **k: shards.append(a))
         with pytest.raises(ValidationError, match="snap to one bin"):
-            scan(ReplicaConfig(phi=0.9, n_traj=600, include_mc=True), **grid)
+            scan(ReplicaConfig(phi=0.9, n_traj=600), **grid)
         assert shards == []
 
-    @pytest.mark.parametrize("include_mc", [True, False])
+    @pytest.mark.parametrize("n_traj", [600, 0])
     @pytest.mark.parametrize("scan, grid, named", [
         (three_time_scan, dict(dt21_values=(), dt32_values=(0.5,)), "dt21_values"),
         (three_time_scan, dict(dt21_values=(0.5,), dt32_values=()), "dt32_values"),
         (four_time_scan, dict(dt32_values=()), "dt32_values"),
     ])
     def test_empty_gap_grid_refused_before_any_batch(self, monkeypatch, scan, grid, named,
-                                                     include_mc):
+                                                     n_traj):
         batches = []
         monkeypatch.setattr(replica_module, "simulate_range", lambda *a, **k: batches.append(a))
         with pytest.raises(ValidationError, match=f"{named} is empty"):
-            scan(ReplicaConfig(phi=0.9, n_traj=600, include_mc=include_mc), **grid)
+            scan(ReplicaConfig(phi=0.9, n_traj=n_traj), **grid)
         assert batches == []
 
-    @pytest.mark.parametrize("n_traj, message", [
-        (0, "n_traj must be >= 1"),
-        (1, "estimation needs at least 2 trajectories for a standard error"),
-    ], ids=["0", "1"])
-    def test_single_trajectory_refused_before_any_batch(self, monkeypatch, n_traj, message):
+    def test_single_trajectory_refused_before_any_batch(self, monkeypatch):
         batches = []
         monkeypatch.setattr(replica_module, "simulate_range", lambda *a, **k: batches.append(a))
-        with pytest.raises(ValidationError, match=message):
-            four_time_scan(ReplicaConfig(phi=0.9, n_traj=n_traj, include_mc=True),
-                           dt32_values=(0.7,))
+        with pytest.raises(ValidationError,
+                           match="estimation needs at least 2 trajectories for a standard error"):
+            four_time_scan(ReplicaConfig(phi=0.9, n_traj=1), dt32_values=(0.7,))
         assert batches == []
 
+    @pytest.mark.parametrize("dt32_values", [(0.7,), (0.7, 1.3)], ids=["one-point", "two-point"])
+    def test_no_trajectories_give_exact_values_alone(self, sim_configs, dt32_values):
+        rows, summary = four_time_scan(ReplicaConfig(phi=0.9, n_traj=0), dt32_values)
+        assert sim_configs == []  # nothing is simulated
+        assert all(math.isnan(r.mc_value) and math.isnan(r.mc_se) for r in rows)
+        assert all(math.isfinite(r.analytic) for r in rows)
+        assert math.isnan(summary.mc_mean) and math.isnan(summary.mc_pooled_se)
+        assert math.isnan(summary.mc_std)  # also over a one-point grid
+        assert summary.n_traj == 0
+
+    @pytest.mark.parametrize("scan, grid", [
+        (three_time_scan, dict(dt21_values=(0.3, 1.2), dt32_values=(0.5, 0.8))),
+        (four_time_scan, dict(dt32_values=(0.7, 1.3))),
+    ])
+    def test_records_end_at_the_last_sample_the_points_read(self, monkeypatch, sim_configs,
+                                                            scan, grid):
+        shapes = []
+        estimate_batches = replica_module.estimate_batches
+        monkeypatch.setattr(replica_module, "estimate_batches",
+                            lambda load, specs, shape, *a, **k: shapes.append((specs, shape))
+                            or estimate_batches(load, specs, shape, *a, **k))
+        scan(ReplicaConfig(phi=0.9, n_traj=4), **grid)
+        ((specs, shape),) = shapes
+        assert sim_configs == [shape]
+        assert shape.n_samples == specs.last_sample + 1
+
     def test_scan_deterministic_for_fixed_seed(self):
-        config = ReplicaConfig(
-            phi=0.9, n_traj=600, master_seed=9, include_mc=True,
-        )
+        config = ReplicaConfig(phi=0.9, n_traj=600, master_seed=9)
         a = three_time_scan(config, dt21_values=(0.4,), dt32_values=(0.6,))
         b = three_time_scan(config, dt21_values=(0.4,), dt32_values=(0.6,))
         for row_a, row_b in zip(a, b):
@@ -252,7 +274,7 @@ def sim_configs(monkeypatch):
 class TestScanBitsPinned:
     # 601 trajectories in batches of 200 leave a one-trajectory tail, folded
     # into the last batch (index_ranges).
-    CONFIG = dict(phi=0.9, n_traj=601, master_seed=4711, include_mc=True)
+    CONFIG = dict(phi=0.9, n_traj=601, master_seed=4711)
     THREE_TIME_GRID = dict(dt21_values=(0.3, 1.2), dt32_values=(0.5, 0.8))
     FOUR_TIME_GRID = dict(dt32_values=(0.7, 1.0, 1.3))
     # All four re-recorded when each trajectory's window came to be summed
