@@ -4,12 +4,14 @@ Every float written to CSV uses 17 significant digits so values round-trip
 exactly; a fixed seed therefore yields byte-identical outputs across runs
 and worker counts. config reads every JSON input: config files and spec
 files (read_specs). estimate and analytic resolve each windowed spec entry
-once (empirical.resolve_spec), against the record header or the config; a
-refusal names its entry as spec[i] (config.named_entry), as a parse error
-does. estimate hands the header and its specs to the Monte Carlo driver
-of the replica scans (empirical.estimate_batches), which fits the specs to
-the header's record span and checks its trajectory count before any
-payload is read, then cuts the batches from the record shape; each batch
+once (empirical.resolve_spec), on the time grid of the record header or the
+config; a refusal names its entry as spec[i] (config.named_entry), as a
+parse error does. Whether its channels exist is checked where the channels
+are known: by analytic's exact evaluation of the entry, and by the Monte
+Carlo driver of the replica scans (empirical.estimate_batches), to which
+estimate hands the header and its specs. That driver fits the specs to the
+header's channels and record span and checks its trajectory count before
+any payload is read, then cuts the batches from the record shape; each batch
 is read in blocks of empirical.block_rows, each folded before the next is
 read. simulate takes the ensemble from the config's sim keys alone and
 writes it batch by batch (recordio.simulate_records). An error ends a
@@ -128,7 +130,7 @@ def _do_analytic(args) -> int:
                 spec = entry
                 key = (events_key(entry.events), float("nan"), float("nan"))
             else:
-                bins, events = resolve_spec(*entry, dt, len(channels))
+                bins, events = resolve_spec(*entry, dt)
                 spec = window_mean_spec(window_state(entry[1], dt), events, dt)
                 key = window_key(dt, bins, events)
             chain = chain_correlator(model, channels, spec)
@@ -158,7 +160,7 @@ def _do_estimate(args) -> int:
     resolved = []
     for i, (gaps, window) in enumerate(entries):
         with named_entry(i):
-            resolved.append(resolve_spec(gaps, window, header.dt, header.n_channels))
+            resolved.append(resolve_spec(gaps, window, header.dt))
     block = block_rows(header.n_channels, header.n_samples)
 
     def load(lo, hi):  # trajectories [lo, hi), read block trajectories at a time

@@ -7,15 +7,16 @@ at fixed gaps from t1. Window placements within one trajectory are strongly
 correlated through the shared qubit path, so standard errors are computed by
 first averaging the window products inside each trajectory and then taking
 the spread of those per-trajectory means across the ensemble. window_means
-computes them for many specs, resolved once by the caller (resolve_spec, on
-every route), in one cache-blocked pass over one block of trajectories.
-ResolvedSpecs builds their evaluation plan once (the sorted order, which
-leading-event products a spec shares with the spec before it, and the
-columns of its own events), and its check is the one test that records of a
-given shape hold every spec. Per block, a spec's last event and its window
-sum are one np.einsum("ij,ij->i") over the product of its other events and
-the last event's samples: numpy's own summation loop, with no BLAS call and
-no temporary product array.
+computes them for many specs, resolved once by the caller on the dt grid
+alone (resolve_spec, on every route), in one cache-blocked pass over one
+block of trajectories. ResolvedSpecs builds their evaluation plan once (the
+sorted order, which leading-event products a spec shares with the spec
+before it, and the columns of its own events), and its check is the one
+test that records of a given shape hold every spec, their channels
+included. Per block, a spec's last event and its window sum are one
+np.einsum("ij,ij->i") over the product of its other events and the last
+event's samples: numpy's own summation loop, with no BLAS call and no
+temporary product array.
 
 Each trajectory's window is summed in float64: a window holds W products
 (tens to a few hundred), and a float64 sum of W terms in any order, the
@@ -35,13 +36,13 @@ blocks; pool_sums adds the folds in order and turns the totals into the
 batch's estimates.
 
 Requested times snap to the nearest sample bin (never further than dt/2) and
-the snapped grid is reported back on the estimate. Estimates carry enough of
-the snapped specification, and their unrounded long-double sums, to be
-safely poolable: merge_estimates combines estimates of the same
-specification computed on disjoint trajectory subsets through the same
-pool_sums, so estimates pooled over trajectory batches (as every caller
-of estimate_batches pools them) equal the single-pass result up to
-extended-precision reassociation.
+the snapped grid is reported back on the estimate. An estimate is the
+snapped specification and its unrounded long-double sums, from which its
+value and standard error are read, so it is safely poolable:
+merge_estimates combines estimates of the same specification computed on
+disjoint trajectory subsets through the same pool_sums, so estimates
+pooled over trajectory batches (as every caller of estimate_batches pools
+them) equal the single-pass result up to extended-precision reassociation.
 """
 
 from __future__ import annotations
@@ -94,17 +95,17 @@ class Window:
 
 @dataclass(frozen=True)
 class CorrelatorEstimate:
-    """Estimated correlator value with its trajectory-level standard error.
+    """Estimated correlator: the pooled sums of its per-trajectory window means.
 
     events holds the snapped (channel_index, gap_in_bins) pairs and
     window_bins the snapped inclusive bin range of t1; together with dt they
-    identify the specification for merging. sum_means/sumsq_means keep the
-    exact pooled-moment bookkeeping: the long-double sum and sum of squares
-    of the per-trajectory window means, unrounded.
+    identify the specification for merging. sum_means/sumsq_means are the
+    long-double sum and sum of squares of the n_traj per-trajectory window
+    means, unrounded: the estimate is these sums, value and std_error (its
+    trajectory-level standard error) are read off them, and merge_estimates
+    pools them.
     """
 
-    value: float
-    std_error: float
     n_traj: int
     dt: float
     window_bins: tuple
@@ -113,26 +114,33 @@ class CorrelatorEstimate:
     sumsq_means: np.longdouble
 
     n_window_samples = property(lambda self: self.window_bins[1] - self.window_bins[0] + 1)
+    value = property(lambda self: float(self.sum_means / self.n_traj))
+
+    @property
+    def std_error(self) -> float:
+        m, total = self.n_traj, self.sum_means
+        var = max(float((self.sumsq_means - total * total / m) / (m - 1)), 0.0)
+        return float(np.sqrt(var / m))
 
     def spec_key(self) -> tuple:
         return (self.dt, self.window_bins, self.events)
 
 
-def resolve_events(gaps, dt: float, n_channels: int) -> tuple:
-    """Validated (channel_index, gap_in_bins) events of a gap list.
+def resolve_events(gaps, dt: float) -> tuple:
+    """Validated (channel_index, gap_in_bins) events of a gap list, on the dt grid alone.
 
-    gaps is a sequence of (channel_index, gap_us) with nondecreasing gaps and
-    first gap 0; each gap snaps to the nearest bin. Events that share a bin
-    must share a channel: there the white noise adds the tau/dt term of the
-    equal-time singularity, while a product of left-point samples of
-    different channels in one bin is a state moment that no exact route
-    evaluates.
+    gaps is a sequence of (channel_index, gap_us) with nonnegative integer
+    channels, nondecreasing gaps and first gap 0; each gap snaps to the
+    nearest bin. Events that share a bin must share a channel: there the
+    white noise adds the tau/dt term of the equal-time singularity, while a
+    product of left-point samples of different channels in one bin is a
+    state moment that no exact route evaluates. Whether a channel exists is
+    checked where the channels are known: ResolvedSpecs.check for records,
+    the exact routes' event maps for a model.
     """
     events = []
     for ch, gap in gaps:
-        ch = check_integer(ch, "channel index")
-        if not 0 <= ch < n_channels:
-            raise ValidationError(f"channel index {ch} out of range for {n_channels} channels")
+        ch = check_integer(ch, "channel index", 0)
         g = snap(float(gap), dt)
         if events and g < events[-1][1]:
             raise ValidationError("gaps must be nondecreasing")
@@ -149,10 +157,10 @@ def resolve_events(gaps, dt: float, n_channels: int) -> tuple:
     return tuple(events)
 
 
-def resolve_spec(gaps, window: Window, dt: float, n_channels: int) -> tuple:
+def resolve_spec(gaps, window: Window, dt: float) -> tuple:
     """(window_bins, events) of a windowed spec, its one resolution on every route; whether
     records of a given shape hold it is ResolvedSpecs.check's to say."""
-    return window.bins(dt), resolve_events(gaps, dt, n_channels)
+    return window.bins(dt), resolve_events(gaps, dt)
 
 
 def events_key(pairs) -> str:
@@ -186,7 +194,6 @@ class ResolvedSpecs(tuple):
     previous spec's head events it reuses, heads the (channel, columns) of
     the head events it multiplies on, and last the (channel, columns) of its
     last event. widths is the (specs, 1) column of window lengths W.
-    window_means wraps any other sequence of resolved specs itself.
     """
 
     def __new__(cls, resolved):
@@ -253,24 +260,22 @@ def _block_means(samples: np.ndarray, specs: ResolvedSpecs, out: np.ndarray) -> 
     out /= specs.widths
 
 
-def window_means(samples: np.ndarray, resolved) -> np.ndarray:
+def window_means(samples: np.ndarray, specs: ResolvedSpecs) -> np.ndarray:
     """Per-trajectory window means of every resolved spec in one pass over samples.
 
     samples is one (n_traj, n_channels, n_samples) block of records, the
-    samples of a RecordSet; resolved holds (window_bins, events) pairs as
-    resolve_spec returns them, ideally as a ResolvedSpecs built once for
-    every block, which fits them to the block (check: a spec it cannot hold
-    is refused by its index) and whose plan every pass runs (_block_means).
+    samples of a RecordSet; specs is a ResolvedSpecs, built once for every
+    block, which fits them to the block (check: a spec it cannot hold is
+    refused by its index) and whose plan every pass runs (_block_means).
     The trajectories are walked in passes of about BLOCK_BYTES of samples,
     and every spec's window sums are formed while a pass is in cache. Row j
-    of the returned (len(resolved), n_traj) float64 array is spec j's mean
+    of the returned (len(specs), n_traj) float64 array is spec j's mean
     over its window of the product of samples at its gaps from t1, summed
     in float64 per trajectory (see the module docstring for its error
     bound); a trajectory's mean does not depend on how the trajectories are
     split into blocks or passes. Its ensemble mean is the correlator
     estimate (ensemble_sums and pool_sums, which sum in extended precision).
     """
-    specs = resolved if isinstance(resolved, ResolvedSpecs) else ResolvedSpecs(resolved)
     n_traj, n_channels, n_samples = samples.shape
     specs.check(n_channels, n_samples)
     out = np.empty((len(specs), n_traj))
@@ -282,23 +287,8 @@ def window_means(samples: np.ndarray, resolved) -> np.ndarray:
 
 def trajectory_window_means(records: RecordSet, gaps, window: Window) -> np.ndarray:
     """Per-trajectory window means of one spec: the window_means row estimate_correlator pools."""
-    spec = resolve_spec(gaps, window, records.dt, records.n_channels)
-    return window_means(records.samples, [spec])[0]
-
-
-def _pooled(m: int, total, total_sq, dt: float, window_bins: tuple, events: tuple):
-    """Estimate from the long-double sum and sum of squares of m per-trajectory means."""
-    var = max(float((total_sq - total * total / m) / (m - 1)), 0.0)
-    return CorrelatorEstimate(
-        value=float(total / m),
-        std_error=float(np.sqrt(var / m)),
-        n_traj=m,
-        dt=dt,
-        window_bins=window_bins,
-        events=events,
-        sum_means=total,
-        sumsq_means=total_sq,
-    )
+    specs = ResolvedSpecs([resolve_spec(gaps, window, records.dt)])
+    return window_means(records.samples, specs)[0]
 
 
 def require_standard_error(n_traj: int) -> None:
@@ -336,7 +326,8 @@ def pool_sums(folds, dt: float, labels) -> list:
         total += sums
         total_sq += sumsqs
     require_standard_error(n)
-    return [_pooled(n, s, s2, dt, *label) for s, s2, label in zip(total, total_sq, labels)]
+    return [CorrelatorEstimate(n, dt, *label, s, s2)
+            for s, s2, label in zip(total, total_sq, labels)]
 
 
 def estimate_batches(load, specs: ResolvedSpecs, shape, workers: int = 1,
@@ -390,8 +381,8 @@ def estimate_correlator(records: RecordSet, gaps, window: Window) -> CorrelatorE
 
     Equal gaps on one channel estimate the discretized equal-time term tau/dt plus the smooth part.
     """
-    spec = resolve_spec(gaps, window, records.dt, records.n_channels)
-    return pool_sums([ensemble_sums(window_means(records.samples, [spec]))], records.dt, [spec])[0]
+    specs = ResolvedSpecs([resolve_spec(gaps, window, records.dt)])
+    return pool_sums([ensemble_sums(window_means(records.samples, specs))], records.dt, specs)[0]
 
 
 def merge_estimates(parts) -> CorrelatorEstimate:

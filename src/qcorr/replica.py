@@ -24,9 +24,10 @@ structure of this setup:
   summary compares the Monte Carlo average over the dt32 grid against the
   average of the rows' analytic values.
 
-Both scans resolve every grid point once, as qcorr estimate and qcorr
-analytic resolve a spec entry (empirical.resolve_spec). A point's analytic
-value is the factorized value that qcorr analytic reports for the same spec
+Both scans resolve every grid point once on their dt grid, as qcorr
+estimate and qcorr analytic resolve a spec entry (empirical.resolve_spec);
+the points read only the scan's two channels. A point's analytic value is
+the factorized value that qcorr analytic reports for the same spec
 (analytic.window_mean_spec, from one window-mean state per scan). Its Monte
 Carlo value comes from empirical.estimate_batches, the driver of qcorr
 estimate too, with simulation batches as the source and the scan's
@@ -70,6 +71,7 @@ from .empirical import (  # noqa: F401
     trajectory_window_means,
 )
 from .errors import ValidationError, check_integer, check_positive
+from .noise import check_seed
 from .trajectory import SimConfig, simulate_range
 
 DEFAULT_GAMMA = 1.0 / 1.3  # per-channel ensemble dephasing rate, 1/us
@@ -90,9 +92,10 @@ class ReplicaConfig:
     phi is the angle between the measurement axes (radians, in [0, pi]).
     dt sets the grid that gaps snap to. n_traj is the one Monte Carlo
     switch: 0 gives the exact values alone (NaN Monte Carlo fields), and
-    master_seed and workers then go unused; otherwise n_traj trajectories
-    are simulated, and the Monte Carlo driver (empirical.estimate_batches)
-    refuses a budget too small for a standard error before any batch.
+    master_seed and workers, checked all the same, then go unused;
+    otherwise n_traj trajectories are simulated, and the Monte Carlo driver
+    (empirical.estimate_batches) refuses a budget too small for a standard
+    error before any batch.
     """
 
     phi: float
@@ -106,6 +109,7 @@ class ReplicaConfig:
             raise ValidationError(f"phi must lie in [0, pi], got {self.phi}")
         check_positive(self.dt, "dt")
         check_integer(self.n_traj, "n_traj", 0)
+        check_seed(self.master_seed)
         check_integer(self.workers, "workers", 1)
 
     @property
@@ -173,7 +177,7 @@ def _evaluate(config: ReplicaConfig, length: float, points, grid_average=False) 
     model, channels = replica_model(config)
     dt = config.dt
     window = Window(WINDOW_START, length)
-    specs = ResolvedSpecs(resolve_spec(gaps, window, dt, len(channels)) for gaps in points)
+    specs = ResolvedSpecs(resolve_spec(gaps, window, dt) for gaps in points)
     r_window = window_mean_state(model, config.r_init, window, dt)
     analytic = [factorized_correlator(model, channels, window_mean_spec(r_window, events, dt))
                 for _, events in specs]

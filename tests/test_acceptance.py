@@ -55,8 +55,7 @@ def simulated_estimates(sim, gap_lists, window, workers=2):
     Each batch of sim's trajectories is simulated and estimated in one of the
     worker processes; the batches' estimates are pooled in order.
     """
-    specs = ResolvedSpecs(resolve_spec(gaps, window, sim.dt, sim.n_channels)
-                          for gaps in gap_lists)
+    specs = ResolvedSpecs(resolve_spec(gaps, window, sim.dt) for gaps in gap_lists)
     batches = estimate_batches(lambda lo, hi: [simulate_range(sim, lo, hi).samples], specs,
                                sim, workers, source="simulation")
     return [merge_estimates(parts) for parts in zip(*batches)]

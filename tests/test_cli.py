@@ -921,11 +921,12 @@ class TestSpecFiles:
         ((0.1, 0.1, [(0, 0.0), (1, 0.2), (0, 0.1)]), "gaps must be nondecreasing"),
         ((0.1, 0.1, [(0, 0.0), (1, 0.004)]), "events on channels 0 and 1 snap to one bin"),
         ((0.1, 0.1, [(0, 0.0), (5, 0.1)]), "channel index 5 out of range for 2 channels"),
+        ((0.1, 0.1, [(0, 0.0), (-1, 0.1)]), "channel index must be >= 0, got -1"),
         ((2.1, 0.2, [(0, 0.0), (1, 0.2)]),
          "window bins [210, 230] plus largest gap 20 exceed the record span of 64 samples"),
         ((0.1, 0.0, [(0, 0.0)]), "window length must be positive and finite, got 0.0"),
-    ], ids=["decreasing-gaps", "two-channels-one-bin", "channel-5", "window-past-record",
-            "zero-length-window"])
+    ], ids=["decreasing-gaps", "two-channels-one-bin", "channel-5", "channel-negative",
+            "window-past-record", "zero-length-window"])
     def test_bad_entry_refused_by_its_index(self, workspace, capsys, monkeypatch, command,
                                             bad, named):
         tmp, config, _ = workspace
@@ -1066,9 +1067,12 @@ class TestReplicaCommands:
         (["replica-fig2", "--phi", "0.5", "--n-traj", "1"],
          "estimation needs at least 2 trajectories for a standard error"),
         (["replica-fig1", "--phi", "0.5", "--n-traj", "-1"], "n_traj must be >= 0, got -1"),
+        (["replica-fig2", "--phi", "0.5", "--n-traj", "0", "--seed", "-1", "--dt32-grid", "1"],
+         "master_seed must fit in an unsigned 64-bit integer"),
     ], ids=["dt-zero", "dt-negative", "phi-not-a-number", "empty-dt32-grid",
             "empty-phi", "empty-dt21-grid", "blank-dt21-grid", "zero-workers",
-            "coinciding-dt21-grid", "single-trajectory", "negative-n-traj"])
+            "coinciding-dt21-grid", "single-trajectory", "negative-n-traj",
+            "negative-seed-exact-only"])
     def test_malformed_input_exits_with_one_named_error(self, tmp_path, capsys, argv, named):
         out = tmp_path / "scan.csv"
         assert main(argv + ["--out", str(out)]) == 1
@@ -1084,6 +1088,21 @@ class TestUsage:
             main(["replica-fig2", "--phi", "0.5", option, "--out", str(tmp_path / "fig2.csv")])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, kind", [
+        ("--dt", "abc", "float"), ("--n-traj", "1.5", "int"), ("--seed", "x", "int"),
+    ], ids=["dt", "n-traj", "seed"])
+    def test_value_argparse_cannot_read_exits_two(self, tmp_path, capsys, option, value, kind):
+        # argparse refuses it before any command runs, as it does an unknown option.
+        out = tmp_path / "fig2.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["replica-fig2", "--phi", "0.5", option, value, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[0].startswith("usage: qcorr replica-fig2")
+        assert err[-1] == f"qcorr replica-fig2: error: argument {option}: invalid {kind} value: " \
+                          f"{value!r}"
+        assert not out.exists()
 
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:

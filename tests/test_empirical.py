@@ -30,6 +30,7 @@ from qcorr import (
     two_time_correlator,
 )
 from qcorr.empirical import (
+    CorrelatorEstimate,
     ResolvedSpecs,
     ensemble_sums,
     estimate_batches,
@@ -82,7 +83,7 @@ def replica_records(n_traj=3000, seed=5, t_total=3.6):
      "window start must be nonnegative and finite, got nan"),
     (lambda: Window(0.0, math.inf).bins(0.01),
      "window length must be positive and finite, got inf"),
-    (lambda: resolve_events([(0, 0.0), (1, math.nan)], 0.01, 2), "time nan us has no bin"),
+    (lambda: resolve_events([(0, 0.0), (1, math.nan)], 0.01), "time nan us has no bin"),
     (lambda: three_time_scan(ReplicaConfig(phi=1.0, n_traj=0), dt21_values=(math.nan,)),
      "time nan us has no bin"),
 ], ids=["window-start", "window-length", "gap", "three-time-grid"])
@@ -168,7 +169,7 @@ def full_array_window_means(records, gaps, window):
     All events but the last are multiplied in event order; the last one's
     product and the row sum are one einsum (a plain row sum for one event).
     """
-    events = resolve_events(gaps, records.dt, records.n_channels)
+    events = resolve_events(gaps, records.dt)
     i0, i1 = window.bins(records.dt)
     *heads, last = [records.samples[:, ch, i0 + g:i1 + g + 1] for ch, g in events]
     if not heads:
@@ -212,15 +213,15 @@ class TestWindowMeans:
                             dt=DT, channels=channels[:n_channels], master_seed=1)
         specs = (data.draw(shared_prefix_specs(n_channels, n_samples))
                  + data.draw(shared_prefix_specs(n_channels, n_samples)))
-        resolved = [resolve_spec(gaps, window, DT, n_channels) for gaps, window in specs]
+        resolved = [resolve_spec(gaps, window, DT) for gaps, window in specs]
         # Blocks of rows trajectories, each walked by window_means in passes
         # of block_traj trajectories: neither need divide n_traj. The blocks
-        # share one ResolvedSpecs; the whole array gets the list.
+        # share one ResolvedSpecs; the whole array gets a plan of its own.
         sorted_once = ResolvedSpecs(resolved)
         with mock.patch.object(empirical, "BLOCK_BYTES", block_traj * 8 * n_channels * n_samples):
             means = np.concatenate([window_means(records.samples[lo:lo + rows], sorted_once)
                                     for lo in range(0, n_traj, rows)], axis=1)
-            whole = window_means(records.samples, resolved)
+            whole = window_means(records.samples, ResolvedSpecs(resolved))
         assert whole.shape == (len(specs), n_traj) and whole.dtype == np.float64
         assert np.array_equal(whole, means)
         for row, (gaps, window) in zip(means, specs):
@@ -228,21 +229,21 @@ class TestWindowMeans:
 
     def test_spec_past_the_block_refused_by_index(self):
         samples = noise_only_records(n_traj=10, n_samples=50).samples
-        fits = resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.29), DT, 2)
-        past = resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.3), DT, 2)
+        fits = resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.29), DT)
+        past = resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.3), DT)
         with pytest.raises(ValidationError, match=r"spec\[1\]: window bins \[10, 40\] plus "
                                                   r"largest gap 10 exceed the record span of 50"):
-            window_means(samples, [fits, past])
+            window_means(samples, ResolvedSpecs([fits, past]))
 
     @pytest.mark.parametrize("ch", [2, -1])
     def test_channel_out_of_range_refused_by_index(self, ch):
         samples = np.zeros((3, 2, 50))
         with pytest.raises(ValidationError, match=rf"spec\[0\]: channel index {ch} out of range "
                                                   r"for 2 channels"):
-            window_means(samples, [((0, 5), ((ch, 0),))])
+            window_means(samples, ResolvedSpecs([((0, 5), ((ch, 0),))]))
         fits = ((0, 5), ((0, 0), (1, 3)))
         with pytest.raises(ValidationError, match=rf"spec\[1\]: channel index {ch} out of range"):
-            window_means(samples, [fits, ((0, 5), ((0, 0), (ch, 3)))])
+            window_means(samples, ResolvedSpecs([fits, ((0, 5), ((0, 0), (ch, 3)))]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(1, 5), st.integers(1, 3))
@@ -262,7 +263,8 @@ class TestWindowMeans:
             width = data.draw(st.integers(1, 300))
             i0 = data.draw(st.integers(0, n_samples - width - events[-1][1]))
             resolved.append(((i0, i0 + width - 1), events))
-        for row, ((i0, i1), events) in zip(window_means(samples, resolved), resolved):
+        means = window_means(samples, ResolvedSpecs(resolved))
+        for row, ((i0, i1), events) in zip(means, resolved):
             width = i1 - i0 + 1
             for mean, trajectory in zip(row, samples):
                 terms = np.ones(width)
@@ -284,7 +286,7 @@ class TestEnsembleSums:
         means = scale * (offset + np.random.default_rng(seed).standard_normal(n_traj))
         ext = means.astype(np.longdouble)
         spec = (DT, (10, 20), ((0, 0), (1, 5)))
-        old = empirical._pooled(n_traj, ext.sum(), np.square(ext).sum(), *spec)
+        old = CorrelatorEstimate(n_traj, *spec, ext.sum(), np.square(ext).sum())
         new = from_means(means, *spec)
         assert means.dtype == np.float64
         assert ((new.value, new.std_error, new.sum_means, new.sumsq_means)
@@ -434,8 +436,8 @@ class TestMergeEstimates:
         # pool_sums over block folds and merge_estimates over block
         # estimates add the same long-double sums in the same order.
         records = noise_only_records(n_traj=230, n_samples=60)
-        resolved = ResolvedSpecs([resolve_spec([(0, 0.0)], Window(0.1, 0.2), DT, 2),
-                                  resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.2), DT, 2)])
+        resolved = ResolvedSpecs([resolve_spec([(0, 0.0)], Window(0.1, 0.2), DT),
+                                  resolve_spec([(0, 0.0), (1, 0.1)], Window(0.1, 0.2), DT)])
         blocks = [window_means(records.samples[lo:lo + 50], resolved) for lo in range(0, 230, 50)]
         pooled = pool_sums(map(ensemble_sums, blocks), DT, resolved)
         for j, est in enumerate(pooled):
@@ -487,7 +489,7 @@ class TestEstimateBatches:
             r_init=(np.sin(PHI / 2), 0.0, np.cos(PHI / 2)),
             t_total=1.2, dt=DT, n_traj=301, master_seed=31,
         )
-        self.specs = ResolvedSpecs(resolve_spec(gaps, Window(0.2, 0.3), DT, 2)
+        self.specs = ResolvedSpecs(resolve_spec(gaps, Window(0.2, 0.3), DT)
                                    for gaps in self.GAPS)
 
     def simulated(self, lo, hi):

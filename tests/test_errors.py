@@ -57,7 +57,7 @@ def _window_mean_state(dt):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: Window(1.0, 0.5).bins(0.0), "dt must be positive and finite, got 0.0"),
-    (lambda: resolve_events([(0, 0.0)], 0.0, 1), "dt must be positive and finite, got 0.0"),
+    (lambda: resolve_events([(0, 0.0)], 0.0), "dt must be positive and finite, got 0.0"),
     (lambda: _window_mean_state(0.0), "dt must be positive and finite, got 0.0"),
     (lambda: _window_mean_state(math.inf), "dt must be positive and finite, got inf"),
     (lambda: _window_mean_state(-0.01), "dt must be positive and finite, got -0.01"),
@@ -113,8 +113,8 @@ def test_nan_refused_by_name(call, message):
 @pytest.mark.parametrize("call, message", [
     (lambda: CorrelatorSpec(((1.9, 0.5),)), "channel index must be an integer, got 1.9"),
     (lambda: CorrelatorSpec(((True, 0.5),)), "channel index must be an integer, got True"),
-    (lambda: resolve_events([(0.7, 0.0)], 0.01, 2), "channel index must be an integer, got 0.7"),
-    (lambda: resolve_events([(0, 0.0), (True, 0.3)], 0.01, 2),
+    (lambda: resolve_events([(0.7, 0.0)], 0.01), "channel index must be an integer, got 0.7"),
+    (lambda: resolve_events([(0, 0.0), (True, 0.3)], 0.01),
      "channel index must be an integer, got True"),
 ], ids=["spec-float", "spec-bool", "resolve-float", "resolve-bool"])
 def test_non_integer_channel_index_refused_by_name(call, message):
@@ -126,7 +126,7 @@ def test_non_integer_channel_index_refused_by_name(call, message):
 
 def test_numpy_integer_channel_index_accepted():
     assert CorrelatorSpec(((np.int64(1), 0.5),)).events == ((1, 0.5),)
-    assert resolve_events([(np.int64(1), 0.0), (0, 0.3)], 0.01, 2) == ((1, 0), (0, 30))
+    assert resolve_events([(np.int64(1), 0.0), (0, 0.3)], 0.01) == ((1, 0), (0, 30))
 
 
 @pytest.mark.parametrize("value, message", [
@@ -182,7 +182,7 @@ def _sim(**changes):
      "RecordSet channel count does not match samples shape"),
     (lambda: simulate_range(_sim(), 2, 5), ValidationError,
      "range [2, 5) invalid for an ensemble of 4"),
-    (lambda: resolve_events([], 0.005, 1), ValidationError,
+    (lambda: resolve_events([], 0.005), ValidationError,
      "at least one (channel, gap) event is required"),
     (lambda: merge_estimates([]), EstimateMismatchError, "nothing to merge"),
 ], ids=["spec-no-events", "spec-negative-channel", "pair-reversed-times", "state-shape",

@@ -63,6 +63,13 @@ class TestReplicaModel:
         with pytest.raises(ValidationError, match=message):
             ReplicaConfig(phi=1.0, n_traj=n_traj)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["negative", "past-uint64"])
+    def test_master_seed_refused_by_name_also_without_trajectories(self, seed):
+        for n_traj in (0, 4):
+            with pytest.raises(ValidationError, match="master_seed must fit in an unsigned "
+                                                      "64-bit integer"):
+                ReplicaConfig(phi=1.0, n_traj=n_traj, master_seed=seed)
+
     def test_phi_range_validated(self):
         with pytest.raises(ValidationError):
             ReplicaConfig(phi=-0.1)
@@ -134,7 +141,7 @@ class TestFourTimeScanAnalytic:
         model, channels = replica_model(base)
         z, p = replica_module.CHANNEL_Z, replica_module.CHANNEL_PHI
         events = resolve_events([(z, 0.0), (p, row.dt21), (z, row.dt21 + row.dt32),
-                                 (p, row.dt21 + row.dt32 + row.dt43)], base.dt, 2)
+                                 (p, row.dt21 + row.dt32 + row.dt43)], base.dt)
         window = Window(2.0, 1.0)
         moved = window_mean_spec(window_mean_state(model, base.r_init, window, base.dt),
                                  events, base.dt)
