@@ -29,11 +29,16 @@ Monte Carlo driver, of qcorr estimate and the replica scans alike: it fits
 the specs to the records' shape before its first batch, and each batch of
 trajectories (trajectory.map_batches runs them here or in forked workers)
 reads its source one block at a time, a record file in blocks of
-block_rows and a simulated batch as one block. ensemble_sums folds each
-block's means into long-double sums and sums of squares as soon as
-window_means returns them, so a batch keeps O(specs) numbers between
-blocks; pool_sums adds the folds in order and turns the totals into the
-batch's estimates.
+block_rows and a simulated batch as one block. window_means walks a block
+in passes of block_rows trajectories. A block that is not C-contiguous,
+such as a simulated batch's view of its time-major buffer, is staged pass
+by pass into one contiguous block (trajectory.row_tiles), so every pass
+reads the same contiguous samples, and gives the same bits, whatever the
+block's layout; a record file's block is used as it is. ensemble_sums
+folds each block's means into long-double sums and sums of squares as
+soon as window_means returns them, so a batch keeps O(specs) numbers
+between blocks; pool_sums adds the folds in order and turns the totals
+into the batch's estimates.
 
 Requested times snap to the nearest sample bin (never further than dt/2) and
 the snapped grid is reported back on the estimate. An estimate is the
@@ -55,7 +60,7 @@ import numpy as np
 
 from .errors import (EstimateMismatchError, RecordFormatError, ValidationError, check_integer,
                      check_positive)
-from .trajectory import RecordSet, batch_rows, index_ranges, map_batches
+from .trajectory import RecordSet, batch_rows, index_ranges, map_batches, row_tiles
 
 # Trajectories per pass of window_means are chosen so that one block holds
 # about this many bytes of samples: small enough that every spec's slices of
@@ -268,7 +273,10 @@ def window_means(samples: np.ndarray, specs: ResolvedSpecs) -> np.ndarray:
     block, which fits them to the block (check: a spec it cannot hold is
     refused by its index) and whose plan every pass runs (_block_means).
     The trajectories are walked in passes of about BLOCK_BYTES of samples,
-    and every spec's window sums are formed while a pass is in cache. Row j
+    and every spec's window sums are formed while a pass is in cache; when
+    samples is not C-contiguous, each pass is first copied into one
+    contiguous staging block (row_tiles), so its means are those of
+    np.ascontiguousarray(samples), bit for bit. Row j
     of the returned (len(specs), n_traj) float64 array is spec j's mean
     over its window of the product of samples at its gaps from t1, summed
     in float64 per trajectory (see the module docstring for its error
@@ -280,8 +288,8 @@ def window_means(samples: np.ndarray, specs: ResolvedSpecs) -> np.ndarray:
     specs.check(n_channels, n_samples)
     out = np.empty((len(specs), n_traj))
     rows = block_rows(n_channels, n_samples)
-    for lo in range(0, n_traj, rows):
-        _block_means(samples[lo:lo + rows], specs, out[:, lo:lo + rows])
+    for lo, block in row_tiles(samples, rows):
+        _block_means(block, specs, out[:, lo:lo + rows])
     return out
 
 

@@ -13,13 +13,16 @@ order with channel-major float64 sample arrays:
     master_seed u64
     payload: n_traj * n_channels * n_samples * f64
 
-Round trips are bit-exact. Both directions move the payload between the
-file and one contiguous array through its buffer, so neither holds a second
-copy of it. simulate_records, the way to simulate an ensemble in
-parallel, never holds the whole payload: after a zeroed placeholder of the
-header, each of map_batches' processes simulates its batches into one
-buffer, kept for the whole run, and writes their rows at their offset, so a
-file of any size is written through one batch of samples per process. An
+Round trips are bit-exact. Neither direction holds a second copy of the
+payload: read_records reads it straight into one contiguous array, and
+write_records writes it in order, tile by tile (trajectory.row_tiles), so
+a contiguous array goes out through its own buffer and a simulated set's
+time-major view through one small tile. simulate_records, the way to
+simulate an ensemble in parallel, never holds the whole payload: after a
+zeroed placeholder of the header, each of map_batches' processes
+simulates its batches into one time-major buffer, kept for the whole run,
+and writes their rows at their offset tile by tile, so a file of any size
+is written through one batch of samples per process. An
 existing file is rewritten in place and cut to the container's size at the
 end. The header goes in last, so every reader refuses the zeroed magic of
 a run that never got there. read_records can read any range of trajectory
@@ -49,7 +52,7 @@ from .errors import (
     check_integer,
 )
 from . import trajectory
-from .trajectory import RecordSet, SimConfig, index_ranges, map_batches
+from .trajectory import RecordSet, SimConfig, index_ranges, map_batches, row_tiles
 
 MAGIC = b"QCORR01"
 FORMAT_VERSION = 1
@@ -71,13 +74,14 @@ def _header(dt: float, n_samples: int, channels, n_traj: int, master_seed: int) 
 def write_records(path, records: RecordSet) -> None:
     """Write a RecordSet to path in the container format above.
 
-    The file is truncated and written front to back, so path may be a pipe.
+    The file is truncated and written front to back, one row_tiles tile at
+    a time with no copy of the whole array, so path may be a pipe.
     """
-    samples = np.ascontiguousarray(records.samples, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_header(records.dt, records.n_samples, records.channels, records.n_traj,
                          records.master_seed))
-        fh.write(samples.reshape(-1).view(np.uint8))
+        for _, tile in row_tiles(records.samples):
+            fh.write(np.ascontiguousarray(tile, dtype="<f8"))
 
 
 def _pwrite_all(fd: int, data, offset: int) -> None:
@@ -89,12 +93,14 @@ def _pwrite_all(fd: int, data, offset: int) -> None:
 
 
 def _write_batch(config: SimConfig, fd: int, payload_offset: int, buffer, bounds) -> int:
-    """Simulate batch bounds = (lo, hi) into the first rows of buffer and write them at
-    their offset; returns the batch's trajectory count."""
+    """Simulate batch bounds = (lo, hi) into the first lanes of time-major buffer and write
+    its rows at their offset, tile by tile; returns the batch's trajectory count."""
     lo, hi = bounds
-    samples = buffer[:hi - lo]
-    trajectory.simulate_batch(config, lo, hi, samples, None)
-    _pwrite_all(fd, samples, payload_offset + lo * samples[0].nbytes)
+    batch = buffer[:, :, :hi - lo]
+    trajectory.simulate_batch(config, lo, hi, batch, None)
+    row_bytes = batch[:, :, 0].nbytes
+    for j, tile in row_tiles(batch.transpose(2, 1, 0)):
+        _pwrite_all(fd, tile, payload_offset + (lo + j) * row_bytes)
     return hi - lo
 
 
@@ -106,8 +112,9 @@ def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -
     a rerun overwrites the old record's cached pages instead of freeing and
     allocating them again. A zeroed placeholder of the header is written
     first; then map_batches runs every batch of index_ranges on one of up
-    to workers processes, which simulates it into one buffer of the longest
-    batch's rows and writes its rows at their offset. After the last batch
+    to workers processes, which simulates it into the first lanes of one
+    time-major buffer of the longest batch's rows and writes its rows at
+    their offset, one row_tiles tile at a time. After the last batch
     a regular file is cut to the container's size (a non-regular output
     such as /dev/null is never truncated) and the header is written over
     the placeholder. The buffer is made once per run and untouched until a
@@ -127,7 +134,7 @@ def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -
                      config.master_seed)
     bounds = index_ranges(0, config.n_traj, config.batch_size)
     rows = max(hi - lo for lo, hi in bounds)
-    buffer = np.empty((rows, config.n_channels, config.n_samples), dtype="<f8")
+    buffer = np.empty((config.n_samples, config.n_channels, rows), dtype="<f8")
     done = 0
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
@@ -141,7 +148,7 @@ def simulate_records(path, config: SimConfig, workers: int = 1, progress=None) -
                     if progress is not None:
                         progress(done, config.n_traj)
             if regular:
-                os.ftruncate(fd, len(header) + config.n_traj * buffer[0].nbytes)
+                os.ftruncate(fd, len(header) + config.n_traj * buffer[:, :, 0].nbytes)
             _pwrite_all(fd, header, 0)
         except BaseException:
             if regular:

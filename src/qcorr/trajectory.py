@@ -23,14 +23,18 @@ measured axis stays there bit for bit.
 
 Output never depends on worker count, scheduling or batch size: each
 trajectory owns its noise stream, batches are cut at fixed multiples of
-batch_rows (a function of the record shape alone) and write their own
-rows, and every step is elementwise over the batch axis. simulate_batch
-has two callers: simulate_range, which fills its rows of the returned
-array in the calling process, and recordio.simulate_records, which fills
-one buffer per map_batches process and writes it out. A batch holds its
-rows, one small time-major (steps, channels, batch) block, into which the
-draws are copied and over which each step writes its samples, and its
-(batch,) scratch rows.
+batch_rows (a function of the record shape alone) and fill their own
+lanes, and every step is elementwise over the batch axis. A batch is
+time-major, (steps, channels, batch), from its draws to its last use:
+each trajectory's draws go through one small tile into its lane, and each
+step overwrites its own draws with its samples in place, beside the
+step's (batch,) scratch rows. simulate_batch has two callers:
+simulate_range, which fills its lanes of one buffer in the calling
+process and returns the trajectory-major view of it, and
+recordio.simulate_records, which fills one buffer per map_batches process
+and writes it out. Trajectory rows are cut only where a consumer needs
+them, tile by tile (row_tiles): by the record writers and by the
+estimator's passes (empirical.window_means).
 """
 
 from __future__ import annotations
@@ -52,15 +56,15 @@ DT_ERROR_FRACTION = 0.05
 DT_WARN_FRACTION = 0.01
 DEFAULT_BATCH_SIZE = 8192
 BATCH_BYTES = 256 * 2 ** 20  # DEFAULT_BATCH_SIZE rows of up to 32 KiB
-# Steps per transposed block: 16 consecutive samples (two 64-byte cache lines)
-# of each record row at a time; 4-step blocks made the 20000 x 400 preset about
-# 10% slower on a 2-vCPU x86 VM. Each batch in flight holds one (steps,
-# channels, batch) block, 2 MiB at batch 8192 and two channels, whose draws
-# the samples overwrite step by step.
-_BLOCK_STEPS = 16
-# Trajectory rows per tile when a block's draws are copied in from a batch's
-# rows: 128-row tiles took a third of the time of one strided copy of all
-# 8192 on a 2-vCPU x86 VM. Copying the samples back is faster in one piece.
+# Steps per finiteness check of a batch's samples.
+_SLAB_STEPS = 16
+# Trajectory rows per tile wherever trajectory-major rows meet a time-major
+# batch: the draws go in through one (rows, steps, channels) tile, and
+# row_tiles cuts rows out through one (steps, channels, rows) staging block.
+# On a 2-vCPU x86 VM, cutting the 400-step, 2-channel rows of a batch of
+# 8192 took 2.2-2.9 ns per sample with 128-row tiles, 2.7-3.4 with 64 and
+# 3.2-4.2 with 32; a direct transposed copy of each tile, with no stage,
+# took 9-11. The draws went in at 1.8-2.0 ns per sample.
 _TILE_ROWS = 128
 
 
@@ -147,7 +151,10 @@ class RecordSet:
 
     samples has shape (n_traj, n_channels, n_samples); row i holds trajectory
     traj_offset + i of the ensemble, bit-identical however the ensemble was
-    cut into ranges.
+    cut into ranges. It need not be C-contiguous: a simulated set's samples
+    are the transposed view of its time-major (n_samples, n_channels,
+    n_traj) buffer, a read set's are contiguous. Every consumer in qcorr
+    takes either (row_tiles).
     """
 
     samples: np.ndarray
@@ -285,42 +292,72 @@ class _BayesStep:
             r[:] = spare
 
 
-def simulate_batch(config: SimConfig, start: int, stop: int, samples, states) -> None:
-    """Simulate trajectories [start, stop) into their rows of samples and states.
+def _copy_draws(config: SimConfig, start: int, buffer) -> None:
+    """Fill time-major buffer with the draws of trajectories start, start + 1, ...
 
-    samples has shape (stop - start, n_channels, n_samples) and states, unless
-    None, (stop - start, n_samples + 1, 3); row i holds trajectory start + i.
+    Each trajectory's draws are copied into one tile, and each full tile is
+    transposed into its lanes of buffer while it is still in cache.
     """
-    n_steps = config.n_samples
-    n_ch = config.n_channels
-    batch = stop - start
+    n_steps, n_ch, batch = buffer.shape
+    tile = np.empty((min(_TILE_ROWS, batch), n_steps, n_ch))
+    for lo in range(0, batch, _TILE_ROWS):
+        part = tile[:batch - lo]
+        for j, draws in enumerate(part, start + lo):
+            draws[...] = trajectory_draws(config.master_seed, j, n_steps, n_ch)
+        buffer[:, :, lo:lo + len(part)] = part.transpose(1, 2, 0)
 
-    # Each trajectory's draws wait in its own sample row; a block of steps
-    # reads its draws from the rows before the samples made from them
-    # overwrite them.
-    for j in range(batch):
-        samples[j] = trajectory_draws(config.master_seed, start + j, n_steps, n_ch).T
 
-    step = _BayesStep(config, batch)
+def simulate_batch(config: SimConfig, start: int, stop: int, buffer, states) -> None:
+    """Simulate trajectories [start, stop) into buffer and their rows of states.
+
+    buffer is time-major, shape (n_samples, n_channels, stop - start): lane i
+    of buffer[k] holds step k's samples of trajectory start + i. Its draws
+    land there first, and each step overwrites its own. states, unless
+    None, has shape (stop - start, n_samples + 1, 3); row i holds
+    trajectory start + i.
+    """
+    _copy_draws(config, start, buffer)
+    step = _BayesStep(config, stop - start)
     if states is not None:
         states[:, 0, :] = step.r.T
-    block = np.empty((_BLOCK_STEPS, n_ch, batch))
-    tiles = [slice(j, j + _TILE_ROWS) for j in range(0, batch, _TILE_ROWS)]
-    for k0 in range(0, n_steps, _BLOCK_STEPS):
-        steps = slice(k0, min(k0 + _BLOCK_STEPS, n_steps))
-        part = block[:steps.stop - k0]
-        for tile in tiles:
-            part[:, :, tile] = samples[tile, :, steps].transpose(2, 1, 0)
-        for k, row in enumerate(part, k0):
+    for k0 in range(0, len(buffer), _SLAB_STEPS):
+        slab = buffer[k0:k0 + _SLAB_STEPS]
+        for k, row in enumerate(slab, k0):
             step(row)
             if states is not None:
                 states[:, k + 1, :] = step.r.T
         # A non-finite draw or state makes its step's sample (and a state,
         # every later one) non-finite: the first bad sample names the step.
-        if not math.isfinite(part.sum()):
-            k, _, j = np.argwhere(~np.isfinite(part))[0]
+        if not math.isfinite(slab.sum()):
+            k, _, j = np.argwhere(~np.isfinite(slab))[0]
             raise IntegrationDivergedError(step_index=k0 + int(k), trajectory_index=start + int(j))
-        samples[:, :, steps] = part.transpose(2, 1, 0)
+
+
+def row_tiles(samples: np.ndarray, rows: int = _TILE_ROWS):
+    """Yield (lo, samples[lo:lo + rows]) for lo = 0, rows, 2 rows, ..., each tile C-contiguous.
+
+    samples is any (n, n_channels, n_samples) array. A C-contiguous one
+    yields its own slices. Any other, such as a time-major batch seen
+    trajectory-major, is copied _TILE_ROWS rows at a time through one small
+    staging block into one tile buffer, reused for every tile: a tile is
+    valid until the next one is asked for.
+    """
+    n, n_ch, n_samples = samples.shape
+    if samples.flags.c_contiguous:
+        for lo in range(0, n, rows):
+            yield lo, samples[lo:lo + rows]
+        return
+    tile = np.empty((min(rows, n), n_ch, n_samples), dtype=samples.dtype)
+    stage = np.empty(min(_TILE_ROWS, rows, n) * n_ch * n_samples, dtype=samples.dtype)
+    for lo in range(0, n, rows):
+        out = tile[:n - lo]
+        for j in range(0, len(out), _TILE_ROWS):
+            part = out[j:j + _TILE_ROWS]
+            src = samples[lo + j:lo + j + len(part)].transpose(2, 1, 0)
+            staged = stage[:src.size].reshape(src.shape)
+            np.copyto(staged, src)
+            np.copyto(part, staged.transpose(2, 1, 0))
+        yield lo, out
 
 
 def index_ranges(start: int, stop: int, step: int) -> list:
@@ -389,20 +426,23 @@ def simulate_range(config: SimConfig, start: int, stop: int, states: bool = Fals
     of batch_size in the global index space (index_ranges), so every row is
     bit-identical to the same row of the full run. With states, the
     RecordSet also holds every trajectory's Bloch vector before each step
-    and after the last, shape (stop - start, n_samples + 1, 3). A parallel
-    ensemble is written with recordio.simulate_records and read back.
+    and after the last, shape (stop - start, n_samples + 1, 3). The
+    samples are the trajectory-major view of one time-major buffer, whose
+    lanes each batch fills in turn (RecordSet). A parallel ensemble is
+    written with recordio.simulate_records and read back.
     """
     start, stop = check_integer(start, "start"), check_integer(stop, "stop")
     if not (0 <= start < stop <= config.n_traj):
         raise ValidationError(
             f"range [{start}, {stop}) invalid for an ensemble of {config.n_traj}"
         )
-    samples = np.empty((stop - start, config.n_channels, config.n_samples))
+    buffer = np.empty((config.n_samples, config.n_channels, stop - start))
     states = np.empty((stop - start, config.n_samples + 1, 3)) if states else None
     for lo, hi in index_ranges(start, stop, config.batch_size):
         rows = slice(lo - start, hi - start)
-        simulate_batch(config, lo, hi, samples[rows], None if states is None else states[rows])
-    return RecordSet(samples, config.dt, config.channels, config.master_seed,
+        simulate_batch(config, lo, hi, buffer[:, :, rows],
+                       None if states is None else states[rows])
+    return RecordSet(buffer.transpose(2, 1, 0), config.dt, config.channels, config.master_seed,
                      states=states, traj_offset=start)
 
 

@@ -382,9 +382,9 @@ class TestStreamedSimulate:
         simulate_batch = trajectory_module.simulate_batch
         states_seen = []
 
-        def spy(config, start, stop, samples, states):
+        def spy(config, start, stop, buffer, states):
             states_seen.append(states)
-            return simulate_batch(config, start, stop, samples, states)
+            return simulate_batch(config, start, stop, buffer, states)
 
         monkeypatch.setattr(trajectory_module, "simulate_batch", spy)
         batch_cap(8)
@@ -410,9 +410,9 @@ class TestStreamedSimulate:
         simulate_batch = trajectory_module.simulate_batch
         batch_bytes = []
 
-        def spy(config, start, stop, samples, states):
-            batch_bytes.append(samples.nbytes)
-            return simulate_batch(config, start, stop, samples, states)
+        def spy(config, start, stop, buffer, states):
+            batch_bytes.append(buffer.nbytes)
+            return simulate_batch(config, start, stop, buffer, states)
 
         monkeypatch.setattr(trajectory_module, "simulate_batch", spy)
         config = parse_config(sim_config(tmp_path, n_traj=30)).sim
@@ -427,22 +427,22 @@ class TestStreamedSimulate:
                                                       n_traj, rows):
         # 20 trajectories run as 8 + 8 + 4; 17 as 8 + 9, the one-trajectory
         # tail folded in. Either way one array of the longest batch's rows
-        # holds every batch.
+        # holds every batch, time-major: a batch fills its first lanes.
         simulate_batch = trajectory_module.simulate_batch
         seen = []
 
-        def spy(config, start, stop, samples, states):
-            seen.append(samples)
-            return simulate_batch(config, start, stop, samples, states)
+        def spy(config, start, stop, buffer, states):
+            seen.append(buffer)
+            return simulate_batch(config, start, stop, buffer, states)
 
         monkeypatch.setattr(trajectory_module, "simulate_batch", spy)
         batch_cap(8)
         config = parse_config(sim_config(tmp_path, n_traj=n_traj)).sim
         simulate_records(tmp_path / "records.qcr", config)
         buffer = seen[0].base
-        assert buffer is not None and len(buffer) == rows
-        assert sum(len(samples) for samples in seen) == n_traj
-        assert all(samples.base is buffer for samples in seen)
+        assert buffer is not None and buffer.shape == (config.n_samples, 2, rows)
+        assert sum(batch.shape[2] for batch in seen) == n_traj
+        assert all(batch.base is buffer for batch in seen)
 
     def test_unseekable_output_refused(self, workspace, capsys):
         tmp, config, _ = workspace

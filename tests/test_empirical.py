@@ -6,10 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qcorr import empirical
+from qcorr import empirical, trajectory
 from qcorr import (
     EstimateMismatchError,
     MeasurementChannel,
@@ -226,6 +226,30 @@ class TestWindowMeans:
         assert np.array_equal(whole, means)
         for row, (gaps, window) in zip(means, specs):
             assert np.array_equal(row, full_array_window_means(records, gaps, window))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), st.integers(2, 300), st.integers(20, 60), st.integers(2, 300),
+           st.integers(1, 300))
+    def test_simulated_view_gives_the_means_of_its_contiguous_copy(self, data, n_traj,
+                                                                   n_samples, cap, block_traj):
+        # simulate_range returns the trajectory-major view of a time-major
+        # buffer, whose passes window_means stages; neither the 128-row tiles
+        # nor the passes of block_traj trajectories divide n_traj.
+        assume(n_traj % 128 and n_traj % block_traj)
+        channels = replica_channels()
+        config = SimConfig(model=build_ensemble_model(channels), channels=channels,
+                           r_init=(np.sin(PHI / 2), 0.0, np.cos(PHI / 2)),
+                           t_total=n_samples * DT, dt=DT, n_traj=n_traj,
+                           master_seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+        specs = ResolvedSpecs(resolve_spec(gaps, window, DT)
+                              for gaps, window in data.draw(shared_prefix_specs(2, n_samples)))
+        with mock.patch.object(trajectory, "DEFAULT_BATCH_SIZE", cap):
+            samples = simulate_range(config, 0, n_traj).samples
+        assert not samples.flags.c_contiguous
+        with mock.patch.object(empirical, "BLOCK_BYTES", block_traj * 8 * 2 * n_samples):
+            staged = window_means(samples, specs)
+            contiguous = window_means(np.ascontiguousarray(samples), specs)
+        assert staged.tobytes() == contiguous.tobytes()
 
     def test_spec_past_the_block_refused_by_index(self):
         samples = noise_only_records(n_traj=10, n_samples=50).samples

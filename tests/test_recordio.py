@@ -1,17 +1,29 @@
+import dataclasses
+import os
+import tempfile
+import threading
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcorr import (
     MagicMismatchError,
     MeasurementChannel,
     RecordFormatError,
     RecordSet,
+    SimConfig,
     TruncatedRecordError,
     ValidationError,
     VersionMismatchError,
+    build_ensemble_model,
     read_records,
+    simulate_range,
+    trajectory,
     write_records,
 )
 from qcorr.recordio import FORMAT_VERSION, MAGIC, _header, read_header
@@ -31,7 +43,49 @@ def sample_records(n_traj=3, n_channels=2, n_samples=17, seed=0):
     )
 
 
+def written_to_a_pipe(records) -> bytes:
+    """The bytes write_records sends down a pipe, read by a thread as they come."""
+    read_end, write_end = os.pipe()
+    chunks = []
+    with os.fdopen(read_end, "rb") as reader:
+        thread = threading.Thread(target=lambda: chunks.extend(iter(lambda: reader.read(1 << 16),
+                                                                     b"")))
+        thread.start()
+        try:
+            write_records(f"/dev/fd/{write_end}", records)
+        finally:
+            os.close(write_end)
+            thread.join(timeout=30)
+    assert not thread.is_alive()
+    return b"".join(chunks)
+
+
 class TestRoundTrip:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 300), st.integers(1, 40), st.integers(2, 300),
+           st.integers(0, 2 ** 32 - 1))
+    def test_simulated_set_writes_the_bytes_of_its_contiguous_copy(self, n_traj, n_samples,
+                                                                   cap, seed):
+        # A simulated set is the trajectory-major view of a time-major
+        # buffer; write_records cuts it in 128-row tiles, which need not
+        # divide n_traj.
+        assume(n_traj % 128)
+        channels = sample_records().channels
+        config = SimConfig(model=build_ensemble_model(channels), channels=channels,
+                           r_init=(0.6, 0.0, 0.8), t_total=n_samples * 0.005, dt=0.005,
+                           n_traj=n_traj, master_seed=seed)
+        with mock.patch.object(trajectory, "DEFAULT_BATCH_SIZE", cap):
+            records = simulate_range(config, 0, n_traj)
+        assert not records.samples.flags.c_contiguous
+        contiguous = dataclasses.replace(records, samples=np.ascontiguousarray(records.samples))
+        with tempfile.TemporaryDirectory() as tmp:
+            expected, written = Path(tmp) / "expected.qcr", Path(tmp) / "written.qcr"
+            write_records(expected, contiguous)
+            write_records(written, records)
+            assert expected.read_bytes().endswith(contiguous.samples.tobytes())
+            assert written.read_bytes() == expected.read_bytes()
+            assert written_to_a_pipe(records) == expected.read_bytes()
+
     def test_payload_bit_exact(self, tmp_path):
         records = sample_records()
         path = tmp_path / "records.qcr"

@@ -8,6 +8,7 @@ import pytest
 
 from qcorr import (
     EnsembleModel,
+    IntegrationDivergedError,
     MeasurementChannel,
     RecordSet,
     ReplicaConfig,
@@ -121,11 +122,11 @@ def golden_model(case):
     return model, channels, (0.0, 0.0, 1.0)
 
 
-def golden_config(case):
+def golden_config(case, n_traj=23):
     model, channels, r_init = golden_model(case)
     return SimConfig(
         model=model, channels=channels, r_init=r_init, t_total=0.5075, dt=0.005,
-        n_traj=23, master_seed=31337,
+        n_traj=n_traj, master_seed=31337,
     )
 
 
@@ -142,6 +143,26 @@ GOLDEN = {
     "unital_preset": (
         "86f9615d5ef1559ffaa037b168935394b7a0c5e982fd379b3794435fd517b952",
         "6e6a64fdb40580093aa9cf8a8d01df166caf21d2b050446d4bb92648d70a073e",
+    ),
+}
+
+# case -> (sha256 of samples, of states, of the record file) of golden_config(case, 300)
+# in batches of 257.
+EDGE_GOLDEN = {
+    "phase_backaction": (
+        "bbc2f124f76397c3c3af3c1c7dc520b724f9e7a11d9dfb1fed1e2868330bb12d",
+        "b03a012c427e34fe89d16336ab991748e9cfae153c2b7bca8bd7b2a759dfd4d2",
+        "61ea51fdfa5d900a6119041afa0c0b995b0a4972e505344aadb14006540b027c",
+    ),
+    "rabi_nonunital": (
+        "fd05cfeb20f697c7c7963fa12530f78c8a8ee545ce6a9dc4df3860c6d5c5ad85",
+        "64f87b06f877d34494d5fa0ae7fb95ef101700cfec596992b1901c75664290c6",
+        "d1c7683d9262ad6415dd86c2f9d4f25c02cd7a8fc07611c42a6ff33c6149325c",
+    ),
+    "unital_preset": (
+        "aa95a5fc4517ab3e8c8efde0362d9a62e992c93365f82c61a442a0df5087731e",
+        "a8ccb8814897174bf0263d3f0a3d24868b89d1d54ee9a95e560b0127e2ff5640",
+        "8f7df68ac7533d4ae9217835a1218bb913bb9653f9f9d728e8a7edea50ac51c0",
     ),
 }
 
@@ -459,30 +480,62 @@ class TestSimulateEnsemble:
         assert sha256(lean.samples) == samples_sha
         assert lean.states is None
 
-    def test_nonfinite_draw_names_step_and_trajectory(self, monkeypatch, batch_cap, tmp_path):
-        # With 2 workers the poisoned draws reach the forked processes, and
-        # the error they raise comes back pickled.
-        import qcorr.trajectory as trajectory
-        from qcorr import IntegrationDivergedError
-        draws = trajectory.trajectory_draws
+    @pytest.mark.parametrize("case", sorted(EDGE_GOLDEN))
+    def test_bits_pinned_across_tile_and_slab_edges(self, case, batch_cap, tmp_path):
+        # 300 trajectories in batches of 257: two full 128-row tiles and a
+        # one-row tile, then a 43-row tail; the 101 steps end in a partial
+        # 16-step slab.
+        batch_cap(257)
+        config = golden_config(case, n_traj=300)
+        samples_sha, states_sha, file_sha = EDGE_GOLDEN[case]
+        records = simulate_range(config, 0, config.n_traj, states=True)
+        assert sha256(records.samples) == samples_sha
+        assert sha256(records.states) == states_sha
+        assert sha256(simulate_range(config, 0, config.n_traj).samples) == samples_sha
+        for workers in (1, 2):
+            path = tmp_path / f"records{workers}.qcr"
+            simulate_records(path, config, workers=workers)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+
+    @staticmethod
+    def poison_draw(monkeypatch, trajectory_index, step_index):
+        """Make trajectory_draws return NaN for one trajectory's channel 0 at one step."""
+        draws = trajectory_module.trajectory_draws
 
         def poisoned(seed, index, n_steps, n_channels):
             block = draws(seed, index, n_steps, n_channels)
-            if index == 12:
-                block[19, 0] = np.nan
+            if index == trajectory_index:
+                block[step_index, 0] = np.nan
             return block
 
-        monkeypatch.setattr(trajectory, "trajectory_draws", poisoned)
-        model, channels = single_channel_setup()
-        batch_cap(5)
-        config = make_config(model, channels, n_traj=16)
+        monkeypatch.setattr(trajectory_module, "trajectory_draws", poisoned)
+
+    def assert_divergence_named(self, config, tmp_path, step_index, trajectory_index):
+        # With 2 workers the poisoned draws reach the forked processes, and
+        # the error they raise comes back pickled.
         for run in (lambda: simulate_ensemble(config),
                     lambda: simulate_records(tmp_path / "records.qcr", config, workers=2)):
             with pytest.raises(IntegrationDivergedError) as info:
                 run()
-            assert (info.value.step_index, info.value.trajectory_index) == (19, 12)
-            assert str(info.value) == "integration diverged at step 19, trajectory 12"
+            assert (info.value.step_index, info.value.trajectory_index) == (step_index,
+                                                                            trajectory_index)
+            assert str(info.value) == (f"integration diverged at step {step_index}, "
+                                       f"trajectory {trajectory_index}")
             assert multiprocessing.active_children() == []
+
+    def test_nonfinite_draw_names_step_and_trajectory(self, monkeypatch, batch_cap, tmp_path):
+        self.poison_draw(monkeypatch, 12, 19)
+        model, channels = single_channel_setup()
+        batch_cap(5)
+        self.assert_divergence_named(make_config(model, channels, n_traj=16), tmp_path, 19, 12)
+
+    def test_divergence_is_named_past_the_first_tile(self, monkeypatch, batch_cap, tmp_path):
+        # Trajectory 200 sits in the second 128-row tile of the first batch
+        # of 257, and step 16 opens the second 16-step slab.
+        self.poison_draw(monkeypatch, 200, 16)
+        model, channels = single_channel_setup()
+        batch_cap(257)
+        self.assert_divergence_named(make_config(model, channels, n_traj=300), tmp_path, 16, 200)
 
     def test_range_matches_full_run(self, batch_cap):
         batch_cap(7)
